@@ -1,5 +1,5 @@
 //! CI bench-smoke for the parallel/cached back end: times the back half of
-//! the pipeline (mono → normalize → optimize → joined lower+fuse) on the E9
+//! the pipeline (mono → normalize → optimize → lower → fuse) on the E9
 //! instance-fan-out workloads, writes min-of-N times to
 //! `BENCH_compile.json`, and gates two claims:
 //!

@@ -113,9 +113,21 @@ impl ObsMeasurement {
 /// interleaved sum sees every run and cancels drift across modes.
 pub fn measure_obs(name: &str, source: &str, samples: usize) -> ObsMeasurement {
     let c = compile(source);
+    // Only the hotness profiler, no opcode histogram: sampling mode is the
+    // low-overhead production configuration the `bench_obs` gate holds.
+    let hotness_run = |precise: bool| {
+        let mut vm = c.vm();
+        if precise {
+            vm.enable_runtime_profiling_precise();
+        } else {
+            vm.enable_runtime_profiling();
+        }
+        let out = c.run_vm(&mut vm);
+        (out, vm.take_runtime_profile().expect("hotness enabled"))
+    };
     let plain_out = c.execute();
-    let (profiled_out, hotness) = c.execute_hotness_profiled();
-    let (precise_out, precise_hotness) = c.execute_hotness_profiled_precise();
+    let (profiled_out, hotness) = hotness_run(false);
+    let (precise_out, precise_hotness) = hotness_run(true);
     assert_eq!(plain_out.result, profiled_out.result, "{name}: profiling changed the result");
     assert_eq!(plain_out.output, profiled_out.output, "{name}: profiling changed the output");
     assert_eq!(plain_out.result, precise_out.result, "{name}: precise mode changed the result");
@@ -130,10 +142,10 @@ pub fn measure_obs(name: &str, source: &str, samples: usize) -> ObsMeasurement {
         let _ = c.execute();
         tp += start.elapsed();
         let start = Instant::now();
-        let _ = c.execute_hotness_profiled();
+        let _ = hotness_run(false);
         to += start.elapsed();
         let start = Instant::now();
-        let _ = c.execute_hotness_profiled_precise();
+        let _ = hotness_run(true);
         tq += start.elapsed();
     }
     let top = hotness.hotness_ranked(&c.program).into_iter().next();
@@ -186,7 +198,7 @@ pub fn measure_fusion(name: &str, source: &str, samples: usize) -> FusionMeasure
         Ok(c) => c,
         Err(e) => panic!("workload failed to compile:\n{e}"),
     };
-    let fused = match Compiler::new().with_fuse().compile(source) {
+    let fused = match Compiler::new().compile(source) {
         Ok(c) => c,
         Err(e) => panic!("workload failed to compile:\n{e}"),
     };
@@ -246,7 +258,7 @@ impl TieredMeasurement {
 /// tiered run's speculation counters. Every tiered sample re-warms from the
 /// cold tier, so the warmup knee is honestly inside the measurement.
 pub fn measure_tiered(name: &str, source: &str, samples: usize) -> TieredMeasurement {
-    let fused = match Compiler::new().with_fuse().compile(source) {
+    let fused = match Compiler::new().compile(source) {
         Ok(c) => c,
         Err(e) => panic!("workload failed to compile:\n{e}"),
     };
@@ -414,7 +426,7 @@ pub struct BackendMeasurement {
 }
 
 /// Times the back half of the pipeline (mono → normalize → optimize →
-/// joined lower+fuse) at one `(jobs, cache)` configuration. The front end
+/// lower → fuse) at one `(jobs, cache)` configuration. The front end
 /// runs outside the timer — it is identical across configurations — but
 /// monomorphization is timed: with the cache on it streams instances to
 /// hash workers ([`vgl_passes::monomorphize_cfg`]), and hiding that overlap
@@ -446,7 +458,8 @@ pub fn measure_backend(
         let (mut m, _) = vgl_passes::monomorphize_cfg(&module, &cfg, &mut report);
         vgl_passes::normalize_cfg(&mut m, &cfg, &mut report);
         vgl_passes::optimize_cfg(&mut m, &cfg, &mut report);
-        let (_prog, _, _) = vgl_vm::lower_fuse(&m, &cfg);
+        let mut prog = vgl_vm::lower(&m);
+        vgl_vm::fuse_cfg(&mut prog, &cfg);
         [start.elapsed()]
     });
     BackendMeasurement {

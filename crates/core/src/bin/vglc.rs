@@ -18,8 +18,8 @@
 //!                              spans, and GC events — open it in
 //!                              chrome://tracing or Perfetto
 //! vglc disasm <file.v>         print the compiled bytecode; with fusion on
-//!                              (the default in release), unfused and fused
-//!                              code are shown side by side
+//!                              (the default), unfused and fused code are
+//!                              shown side by side
 //! vglc check [--json] <file.v> parse and typecheck only, reporting every
 //!                              diagnostic the front end can find (parse
 //!                              errors do not hide type errors); --json
@@ -35,8 +35,8 @@
 //!                              panics; minimizes + reports the first crash
 //! ```
 //!
-//! `--fuse` / `--no-fuse` override the bytecode back-end optimizer (default:
-//! on in release builds, off in debug) for any compile-based subcommand.
+//! `--no-fuse` turns off the bytecode back-end optimizer (on by default) for
+//! any compile-based subcommand.
 //!
 //! `--jobs N` sets the worker-thread count for the parallel back-end phases
 //! (default: the `VGL_JOBS` environment variable, else the machine's
@@ -65,16 +65,16 @@
 //! guard sites annotated.
 
 use std::process::ExitCode;
-use vgl::Compiler;
+use vgl::{Compilation, Compiler, RunOutcome, RuntimeProfile, VmProfile};
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: vglc [run|interp|both|check [--json]|stats [--json]|profile|\
          disasm [--tiered]|trace [-o out.json]] \
-         [--fuse|--no-fuse] [--tier|--no-tier] [--tier-threshold N] [--jobs N] \
+         [--no-fuse] [--tier|--no-tier] [--tier-threshold N] [--jobs N] \
          [--heap-slots N] [--nursery-slots N] [--no-cache] [--flight-record[=N]] <file.v>\n\
          \x20      vglc fuzz [--chaos|--protocol] [--seed N] [--cases N] [--dump]\n\
-         \x20      vglc serve [--socket PATH] [--fuse|--no-fuse] [--jobs N] [--no-cache]\n\
+         \x20      vglc serve [--socket PATH] [--no-fuse] [--jobs N] [--no-cache]\n\
          \x20      vglc client [--socket PATH] [--session NAME] \
          <compile|check|run|stats|shutdown> [file.v]"
     );
@@ -101,7 +101,6 @@ fn serve(args: &[String]) -> ExitCode {
                 Some(p) => socket = std::path::PathBuf::from(p),
                 None => return usage(),
             },
-            "--fuse" => config.options.fuse = true,
             "--no-fuse" => config.options.fuse = false,
             "--no-cache" => config.options.pass_cache = false,
             "--no-opt" => config.options.optimize = false,
@@ -407,10 +406,6 @@ fn main() -> ExitCode {
         }
     }
     args.retain(|a| match a.as_str() {
-        "--fuse" => {
-            options.fuse = true;
-            false
-        }
         "--no-fuse" => {
             options.fuse = false;
             false
@@ -485,23 +480,24 @@ fn main() -> ExitCode {
     };
     match cmd.as_str() {
         "run" => {
+            let mut vm = compilation.vm();
             if let Some(capacity) = flight {
-                let (out, dump) = compilation.execute_flight_recorded(capacity);
-                print!("{}", out.output);
-                if out.result.is_err() {
-                    if let Some(d) = dump {
-                        eprint!("{d}");
-                    }
-                }
-                finish(out.result)
-            } else {
-                let out = compilation.execute();
-                print!("{}", out.output);
-                finish(out.result)
+                vm.enable_flight_recorder(capacity);
             }
+            let out = compilation.run_vm(&mut vm);
+            print!("{}", out.output);
+            if out.result.is_err() {
+                if let Some(d) = vm.flight_dump() {
+                    eprint!("{d}");
+                }
+            }
+            finish(out.result)
         }
         "trace" => {
-            let (out, log) = compilation.execute_traced();
+            let mut vm = compilation.vm();
+            vm.enable_trace_log(vgl::chrome::MAX_VM_SPANS);
+            let out = compilation.run_vm(&mut vm);
+            let log = vm.take_trace_log().expect("trace log enabled");
             let trace = vgl::chrome::chrome_trace(&compilation, &out, &log);
             let text = trace.render();
             // Self-validate: the exporter's output must round-trip through
@@ -544,7 +540,7 @@ fn main() -> ExitCode {
         }
         "stats" if json => {
             let i = compilation.interpret();
-            let (v, profile, hotness) = compilation.execute_profiled_full();
+            let (v, profile, hotness) = run_profiled(&compilation);
             let report = vgl::report::stats_json(
                 &compilation,
                 Some(&i),
@@ -556,7 +552,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "profile" => {
-            let (out, profile, hotness) = compilation.execute_profiled_full();
+            let (out, profile, hotness) = run_profiled(&compilation);
             println!("== compile phases ==");
             print!("{}", compilation.trace.render_table());
             let b = &compilation.backend;
@@ -658,9 +654,9 @@ fn main() -> ExitCode {
             println!("expansion:         x{:.2}", compilation.expansion_ratio());
             println!(
                 "pass times:        mono {:.1}us, norm {:.1}us, opt {:.1}us",
-                s.times.mono.as_secs_f64() * 1e6,
-                s.times.norm.as_secs_f64() * 1e6,
-                s.times.opt.as_secs_f64() * 1e6
+                compilation.trace.duration("mono").as_secs_f64() * 1e6,
+                compilation.trace.duration("normalize").as_secs_f64() * 1e6,
+                compilation.trace.duration("optimize").as_secs_f64() * 1e6
             );
             ExitCode::SUCCESS
         }
@@ -668,8 +664,12 @@ fn main() -> ExitCode {
             if tiered_view {
                 // Run the program with tiering forced on, then show each
                 // tiered function pre/post tier-up with guard sites.
-                let (out, view) = compilation.execute_tiered_disasm();
-                print!("{view}");
+                let mut vm = compilation.vm();
+                vm.enable_tiering(options.tier_threshold);
+                let out = compilation.run_vm(&mut vm);
+                if let Some(t) = vm.tier_state() {
+                    print!("{}", vgl_vm::tiered_view(&compilation.program, t));
+                }
                 if let Err(e) = out.result {
                     eprintln!("runtime error: {e}");
                     return ExitCode::FAILURE;
@@ -685,6 +685,18 @@ fn main() -> ExitCode {
         }
         _ => usage(),
     }
+}
+
+/// Runs with the opcode histogram and the precise hotness profiler on:
+/// everything `profile` and `stats --json` report.
+fn run_profiled(c: &Compilation) -> (RunOutcome, VmProfile, RuntimeProfile) {
+    let mut vm = c.vm();
+    vm.enable_profiling();
+    vm.enable_runtime_profiling_precise();
+    let out = c.run_vm(&mut vm);
+    let profile = vm.take_profile().expect("profiling enabled");
+    let hotness = vm.take_runtime_profile().expect("hotness enabled");
+    (out, profile, hotness)
 }
 
 fn check(path: &str, source: &str, json: bool) -> ExitCode {

@@ -28,11 +28,14 @@ pub const COMPILE_PID: u64 = 1;
 pub const RUNTIME_PID: u64 = 2;
 /// First thread id used for back-end worker lanes (tid 0 is the phases).
 pub const WORKER_TID0: u64 = 1;
+/// VM function spans to keep for a trace ([`crate::Vm::enable_trace_log`]).
+pub const MAX_VM_SPANS: usize = 1 << 18;
 
 /// Builds the unified Chrome trace for one compiled-and-executed program.
 ///
-/// `run` and `log` come from [`Compilation::execute_traced`]; the compile
-/// side is read off the compilation's own [`crate::PhaseTrace`].
+/// `run` and `log` come from [`Compilation::run_vm`] on a VM with the trace
+/// log enabled; the compile side is read off the compilation's own
+/// [`crate::PhaseTrace`].
 pub fn chrome_trace(c: &Compilation, run: &RunOutcome, log: &TraceLog) -> ChromeTrace {
     let mut t = ChromeTrace::new();
     t.name_process(COMPILE_PID, "compile");
@@ -64,7 +67,8 @@ pub fn chrome_trace(c: &Compilation, run: &RunOutcome, log: &TraceLog) -> Chrome
     let compile_total = cursor;
 
     // Worker lanes. A sample's `start` is relative to its pool's start,
-    // which coincides with its parallel phase's start. The "hash"
+    // which coincides with its parallel phase's start. Mono's streamed
+    // "mono-hash" pool runs inside mono, so anchor it there. The "hash"
     // fingerprinting pool has no phase of its own — it runs at the head of
     // the next parallel phase in commit order, so anchor it there.
     let anchor =
@@ -73,6 +77,7 @@ pub fn chrome_trace(c: &Compilation, run: &RunOutcome, log: &TraceLog) -> Chrome
     let mut max_worker = None;
     for (i, w) in workers.iter().enumerate() {
         let base = anchor(w.phase)
+            .or_else(|| w.phase.strip_suffix("-hash").and_then(anchor))
             .or_else(|| workers[i + 1..].iter().find_map(|later| anchor(later.phase)))
             .unwrap_or(0.0);
         max_worker = Some(max_worker.unwrap_or(0).max(w.worker));
@@ -186,6 +191,13 @@ mod tests {
     use crate::Compiler;
     use vgl_obs::json::parse;
 
+    fn traced_run(c: &Compilation) -> (RunOutcome, TraceLog) {
+        let mut vm = c.vm();
+        vm.enable_trace_log(MAX_VM_SPANS);
+        let run = c.run_vm(&mut vm);
+        (run, vm.take_trace_log().expect("trace log enabled"))
+    }
+
     const ALLOCATING: &str = "class Node { var v: int; var next: Node; new(v, next) { } }\n\
         def build(n: int) -> Node {\n\
           var head: Node;\n\
@@ -208,7 +220,7 @@ mod tests {
         // Small heap to force collections.
         let options = crate::Options { heap_slots: 512, ..Default::default() };
         let c = Compiler::with_options(options).compile(ALLOCATING).expect("compiles");
-        let (run, log) = c.execute_traced();
+        let (run, log) = traced_run(&c);
         assert!(run.result.is_ok(), "{:?}", run.result);
         let trace = chrome_trace(&c, &run, &log);
 
@@ -261,8 +273,8 @@ mod tests {
 
     #[test]
     fn worker_lanes_appear_at_higher_job_counts() {
-        let c = Compiler::new().with_jobs(8).with_fuse().compile(ALLOCATING).expect("compiles");
-        let (run, log) = c.execute_traced();
+        let c = Compiler::new().with_jobs(8).compile(ALLOCATING).expect("compiles");
+        let (run, log) = traced_run(&c);
         let trace = chrome_trace(&c, &run, &log);
         let parsed = parse(&trace.render()).expect("valid");
         let events = parsed.get("traceEvents").unwrap().as_arr().unwrap().to_vec();
@@ -290,7 +302,7 @@ mod tests {
         let src = "class A { var x: int; new(x) { } }\n\
             def main() -> int { var a: A; return a.x; }";
         let c = Compiler::new().compile(src).expect("compiles");
-        let (run, log) = c.execute_traced();
+        let (run, log) = traced_run(&c);
         assert!(run.result.is_err());
         let trace = chrome_trace(&c, &run, &log);
         let parsed = parse(&trace.render()).expect("valid");

@@ -10,16 +10,19 @@
 //!
 //! * **Level 2 — per-function artifacts.** Keyed by
 //!   ([`vgl_passes::context_digest`], `method_fingerprint`, option bits),
-//!   both computed **post-normalize**. On an edit, the front end, mono,
-//!   and normalize always run — normalize is cheap and serial, and its
-//!   wrapper synthesis and type interning are order-sensitive global
-//!   state, so skipping it would change id spaces. Every method whose
-//!   fingerprint matches under the same context digest then skips
-//!   optimize (its cached *post-optimize* body is spliced into the module
-//!   and masked out of rewriting, so the devirtualization and inlining
-//!   tables other methods fold against match the cold fixpoint) and skips
-//!   lower + fuse (its cached fused bytecode is relocated into the
-//!   reserved function slot by [`vgl_vm::lower_fuse_incremental`]).
+//!   both computed **post-normalize**. A level-1 miss runs the same compile
+//!   driver as [`Compiler::compile`], handing it this store. The front end,
+//!   mono, and normalize always run — normalize is cheap, and its wrapper
+//!   synthesis and type interning are order-sensitive global state, so
+//!   skipping it would change id spaces. Every method whose fingerprint
+//!   matches under the same context digest then skips optimize (its cached
+//!   *post-optimize* body is spliced into the module and masked out of
+//!   rewriting, so the devirtualization and inlining tables other methods
+//!   fold against match the cold fixpoint) and skips lower + fuse (its
+//!   cached fused bytecode is relocated into the reserved function slot by
+//!   [`vgl_vm::lower_reusing`], and the fuse pool leaves it alone). The
+//!   remaining functions fuse on the same parallel pool as a cold compile,
+//!   and the trace reports the same phases.
 //!
 //! The contract, pinned by the serving determinism suite: warm output is
 //! **byte-identical** to a cold one-shot [`Compiler::compile`] of the same
@@ -31,17 +34,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use vgl_obs::PhaseTrace;
-use vgl_passes::{
-    cache, context_digest, BackendConfig, BackendReport, OptStats, ShardedLru, StoreStats,
-};
-use vgl_syntax::Diagnostics;
-use vgl_vm::{ReusePlan, SpliceFunc};
+use vgl_ir::Module;
+use vgl_obs::Tracer;
+use vgl_passes::{cache, context_digest, ShardedLru, StoreStats};
+use vgl_vm::{ReusePlan, SpliceFunc, SpliceRecord, VmProgram};
 
-use crate::{
-    render, render_violations, Compilation, CompileError, Compiler, Options, PassTimes,
-    PipelineStats,
-};
+use crate::{Compilation, CompileError, Compiler, Options};
 
 /// Default level-1 capacity: whole compilations are big (module + bytecode),
 /// and a serving session rarely juggles more than a few dozen live sources.
@@ -68,6 +66,89 @@ struct CachedFunc {
     opt_body: Option<vgl_ir::Body>,
     opt_locals: Vec<vgl_ir::Local>,
     splice: Arc<SpliceFunc>,
+}
+
+/// The level-2 store as the compile driver sees it: looked up after
+/// normalize, published to after fuse.
+pub(crate) struct FuncStore {
+    funcs: ShardedLru<FuncKey, CachedFunc>,
+    opts_key: u64,
+    methods_spliced: AtomicUsize,
+    methods_compiled: AtomicUsize,
+}
+
+/// One compile's reuse decisions, taken on the post-normalize module.
+pub(crate) struct Splices {
+    ctx: (u64, u64),
+    fps: Vec<(u64, u64)>,
+    /// Per module method: spliced from the store.
+    pub(crate) mask: Vec<bool>,
+    /// The spliced methods' relocatable code, for lowering.
+    pub(crate) plan: ReusePlan,
+}
+
+impl FuncStore {
+    /// Looks every method of the post-normalize `module` up in the store
+    /// and splices each hit's post-optimize body in place.
+    pub(crate) fn splice(&self, module: &mut Module) -> Splices {
+        let ctx = context_digest(module);
+        let n = module.methods.len();
+        let mut memo: HashMap<(u64, u64), Option<Arc<CachedFunc>>> = HashMap::new();
+        let mut fps = Vec::with_capacity(n);
+        let mut hits = Vec::with_capacity(n);
+        for m in &module.methods {
+            let fp = cache::method_fingerprint(m);
+            // Memoized per fingerprint so duplicate instances (equal
+            // fingerprint, different name) always agree — the optimizer's
+            // skip mask must be duplicate-consistent even if the store
+            // evicts between two lookups.
+            let hit = memo
+                .entry(fp)
+                .or_insert_with(|| self.funcs.get(&FuncKey { ctx, fp, opts: self.opts_key }))
+                .clone();
+            fps.push(fp);
+            hits.push(hit);
+        }
+        for (m, hit) in module.methods.iter_mut().zip(&hits) {
+            if let Some(c) = hit {
+                m.body.clone_from(&c.opt_body);
+                m.locals.clone_from(&c.opt_locals);
+            }
+        }
+        let mask: Vec<bool> = hits.iter().map(Option::is_some).collect();
+        let spliced = mask.iter().filter(|&&b| b).count();
+        self.methods_spliced.fetch_add(spliced, Ordering::Relaxed);
+        self.methods_compiled.fetch_add(n - spliced, Ordering::Relaxed);
+        let plan = ReusePlan {
+            funcs: hits.into_iter().map(|h| h.map(|c| c.splice.clone())).collect(),
+        };
+        Splices { ctx, fps, mask, plan }
+    }
+
+    /// Publishes every method this compile lowered afresh, from the final
+    /// `module` and `program`. Insert is content-addressed first-writer-wins,
+    /// so racing compiles of equal methods share one entry; duplicate
+    /// instances collapse onto their representative's key by fingerprint
+    /// equality.
+    pub(crate) fn publish(
+        &self,
+        splices: Splices,
+        module: &Module,
+        program: &VmProgram,
+        records: Vec<Option<SpliceRecord>>,
+    ) {
+        for (i, record) in records.into_iter().enumerate() {
+            let Some(record) = record else { continue };
+            self.funcs.insert(
+                FuncKey { ctx: splices.ctx, fp: splices.fps[i], opts: self.opts_key },
+                CachedFunc {
+                    opt_body: module.methods[i].body.clone(),
+                    opt_locals: module.methods[i].locals.clone(),
+                    splice: Arc::new(record.capture(program, i)),
+                },
+            );
+        }
+    }
 }
 
 /// Snapshot of the incremental stores' effectiveness, for `vgld stats`.
@@ -124,11 +205,8 @@ fn source_key(source: &str, opts: u64) -> (u64, u64, u64) {
 /// through it.
 pub struct IncrementalCompiler {
     compiler: Compiler,
-    opts_key: u64,
     artifacts: ShardedLru<(u64, u64, u64), Compilation>,
-    funcs: ShardedLru<FuncKey, CachedFunc>,
-    methods_spliced: AtomicUsize,
-    methods_compiled: AtomicUsize,
+    store: FuncStore,
 }
 
 impl IncrementalCompiler {
@@ -150,11 +228,13 @@ impl IncrementalCompiler {
         let opts_key = options_key(&compiler.options);
         IncrementalCompiler {
             compiler,
-            opts_key,
             artifacts: ShardedLru::new(artifact_capacity),
-            funcs: ShardedLru::new(func_capacity),
-            methods_spliced: AtomicUsize::new(0),
-            methods_compiled: AtomicUsize::new(0),
+            store: FuncStore {
+                funcs: ShardedLru::new(func_capacity),
+                opts_key,
+                methods_spliced: AtomicUsize::new(0),
+                methods_compiled: AtomicUsize::new(0),
+            },
         }
     }
 
@@ -167,9 +247,9 @@ impl IncrementalCompiler {
     pub fn stats(&self) -> IncrementalStats {
         IncrementalStats {
             artifacts: self.artifacts.stats(),
-            funcs: self.funcs.stats(),
-            methods_spliced: self.methods_spliced.load(Ordering::Relaxed),
-            methods_compiled: self.methods_compiled.load(Ordering::Relaxed),
+            funcs: self.store.funcs.stats(),
+            methods_spliced: self.store.methods_spliced.load(Ordering::Relaxed),
+            methods_compiled: self.store.methods_compiled.load(Ordering::Relaxed),
         }
     }
 
@@ -181,208 +261,15 @@ impl IncrementalCompiler {
     /// Returns every parse and type error with rendered positions, exactly
     /// as the one-shot path does (diagnostics are never cached).
     pub fn compile(&self, source: &str) -> Result<Arc<Compilation>, CompileError> {
-        let skey = source_key(source, self.opts_key);
+        let skey = source_key(source, self.store.opts_key);
         if let Some(art) = self.artifacts.get(&skey) {
             return Ok(art);
         }
-        let compilation = self.compile_warm(source)?;
+        let compilation =
+            self.compiler.drive(source, &mut Tracer::disabled(), Some(&self.store))?;
         // First-writer-wins: concurrent compiles of the same source share
         // whichever artifact published first (they are byte-identical).
         Ok(self.artifacts.insert(skey, compilation))
-    }
-
-    /// The level-1-miss path: full front end + mono + normalize, then
-    /// per-function reuse through optimize/lower/fuse.
-    fn compile_warm(&self, source: &str) -> Result<Compilation, CompileError> {
-        let o = self.compiler.options;
-        let mut trace = PhaseTrace::new();
-        let token_count = {
-            let mut scratch = Diagnostics::new();
-            trace
-                .time(
-                    "lex",
-                    source.len(),
-                    || vgl_syntax::lexer::lex(source, &mut scratch),
-                    Vec::len,
-                )
-                .len()
-        };
-        let mut diags = Diagnostics::new();
-        let ast = trace.time(
-            "parse",
-            token_count,
-            || vgl_syntax::parse_program(source, &mut diags),
-            |p| p.decls.len(),
-        );
-        if diags.has_errors() {
-            return Err(render(source, diags));
-        }
-        let analyzed =
-            trace.time("sema", ast.decls.len(), || vgl_sema::analyze(&ast, &mut diags), |_| 0);
-        let Some(module) = analyzed else {
-            return Err(render(source, diags));
-        };
-
-        let backend_cfg = BackendConfig {
-            jobs: vgl_passes::sched::resolve_jobs(o.jobs),
-            cache: o.pass_cache,
-            chunking: true,
-        };
-        let mut backend = BackendReport { jobs: backend_cfg.jobs, ..BackendReport::default() };
-        // Each `vgl_ir::measure` is a full IR walk (~0.5 ms on a serving
-        // workload), so every size below is computed exactly once and
-        // threaded into both the trace and the pipeline stats.
-        let size_before = vgl_ir::measure(&module);
-        trace.set_items_out("sema", size_before.expr_nodes);
-        let (mut compiled, mono) = trace.time(
-            "mono",
-            size_before.expr_nodes,
-            || vgl_passes::monomorphize_cfg(&module, &backend_cfg, &mut backend),
-            |_| 0,
-        );
-        if o.validate_ir {
-            let violations = vgl_ir::check_monomorphic(&compiled);
-            assert!(
-                violations.is_empty(),
-                "internal compiler error: monomorphization left polymorphism behind:\n{}",
-                render_violations(&violations)
-            );
-        }
-        let size_after_mono = vgl_ir::measure(&compiled);
-        trace.set_items_out("mono", size_after_mono.expr_nodes);
-        let norm = trace.time(
-            "normalize",
-            size_after_mono.expr_nodes,
-            || vgl_passes::normalize_cfg(&mut compiled, &backend_cfg, &mut backend),
-            |_| 0,
-        );
-        let size_after_norm = vgl_ir::measure(&compiled);
-        trace.set_items_out("normalize", size_after_norm.expr_nodes);
-
-        // Post-normalize is the reuse horizon: id spaces are final, bodies
-        // are in tuple normal form, and both keys are well-defined.
-        let ctx = context_digest(&compiled);
-        let n = compiled.methods.len();
-        let mut memo: HashMap<(u64, u64), Option<Arc<CachedFunc>>> = HashMap::new();
-        let mut fps = Vec::with_capacity(n);
-        let mut hits = Vec::with_capacity(n);
-        for m in &compiled.methods {
-            let fp = cache::method_fingerprint(m);
-            // Memoized per fingerprint so duplicate instances (equal
-            // fingerprint, different name) always agree — the optimizer's
-            // skip mask must be duplicate-consistent even if the store
-            // evicts between two lookups.
-            let hit = memo
-                .entry(fp)
-                .or_insert_with(|| self.funcs.get(&FuncKey { ctx, fp, opts: self.opts_key }))
-                .clone();
-            fps.push(fp);
-            hits.push(hit);
-        }
-        let mut mask = vec![false; n];
-        for (i, h) in hits.iter().enumerate() {
-            if let Some(c) = h {
-                mask[i] = true;
-                compiled.methods[i].body.clone_from(&c.opt_body);
-                compiled.methods[i].locals.clone_from(&c.opt_locals);
-            }
-        }
-        let spliced = mask.iter().filter(|&&b| b).count();
-        self.methods_spliced.fetch_add(spliced, Ordering::Relaxed);
-        self.methods_compiled.fetch_add(n - spliced, Ordering::Relaxed);
-
-        let opt = trace.time(
-            "optimize",
-            size_after_norm.expr_nodes,
-            || {
-                if o.optimize {
-                    vgl_passes::optimize_cfg_masked(
-                        &mut compiled,
-                        &backend_cfg,
-                        &mut backend,
-                        Some(&mask),
-                    )
-                } else {
-                    OptStats::default()
-                }
-            },
-            |_| 0,
-        );
-        if o.validate_ir {
-            let violations = vgl_ir::check_normalized(&compiled);
-            assert!(
-                violations.is_empty(),
-                "internal compiler error: pipeline broke tuple normal form:\n{}",
-                render_violations(&violations)
-            );
-        }
-        let size_after = vgl_ir::measure(&compiled);
-        trace.set_items_out("optimize", size_after.expr_nodes);
-
-        let do_fuse = o.fuse && !o.tier;
-        let plan = ReusePlan {
-            funcs: hits.iter().map(|h| h.as_ref().map(|c| c.splice.clone())).collect(),
-        };
-        let (program, fuse, captures) = trace.time(
-            "lower",
-            size_after.expr_nodes,
-            || vgl_vm::lower_fuse_incremental(&compiled, Some(&plan), do_fuse),
-            |(p, _, _)| p.code_size(),
-        );
-        if o.validate_ir {
-            let violations = vgl_vm::check_fused(&program);
-            assert!(
-                violations.is_empty(),
-                "internal compiler error: bytecode back end broke a VM invariant:\n{}",
-                render_violations(&violations)
-            );
-        }
-
-        // Publish what this compile produced. Insert is content-addressed
-        // first-writer-wins, so racing compiles of equal methods share one
-        // entry; duplicate instances collapse onto their representative's
-        // key by fingerprint equality.
-        for (i, cap) in captures.into_iter().enumerate() {
-            let Some(cap) = cap else { continue };
-            self.funcs.insert(
-                FuncKey { ctx, fp: fps[i], opts: self.opts_key },
-                CachedFunc {
-                    opt_body: compiled.methods[i].body.clone(),
-                    opt_locals: compiled.methods[i].locals.clone(),
-                    splice: Arc::new(cap),
-                },
-            );
-        }
-
-        let dur = |name: &str| {
-            trace
-                .phases
-                .iter()
-                .find(|p| p.name == name)
-                .map(|p| p.duration)
-                .unwrap_or_default()
-        };
-        let times =
-            PassTimes { mono: dur("mono"), norm: dur("normalize"), opt: dur("optimize") };
-        trace.workers = backend.workers.clone();
-        Ok(Compilation {
-            options: o,
-            module,
-            compiled,
-            program,
-            fuse,
-            backend,
-            stats: PipelineStats {
-                mono,
-                norm,
-                opt,
-                size_before,
-                size_after_mono,
-                size_after,
-                times,
-            },
-            trace,
-        })
     }
 }
 
@@ -451,13 +338,25 @@ mod tests {
 
     #[test]
     fn fused_artifacts_splice_byte_identically() {
-        let mk = || Compiler::new().with_fuse().with_jobs(2);
+        let mk = || Compiler::new().with_jobs(2);
         let inc = IncrementalCompiler::new(mk());
         inc.compile(BASE).expect("compiles");
         let warm = inc.compile(EDITED).expect("compiles");
         let cold = mk().compile(EDITED).expect("compiles");
         assert_eq!(program_bytes(&warm), program_bytes(&cold));
         assert!(inc.stats().methods_spliced > 0);
+    }
+
+    #[test]
+    fn warm_compiles_report_the_cold_phases() {
+        let inc = IncrementalCompiler::new(Compiler::new());
+        inc.compile(BASE).expect("compiles");
+        let warm = inc.compile(EDITED).expect("compiles");
+        let cold = Compiler::new().compile(EDITED).expect("compiles");
+        assert!(inc.stats().methods_spliced > 0, "the warm compile spliced");
+        let names = |c: &Compilation| c.trace.phases.iter().map(|p| p.name).collect::<Vec<_>>();
+        assert_eq!(names(&warm), names(&cold));
+        assert_eq!(names(&cold).last(), Some(&"fuse"));
     }
 
     #[test]

@@ -42,12 +42,14 @@ pub mod serve;
 
 use std::fmt;
 
+use incremental::FuncStore;
+
 pub use vgl_interp::{Interp, InterpError, InterpStats};
 pub use vgl_ir::{Exception, Module, ModuleSize};
 pub use vgl_obs::{JsonLinesSink, PhaseTrace, Sink, TableSink, Tracer};
 pub use vgl_passes::{
     module_fingerprint, BackendConfig, BackendReport, CacheStats, MonoStats, NormStats,
-    OptStats, PassTimes, PipelineStats,
+    OptStats, PipelineStats,
 };
 pub use vgl_runtime::{AllocStats, GcInfo, HeapStats};
 pub use vgl_syntax::{Diagnostic, Diagnostics, LineMap, Severity};
@@ -102,17 +104,15 @@ pub struct Options {
     /// unbounded.
     pub fuel: Option<u64>,
     /// Validate IR invariants ([`vgl_ir::check_monomorphic`] after
-    /// monomorphization, [`vgl_ir::check_normalized`] after the pipeline,
-    /// [`vgl_vm::check_fused`] after bytecode fusion) and panic on
-    /// violation. On by default in debug builds and tests, off in release
-    /// builds to keep the hot path clean.
+    /// monomorphization, [`vgl_ir::check_normalized`] after normalization
+    /// and again after optimization, [`vgl_vm::check_fused`] after bytecode
+    /// fusion) and panic on violation. On by default in debug builds and
+    /// tests, off in release builds to keep the hot path clean.
     pub validate_ir: bool,
     /// Run the bytecode back-end optimizer after lowering: copy propagation,
     /// dead-register elimination, and superinstruction fusion
-    /// ([`vgl_vm::fuse`]). Default **on in release builds** (the measured
-    /// configuration), off in debug so the unfused opcode set stays the
-    /// tested baseline; flip explicitly with [`Compiler::with_fuse`] /
-    /// [`Compiler::without_fuse`] or `vglc --fuse` / `--no-fuse`.
+    /// ([`vgl_vm::fuse`]). Default on; turn it off for ablation with
+    /// [`Compiler::without_fuse`] or `vglc --no-fuse`.
     pub fuse: bool,
     /// Worker threads for the parallel back-end phases (optimize, fuse, and
     /// instance fingerprinting). `0` (the default) means auto: the
@@ -147,7 +147,7 @@ impl Default for Options {
             nursery_slots: vgl_vm::DEFAULT_NURSERY_SLOTS,
             fuel: Some(1 << 32),
             validate_ir: cfg!(debug_assertions),
-            fuse: cfg!(not(debug_assertions)),
+            fuse: true,
             jobs: 0,
             pass_cache: true,
             tier: false,
@@ -176,12 +176,6 @@ impl Compiler {
     /// Disables the optimizer (ablation).
     pub fn without_optimizer(mut self) -> Compiler {
         self.options.optimize = false;
-        self
-    }
-
-    /// Forces the bytecode fusion pass on (it defaults on only in release).
-    pub fn with_fuse(mut self) -> Compiler {
-        self.options.fuse = true;
         self
     }
 
@@ -231,9 +225,9 @@ impl Compiler {
     }
 
     /// [`Compiler::compile`], emitting one span per phase (lex, parse, sema,
-    /// mono, normalize, optimize, lower) into `tracer`. The same samples are
-    /// kept on the returned [`Compilation::trace`] either way, so a disabled
-    /// tracer only skips the sink writes, not the timing.
+    /// mono, normalize, optimize, lower, fuse) into `tracer`. The same
+    /// samples are kept on the returned [`Compilation::trace`] either way, so
+    /// a disabled tracer only skips the sink writes, not the timing.
     ///
     /// # Errors
     /// Returns every parse and type error with rendered positions.
@@ -242,6 +236,25 @@ impl Compiler {
         source: &str,
         tracer: &mut Tracer<'_>,
     ) -> Result<Compilation, CompileError> {
+        self.drive(source, tracer, None)
+    }
+
+    /// The one compile pipeline behind one-shot and served builds: lex,
+    /// parse, sema, mono, normalize, optimize, lower, fuse.
+    ///
+    /// With no `store` this is the cold compile and takes no fingerprints.
+    /// With one, post-normalize is the reuse horizon: every method the
+    /// store already holds under the same module context is spliced in
+    /// there (its post-optimize body skips the optimizer, its fused code
+    /// skips lowering and fusion), and every freshly compiled method is
+    /// published once fusion is done.
+    pub(crate) fn drive(
+        &self,
+        source: &str,
+        tracer: &mut Tracer<'_>,
+        store: Option<&FuncStore>,
+    ) -> Result<Compilation, CompileError> {
+        let o = self.options;
         let mut trace = PhaseTrace::new();
         // Lexing is timed on a scratch pass (the parser re-lexes internally;
         // lexing is linear and cheap, so the duplication is negligible).
@@ -275,17 +288,16 @@ impl Compiler {
         // streamed hashing, normalize, optimize, and fuse. No knob changes
         // output.
         let backend_cfg = BackendConfig {
-            jobs: vgl_passes::sched::resolve_jobs(self.options.jobs),
-            cache: self.options.pass_cache,
+            jobs: vgl_passes::sched::resolve_jobs(o.jobs),
+            cache: o.pass_cache,
             chunking: true,
         };
         let mut backend = BackendReport { jobs: backend_cfg.jobs, ..BackendReport::default() };
-        // Pipeline: mono → norm → (opt). With the cache on, mono streams
-        // finished instances to hash workers so the duplicate map is ready
-        // for normalize the moment it returns.
-        // Each `vgl_ir::measure` is a full IR walk, so every size below is
-        // computed exactly once and threaded into both the trace and the
-        // pipeline stats.
+        // With the cache on, mono streams finished instances to hash
+        // workers so the duplicate map is ready for normalize the moment it
+        // returns. Each `vgl_ir::measure` is a full IR walk, so every size
+        // below is computed exactly once and threaded into both the trace
+        // and the pipeline stats.
         let size_before = vgl_ir::measure(&module);
         trace.set_items_out("sema", size_before.expr_nodes);
         let (mut compiled, mono) = trace.time(
@@ -294,12 +306,10 @@ impl Compiler {
             || vgl_passes::monomorphize_cfg(&module, &backend_cfg, &mut backend),
             |_| 0,
         );
-        if self.options.validate_ir {
-            let violations = vgl_ir::check_monomorphic(&compiled);
-            assert!(
-                violations.is_empty(),
-                "internal compiler error: monomorphization left polymorphism behind:\n{}",
-                render_violations(&violations)
+        if o.validate_ir {
+            assert_valid(
+                "monomorphization left polymorphism behind",
+                &vgl_ir::check_monomorphic(&compiled),
             );
         }
         let size_after_mono = vgl_ir::measure(&compiled);
@@ -310,45 +320,62 @@ impl Compiler {
             || vgl_passes::normalize_cfg(&mut compiled, &backend_cfg, &mut backend),
             |_| 0,
         );
+        if o.validate_ir {
+            assert_valid("normalization left tuples", &vgl_ir::check_normalized(&compiled));
+        }
         let size_after_norm = vgl_ir::measure(&compiled);
         trace.set_items_out("normalize", size_after_norm.expr_nodes);
+        // Post-normalize id spaces are final and bodies are in tuple normal
+        // form, so both store keys are well-defined here.
+        let splices = store.map(|s| s.splice(&mut compiled));
         let opt = trace.time(
             "optimize",
             size_after_norm.expr_nodes,
             || {
-                if self.options.optimize {
-                    vgl_passes::optimize_cfg(&mut compiled, &backend_cfg, &mut backend)
+                if o.optimize {
+                    vgl_passes::optimize_cfg_masked(
+                        &mut compiled,
+                        &backend_cfg,
+                        &mut backend,
+                        splices.as_ref().map(|s| s.mask.as_slice()),
+                    )
                 } else {
                     OptStats::default()
                 }
             },
             |_| 0,
         );
-        if self.options.validate_ir {
-            let violations = vgl_ir::check_normalized(&compiled);
-            assert!(
-                violations.is_empty(),
-                "internal compiler error: pipeline broke tuple normal form:\n{}",
-                render_violations(&violations)
+        if o.validate_ir {
+            assert_valid(
+                "optimization broke tuple normal form",
+                &vgl_ir::check_normalized(&compiled),
             );
         }
         let size_after = vgl_ir::measure(&compiled);
         trace.set_items_out("optimize", size_after.expr_nodes);
-        let mut program = trace.time(
+        let (mut program, records) = trace.time(
             "lower",
             size_after.expr_nodes,
-            || vgl_vm::lower(&compiled),
-            vgl_vm::VmProgram::code_size,
+            || vgl_vm::lower_reusing(&compiled, splices.as_ref().map(|s| &s.plan)),
+            |(p, _)| p.code_size(),
         );
         // Under tiering the baseline tier *is* the unfused code — hot
         // functions re-fuse themselves at run time from their own profile,
         // so the static whole-program pass would only blur the comparison.
-        let fuse = if self.options.fuse && !self.options.tier {
+        let fuse = if o.fuse && !o.tier {
+            // Spliced code is final: the pool neither fuses it again nor
+            // copies it into a duplicate.
+            let skip = splices.as_ref().map(|s| {
+                let mut mask = s.mask.clone();
+                mask.resize(program.funcs.len(), false);
+                mask
+            });
             let stats = trace.time(
                 "fuse",
                 program.code_size(),
                 || {
-                    let (stats, workers) = vgl_vm::fuse_cfg(&mut program, &backend_cfg);
+                    let (stats, workers) =
+                        vgl_vm::fuse_cfg_masked(&mut program, &backend_cfg, skip.as_deref());
                     backend.workers.extend(workers);
                     stats
                 },
@@ -359,55 +386,44 @@ impl Compiler {
         } else {
             vgl_vm::FuseStats::default()
         };
-        if self.options.validate_ir {
-            let violations = vgl_vm::check_fused(&program);
-            assert!(
-                violations.is_empty(),
-                "internal compiler error: bytecode back end broke a VM invariant:\n{}",
-                render_violations(&violations)
+        if o.validate_ir {
+            assert_valid(
+                "bytecode back end broke a VM invariant",
+                &vgl_vm::check_fused(&program),
             );
         }
-        let dur = |name: &str| {
-            trace
-                .phases
-                .iter()
-                .find(|p| p.name == name)
-                .map(|p| p.duration)
-                .unwrap_or_default()
-        };
-        let times =
-            PassTimes { mono: dur("mono"), norm: dur("normalize"), opt: dur("optimize") };
+        if let (Some(store), Some(splices)) = (store, splices) {
+            store.publish(splices, &compiled, &program, records);
+        }
         trace.workers = backend.workers.clone();
         if tracer.enabled() {
             trace.emit(tracer);
         }
         Ok(Compilation {
-            options: self.options,
+            options: o,
             module,
             compiled,
             program,
             fuse,
             backend,
-            stats: PipelineStats {
-                mono,
-                norm,
-                opt,
-                size_before,
-                size_after_mono,
-                size_after,
-                times,
-            },
+            stats: PipelineStats { mono, norm, opt, size_before, size_after_mono, size_after },
             trace,
         })
     }
 }
 
-pub(crate) fn render_violations(violations: &[vgl_ir::Violation]) -> String {
-    violations
-        .iter()
-        .map(|v| format!("  {}: {}", v.location, v.message))
-        .collect::<Vec<_>>()
-        .join("\n")
+/// Panics with an internal-compiler-error report when a `validate_ir`
+/// check found violations.
+fn assert_valid(what: &str, violations: &[vgl_ir::Violation]) {
+    assert!(
+        violations.is_empty(),
+        "internal compiler error: {what}:\n{}",
+        violations
+            .iter()
+            .map(|v| format!("  {}: {}", v.location, v.message))
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
 }
 
 /// The result of [`Compiler::check`]: every front-end diagnostic for one
@@ -592,9 +608,11 @@ impl Compilation {
         }
     }
 
-    /// Runs the compiled program on the VM — the "native target" with the
-    /// scalar calling convention and the generational collector.
-    pub fn execute(&self) -> RunOutcome {
+    /// A VM over the compiled program, set up from [`Options`]: heap and
+    /// nursery sizes, tiering at its threshold, and fuel. Enable any
+    /// instruments on it (opcode or hotness profiles, trace log, flight
+    /// recorder), then run it with [`Compilation::run_vm`].
+    pub fn vm(&self) -> Vm<'_> {
         let mut vm = Vm::with_heap_config(
             &self.program,
             self.options.heap_slots,
@@ -606,6 +624,12 @@ impl Compilation {
         if let Some(f) = self.options.fuel {
             vm.set_fuel(f);
         }
+        vm
+    }
+
+    /// Runs `vm` (from [`Compilation::vm`]) to completion. Whatever its
+    /// instruments recorded stays on `vm` to be taken afterwards.
+    pub fn run_vm(&self, vm: &mut Vm<'_>) -> RunOutcome {
         let result = match vm.run() {
             Ok(words) => Ok(display_words(&words)),
             Err(e) => Err(e.to_string()),
@@ -618,204 +642,19 @@ impl Compilation {
         }
     }
 
+    /// Runs the compiled program on the VM — the "native target" with the
+    /// scalar calling convention and the generational collector.
+    pub fn execute(&self) -> RunOutcome {
+        self.run_vm(&mut self.vm())
+    }
+
     /// [`Compilation::execute`] with VM profiling enabled: also returns the
     /// per-opcode retired-instruction histogram and the GC event log.
     pub fn execute_profiled(&self) -> (RunOutcome, VmProfile) {
-        let mut vm = Vm::with_heap_config(
-            &self.program,
-            self.options.heap_slots,
-            self.options.nursery_slots,
-        );
-        if self.options.tier {
-            vm.enable_tiering(self.options.tier_threshold);
-        }
+        let mut vm = self.vm();
         vm.enable_profiling();
-        if let Some(f) = self.options.fuel {
-            vm.set_fuel(f);
-        }
-        let result = match vm.run() {
-            Ok(words) => Ok(display_words(&words)),
-            Err(e) => Err(e.to_string()),
-        };
-        let outcome = RunOutcome {
-            result,
-            output: vm.output(),
-            interp_stats: None,
-            vm_stats: Some(vm.stats),
-        };
-        let profile = vm.take_profile().unwrap_or_default();
-        (outcome, profile)
-    }
-
-    /// [`Compilation::execute`] with **only** the hotness profiler enabled,
-    /// in its default sampling mode — the low-overhead production
-    /// configuration `bench_obs` gates: call counters plus back-edge ticks,
-    /// no per-return accounting, no per-opcode histogram.
-    pub fn execute_hotness_profiled(&self) -> (RunOutcome, RuntimeProfile) {
-        self.execute_hotness(false)
-    }
-
-    /// [`Compilation::execute_hotness_profiled`] in precise mode: exact
-    /// inclusive/exclusive retired-instruction accounting at every frame
-    /// exit. Costs more (`bench_obs` reports it ungated); `vglc stats` and
-    /// `vglc profile` use it for offline analysis.
-    pub fn execute_hotness_profiled_precise(&self) -> (RunOutcome, RuntimeProfile) {
-        self.execute_hotness(true)
-    }
-
-    fn execute_hotness(&self, precise: bool) -> (RunOutcome, RuntimeProfile) {
-        let mut vm = Vm::with_heap_config(
-            &self.program,
-            self.options.heap_slots,
-            self.options.nursery_slots,
-        );
-        if self.options.tier {
-            vm.enable_tiering(self.options.tier_threshold);
-        }
-        if precise {
-            vm.enable_runtime_profiling_precise();
-        } else {
-            vm.enable_runtime_profiling();
-        }
-        if let Some(f) = self.options.fuel {
-            vm.set_fuel(f);
-        }
-        let result = match vm.run() {
-            Ok(words) => Ok(display_words(&words)),
-            Err(e) => Err(e.to_string()),
-        };
-        let outcome = RunOutcome {
-            result,
-            output: vm.output(),
-            interp_stats: None,
-            vm_stats: Some(vm.stats),
-        };
-        let hotness = vm.take_runtime_profile().unwrap_or_default();
-        (outcome, hotness)
-    }
-
-    /// [`Compilation::execute_profiled`] plus the deterministic per-function
-    /// hotness profile (calls, back-edge ticks, inclusive/exclusive retired
-    /// instructions) — everything `vglc profile` and `vglc stats --json`
-    /// report.
-    pub fn execute_profiled_full(&self) -> (RunOutcome, VmProfile, RuntimeProfile) {
-        let mut vm = Vm::with_heap_config(
-            &self.program,
-            self.options.heap_slots,
-            self.options.nursery_slots,
-        );
-        if self.options.tier {
-            vm.enable_tiering(self.options.tier_threshold);
-        }
-        vm.enable_profiling();
-        vm.enable_runtime_profiling_precise();
-        if let Some(f) = self.options.fuel {
-            vm.set_fuel(f);
-        }
-        let result = match vm.run() {
-            Ok(words) => Ok(display_words(&words)),
-            Err(e) => Err(e.to_string()),
-        };
-        let outcome = RunOutcome {
-            result,
-            output: vm.output(),
-            interp_stats: None,
-            vm_stats: Some(vm.stats),
-        };
-        let profile = vm.take_profile().unwrap_or_default();
-        let hotness = vm.take_runtime_profile().unwrap_or_default();
-        (outcome, profile, hotness)
-    }
-
-    /// [`Compilation::execute`] with the wall-clock trace log enabled: the
-    /// returned [`TraceLog`] carries per-function spans and GC instants,
-    /// ready for [`chrome::chrome_trace`](crate::chrome::chrome_trace).
-    pub fn execute_traced(&self) -> (RunOutcome, TraceLog) {
-        let mut vm = Vm::with_heap_config(
-            &self.program,
-            self.options.heap_slots,
-            self.options.nursery_slots,
-        );
-        if self.options.tier {
-            vm.enable_tiering(self.options.tier_threshold);
-        }
-        vm.enable_trace_log(1 << 18);
-        if let Some(f) = self.options.fuel {
-            vm.set_fuel(f);
-        }
-        let result = match vm.run() {
-            Ok(words) => Ok(display_words(&words)),
-            Err(e) => Err(e.to_string()),
-        };
-        let outcome = RunOutcome {
-            result,
-            output: vm.output(),
-            interp_stats: None,
-            vm_stats: Some(vm.stats),
-        };
-        let log = vm.take_trace_log().unwrap_or_else(|| TraceLog::new(1));
-        (outcome, log)
-    }
-
-    /// [`Compilation::execute`] with the crash flight recorder on
-    /// (`vglc run --flight-record`): returns the run plus the rendered dump
-    /// of the last `capacity` runtime events, when anything was recorded.
-    pub fn execute_flight_recorded(&self, capacity: usize) -> (RunOutcome, Option<String>) {
-        let mut vm = Vm::with_heap_config(
-            &self.program,
-            self.options.heap_slots,
-            self.options.nursery_slots,
-        );
-        if self.options.tier {
-            vm.enable_tiering(self.options.tier_threshold);
-        }
-        vm.enable_flight_recorder(capacity);
-        if let Some(f) = self.options.fuel {
-            vm.set_fuel(f);
-        }
-        let result = match vm.run() {
-            Ok(words) => Ok(display_words(&words)),
-            Err(e) => Err(e.to_string()),
-        };
-        let dump = vm.flight_dump();
-        let outcome = RunOutcome {
-            result,
-            output: vm.output(),
-            interp_stats: None,
-            vm_stats: Some(vm.stats),
-        };
-        (outcome, dump)
-    }
-
-    /// Runs the program with tiering **forced on** (regardless of
-    /// [`Options::tier`]) and renders the `vglc disasm --tiered` view:
-    /// every function that tiered up, baseline and hot-tier bodies side by
-    /// side, guard sites annotated, megamorphic sites listed.
-    pub fn execute_tiered_disasm(&self) -> (RunOutcome, String) {
-        let mut vm = Vm::with_heap_config(
-            &self.program,
-            self.options.heap_slots,
-            self.options.nursery_slots,
-        );
-        vm.enable_tiering(self.options.tier_threshold);
-        if let Some(f) = self.options.fuel {
-            vm.set_fuel(f);
-        }
-        let result = match vm.run() {
-            Ok(words) => Ok(display_words(&words)),
-            Err(e) => Err(e.to_string()),
-        };
-        let view = vm
-            .tier_state()
-            .map(|t| vgl_vm::tiered_view(&self.program, t))
-            .unwrap_or_default();
-        let outcome = RunOutcome {
-            result,
-            output: vm.output(),
-            interp_stats: None,
-            vm_stats: Some(vm.stats),
-        };
-        (outcome, view)
+        let outcome = self.run_vm(&mut vm);
+        (outcome, vm.take_profile().unwrap_or_default())
     }
 
     /// Code expansion ratio due to monomorphization (E4): IR nodes after

@@ -13,8 +13,9 @@ use vgl_obs::json::Json;
 /// Builds the full report for one compiled program.
 ///
 /// `interp` and `vm` are outcomes from the respective engines (either may be
-/// omitted); `profile` and `hotness` are the VM profiles from
-/// [`Compilation::execute_profiled_full`].
+/// omitted); `profile` and `hotness` are the VM profiles of a
+/// [`Compilation::run_vm`] with [`crate::Vm::enable_profiling`] and
+/// [`crate::Vm::enable_runtime_profiling_precise`] on.
 pub fn stats_json(
     c: &Compilation,
     interp: Option<&RunOutcome>,
@@ -136,11 +137,12 @@ fn pipeline_json(c: &Compilation) -> Json {
     o.set("size_after", size_json(&s.size_after));
     o.set("expansion_ratio", Json::Num(c.expansion_ratio()));
 
+    let us = |phase: &str| c.trace.duration(phase).as_secs_f64() * 1e6;
     let mut times = Json::object();
-    times.set("mono_us", Json::Num(s.times.mono.as_secs_f64() * 1e6));
-    times.set("norm_us", Json::Num(s.times.norm.as_secs_f64() * 1e6));
-    times.set("opt_us", Json::Num(s.times.opt.as_secs_f64() * 1e6));
-    times.set("total_us", Json::Num(s.times.total().as_secs_f64() * 1e6));
+    times.set("mono_us", Json::Num(us("mono")));
+    times.set("norm_us", Json::Num(us("normalize")));
+    times.set("opt_us", Json::Num(us("optimize")));
+    times.set("total_us", Json::Num(us("mono") + us("normalize") + us("optimize")));
     o.set("pass_times", times);
     o
 }
@@ -274,7 +276,12 @@ mod tests {
             )
             .expect("compiles");
         let i = c.interpret();
-        let (v, prof, hot) = c.execute_profiled_full();
+        let mut vm = c.vm();
+        vm.enable_profiling();
+        vm.enable_runtime_profiling_precise();
+        let v = c.run_vm(&mut vm);
+        let prof = vm.take_profile().expect("profiling enabled");
+        let hot = vm.take_runtime_profile().expect("hotness enabled");
         let j = stats_json(&c, Some(&i), Some(&v), Some(&prof), Some(&hot));
         let text = j.render();
         let back = vgl_obs::json::parse(&text).expect("valid json");
@@ -286,7 +293,10 @@ mod tests {
         let phases = back.get("phases").and_then(Json::as_arr).expect("phases array");
         let names: Vec<&str> =
             phases.iter().filter_map(|p| p.get("name").and_then(Json::as_str)).collect();
-        assert_eq!(names, ["lex", "parse", "sema", "mono", "normalize", "optimize", "lower"]);
+        assert_eq!(
+            names,
+            ["lex", "parse", "sema", "mono", "normalize", "optimize", "lower", "fuse"]
+        );
         // The interpreter boxes the tuple; the VM structurally cannot.
         let tuples = back
             .get("interp")

@@ -17,7 +17,8 @@
 //! `shutdown` request.
 //!
 //! Observability: every request is timed and recorded as a `vgl-obs` span
-//! (JSON-lines, retrievable via [`Daemon::trace_lines`]); `stats` reports
+//! (JSON-lines; a fixed number of the most recent are retrievable via
+//! [`Daemon::trace_lines`]); `stats` reports
 //! per-command counts, live session names, in-flight requests, store hit
 //! rates, and p50/p90/p99 request latency.
 
@@ -30,6 +31,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use vgl_obs::flight::Ring;
 use vgl_obs::{FieldValue, JsonLinesSink, Tracer};
 
 use crate::incremental::IncrementalCompiler;
@@ -77,6 +79,10 @@ struct LatencyRing {
 
 const LATENCY_CAPACITY: usize = 4096;
 
+/// Request spans the daemon keeps: the most recent ones, in a fixed ring,
+/// so a long-lived daemon's trace stays bounded.
+const TRACE_CAPACITY: usize = 1024;
+
 impl LatencyRing {
     fn new() -> LatencyRing {
         LatencyRing { samples: Vec::new(), next: 0, recorded: 0 }
@@ -116,8 +122,8 @@ struct DaemonState {
     /// Session name → requests served for it.
     sessions: Mutex<HashMap<String, u64>>,
     latency: Mutex<LatencyRing>,
-    /// Accumulated per-request spans, JSON-lines.
-    trace: Mutex<String>,
+    /// The most recent per-request spans, one JSON line each.
+    trace: Mutex<Ring<String>>,
     idle_timeout: Duration,
 }
 
@@ -291,7 +297,7 @@ impl DaemonState {
     }
 
     /// Emits one `vgl-obs` span for a finished request into the shared
-    /// JSON-lines trace.
+    /// trace ring.
     fn span(&self, cmd: &'static str, dur: Duration, ok: bool) {
         let mut sink = JsonLinesSink::new();
         {
@@ -306,10 +312,7 @@ impl DaemonState {
                 ],
             );
         }
-        self.trace
-            .lock()
-            .expect("trace poisoned")
-            .push_str(sink.as_str());
+        self.trace.lock().expect("trace poisoned").push(sink.into_string());
     }
 }
 
@@ -452,7 +455,7 @@ impl Daemon {
             counts: Mutex::new(HashMap::new()),
             sessions: Mutex::new(HashMap::new()),
             latency: Mutex::new(LatencyRing::new()),
-            trace: Mutex::new(String::new()),
+            trace: Mutex::new(Ring::new(TRACE_CAPACITY)),
             idle_timeout: config.idle_timeout,
         });
         let accept_state = Arc::clone(&state);
@@ -487,9 +490,16 @@ impl Daemon {
         let _ = UnixStream::connect(&self.path);
     }
 
-    /// The accumulated per-request `vgl-obs` spans, JSON-lines.
+    /// The most recent per-request `vgl-obs` spans (at most 1024),
+    /// JSON-lines, oldest first.
     pub fn trace_lines(&self) -> String {
-        self.state.trace.lock().expect("trace poisoned").clone()
+        self.state.trace.lock().expect("trace poisoned").iter().map(String::as_str).collect()
+    }
+
+    /// Requests traced since the daemon started, including those whose
+    /// span has since left the ring.
+    pub fn traced_requests(&self) -> u64 {
+        self.state.trace.lock().expect("trace poisoned").total()
     }
 
     /// The current `stats` response (same shape the wire returns).
@@ -888,19 +898,21 @@ mod tests {
         client
             .request(&Request::Compile { session: "t".into(), source: PROGRAM.into() })
             .expect("responds");
-        // Spans are appended after the response is computed but possibly
-        // around the write; give the handler thread a generous beat (the
-        // full suite can oversubscribe a small CI box).
-        let mut lines = String::new();
-        for _ in 0..1000 {
-            lines = daemon.trace_lines();
-            if !lines.is_empty() {
-                break;
-            }
-            thread::sleep(Duration::from_millis(5));
-        }
+        // A request's span is recorded before its response is written, so
+        // it is in the ring by the time the client has the response.
+        let lines = daemon.trace_lines();
         assert!(lines.contains("\"request\""), "span recorded: {lines:?}");
         assert!(lines.contains("compile"), "cmd field recorded: {lines:?}");
+        // Past the capacity the ring keeps only the newest spans, but still
+        // counts every request.
+        let sent = TRACE_CAPACITY as u64 + 8;
+        for _ in 1..sent {
+            client.request(&Request::Stats).expect("responds");
+        }
+        assert_eq!(daemon.traced_requests(), sent);
+        let lines = daemon.trace_lines();
+        assert_eq!(lines.lines().count(), TRACE_CAPACITY);
+        assert!(!lines.contains("compile"), "the oldest span was dropped");
         daemon.join();
     }
 }

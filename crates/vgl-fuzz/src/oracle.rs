@@ -366,7 +366,7 @@ pub fn check_source_tampered(
     vgl_passes::normalize_cfg(&mut par_m, &par_cfg, &mut par_report);
     vgl_passes::optimize_cfg(&mut par_m, &par_cfg, &mut par_report);
     let mut par_prog = vgl_vm::lower(&par_m);
-    vgl_vm::fuse_jobs(&mut par_prog, par_cfg.jobs, par_cfg.cache);
+    vgl_vm::fuse_cfg(&mut par_prog, &par_cfg);
     tamper(&mut par_prog);
     if vgl_vm::disasm(&par_prog) != vgl_vm::disasm(&fused_prog) {
         return Verdict::Invariant {

@@ -417,6 +417,11 @@ impl PhaseTrace {
         self.phases.iter().map(|p| p.duration).sum()
     }
 
+    /// Wall-clock time of the phases named `name` (zero when none ran).
+    pub fn duration(&self, name: &str) -> Duration {
+        self.phases.iter().filter(|p| p.name == name).map(|p| p.duration).sum()
+    }
+
     /// Updates `items_out` on the most recent sample *iff* it is named
     /// `name`; a no-op when the trace is empty or the last phase is a
     /// different one (e.g. the phase list was reordered or tracing is

@@ -13,7 +13,8 @@
 //!   fold the resulting branches, remove dead code, devirtualize.
 //!
 //! The composition `monomorphize → normalize → optimize` is the paper's
-//! static compilation pipeline; [`compile_pipeline`] packages it.
+//! static compilation pipeline; `vgl::Compiler` drives it, followed by
+//! lowering and fusion in `vgl-vm`.
 
 #![warn(missing_docs)]
 
@@ -30,9 +31,8 @@ pub use normalize::{normalize, normalize_cfg, NormStats};
 pub use optimize::{optimize, optimize_cfg, optimize_cfg_masked, OptStats};
 pub use store::{ShardedLru, StoreStats};
 
-use std::time::Duration;
 use vgl_ir::Module;
-use vgl_obs::{FieldValue, PhaseTrace, Tracer, WorkerSample};
+use vgl_obs::WorkerSample;
 
 /// Configuration for the parallel, cached back-end passes (normalize,
 /// optimize, fuse). `jobs` is the *effective* worker count — resolve a
@@ -82,24 +82,6 @@ pub struct BackendReport {
     pub dup_map: Option<cache::DupMap>,
 }
 
-/// Wall-clock durations of the three pipeline passes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PassTimes {
-    /// Monomorphization time.
-    pub mono: Duration,
-    /// Normalization time.
-    pub norm: Duration,
-    /// Optimization time.
-    pub opt: Duration,
-}
-
-impl PassTimes {
-    /// Total pipeline pass time.
-    pub fn total(&self) -> Duration {
-        self.mono + self.norm + self.opt
-    }
-}
-
 /// Combined statistics from a full pipeline run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PipelineStats {
@@ -115,8 +97,6 @@ pub struct PipelineStats {
     pub size_after_mono: vgl_ir::ModuleSize,
     /// IR size after the full pipeline.
     pub size_after: vgl_ir::ModuleSize,
-    /// Per-pass wall-clock durations.
-    pub times: PassTimes,
 }
 
 /// [`monomorphize`] under a [`BackendConfig`]: with the cache enabled,
@@ -140,98 +120,5 @@ pub fn monomorphize_cfg(
         (m, stats)
     } else {
         monomorphize(module)
-    }
-}
-
-/// Runs the full static pipeline (mono → norm → opt), verifying the §4
-/// invariants along the way.
-///
-/// # Panics
-/// Panics if a pass breaks its invariant — that is a compiler bug, not a
-/// user error.
-pub fn compile_pipeline(module: &Module) -> (Module, PipelineStats) {
-    compile_pipeline_traced(module, &mut Tracer::disabled())
-}
-
-/// [`compile_pipeline`], emitting one span per pass (with IR node counts
-/// in/out and per-pass statistics) into `tracer`. With a disabled tracer the
-/// only overhead is six `Instant::now()` reads for [`PassTimes`].
-pub fn compile_pipeline_traced(
-    module: &Module,
-    tracer: &mut Tracer<'_>,
-) -> (Module, PipelineStats) {
-    let mut trace = PhaseTrace::new();
-    let mut stats = PipelineStats {
-        size_before: vgl_ir::measure(module),
-        ..PipelineStats::default()
-    };
-    let nodes_before = stats.size_before.expr_nodes;
-
-    let (mut m, mono_stats) =
-        trace.time("mono", nodes_before, || monomorphize(module), |(m, _)| {
-            vgl_ir::measure(m).expr_nodes
-        });
-    stats.mono = mono_stats;
-    stats.size_after_mono = vgl_ir::measure(&m);
-    let violations = vgl_ir::check_monomorphic(&m);
-    assert!(
-        violations.is_empty(),
-        "monomorphization left type parameters: {violations:#?}"
-    );
-
-    let nodes_mono = stats.size_after_mono.expr_nodes;
-    stats.norm = trace.time("normalize", nodes_mono, || normalize(&mut m), |_| 0);
-    let nodes_norm = vgl_ir::measure(&m).expr_nodes;
-    trace.set_items_out("normalize", nodes_norm);
-    let violations = vgl_ir::check_normalized(&m);
-    assert!(
-        violations.is_empty(),
-        "normalization left tuples: {violations:#?}"
-    );
-
-    stats.opt = trace.time("optimize", nodes_norm, || optimize(&mut m), |_| 0);
-    stats.size_after = vgl_ir::measure(&m);
-    trace.set_items_out("optimize", stats.size_after.expr_nodes);
-    let violations = vgl_ir::check_normalized(&m);
-    assert!(
-        violations.is_empty(),
-        "optimizer broke normalization invariants: {violations:#?}"
-    );
-
-    stats.times = PassTimes {
-        mono: trace.phases[0].duration,
-        norm: trace.phases[1].duration,
-        opt: trace.phases[2].duration,
-    };
-    if tracer.enabled() {
-        emit_pass_spans(&trace, &stats, tracer);
-    }
-    (m, stats)
-}
-
-fn emit_pass_spans(trace: &PhaseTrace, stats: &PipelineStats, tracer: &mut Tracer<'_>) {
-    for p in &trace.phases {
-        let span = tracer.start(p.name);
-        let mut fields = vec![
-            ("nodes_in", FieldValue::UInt(p.items_in as u64)),
-            ("nodes_out", FieldValue::UInt(p.items_out as u64)),
-            ("dur_us", FieldValue::Float(p.duration.as_secs_f64() * 1e6)),
-        ];
-        match p.name {
-            "mono" => fields.push((
-                "method_instances",
-                FieldValue::UInt(stats.mono.method_instances as u64),
-            )),
-            "normalize" => fields.push((
-                "tuple_exprs_removed",
-                FieldValue::UInt(stats.norm.tuple_exprs_removed as u64),
-            )),
-            "optimize" => fields.push((
-                "queries_folded",
-                FieldValue::UInt(stats.opt.queries_folded as u64),
-            )),
-            _ => {}
-        }
-        tracer.finish(span, &fields);
     }
 }

@@ -9,10 +9,9 @@
 //!   jobs ∈ {1, 2, 8, 16} × cache ∈ {on, off} × chunking ∈ {on, off}
 //!
 //! and assert the outputs are byte-identical: same post-optimize module
-//! fingerprint, same bytecode disassembly. The joined lower+fuse path gets
-//! the same treatment against the split one, the streamed monomorphizer
-//! against the serial re-scan, and profiled execution against itself across
-//! job counts and repeated runs.
+//! fingerprint, same bytecode disassembly. The streamed monomorphizer gets
+//! the same treatment against the serial re-scan, and profiled execution
+//! against itself across job counts and repeated runs.
 //!
 //! Override the fuzz-case count with `VGL_DET_CASES` (default 300).
 
@@ -49,20 +48,6 @@ fn compile_with(src: &str, jobs: usize, cache: bool, chunking: bool) -> (String,
     (vgl_vm::disasm(&prog), fingerprint)
 }
 
-/// Same pipeline, but lowering and fusion joined into the streaming
-/// [`vgl_vm::lower_fuse`] driver instead of the split lower-then-fuse pair.
-fn compile_joined(src: &str, jobs: usize, cache: bool, chunking: bool) -> (String, u64) {
-    let module = analyze(src);
-    let cfg = vgl_passes::BackendConfig { jobs, cache, chunking };
-    let mut report = vgl_passes::BackendReport::default();
-    let (mut m, _) = vgl_passes::monomorphize_cfg(&module, &cfg, &mut report);
-    vgl_passes::normalize_cfg(&mut m, &cfg, &mut report);
-    vgl_passes::optimize_cfg(&mut m, &cfg, &mut report);
-    let fingerprint = vgl_passes::module_fingerprint(&m);
-    let (prog, _, _) = vgl_vm::lower_fuse(&m, &cfg);
-    (vgl_vm::disasm(&prog), fingerprint)
-}
-
 fn example_sources() -> Vec<(String, String)> {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/v");
     let mut out = Vec::new();
@@ -83,7 +68,7 @@ fn det_cases() -> u64 {
 }
 
 /// A 16-instance cache-hostile fan-out: every instance survives dedup, so
-/// chunk planning, streamed hashing, and the joined driver all see real work.
+/// chunk planning and streamed hashing see real work.
 fn fanout_source() -> String {
     let mut src = String::new();
     for i in 0..16 {
@@ -136,33 +121,6 @@ fn examples_warm_rerun_matches_cold() {
     }
 }
 
-/// The joined lower+fuse driver ([`vgl_vm::lower_fuse`]) produces bytecode
-/// byte-identical to the split lower-then-fuse path on every example and on
-/// the fan-out workload, at every parallelism/chunking corner.
-#[test]
-fn joined_lower_fuse_matches_split() {
-    let mut sources = example_sources();
-    sources.push(("fanout_distinct_16".into(), fanout_source()));
-    for (name, src) in sources {
-        let split = compile_with(&src, 1, true, true);
-        for jobs in [1, 8] {
-            for chunking in [true, false] {
-                let joined = compile_joined(&src, jobs, true, chunking);
-                assert_eq!(
-                    split, joined,
-                    "{name}: lower_fuse differs from split lower+fuse at \
-                     jobs={jobs} chunking={chunking}"
-                );
-                let joined_uncached = compile_joined(&src, jobs, false, chunking);
-                assert_eq!(
-                    split, joined_uncached,
-                    "{name}: uncached lower_fuse differs at jobs={jobs} chunking={chunking}"
-                );
-            }
-        }
-    }
-}
-
 /// The streamed monomorphizer returns the same module and the same
 /// duplicate-instance map as the serial monomorphize + re-scan pair: the
 /// bounded channel and sharded min-wins index are pure scheduling.
@@ -208,7 +166,7 @@ fn fuzz_programs_identical_serial_vs_parallel() {
 }
 
 /// A sample of the fuzz corpus sweeps the remaining corners: oversubscribed
-/// jobs = 16, chunking off, cache off, and the joined lower+fuse driver.
+/// jobs = 16, chunking off, and cache off.
 #[test]
 fn fuzz_programs_identical_across_matrix_corners() {
     let cfg = GenConfig::default();
@@ -227,8 +185,6 @@ fn fuzz_programs_identical_across_matrix_corners() {
                  chunking={chunking} for:\n{src}"
             );
         }
-        let joined = compile_joined(&src, 8, true, true);
-        assert_eq!(baseline, joined, "seed {seed}: lower_fuse output differs for:\n{src}");
     }
 }
 
@@ -246,7 +202,8 @@ fn profiled_execution_identical_across_job_counts() {
         let (mut m, _) = vgl_passes::monomorphize_cfg(&module, &cfg, &mut report);
         vgl_passes::normalize_cfg(&mut m, &cfg, &mut report);
         vgl_passes::optimize_cfg(&mut m, &cfg, &mut report);
-        let (prog, _, _) = vgl_vm::lower_fuse(&m, &cfg);
+        let mut prog = vgl_vm::lower(&m);
+        vgl_vm::fuse_cfg(&mut prog, &cfg);
         prog
     };
     let profiled_run = |prog: &vgl_vm::VmProgram| {

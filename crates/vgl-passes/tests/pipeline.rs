@@ -5,19 +5,13 @@
 //! are semantics-preserving.
 
 use vgl_interp::{Interp, InterpError};
-use vgl_passes::compile_pipeline;
-use vgl_sema::analyze;
-use vgl_syntax::{parse_program, Diagnostics};
 
-fn compile(src: &str) -> vgl_ir::Module {
-    let mut d = Diagnostics::new();
-    let ast = parse_program(src, &mut d);
-    assert!(!d.has_errors(), "parse: {:?}", d.into_vec());
-    let mut d = Diagnostics::new();
-    match analyze(&ast, &mut d) {
-        Some(m) => m,
-        None => panic!("sema: {:#?}", d.into_vec()),
-    }
+/// Compiles `src` through the shipped pipeline with every IR check on.
+fn compile(src: &str) -> vgl::Compilation {
+    let options = vgl::Options { validate_ir: true, ..vgl::Options::default() };
+    vgl::Compiler::with_options(options)
+        .compile(src)
+        .unwrap_or_else(|e| panic!("compile: {e}"))
 }
 
 fn run(m: &vgl_ir::Module) -> (Result<String, String>, String) {
@@ -33,13 +27,12 @@ fn run(m: &vgl_ir::Module) -> (Result<String, String>, String) {
 
 /// Runs `src` through both paths and asserts identical observables.
 fn differential(src: &str) -> (vgl_ir::Module, vgl_passes::PipelineStats) {
-    let module = compile(src);
-    let (before, out_before) = run(&module);
-    let (compiled, stats) = compile_pipeline(&module);
-    let (after, out_after) = run(&compiled);
+    let c = compile(src);
+    let (before, out_before) = run(&c.module);
+    let (after, out_after) = run(&c.compiled);
     assert_eq!(before, after, "result differs after pipeline for:\n{src}");
     assert_eq!(out_before, out_after, "output differs after pipeline for:\n{src}");
-    (compiled, stats)
+    (c.compiled, c.stats)
 }
 
 #[test]
@@ -535,10 +528,8 @@ fn expansion_grows_with_instantiations() {
         src.push_str("}\n");
         src
     };
-    let m2 = compile(&make(2));
-    let m6 = compile(&make(6));
-    let (_, s2) = compile_pipeline(&m2);
-    let (_, s6) = compile_pipeline(&m6);
+    let s2 = compile(&make(2)).stats;
+    let s6 = compile(&make(6)).stats;
     assert!(
         s6.size_after_mono.expr_nodes > s2.size_after_mono.expr_nodes,
         "expansion should grow: {} vs {}",

@@ -5,9 +5,9 @@
 //! The workload is a 256-instance cache-hostile fan-out — every instance
 //! mentions its own class type, so the per-instance cache deduplicates
 //! nothing and parallelism is the only lever. We time the configured back
-//! half (streamed mono → normalize → optimize → joined lower+fuse) at
-//! jobs = 1 and jobs = 8, min-of-3 trials after a warmup round, and require
-//! jobs = 8 to be at least 1.5× faster.
+//! half (streamed mono → normalize → optimize → lower → fuse, the split
+//! path `vgl::Compiler` ships) at jobs = 1 and jobs = 8, min-of-3 trials
+//! after a warmup round, and require jobs = 8 to be at least 1.5× faster.
 //!
 //! Gating: a speedup assertion is meaningless on a starved machine, and
 //! tier-1 CI may run on one core. The test therefore auto-skips when
@@ -79,7 +79,8 @@ fn back_half(module: &vgl_ir::Module, jobs: usize) -> (Duration, String) {
     let (mut m, _) = vgl_passes::monomorphize_cfg(module, &cfg, &mut report);
     vgl_passes::normalize_cfg(&mut m, &cfg, &mut report);
     vgl_passes::optimize_cfg(&mut m, &cfg, &mut report);
-    let (prog, _, _) = vgl_vm::lower_fuse(&m, &cfg);
+    let mut prog = vgl_vm::lower(&m);
+    vgl_vm::fuse_cfg(&mut prog, &cfg);
     let elapsed = start.elapsed();
     (elapsed, vgl_vm::disasm(&prog))
 }

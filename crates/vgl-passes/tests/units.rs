@@ -1,9 +1,18 @@
 //! Focused pass-level tests: each optimization/normalization facility is
 //! checked through its statistics and through validator behaviour.
 
-use vgl_passes::{compile_pipeline, monomorphize, normalize, optimize};
+use vgl_passes::{monomorphize, normalize, optimize, PipelineStats};
 use vgl_sema::analyze;
 use vgl_syntax::{parse_program, Diagnostics};
+
+/// Compiles `src` through the shipped pipeline with every IR check on.
+fn compile(src: &str) -> (vgl_ir::Module, PipelineStats) {
+    let options = vgl::Options { validate_ir: true, ..vgl::Options::default() };
+    let c = vgl::Compiler::with_options(options)
+        .compile(src)
+        .unwrap_or_else(|e| panic!("compile: {e}"));
+    (c.compiled, c.stats)
+}
 
 fn front(src: &str) -> vgl_ir::Module {
     let mut d = Diagnostics::new();
@@ -17,15 +26,13 @@ fn front(src: &str) -> vgl_ir::Module {
 
 #[test]
 fn const_folding_collapses_arithmetic() {
-    let m = front("def main() -> int { return 2 * 3 + 4 * 5; }");
-    let (_, stats) = compile_pipeline(&m);
+    let (_, stats) = compile("def main() -> int { return 2 * 3 + 4 * 5; }");
     assert!(stats.opt.consts_folded >= 3, "{:?}", stats.opt);
 }
 
 #[test]
 fn constant_division_by_zero_becomes_trap() {
-    let m = front("def main() -> int { return 1 / 0; }");
-    let (compiled, stats) = compile_pipeline(&m);
+    let (compiled, stats) = compile("def main() -> int { return 1 / 0; }");
     assert!(stats.opt.consts_folded >= 1);
     let mut has_trap = false;
     for meth in &compiled.methods {
@@ -42,11 +49,10 @@ fn constant_division_by_zero_becomes_trap() {
 
 #[test]
 fn inliner_collapses_leaf_helpers() {
-    let m = front(
+    let (compiled, stats) = compile(
         "def sq(x: int) -> int { return x * x; }\n\
          def main() -> int { return sq(3) + sq(4); }",
     );
-    let (compiled, stats) = compile_pipeline(&m);
     assert!(stats.opt.inlined >= 2, "{:?}", stats.opt);
     // After inlining + folding, main should contain no direct calls to sq.
     let main = compiled.main.expect("main");
@@ -63,18 +69,17 @@ fn inliner_collapses_leaf_helpers() {
 
 #[test]
 fn inliner_skips_recursive_and_large_bodies() {
-    let m = front(
+    let (_, stats) = compile(
         "def f(n: int) -> int { return n == 0 ? 0 : f(n - 1); }\n\
          def main() -> int { return f(3); }",
     );
-    let (_, stats) = compile_pipeline(&m);
     assert_eq!(stats.opt.inlined, 0, "recursive method must not inline");
 }
 
 #[test]
 fn devirtualization_requires_unique_target() {
     // Two live overrides: no devirtualization of the polymorphic call.
-    let m = front(
+    let (_, stats) = compile(
         "class A { def v() -> int { return 1; } }\n\
          class B extends A { def v() -> int { return 2; } }\n\
          def main() -> int {\n\
@@ -82,7 +87,6 @@ fn devirtualization_requires_unique_target() {
            return xs[0].v() + xs[1].v();\n\
          }",
     );
-    let (_, stats) = compile_pipeline(&m);
     assert_eq!(stats.opt.devirtualized, 0);
 }
 
@@ -104,8 +108,7 @@ fn normalization_stats_reflect_flattening() {
 
 #[test]
 fn validators_catch_planted_violations() {
-    let m = front("def main() -> int { return 1; }");
-    let (mut compiled, _) = compile_pipeline(&m);
+    let (mut compiled, _) = compile("def main() -> int { return 1; }");
     assert!(vgl_ir::check_normalized(&compiled).is_empty());
     // Plant a tuple-typed expression in main.
     let int = compiled.store.int;
@@ -129,13 +132,11 @@ fn validators_catch_planted_violations() {
 
 #[test]
 fn check_monomorphic_catches_leftover_vars() {
-    let m = front(
-        "def id<T>(x: T) -> T { return x; }\n\
-         def main() -> int { return id(1); }",
-    );
+    let src = "def id<T>(x: T) -> T { return x; }\n\
+               def main() -> int { return id(1); }";
     // The *source* module is polymorphic.
-    assert!(!vgl_ir::check_monomorphic(&m).is_empty());
-    let (compiled, _) = compile_pipeline(&m);
+    assert!(!vgl_ir::check_monomorphic(&front(src)).is_empty());
+    let (compiled, _) = compile(src);
     assert!(vgl_ir::check_monomorphic(&compiled).is_empty());
 }
 
@@ -161,7 +162,7 @@ fn optimizer_is_idempotent() {
 fn dead_statements_are_removed() {
     // Pure statements are dropped (by normalization's pure-piece discard or
     // the optimizer's dead-statement pass — either way they must be gone).
-    let m = front(
+    let (compiled, _) = compile(
         "def main() -> int {\n\
            var x = 5;\n\
            x;           // pure statement\n\
@@ -169,7 +170,6 @@ fn dead_statements_are_removed() {
            return x;\n\
          }",
     );
-    let (compiled, _) = compile_pipeline(&m);
     let main = compiled.main.expect("main");
     let body = compiled.method(main).body.as_ref().expect("body");
     // Only the var decl and the return survive.
@@ -178,13 +178,12 @@ fn dead_statements_are_removed() {
 
 #[test]
 fn while_false_is_removed() {
-    let m = front(
+    let (compiled, _) = compile(
         "def main() -> int {\n\
            while (false) { System.puti(1); }\n\
            return 7;\n\
          }",
     );
-    let (compiled, _) = compile_pipeline(&m);
     let main = compiled.main.expect("main");
     let body = compiled.method(main).body.as_ref().expect("body");
     let mut whiles = 0;

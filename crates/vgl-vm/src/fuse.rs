@@ -76,7 +76,7 @@ impl FuseStats {
     }
 
     /// Accumulates another run's counters (every field, instrs included).
-    pub(crate) fn absorb(&mut self, st: &FuseStats) {
+    fn absorb(&mut self, st: &FuseStats) {
         self.copies_propagated += st.copies_propagated;
         self.movs_coalesced += st.movs_coalesced;
         self.dead_removed += st.dead_removed;
@@ -92,22 +92,14 @@ impl FuseStats {
 }
 
 /// Runs the optimizer over every function in place and refreshes the static
-/// max-frame analysis ([`VmProgram::max_frame_regs`]).
+/// max-frame analysis ([`VmProgram::max_frame_regs`]): [`fuse_cfg`] serially
+/// with the dedup cache on.
 ///
 /// # Panics
 /// Debug-asserts that the multiset of allocating instructions is unchanged
 /// (the §4.2 no-implicit-allocation invariant).
 pub fn fuse(p: &mut VmProgram) -> FuseStats {
-    fuse_jobs(p, 1, true).0
-}
-
-/// [`fuse_cfg`] at `(jobs, cache)` with chunked scheduling on.
-pub fn fuse_jobs(
-    p: &mut VmProgram,
-    jobs: usize,
-    cache: bool,
-) -> (FuseStats, Vec<vgl_obs::WorkerSample>) {
-    fuse_cfg(p, &vgl_passes::BackendConfig { jobs, cache, chunking: true })
+    fuse_cfg(p, &vgl_passes::BackendConfig::default()).0
 }
 
 /// Estimated fusion cost of one function, in the scheduler's abstract op
@@ -139,12 +131,30 @@ pub fn fuse_cfg(
     p: &mut VmProgram,
     cfg: &vgl_passes::BackendConfig,
 ) -> (FuseStats, Vec<vgl_obs::WorkerSample>) {
+    fuse_cfg_masked(p, cfg, None)
+}
+
+/// [`fuse_cfg`] with an external skip mask, one entry per function:
+/// functions with `skip[i]` true are left exactly as they are. The daemon's
+/// warm path uses this for methods whose already-fused code was spliced in
+/// from the persistent store. Skipped functions are neither fused nor used
+/// as duplicate representatives, and they are left out of every counter,
+/// `instrs_before`/`instrs_after` included.
+pub fn fuse_cfg_masked(
+    p: &mut VmProgram,
+    cfg: &vgl_passes::BackendConfig,
+    skip: Option<&[bool]>,
+) -> (FuseStats, Vec<vgl_obs::WorkerSample>) {
     use std::collections::HashMap;
     use std::hash::{Hash, Hasher};
 
     let mut stats = FuseStats::default();
     let funcs = std::mem::take(&mut p.funcs);
     let n = funcs.len();
+    if let Some(mask) = skip {
+        debug_assert_eq!(mask.len(), n, "mask covers every function");
+    }
+    let skipped = |i: usize| skip.is_some_and(|m| m[i]);
     let mut rep: Vec<usize> = (0..n).collect();
     if cfg.cache {
         let mut groups: HashMap<u64, Vec<usize>> = HashMap::new();
@@ -154,7 +164,7 @@ pub fn fuse_cfg(
                 && a.ret_count == b.ret_count
                 && a.code == b.code
         };
-        for (i, f) in funcs.iter().enumerate() {
+        for (i, f) in funcs.iter().enumerate().filter(|&(i, _)| !skipped(i)) {
             let mut h = std::collections::hash_map::DefaultHasher::new();
             (f.param_count, f.reg_count, f.ret_count).hash(&mut h);
             f.code.hash(&mut h);
@@ -165,7 +175,7 @@ pub fn fuse_cfg(
             }
         }
     }
-    let items: Vec<usize> = (0..n).filter(|&i| rep[i] == i).collect();
+    let items: Vec<usize> = (0..n).filter(|&i| rep[i] == i && !skipped(i)).collect();
     let run_item = |_: &mut (), _: usize, &i: &usize| {
         let mut f = funcs[i].clone();
         let mut st = FuseStats::default();
@@ -202,7 +212,9 @@ pub fn fuse_cfg(
     }
     p.funcs = Vec::with_capacity(n);
     for (i, original) in funcs.into_iter().enumerate() {
-        let f = if rep[i] == i {
+        let f = if skipped(i) {
+            original
+        } else if rep[i] == i {
             fused[i].take().expect("representative was fused")
         } else {
             // Representatives precede their duplicates, so the rep's fused
@@ -218,15 +230,15 @@ pub fn fuse_cfg(
     (stats, workers)
 }
 
-pub(crate) fn count_allocs(code: &[Instr]) -> usize {
+fn count_allocs(code: &[Instr]) -> usize {
     code.iter().filter(|i| i.allocates()).count()
 }
 
-pub(crate) fn count_ref_stores(code: &[Instr]) -> usize {
+fn count_ref_stores(code: &[Instr]) -> usize {
     code.iter().filter(|i| i.is_ref_store()).count()
 }
 
-pub(crate) fn fuse_func(f: &mut VmFunc, stats: &mut FuseStats) {
+fn fuse_func(f: &mut VmFunc, stats: &mut FuseStats) {
     copy_propagate(f, stats);
     // Iterate cleanup + fusion to a fixpoint: coalescing exposes dead
     // writes, `BinI` fusion exposes `CmpBrI`/`IncLocal` fusion, and so on.

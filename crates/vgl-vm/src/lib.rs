@@ -39,10 +39,10 @@ pub use bytecode::{
 pub use disasm::{disasm, disasm_instr, side_by_side, tiered_view};
 pub use flight::{CallKind, FlightEvent, FlightKind, FlightRecorder};
 pub use fuse::{
-    check_fused, check_fused_against, fuse, fuse_cfg, fuse_jobs, tier_fuse_func, FuseStats,
+    check_fused, check_fused_against, fuse, fuse_cfg, fuse_cfg_masked, tier_fuse_func, FuseStats,
     TierFeedback, TieredBody,
 };
-pub use lower::{lower, lower_fuse, lower_fuse_incremental, Demand, ReusePlan, SpliceFunc};
+pub use lower::{lower, lower_reusing, Demand, ReusePlan, SpliceFunc, SpliceRecord};
 pub use profile::{
     FuncSpan, GcEvent, GcInstant, HotFunc, RuntimeProfile, TierInstant, TraceLog, VmProfile,
 };

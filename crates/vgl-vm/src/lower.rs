@@ -18,261 +18,7 @@ use vgl_types::{ClassId, Type, TypeKind, TypeStore};
 /// Panics when the module violates the normalized-form invariants; run
 /// [`vgl_ir::check_normalized`] first for a friendly report.
 pub fn lower(module: &Module) -> VmProgram {
-    let mut lw = Lower::new(module);
-    lw.run();
-    lw.program
-}
-
-/// Batch capacity of the lower → fuse channel: enough buffered chunks that
-/// lowering rarely blocks, few enough that a stalled fuse pool applies
-/// backpressure instead of buffering the whole program.
-const FUSE_STREAM_BATCHES: usize = 8;
-
-/// Lowering and fusion joined into one chunked schedule: instead of fusing
-/// only after the whole program is lowered, the (serial, order-sensitive)
-/// lowering thread streams each function the moment it is final — reserved
-/// method slots right after `compile_method`, synthesized wrappers as they
-/// are appended, global initializers after `finalize` — in cost-balanced
-/// batches over a bounded channel to `cfg.jobs` fuse workers. Duplicate
-/// detection (`cfg.cache`) runs on the lowering thread in stream order, so
-/// duplicates never cross the channel at all.
-///
-/// Output is **bit-identical** to `lower` followed by
-/// [`crate::fuse::fuse_cfg`] at any jobs count: fusion is function-local
-/// and deterministic, results commit in function-index order, and a
-/// duplicate's fused form is the same whichever content-equal
-/// representative it copies. The determinism suite pins that equivalence.
-pub fn lower_fuse(
-    module: &Module,
-    cfg: &vgl_passes::BackendConfig,
-) -> (VmProgram, crate::fuse::FuseStats, Vec<vgl_obs::WorkerSample>) {
-    use crate::fuse::{count_allocs, count_ref_stores, fuse_func, FuseStats};
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    use std::sync::mpsc::SyncSender;
-    use std::time::Instant;
-    use vgl_ir::metrics::pass_weight;
-    use vgl_obs::WorkerSample;
-    use vgl_passes::sched;
-
-    if cfg.jobs <= 1 {
-        let mut p = lower(module);
-        let (stats, workers) = crate::fuse::fuse_cfg(&mut p, cfg);
-        return (p, stats, workers);
-    }
-    let jobs = cfg.jobs.min(sched::MAX_JOBS);
-    // The chunk target comes from the same pure IR estimator the optimizer
-    // plans by (bytecode lengths are unknown until lowered); without
-    // chunking every function becomes its own batch.
-    let target_cost = if cfg.chunking {
-        let total: u64 = module
-            .methods
-            .iter()
-            .map(|m| vgl_ir::method_cost(m) * pass_weight::FUSE)
-            .sum();
-        (total / (sched::CHUNKS_PER_JOB * jobs as u64)).max(1)
-    } else {
-        1
-    };
-
-    let (tx, rx) = std::sync::mpsc::sync_channel::<Vec<(usize, VmFunc)>>(FUSE_STREAM_BATCHES);
-    let rx = std::sync::Mutex::new(rx);
-    let pool_start = Instant::now();
-
-    /// Stream-order duplicate detection + batching. Returns without
-    /// sending when `i` is a duplicate of an earlier-streamed function.
-    #[allow(clippy::too_many_arguments)]
-    fn enqueue(
-        funcs: &[VmFunc],
-        i: usize,
-        cost: u64,
-        cache: bool,
-        rep: &mut Vec<usize>,
-        groups: &mut HashMap<u64, Vec<usize>>,
-        batch: &mut Vec<(usize, VmFunc)>,
-        batch_cost: &mut u64,
-        target_cost: u64,
-        tx: &SyncSender<Vec<(usize, VmFunc)>>,
-    ) {
-        while rep.len() <= i {
-            rep.push(rep.len());
-        }
-        let f = &funcs[i];
-        if cache {
-            let same = |a: &VmFunc, b: &VmFunc| {
-                a.param_count == b.param_count
-                    && a.reg_count == b.reg_count
-                    && a.ret_count == b.ret_count
-                    && a.code == b.code
-            };
-            let mut h = DefaultHasher::new();
-            (f.param_count, f.reg_count, f.ret_count).hash(&mut h);
-            f.code.hash(&mut h);
-            let candidates = groups.entry(h.finish()).or_default();
-            if let Some(&j) = candidates.iter().find(|&&j| same(&funcs[j], f)) {
-                rep[i] = j;
-                return;
-            }
-            candidates.push(i);
-        }
-        batch.push((i, f.clone()));
-        *batch_cost += cost.max(1);
-        if *batch_cost >= target_cost {
-            // A send fails only if every fuse worker died — their panic
-            // resurfaces at join.
-            let _ = tx.send(std::mem::take(batch));
-            *batch_cost = 0;
-        }
-    }
-
-    let (program, rep, results, samples) = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|w| {
-                let rx = &rx;
-                s.spawn(move || {
-                    let start = Instant::now();
-                    let mut out: Vec<(usize, VmFunc, FuseStats)> = Vec::new();
-                    loop {
-                        let msg = rx.lock().expect("fuse receiver poisoned").recv();
-                        let Ok(chunk) = msg else { break };
-                        for (i, mut f) in chunk {
-                            let mut st = FuseStats::default();
-                            st.instrs_before += f.code.len();
-                            let allocs_before = count_allocs(&f.code);
-                            let ref_stores_before = count_ref_stores(&f.code);
-                            fuse_func(&mut f, &mut st);
-                            debug_assert_eq!(
-                                allocs_before,
-                                count_allocs(&f.code),
-                                "fusion changed the allocating-instruction count in {}",
-                                f.name
-                            );
-                            debug_assert_eq!(
-                                ref_stores_before,
-                                count_ref_stores(&f.code),
-                                "fusion changed the barrier-carrying store count in {}",
-                                f.name
-                            );
-                            st.instrs_after += f.code.len();
-                            out.push((i, f, st));
-                        }
-                    }
-                    let sample = WorkerSample {
-                        phase: "fuse",
-                        worker: w,
-                        items: out.len(),
-                        start: start.duration_since(pool_start),
-                        duration: start.elapsed(),
-                    };
-                    (out, sample)
-                })
-            })
-            .collect();
-
-        let tx = tx; // moved in so dropping it below hangs up the channel
-        let mut lw = Lower::new(module);
-        lw.prepare();
-        let n_methods = module.methods.len();
-        let mut rep: Vec<usize> = Vec::new();
-        let mut groups: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut batch: Vec<(usize, VmFunc)> = Vec::new();
-        let mut batch_cost = 0u64;
-        let mut appended = n_methods;
-        for i in 0..n_methods {
-            lw.compile_method(i);
-            let cost = vgl_ir::method_cost(&module.methods[i]) * pass_weight::FUSE;
-            enqueue(
-                &lw.program.funcs,
-                i,
-                cost,
-                cfg.cache,
-                &mut rep,
-                &mut groups,
-                &mut batch,
-                &mut batch_cost,
-                target_cost,
-                &tx,
-            );
-            while appended < lw.program.funcs.len() {
-                let cost =
-                    (1 + lw.program.funcs[appended].code.len() as u64) * pass_weight::FUSE;
-                enqueue(
-                    &lw.program.funcs,
-                    appended,
-                    cost,
-                    cfg.cache,
-                    &mut rep,
-                    &mut groups,
-                    &mut batch,
-                    &mut batch_cost,
-                    target_cost,
-                    &tx,
-                );
-                appended += 1;
-            }
-        }
-        lw.finalize();
-        while appended < lw.program.funcs.len() {
-            let cost = (1 + lw.program.funcs[appended].code.len() as u64) * pass_weight::FUSE;
-            enqueue(
-                &lw.program.funcs,
-                appended,
-                cost,
-                cfg.cache,
-                &mut rep,
-                &mut groups,
-                &mut batch,
-                &mut batch_cost,
-                target_cost,
-                &tx,
-            );
-            appended += 1;
-        }
-        if !batch.is_empty() {
-            let _ = tx.send(std::mem::take(&mut batch));
-        }
-        drop(tx);
-
-        let mut results: Vec<(usize, VmFunc, FuseStats)> = Vec::new();
-        let mut samples = Vec::new();
-        for h in handles {
-            let (out, sample) = h.join().expect("fuse worker panicked");
-            results.extend(out);
-            samples.push(sample);
-        }
-        (lw.program, rep, results, samples)
-    });
-
-    // Commit in function-index order. Duplicates copy their
-    // representative's fused form (keeping their own name); because the
-    // stream dedups in discovery order a representative can have a
-    // *higher* index than its duplicate, so copies come from the fused
-    // result table, not the committed vector.
-    let mut program = program;
-    let n = program.funcs.len();
-    debug_assert_eq!(rep.len(), n, "every lowered function was streamed");
-    let mut fused: Vec<Option<(VmFunc, FuseStats)>> = (0..n).map(|_| None).collect();
-    for (i, f, st) in results {
-        fused[i] = Some((f, st));
-    }
-    let originals = std::mem::take(&mut program.funcs);
-    let mut stats = FuseStats::default();
-    program.funcs = Vec::with_capacity(n);
-    for (i, original) in originals.into_iter().enumerate() {
-        let f = if rep[i] == i {
-            let (f, st) = fused[i].as_ref().expect("representative was fused");
-            stats.absorb(st);
-            f.clone()
-        } else {
-            let (rf, _) = fused[rep[i]].as_ref().expect("representative was fused");
-            stats.instrs_before += original.code.len();
-            stats.instrs_after += rf.code.len();
-            VmFunc { name: original.name, ..rf.clone() }
-        };
-        program.funcs.push(f);
-    }
-    program.max_frame_regs = program.funcs.iter().map(|f| f.reg_count).max().unwrap_or(0);
-    (program, stats, samples)
+    lower_reusing(module, None).0
 }
 
 /// One shared-allocator side effect of lowering a method body, in the
@@ -301,7 +47,7 @@ pub enum Demand {
 }
 
 /// One method's compiled artifact in relocatable form, as captured by
-/// [`lower_fuse_incremental`]. The code is final (post-fuse when fusion
+/// [`SpliceRecord::capture`]. The code is final (post-fuse when fusion
 /// was on) but its program-indexed operands are positional: `CallVirt`
 /// site ids and `ConstPool` ids are dense, assigned in lowering order, so
 /// they relocate by the delta between the capture-time base and the
@@ -332,7 +78,7 @@ pub struct SpliceFunc {
     pub demands: Vec<Demand>,
 }
 
-/// Per-method reuse decisions for [`lower_fuse_incremental`]: `funcs[i]`
+/// Per-method reuse decisions for [`lower_reusing`]: `funcs[i]`
 /// is `Some` when method `i`'s artifact from a context-compatible earlier
 /// compile should be spliced instead of lowered and fused.
 #[derive(Clone, Default)]
@@ -370,154 +116,86 @@ fn relocate_code(
     }
 }
 
-/// Lowering + fusion with cross-compile artifact reuse, the daemon's warm
-/// path. Methods with a [`ReusePlan`] entry are **spliced** — their cached
-/// fused code is relocated into the program without re-lowering or
-/// re-fusing the body — and every other method is lowered and (when
-/// `do_fuse`) fused exactly as the cold pipeline would. Returns the
-/// program, fuse statistics for the work actually performed, and a
-/// relocatable [`SpliceFunc`] capture for every *freshly compiled* method
-/// (`None` for spliced ones, whose cached entries are still current).
+/// Where one freshly lowered method's program-indexed operands started and
+/// which shared allocators it touched — everything a [`SpliceFunc`] needs
+/// besides the final code, which exists only once the program is fused.
+#[derive(Clone, Debug)]
+pub struct SpliceRecord {
+    site_base: u32,
+    site_count: u32,
+    pool_base: u32,
+    pool_count: u32,
+    demands: Vec<Demand>,
+}
+
+impl SpliceRecord {
+    /// The relocatable artifact for method `func` of the finished (fused,
+    /// when fusion is on) `program` it was lowered into.
+    pub fn capture(self, program: &VmProgram, func: usize) -> SpliceFunc {
+        let f = &program.funcs[func];
+        let pool = self.pool_base as usize..(self.pool_base + self.pool_count) as usize;
+        SpliceFunc {
+            param_count: f.param_count,
+            reg_count: f.reg_count,
+            ret_count: f.ret_count,
+            code: f.code.clone(),
+            site_base: self.site_base,
+            site_count: self.site_count,
+            pool_base: self.pool_base,
+            pool: program.pool[pool].to_vec(),
+            demands: self.demands,
+        }
+    }
+}
+
+/// [`lower`] with cross-compile artifact reuse, the daemon's warm path.
+/// Without a plan this is plain lowering and returns no records. With one,
+/// methods with a [`ReusePlan`] entry are **spliced**: their cached final
+/// code is relocated into the program without re-lowering the body. That
+/// code is already fused, so the caller must not fuse it again. Every other
+/// method is lowered exactly as [`lower`] would and gets a [`SpliceRecord`];
+/// [`SpliceRecord::capture`] turns it into a store entry once the program
+/// is final. Records then come one per module method, `None` for spliced
+/// ones.
 ///
-/// Output is bit-identical to `lower` + [`crate::fuse::fuse_cfg`] on the
-/// same module, provided every plan entry was captured from a compile
-/// whose module had the same `vgl_passes::context_digest` and whose
-/// method had the same `vgl_passes::cache::method_fingerprint` — the
-/// serving determinism suite pins this equivalence across cold, warm, and
-/// concurrent compiles.
-pub fn lower_fuse_incremental(
+/// After the non-spliced functions are fused, the program is bit-identical
+/// to `lower` + [`crate::fuse::fuse_cfg`] on the same module, provided
+/// every plan entry was captured from a compile whose module had the same
+/// `vgl_passes::context_digest` and whose method had the same
+/// `vgl_passes::cache::method_fingerprint` — the serving determinism suite
+/// pins this equivalence across cold, warm, and concurrent compiles.
+pub fn lower_reusing(
     module: &Module,
     plan: Option<&ReusePlan>,
-    do_fuse: bool,
-) -> (VmProgram, crate::fuse::FuseStats, Vec<Option<SpliceFunc>>) {
-    use crate::fuse::{count_allocs, count_ref_stores, fuse_func, FuseStats};
-
-    struct Raw {
-        site_base: u32,
-        site_count: u32,
-        pool_base: u32,
-        pool_count: u32,
-        demands: Vec<Demand>,
-        spliced: bool,
-    }
-
-    let n = module.methods.len();
+) -> (VmProgram, Vec<Option<SpliceRecord>>) {
     let mut lw = Lower::new(module);
     lw.prepare();
-    let mut raws: Vec<Raw> = Vec::with_capacity(n);
-    for i in 0..n {
-        let entry = plan.and_then(|p| p.funcs.get(i)).and_then(|e| e.clone());
+    let mut records = Vec::new();
+    for i in 0..module.methods.len() {
+        let Some(plan) = plan else {
+            lw.compile_method(i);
+            continue;
+        };
+        if let Some(e) = plan.funcs.get(i).and_then(Option::as_ref) {
+            lw.splice_method(i, e);
+            records.push(None);
+            continue;
+        }
         let site_base = lw.next_virt_site;
         let pool_base = lw.program.pool.len() as u32;
-        let spliced = entry.is_some();
-        if let Some(e) = entry {
-            lw.splice_method(i, &e);
-        } else {
-            lw.recording = true;
-            lw.compile_method(i);
-            lw.recording = false;
-        }
-        raws.push(Raw {
+        lw.recording = true;
+        lw.compile_method(i);
+        lw.recording = false;
+        records.push(Some(SpliceRecord {
             site_base,
             site_count: lw.next_virt_site - site_base,
             pool_base,
             pool_count: lw.program.pool.len() as u32 - pool_base,
             demands: std::mem::take(&mut lw.demand_log),
-            spliced,
-        });
+        }));
     }
     lw.finalize();
-
-    let mut program = lw.program;
-    let mut stats = FuseStats::default();
-    if do_fuse {
-        // Fuse everything that was not spliced (spliced code is already
-        // fused), including synthesized wrappers and global initializers.
-        // Identical inputs fuse once; copies are bit-equal to re-fusing.
-        let mut groups: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut fused_of: Vec<usize> = (0..program.funcs.len()).collect();
-        #[allow(clippy::needless_range_loop)] // fuses funcs[i] in place while reading raws and writing fused_of
-        for i in 0..program.funcs.len() {
-            if raws.get(i).is_some_and(|r| r.spliced) {
-                continue;
-            }
-            use std::hash::{Hash, Hasher};
-            let f = &program.funcs[i];
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            (f.param_count, f.reg_count, f.ret_count).hash(&mut h);
-            f.code.hash(&mut h);
-            let candidates = groups.entry(h.finish()).or_default();
-            let same = |a: &VmFunc, b: &VmFunc| {
-                a.param_count == b.param_count
-                    && a.reg_count == b.reg_count
-                    && a.ret_count == b.ret_count
-                    && a.code == b.code
-            };
-            if let Some(&j) = candidates.iter().find(|&&j| same(&program.funcs[j], &program.funcs[i])) {
-                fused_of[i] = j;
-                continue;
-            }
-            candidates.push(i);
-            let mut st = FuseStats::default();
-            st.instrs_before += program.funcs[i].code.len();
-            let allocs_before = count_allocs(&program.funcs[i].code);
-            let ref_stores_before = count_ref_stores(&program.funcs[i].code);
-            fuse_func(&mut program.funcs[i], &mut st);
-            debug_assert_eq!(
-                allocs_before,
-                count_allocs(&program.funcs[i].code),
-                "fusion changed the allocating-instruction count in {}",
-                program.funcs[i].name
-            );
-            debug_assert_eq!(
-                ref_stores_before,
-                count_ref_stores(&program.funcs[i].code),
-                "fusion changed the barrier-carrying store count in {}",
-                program.funcs[i].name
-            );
-            st.instrs_after += program.funcs[i].code.len();
-            stats.absorb(&st);
-        }
-        // The dedup above compared *pre-fuse* code of not-yet-fused funcs
-        // against *post-fuse* code of processed ones only when the group
-        // hash collided and `same` matched — which, because fusion is
-        // deterministic and identity-stable on already-processed inputs,
-        // can only copy a representative whose pre-fuse code was equal.
-        for (i, &j) in fused_of.iter().enumerate() {
-            if j != i {
-                let (name, copy) = (program.funcs[i].name.clone(), program.funcs[j].clone());
-                stats.instrs_before += program.funcs[i].code.len();
-                stats.instrs_after += copy.code.len();
-                program.funcs[i] = VmFunc { name, ..copy };
-            }
-        }
-    }
-    program.max_frame_regs = program.funcs.iter().map(|f| f.reg_count).max().unwrap_or(0);
-
-    let captures = raws
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| {
-            if r.spliced {
-                return None;
-            }
-            let f = &program.funcs[i];
-            let pool = program.pool[r.pool_base as usize..(r.pool_base + r.pool_count) as usize]
-                .to_vec();
-            Some(SpliceFunc {
-                param_count: f.param_count,
-                reg_count: f.reg_count,
-                ret_count: f.ret_count,
-                code: f.code.clone(),
-                site_base: r.site_base,
-                site_count: r.site_count,
-                pool_base: r.pool_base,
-                pool,
-                demands: r.demands,
-            })
-        })
-        .collect();
-    (program, stats, captures)
+    (lw.program, records)
 }
 
 struct Lower<'m> {
@@ -535,7 +213,7 @@ struct Lower<'m> {
     /// Next `CallVirt` inline-cache site index.
     next_virt_site: u32,
     /// Shared-allocator demand log for the method currently lowering
-    /// (captured by [`lower_fuse_incremental`], empty otherwise).
+    /// (captured by [`lower_reusing`], empty otherwise).
     demand_log: Vec<Demand>,
     /// Whether allocator calls append to `demand_log`.
     recording: bool,
@@ -624,14 +302,6 @@ impl<'m> Lower<'m> {
         };
     }
 
-    fn run(&mut self) {
-        self.prepare();
-        for i in 0..self.module.methods.len() {
-            self.compile_method(i);
-        }
-        self.finalize();
-    }
-
     /// Everything before body compilation: class layout and one reserved
     /// function per method, in order, so MethodId == FuncId.
     fn prepare(&mut self) {
@@ -667,9 +337,8 @@ impl<'m> Lower<'m> {
 
     /// Compiles method `i`'s body into its reserved slot. Must be called
     /// for every method index in ascending order (the wrapper caches are
-    /// order-sensitive). Afterwards `program.funcs[i]` is final, as is any
-    /// wrapper this call appended past the reserved range — the joined
-    /// lower+fuse driver streams them out on exactly that contract.
+    /// order-sensitive); a spliced method takes its turn through
+    /// [`Lower::splice_method`] instead.
     fn compile_method(&mut self, i: usize) {
         let module = self.module;
         let m = &module.methods[i];

@@ -2,19 +2,16 @@
 //! opcode histogram accounts for every retired instruction, and GC events
 //! mirror the heap's collection counters.
 
-use vgl_passes::compile_pipeline;
-use vgl_sema::analyze;
-use vgl_syntax::{parse_program, Diagnostics};
-use vgl_vm::{lower, ret_as_int, Vm, VmProgram, OPCODE_COUNT, OPCODE_NAMES};
+use vgl_vm::{ret_as_int, Vm, VmProgram, OPCODE_COUNT, OPCODE_NAMES};
 
+/// Compiles `src` through the shipped pipeline with every IR check on,
+/// unfused: these tests lower and fuse the plain bytecode themselves.
 fn compile(src: &str) -> VmProgram {
-    let mut d = Diagnostics::new();
-    let ast = parse_program(src, &mut d);
-    assert!(!d.has_errors(), "parse: {:?}", d.into_vec());
-    let mut d = Diagnostics::new();
-    let module = analyze(&ast, &mut d).unwrap_or_else(|| panic!("sema: {:#?}", d.into_vec()));
-    let (compiled, _) = compile_pipeline(&module);
-    lower(&compiled)
+    let options = vgl::Options { validate_ir: true, fuse: false, ..vgl::Options::default() };
+    vgl::Compiler::with_options(options)
+        .compile(src)
+        .unwrap_or_else(|e| panic!("compile: {e}"))
+        .program
 }
 
 const CHURN: &str = "class List<T> { var head: T; var tail: List<T>; new(head, tail) { } }\n\
@@ -34,25 +31,49 @@ const CHURN: &str = "class List<T> { var head: T; var tail: List<T>; new(head, t
       return sum(keep) + total;\n\
     }";
 
+/// Turns one instrument on.
+type Enable = fn(&mut Vm<'_>);
+
+/// Every instrument a VM run can carry, enabled the way `vglc` enables it.
+const INSTRUMENTS: [(&str, Enable); 5] = [
+    ("opcode profile", |vm| vm.enable_profiling()),
+    ("sampling hotness", |vm| vm.enable_runtime_profiling()),
+    ("precise hotness", |vm| vm.enable_runtime_profiling_precise()),
+    ("trace log", |vm| vm.enable_trace_log(1 << 18)),
+    ("flight recorder", |vm| vm.enable_flight_recorder(64)),
+];
+
 #[test]
 fn profiling_disabled_is_free() {
-    // Same program, with and without profiling: identical result, output,
-    // and execution counters — profiling must observe, never perturb.
-    let program = compile(CHURN);
-    let mut plain = Vm::with_heap(&program, 512);
-    let r1 = plain.run().expect("runs");
-    assert!(plain.profile().is_none(), "profiling is off by default");
-
-    let mut profiled = Vm::with_heap(&program, 512);
-    profiled.enable_profiling();
-    let r2 = profiled.run().expect("runs");
-
-    assert_eq!(ret_as_int(&r1), ret_as_int(&r2));
-    assert_eq!(plain.output(), profiled.output());
-    assert_eq!(plain.stats.instrs, profiled.stats.instrs);
-    assert_eq!(plain.stats.calls, profiled.stats.calls);
-    assert_eq!(plain.stats.heap.collections, profiled.stats.heap.collections);
-    assert!(profiled.profile().is_some());
+    // Same program, with and without each instrument, tiered and not:
+    // identical result, output, retired instructions and heap counters —
+    // instruments must observe, never perturb.
+    for name in ["gc.v", "dispatch_chain.v", "generics.v", "tuples.v"] {
+        let path = format!("{}/../../examples/v/{name}", env!("CARGO_MANIFEST_DIR"));
+        let src = std::fs::read_to_string(&path).expect("example exists");
+        for tier in [false, true] {
+            let options = vgl::Options { validate_ir: true, tier, ..vgl::Options::default() };
+            let c = vgl::Compiler::with_options(options).compile(&src).expect("compiles");
+            let observe = |vm: &mut Vm<'_>| {
+                let out = c.run_vm(vm);
+                let stats = out.vm_stats.expect("vm stats");
+                (out.result, out.output, stats.instrs, stats.heap)
+            };
+            let mut plain = c.vm();
+            let want = observe(&mut plain);
+            assert!(plain.profile().is_none(), "profiling is off by default");
+            assert!(want.0.is_ok(), "{name}: {:?}", want.0);
+            for (instrument, enable) in INSTRUMENTS {
+                let mut vm = c.vm();
+                enable(&mut vm);
+                assert_eq!(
+                    observe(&mut vm),
+                    want,
+                    "{name} (tier {tier}): the {instrument} perturbed the run"
+                );
+            }
+        }
+    }
 }
 
 #[test]

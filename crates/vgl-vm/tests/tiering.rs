@@ -4,19 +4,16 @@
 //! sticky megamorphic marking, and the flight recorder's view of tier
 //! transitions.
 
-use vgl_passes::compile_pipeline;
-use vgl_sema::analyze;
-use vgl_syntax::{parse_program, Diagnostics};
 use vgl_vm::{ret_as_int, Vm, VmProgram, VmStats};
 
+/// Compiles `src` through the shipped pipeline with every IR check on,
+/// unfused: these tests lower and fuse the plain bytecode themselves.
 fn compile(src: &str) -> VmProgram {
-    let mut d = Diagnostics::new();
-    let ast = parse_program(src, &mut d);
-    assert!(!d.has_errors(), "parse: {:?}", d.into_vec());
-    let mut d = Diagnostics::new();
-    let module = analyze(&ast, &mut d).unwrap_or_else(|| panic!("sema: {:#?}", d.into_vec()));
-    let (compiled, _) = compile_pipeline(&module);
-    vgl_vm::lower(&compiled)
+    let options = vgl::Options { validate_ir: true, fuse: false, ..vgl::Options::default() };
+    vgl::Compiler::with_options(options)
+        .compile(src)
+        .unwrap_or_else(|e| panic!("compile: {e}"))
+        .program
 }
 
 fn run_plain(p: &VmProgram) -> (Option<i32>, String) {

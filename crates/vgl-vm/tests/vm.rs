@@ -5,20 +5,15 @@
 
 use vgl_interp::{Interp, InterpError};
 use vgl_ir::ops::Exception;
-use vgl_passes::compile_pipeline;
-use vgl_sema::analyze;
-use vgl_syntax::{parse_program, Diagnostics};
-use vgl_vm::{lower, ret_as_int, Vm, VmError};
+use vgl_vm::{ret_as_int, Vm, VmError};
 
-fn front(src: &str) -> vgl_ir::Module {
-    let mut d = Diagnostics::new();
-    let ast = parse_program(src, &mut d);
-    assert!(!d.has_errors(), "parse: {:?}", d.into_vec());
-    let mut d = Diagnostics::new();
-    match analyze(&ast, &mut d) {
-        Some(m) => m,
-        None => panic!("sema: {:#?}", d.into_vec()),
-    }
+/// Compiles `src` through the shipped pipeline with every IR check on,
+/// unfused: the claims under test are the plain lowering's.
+fn compile(src: &str) -> vgl::Compilation {
+    let options = vgl::Options { validate_ir: true, fuse: false, ..vgl::Options::default() };
+    vgl::Compiler::with_options(options)
+        .compile(src)
+        .unwrap_or_else(|e| panic!("compile: {e}"))
 }
 
 /// Result normal form: Ok(int result or "()"/"ref") or Err(exception name).
@@ -56,14 +51,12 @@ fn run_vm(p: &vgl_vm::VmProgram) -> (Observed, vgl_vm::VmStats) {
 }
 
 fn threeway(src: &str) -> vgl_vm::VmStats {
-    let module = front(src);
-    let (r1, o1) = run_interp(&module);
-    let (compiled, _) = compile_pipeline(&module);
-    let (r2, o2) = run_interp(&compiled);
+    let c = compile(src);
+    let (r1, o1) = run_interp(&c.module);
+    let (r2, o2) = run_interp(&c.compiled);
     assert_eq!(r1, r2, "interp source vs compiled for:\n{src}");
     assert_eq!(o1, o2, "interp output source vs compiled for:\n{src}");
-    let program = lower(&compiled);
-    let ((r3, o3), stats) = run_vm(&program);
+    let ((r3, o3), stats) = run_vm(&c.program);
     assert_eq!(r1, r3, "interp vs VM result for:\n{src}");
     assert_eq!(o1, o3, "interp vs VM output for:\n{src}");
     // The structural E1 claim: the VM *cannot* box tuples.
@@ -339,11 +332,9 @@ fn vm_gc_under_pressure() {
                  }\n\
                  return sum(keep) + total;\n\
                }";
-    let module = front(src);
-    let (r1, _) = run_interp(&module);
-    let (compiled, _) = compile_pipeline(&module);
-    let program = lower(&compiled);
-    let mut vm = Vm::with_heap(&program, 512);
+    let c = compile(src);
+    let (r1, _) = run_interp(&c.module);
+    let mut vm = Vm::with_heap(&c.program, 512);
     vm.set_fuel(50_000_000);
     let got = match vm.run() {
         Ok(w) => Ok(ret_as_int(&w).expect("int").to_string()),
@@ -426,14 +417,12 @@ fn vm_no_callsite_checks_vs_interp() {
                  }\n\
                  return s;\n\
                }";
-    let module = front(src);
-    let mut i = Interp::new(&module);
+    let c = compile(src);
+    let mut i = Interp::new(&c.module);
     i.run().expect("interp runs");
     assert!(i.stats.callsite_checks >= 50);
     assert!(i.stats.callsite_adaptations >= 25, "mixed-convention calls adapt");
-    let (compiled, _) = compile_pipeline(&module);
-    let program = lower(&compiled);
-    let ((r, _), _) = run_vm(&program);
+    let ((r, _), _) = run_vm(&c.program);
     assert_eq!(r, Ok("50".into()));
 }
 
@@ -486,10 +475,8 @@ fn vm_byte_arithmetic_and_compares() {
 
 #[test]
 fn vm_fuel_guard() {
-    let module = front("def main() { while (true) { } }");
-    let (compiled, _) = compile_pipeline(&module);
-    let program = lower(&compiled);
-    let mut vm = Vm::new(&program);
+    let c = compile("def main() { while (true) { } }");
+    let mut vm = Vm::new(&c.program);
     vm.set_fuel(100_000);
     assert!(matches!(vm.run(), Err(VmError::OutOfFuel)));
 }

@@ -2,18 +2,16 @@
 //! register pressure beyond 200 live temps, integer boundary arithmetic,
 //! and exact agreement of Virgil shift/div semantics across engines.
 
-use vgl_passes::compile_pipeline;
-use vgl_sema::analyze;
-use vgl_syntax::{parse_program, Diagnostics};
-use vgl_vm::{lower, ret_as_int, Vm};
+use vgl_vm::{ret_as_int, Vm};
 
+/// Compiles `src` through the shipped pipeline with every IR check on,
+/// unfused: the edges under test are the plain lowering's.
 fn compile_vm(src: &str) -> vgl_vm::VmProgram {
-    let mut d = Diagnostics::new();
-    let ast = parse_program(src, &mut d);
-    assert!(!d.has_errors(), "parse: {:?}", d.into_vec());
-    let m = analyze(&ast, &mut d).unwrap_or_else(|| panic!("sema: {:#?}", d.into_vec()));
-    let (compiled, _) = compile_pipeline(&m);
-    lower(&compiled)
+    let options = vgl::Options { validate_ir: true, fuse: false, ..vgl::Options::default() };
+    vgl::Compiler::with_options(options)
+        .compile(src)
+        .unwrap_or_else(|e| panic!("compile: {e}"))
+        .program
 }
 
 fn run_int(src: &str) -> i32 {

@@ -47,7 +47,7 @@ fn examples_trace_every_phase() {
         let names: Vec<&str> = c.trace.phases.iter().map(|p| p.name).collect();
         assert_eq!(
             names,
-            ["lex", "parse", "sema", "mono", "normalize", "optimize", "lower"],
+            ["lex", "parse", "sema", "mono", "normalize", "optimize", "lower", "fuse"],
             "{name}: phase list"
         );
         assert!(
@@ -62,7 +62,12 @@ fn examples_produce_valid_stats_reports() {
     for &(name, result, _) in GOLDEN {
         let c = vgl::Compiler::new().compile(&example(name)).expect("compiles");
         let i = c.interpret();
-        let (v, profile, hotness) = c.execute_profiled_full();
+        let mut vm = c.vm();
+        vm.enable_profiling();
+        vm.enable_runtime_profiling_precise();
+        let v = c.run_vm(&mut vm);
+        let profile = vm.take_profile().expect("profiling enabled");
+        let hotness = vm.take_runtime_profile().expect("hotness enabled");
         let report =
             vgl::report::stats_json(&c, Some(&i), Some(&v), Some(&profile), Some(&hotness));
         let text = report.render();
@@ -81,13 +86,12 @@ fn examples_produce_valid_stats_reports() {
 
 /// The bytecode back-end optimizer (fusion + inline caches) must be
 /// observationally invisible: every example produces the identical result and
-/// output with fusion forced on, and fused execution allocates exactly zero
-/// tuple boxes (the §4.2 invariant, dynamically).
+/// output with fusion on (the default), and fused execution allocates exactly
+/// zero tuple boxes (the §4.2 invariant, dynamically).
 #[test]
 fn examples_match_golden_output_with_fusion() {
     for &(name, result, output) in GOLDEN {
         let c = vgl::Compiler::new()
-            .with_fuse()
             .compile(&example(name))
             .unwrap_or_else(|e| panic!("{name} failed to compile fused:\n{e}"));
         assert!(

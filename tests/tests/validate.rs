@@ -7,12 +7,8 @@
 use vgl_ir::{check_monomorphic, check_normalized, check_tuple_free};
 
 fn compiled_module(src: &str) -> vgl::Module {
-    let mut d = vgl::Diagnostics::new();
-    let ast = vgl_syntax::parse_program(src, &mut d);
-    assert!(!d.has_errors(), "parse errors");
-    let module = vgl_sema::analyze(&ast, &mut d).expect("typechecks");
-    let (compiled, _) = vgl_passes::compile_pipeline(&module);
-    compiled
+    let options = vgl::Options { validate_ir: true, ..vgl::Options::default() };
+    vgl::Compiler::with_options(options).compile(src).expect("compiles").compiled
 }
 
 const CLEAN: &str = "def main() -> int { return 42; }";
