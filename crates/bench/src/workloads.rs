@@ -519,9 +519,9 @@ fn class_battery(k: usize) -> String {
 /// measurement) whose method set is identical except for `hot` and
 /// `main` — exactly the shape of an editor save: many unchanged
 /// fingerprints, two changed ones. The back half (optimize → lower →
-/// fuse) dominates a cold compile of this shape, which is what makes it
-/// the serving benchmark: that is precisely the work the function store
-/// lets a warm compile skip. The result depends on `edit`, so output
+/// fuse) of the unchanged functions is precisely the work the function
+/// store lets a warm compile skip; the front end, mono and normalize run
+/// either way. The result depends on `edit`, so output
 /// equality between a cold one-shot compile and a served warm compile is
 /// a real check.
 pub fn serve_edit(workers: usize, edit: u64) -> String {

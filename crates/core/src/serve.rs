@@ -83,6 +83,17 @@ const LATENCY_CAPACITY: usize = 4096;
 /// so a long-lived daemon's trace stays bounded.
 const TRACE_CAPACITY: usize = 1024;
 
+/// Distinct session names the daemon counts by name, as many as request
+/// spans it keeps. Requests for any further name are counted under
+/// [`OTHER_SESSIONS`], so clients cycling through names grow neither the
+/// daemon's memory nor its `stats` frame.
+const SESSION_CAPACITY: usize = TRACE_CAPACITY;
+
+/// The `sessions` key counting requests for names past
+/// [`SESSION_CAPACITY`]. A session that picks this name is counted there
+/// too, so the key always means the same thing.
+const OTHER_SESSIONS: &str = "(other)";
+
 impl LatencyRing {
     fn new() -> LatencyRing {
         LatencyRing { samples: Vec::new(), next: 0, recorded: 0 }
@@ -119,7 +130,8 @@ struct DaemonState {
     connections: AtomicUsize,
     /// Requests served per command name, plus `"errors"`.
     counts: Mutex<HashMap<&'static str, u64>>,
-    /// Session name → requests served for it.
+    /// Session name → requests served for it, for at most
+    /// [`SESSION_CAPACITY`] names plus [`OTHER_SESSIONS`].
     sessions: Mutex<HashMap<String, u64>>,
     latency: Mutex<LatencyRing>,
     /// The most recent per-request spans, one JSON line each.
@@ -134,12 +146,17 @@ impl DaemonState {
 
     fn note_session(&self, name: &str) {
         let mut s = self.sessions.lock().expect("sessions poisoned");
-        match s.get_mut(name) {
-            Some(n) => *n += 1,
-            None => {
-                s.insert(name.to_string(), 1);
-            }
+        if let Some(n) = s.get_mut(name) {
+            *n += 1;
+            return;
         }
+        let named = s.len() - usize::from(s.contains_key(OTHER_SESSIONS));
+        let key = if name == OTHER_SESSIONS || named >= SESSION_CAPACITY {
+            OTHER_SESSIONS
+        } else {
+            name
+        };
+        *s.entry(key.to_string()).or_insert(0) += 1;
     }
 
     /// Handles one decoded request. The bool asks the connection loop to
@@ -886,6 +903,33 @@ mod tests {
             for i in 0..4 {
                 assert!(sessions.get(&format!("s{i}")).is_some(), "session s{i} recorded");
             }
+        });
+    }
+
+    #[test]
+    fn session_table_is_bounded() {
+        with_daemon(ServeConfig::default(), |path| {
+            let mut client = Client::connect(path).expect("connects");
+            let names = SESSION_CAPACITY + 8;
+            for i in 0..names {
+                client
+                    .request(&Request::Check { session: format!("n{i}"), source: PROGRAM.into() })
+                    .expect("responds");
+            }
+            // The first name again: still counted under its own key.
+            client
+                .request(&Request::Check { session: "n0".into(), source: PROGRAM.into() })
+                .expect("responds");
+            let stats = client.request(&Request::Stats).expect("responds");
+            let Some(Json::Obj(sessions)) = stats.get("sessions") else {
+                panic!("sessions object in {stats:?}")
+            };
+            assert_eq!(sessions.len(), SESSION_CAPACITY + 1, "capped names plus the overflow key");
+            let count = |k: &str| stats.get("sessions").and_then(|s| s.get(k)).and_then(Json::as_u64);
+            assert_eq!(count("n0"), Some(2));
+            assert_eq!(count(&format!("n{}", SESSION_CAPACITY - 1)), Some(1));
+            assert_eq!(count(&format!("n{SESSION_CAPACITY}")), None, "past the cap");
+            assert_eq!(count(OTHER_SESSIONS), Some(8));
         });
     }
 

@@ -9,13 +9,18 @@
 //! inline caches) apply directly. This pass is that back end:
 //!
 //! 1. **copy propagation** (per basic block) rewrites uses of `Mov` targets
-//!    to their sources;
+//!    to their sources, with a reverse index from each source to its copies
+//!    so a write invalidates only the copies it affects;
 //! 2. **def–mov coalescing** redirects a pure producer straight into the
 //!    register its value was about to be moved to;
 //! 3. **dead-register elimination** drops side-effect-free writes whose
-//!    destination is not live afterwards (a per-function backward liveness
-//!    analysis — register-count reuse by the lowerer makes anything coarser
-//!    nearly useless);
+//!    destination is not live afterwards. Liveness is a worklist dataflow
+//!    over basic blocks whose bitsets cover only the registers some block
+//!    reads before writing (the lowerer reuses a small pool of temps, so
+//!    most registers never cross a block boundary); one backward walk per
+//!    block then yields the per-instruction answer and drops dead chains
+//!    transitively. Each analysis or rewrite round is linear in the
+//!    function's length;
 //! 4. **superinstruction fusion** collapses hot adjacent pairs:
 //!    `ConstI`+`Bin` → [`Instr::BinI`], compare+branch → [`Instr::CmpBr`] /
 //!    [`Instr::CmpBrI`], equality/null-test+branch → [`Instr::EqBr`] /
@@ -33,7 +38,6 @@
 //! validators.
 
 use crate::bytecode::*;
-use std::collections::HashSet;
 use vgl_ir::Violation;
 
 /// What the fusion pass did, per rewrite kind.
@@ -176,13 +180,13 @@ pub fn fuse_cfg_masked(
         }
     }
     let items: Vec<usize> = (0..n).filter(|&i| rep[i] == i && !skipped(i)).collect();
-    let run_item = |_: &mut (), _: usize, &i: &usize| {
+    let run_item = |cx: &mut Scratch, _: usize, &i: &usize| {
         let mut f = funcs[i].clone();
         let mut st = FuseStats::default();
         st.instrs_before += f.code.len();
         let allocs_before = count_allocs(&f.code);
         let ref_stores_before = count_ref_stores(&f.code);
-        fuse_func(&mut f, &mut st);
+        fuse_func(&mut f, &mut st, cx);
         debug_assert_eq!(
             allocs_before,
             count_allocs(&f.code),
@@ -201,9 +205,16 @@ pub fn fuse_cfg_masked(
     let (results, workers) = if cfg.chunking {
         let costs: Vec<u64> = items.iter().map(|&i| fuse_cost(&funcs[i])).collect();
         let plan = vgl_passes::sched::plan_chunks(&costs, cfg.jobs);
-        vgl_passes::sched::par_map_chunks(cfg.jobs, "fuse", &items, &plan, || (), run_item)
+        vgl_passes::sched::par_map_chunks(
+            cfg.jobs,
+            "fuse",
+            &items,
+            &plan,
+            Scratch::default,
+            run_item,
+        )
     } else {
-        vgl_passes::sched::par_map_ctx(cfg.jobs, "fuse", &items, || (), run_item)
+        vgl_passes::sched::par_map_ctx(cfg.jobs, "fuse", &items, Scratch::default, run_item)
     };
     let mut fused: Vec<Option<VmFunc>> = (0..n).map(|_| None).collect();
     for (&i, (f, st)) in items.iter().zip(results) {
@@ -238,17 +249,36 @@ fn count_ref_stores(code: &[Instr]) -> usize {
     code.iter().filter(|i| i.is_ref_store()).count()
 }
 
-fn fuse_func(f: &mut VmFunc, stats: &mut FuseStats) {
-    copy_propagate(f, stats);
+/// Buffers one worker reuses for every function it fuses: once they have
+/// grown to the largest function seen, an analysis or rewrite round
+/// allocates nothing but the rewritten code.
+#[derive(Default)]
+struct Scratch {
+    live: Liveness,
+    copies: Copies,
+    /// Per-pc rewrite plan for [`rebuild`].
+    plan: Vec<Action>,
+    /// `dies[pc]`: the register `code[pc]` writes is dead after `code[pc + 1]`.
+    dies: Vec<bool>,
+    /// [`rebuild`]'s old→new pc map.
+    new_of_old: Vec<usize>,
+    /// [`rebuild`]'s new→old pc map.
+    old_of_new: Vec<usize>,
+}
+
+fn fuse_func(f: &mut VmFunc, stats: &mut FuseStats, cx: &mut Scratch) {
+    copy_propagate(f, stats, cx);
     // Iterate cleanup + fusion to a fixpoint: coalescing exposes dead
     // writes, `BinI` fusion exposes `CmpBrI`/`IncLocal` fusion, and so on.
     loop {
-        let mut changed = eliminate_dead(f, stats);
-        changed |= fuse_pairs(f, stats);
+        let mut changed = eliminate_dead(f, stats, cx);
+        changed |= fuse_pairs(f, stats, cx);
         if !changed {
             break;
         }
     }
+    // The last rebuild sized the code for the body it started from.
+    f.code.shrink_to_fit();
 }
 
 // ---- use/def accounting ----------------------------------------------------
@@ -501,130 +531,329 @@ fn set_def(i: &mut Instr, new_dst: Reg) {
     }
 }
 
-/// All branch-target pcs in `code`.
-fn jump_targets(code: &[Instr]) -> HashSet<usize> {
-    let mut t = HashSet::new();
+/// Sets `target[pc]` for every pc some branch in `code` lands on.
+fn mark_targets(code: &[Instr], target: &mut Vec<bool>) {
+    target.clear();
+    target.resize(code.len(), false);
     for (pc, i) in code.iter().enumerate() {
         if let Some(off) = branch_off(i) {
-            t.insert((pc as i64 + off as i64) as usize);
+            if let Some(t) = target.get_mut((pc as i64 + off as i64) as usize) {
+                *t = true;
+            }
         }
     }
-    t
 }
+
+/// "None" in the `u32` index tables below.
+const NONE: u32 = u32::MAX;
 
 // ---- liveness --------------------------------------------------------------
 
-/// Per-pc live-out register sets, by backward iterative dataflow over the
-/// instruction-level CFG. `live_out(pc, r)` answers "may `r` be read after
-/// `pc` executes, before being redefined, on some path?" — the exact
-/// condition under which a definition of `r` reaching `pc` must be kept.
+/// Register liveness, answering "may `r` be read after `pc` executes, before
+/// being redefined, on some path?" — the exact condition under which a
+/// definition of `r` reaching `pc` must be kept.
 ///
 /// The lowerer reuses a small pool of temp registers for every expression,
 /// so read counts over the whole function are always saturated; only
 /// liveness can see that a temp dies at the instruction that consumes it.
+///
+/// [`Liveness::compute`] solves the dataflow over basic blocks with a
+/// worklist. Only a register some block reads before writing can be live at
+/// a block boundary, so the block bitsets index just those registers.
+/// [`Liveness::walk`] then recovers the per-instruction answer with one
+/// backward pass over each block.
+#[derive(Default)]
 struct Liveness {
+    /// `target[pc]`: some branch lands on `pc`.
+    target: Vec<bool>,
+    /// Block `b` covers pcs `starts[b]..starts[b + 1]`.
+    starts: Vec<usize>,
+    /// The block each pc belongs to.
+    block_of: Vec<u32>,
+    /// Each block's fall-through and taken successors (`NONE` if absent).
+    succ: Vec<[u32; 2]>,
+    /// The predecessors of block `b` are `preds[pred_start[b]..pred_start[b + 1]]`.
+    pred_start: Vec<usize>,
+    preds: Vec<u32>,
+    /// `slot_of[r]`: `r`'s bit in the block bitsets, `NONE` for a register
+    /// no block reads before writing; `regs` maps bits back to registers.
+    slot_of: Vec<u32>,
+    regs: Vec<Reg>,
+    /// `u64` words per block bitset.
     words: usize,
-    out: Vec<u64>,
+    /// Per-block bitsets: registers read before any write in the block,
+    /// registers written, live on entry, and live on exit.
+    upward: Vec<u64>,
+    kill: Vec<u64>,
+    live_in: Vec<u64>,
+    live_out: Vec<u64>,
+    worklist: Vec<u32>,
+    queued: Vec<bool>,
+    /// Per-register stamps: a register equals `epoch` when it is written in
+    /// the current block (`compute`) or live (`walk`).
+    stamp: Vec<u32>,
+    epoch: u32,
+}
+
+/// The registers live after one instruction, as [`Liveness::walk`] sees it.
+struct LiveAfter<'a> {
+    stamp: &'a [u32],
+    epoch: u32,
+}
+
+impl LiveAfter<'_> {
+    fn has(&self, r: Reg) -> bool {
+        self.stamp[r as usize] == self.epoch
+    }
 }
 
 impl Liveness {
-    fn compute(f: &VmFunc) -> Liveness {
-        let n = f.code.len();
-        let words = (f.reg_count / 64 + 1).max(1);
-        let mut uses = vec![0u64; n * words];
-        let mut defs = vec![0u64; n * words];
-        let bit = |v: &mut [u64], pc: usize, r: Reg| {
-            v[pc * words + (r as usize >> 6)] |= 1u64 << (r as usize & 63)
-        };
-        for (pc, i) in f.code.iter().enumerate() {
-            for_each_use(i, &mut |r| bit(&mut uses, pc, r));
-            for_each_def(i, &mut |r| bit(&mut defs, pc, r));
-        }
-        let succs = |pc: usize| -> (Option<usize>, Option<usize>) {
-            let i = &f.code[pc];
-            match i {
-                Instr::Ret(..) | Instr::Trap(..) | Instr::FieldGetRet { .. } => (None, None),
-                Instr::Jump(off) => (Some((pc as i64 + *off as i64) as usize), None),
-                _ => match branch_off(i) {
-                    Some(off) => (
-                        (pc + 1 < n).then_some(pc + 1),
-                        Some((pc as i64 + off as i64) as usize),
-                    ),
-                    None => ((pc + 1 < n).then_some(pc + 1), None),
-                },
+    /// Splits `code` into basic blocks and solves block live-in/live-out to
+    /// the least fixpoint.
+    fn compute(&mut self, code: &[Instr], reg_count: usize) {
+        let n = code.len();
+        mark_targets(code, &mut self.target);
+        self.starts.clear();
+        self.block_of.clear();
+        for pc in 0..n {
+            if pc == 0 || self.target[pc] || is_control(&code[pc - 1]) {
+                self.starts.push(pc);
             }
-        };
-        let mut out = vec![0u64; n * words];
-        let mut inn = vec![0u64; n * words];
-        loop {
+            self.block_of.push(self.starts.len() as u32 - 1);
+        }
+        self.starts.push(n);
+        let nb = self.starts.len() - 1;
+
+        self.succ.clear();
+        for b in 0..nb {
+            let last = self.starts[b + 1] - 1;
+            let falls = last + 1 < n
+                && !matches!(
+                    code[last],
+                    Instr::Jump(..) | Instr::Ret(..) | Instr::Trap(..) | Instr::FieldGetRet { .. }
+                );
+            let taken = branch_off(&code[last])
+                .map_or(NONE, |off| self.block_of[(last as i64 + off as i64) as usize]);
+            self.succ.push([if falls { b as u32 + 1 } else { NONE }, taken]);
+        }
+        // Predecessor lists, bucketed by successor (counting sort).
+        self.pred_start.clear();
+        self.pred_start.resize(nb + 2, 0);
+        for &s in self.succ.iter().flatten().filter(|&&s| s != NONE) {
+            self.pred_start[s as usize + 2] += 1;
+        }
+        for b in 2..nb + 2 {
+            self.pred_start[b] += self.pred_start[b - 1];
+        }
+        self.preds.clear();
+        self.preds.resize(self.pred_start[nb + 1], 0);
+        for (b, ss) in self.succ.iter().enumerate() {
+            for &s in ss.iter().filter(|&&s| s != NONE) {
+                let at = &mut self.pred_start[s as usize + 1];
+                self.preds[*at] = b as u32;
+                *at += 1;
+            }
+        }
+
+        // Give a bit to every register some block reads before writing.
+        self.slot_of.clear();
+        self.slot_of.resize(reg_count, NONE);
+        self.regs.clear();
+        self.stamp.clear();
+        self.stamp.resize(reg_count, 0);
+        self.epoch = 0;
+        for b in 0..nb {
+            self.epoch += 1;
+            let (stamp, slot_of, regs, epoch) =
+                (&mut self.stamp, &mut self.slot_of, &mut self.regs, self.epoch);
+            for i in &code[self.starts[b]..self.starts[b + 1]] {
+                for_each_use(i, &mut |r| {
+                    let r = r as usize;
+                    if stamp[r] != epoch && slot_of[r] == NONE {
+                        slot_of[r] = regs.len() as u32;
+                        regs.push(r as Reg);
+                    }
+                });
+                for_each_def(i, &mut |r| stamp[r as usize] = epoch);
+            }
+        }
+        let words = self.regs.len().div_ceil(64);
+        self.words = words;
+        self.upward.clear();
+        self.upward.resize(nb * words, 0);
+        self.kill.clear();
+        self.kill.resize(nb * words, 0);
+        for b in 0..nb {
+            self.epoch += 1;
+            let (stamp, slot_of, epoch) = (&mut self.stamp, &self.slot_of, self.epoch);
+            let (upward, kill) = (&mut self.upward, &mut self.kill);
+            let bit = |s: u32| (b * words + s as usize / 64, 1u64 << (s % 64));
+            for i in &code[self.starts[b]..self.starts[b + 1]] {
+                for_each_use(i, &mut |r| {
+                    let s = slot_of[r as usize];
+                    if s != NONE && stamp[r as usize] != epoch {
+                        let (w, m) = bit(s);
+                        upward[w] |= m;
+                    }
+                });
+                for_each_def(i, &mut |r| {
+                    stamp[r as usize] = epoch;
+                    let s = slot_of[r as usize];
+                    if s != NONE {
+                        let (w, m) = bit(s);
+                        kill[w] |= m;
+                    }
+                });
+            }
+        }
+
+        // Backward worklist to the least fixpoint, later blocks first.
+        self.live_in.clear();
+        self.live_in.extend_from_slice(&self.upward);
+        self.live_out.clear();
+        self.live_out.resize(nb * words, 0);
+        self.queued.clear();
+        self.queued.resize(nb, true);
+        self.worklist.clear();
+        self.worklist.extend(0..nb as u32);
+        while let Some(b) = self.worklist.pop() {
+            let b = b as usize;
+            self.queued[b] = false;
             let mut changed = false;
-            for pc in (0..n).rev() {
-                let (s1, s2) = succs(pc);
-                for w in 0..words {
-                    let mut o = 0u64;
-                    if let Some(s) = s1 {
-                        o |= inn[s * words + w];
-                    }
-                    if let Some(s) = s2 {
-                        o |= inn[s * words + w];
-                    }
-                    let i_new = uses[pc * words + w] | (o & !defs[pc * words + w]);
-                    if out[pc * words + w] != o || inn[pc * words + w] != i_new {
-                        out[pc * words + w] = o;
-                        inn[pc * words + w] = i_new;
-                        changed = true;
-                    }
+            for w in 0..words {
+                let mut out = 0;
+                for &s in self.succ[b].iter().filter(|&&s| s != NONE) {
+                    out |= self.live_in[s as usize * words + w];
+                }
+                let at = b * words + w;
+                self.live_out[at] = out;
+                let inn = self.upward[at] | (out & !self.kill[at]);
+                if inn != self.live_in[at] {
+                    self.live_in[at] = inn;
+                    changed = true;
                 }
             }
-            if !changed {
-                return Liveness { words, out };
+            if changed {
+                for &p in &self.preds[self.pred_start[b]..self.pred_start[b + 1]] {
+                    if !std::mem::replace(&mut self.queued[p as usize], true) {
+                        self.worklist.push(p);
+                    }
+                }
             }
         }
     }
 
-    fn live_out(&self, pc: usize, r: Reg) -> bool {
-        self.out[pc * self.words + (r as usize >> 6)] >> (r as usize & 63) & 1 == 1
+    /// Walks each block of the last [`compute`](Liveness::compute)d code
+    /// backwards once, calling `visit(pc, live)` with the registers live
+    /// after `pc`. When `visit` returns true the instruction counts as
+    /// deleted: it reads and writes nothing on the way up, so a chain of
+    /// writes feeding only deleted instructions dies in the same walk.
+    fn walk(&mut self, code: &[Instr], mut visit: impl FnMut(usize, &LiveAfter<'_>) -> bool) {
+        let words = self.words;
+        for b in 0..self.starts.len() - 1 {
+            self.epoch += 1;
+            let epoch = self.epoch;
+            for (w, &word) in self.live_out[b * words..(b + 1) * words].iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let s = w * 64 + bits.trailing_zeros() as usize;
+                    self.stamp[self.regs[s] as usize] = epoch;
+                    bits &= bits - 1;
+                }
+            }
+            for pc in (self.starts[b]..self.starts[b + 1]).rev() {
+                if visit(pc, &LiveAfter { stamp: &self.stamp, epoch }) {
+                    continue;
+                }
+                let stamp = &mut self.stamp;
+                for_each_def(&code[pc], &mut |r| stamp[r as usize] = 0);
+                for_each_use(&code[pc], &mut |r| stamp[r as usize] = epoch);
+            }
+        }
     }
 }
 
 // ---- copy propagation ------------------------------------------------------
 
+/// Copy-propagation state for one basic block. `copy_of[d]` is the register
+/// `d` currently holds a copy of (`NONE` if none). `recorded` lists every
+/// copy made since the block began as `(copy, source, previous entry for
+/// the same source)`, and `last_copy[s]` heads the chain of `s`'s entries:
+/// a reverse index, so a write to `s` visits only `s`'s own copies. An
+/// entry goes stale when its copy register is overwritten; the `copy_of`
+/// check skips it.
+#[derive(Default)]
+struct Copies {
+    /// `target[pc]`: some branch lands on `pc`, so a block begins there.
+    target: Vec<bool>,
+    copy_of: Vec<u32>,
+    last_copy: Vec<u32>,
+    recorded: Vec<(u32, u32, u32)>,
+}
+
+impl Copies {
+    fn record(&mut self, d: Reg, s: Reg) {
+        let (d, s) = (d as usize, s as usize);
+        self.copy_of[d] = s as u32;
+        self.recorded.push((d as u32, s as u32, self.last_copy[s]));
+        self.last_copy[s] = self.recorded.len() as u32 - 1;
+    }
+
+    /// `d` is written: it stops being a copy, and its copies stop being
+    /// copies of it.
+    fn overwrite(&mut self, d: Reg) {
+        let d = d as usize;
+        self.copy_of[d] = NONE;
+        let mut e = std::mem::replace(&mut self.last_copy[d], NONE);
+        while e != NONE {
+            let (c, _, prev) = self.recorded[e as usize];
+            if self.copy_of[c as usize] == d as u32 {
+                self.copy_of[c as usize] = NONE;
+            }
+            e = prev;
+        }
+    }
+
+    /// Forgets every copy (a block boundary).
+    fn clear(&mut self) {
+        for &(c, s, _) in &self.recorded {
+            self.copy_of[c as usize] = NONE;
+            self.last_copy[s as usize] = NONE;
+        }
+        self.recorded.clear();
+    }
+}
+
 /// Forward-propagates `Mov(d, s)` within each basic block: later uses of `d`
 /// read `s` directly until either register is redefined.
-fn copy_propagate(f: &mut VmFunc, stats: &mut FuseStats) {
-    let targets = jump_targets(&f.code);
-    // copy_of[d] = Some(s) means "d currently holds a copy of s".
-    let mut copy_of: Vec<Option<Reg>> = vec![None; f.reg_count.max(1)];
+fn copy_propagate(f: &mut VmFunc, stats: &mut FuseStats, cx: &mut Scratch) {
+    let cp = &mut cx.copies;
+    mark_targets(&f.code, &mut cp.target);
+    let regs = f.reg_count.max(1);
+    cp.copy_of.clear();
+    cp.copy_of.resize(regs, NONE);
+    cp.last_copy.clear();
+    cp.last_copy.resize(regs, NONE);
+    cp.recorded.clear();
     for (pc, i) in f.code.iter_mut().enumerate() {
-        if targets.contains(&pc) {
-            copy_of.iter_mut().for_each(|c| *c = None);
+        if cp.target[pc] {
+            cp.clear();
         }
-        map_uses(i, &mut |r| {
-            if let Some(s) = copy_of[r as usize] {
+        map_uses(i, &mut |r| match cp.copy_of[r as usize] {
+            NONE => r,
+            s => {
                 stats.copies_propagated += 1;
-                s
-            } else {
-                r
+                s as Reg
             }
         });
-        // Record/invalidate copies through this instruction's writes.
-        let mut defs: Vec<Reg> = Vec::new();
-        for_each_def(i, &mut |d| defs.push(d));
-        for &d in &defs {
-            copy_of[d as usize] = None;
-            for c in copy_of.iter_mut() {
-                if *c == Some(d) {
-                    *c = None;
-                }
-            }
-        }
+        for_each_def(i, &mut |d| cp.overwrite(d));
         if let Instr::Mov(d, s) = *i {
             if d != s {
-                copy_of[d as usize] = Some(s);
+                cp.record(d, s);
             }
         }
         if is_control(i) {
-            copy_of.iter_mut().for_each(|c| *c = None);
+            cp.clear();
         }
     }
 }
@@ -644,42 +873,37 @@ enum Action {
     Fuse(Instr),
 }
 
-/// Applies `plan`, recomputing every branch offset. Branches into a removed
-/// pure instruction fall through to the next kept one; branches into the
-/// second element of a fused pair are the planner's responsibility to avoid.
-/// Returns the new→old pc map (each new pc's originating old pc) — the
-/// tiered re-fuse pass composes these across rounds into the deopt-pc map
-/// its guards carry.
-fn rebuild(f: &mut VmFunc, plan: &[Action]) -> Vec<usize> {
+/// Applies `cx.plan` (consuming it), moving every kept instruction and
+/// recomputing every branch offset. Branches into a removed pure
+/// instruction fall through to the next kept one; branches into the second
+/// element of a fused pair are the planner's responsibility to avoid.
+/// Leaves the new→old pc map (each new pc's originating old pc) in
+/// `cx.old_of_new` — the tiered re-fuse pass composes these across rounds
+/// into the deopt-pc map its guards carry.
+fn rebuild(f: &mut VmFunc, cx: &mut Scratch) {
     let n = f.code.len();
+    let (plan, new_of_old, old_of_new) = (&mut cx.plan, &mut cx.new_of_old, &mut cx.old_of_new);
     let mut new_code: Vec<Instr> = Vec::with_capacity(n);
-    let mut old_of_new: Vec<usize> = Vec::with_capacity(n);
-    let mut new_of_old: Vec<usize> = vec![usize::MAX; n + 1];
-    let mut pc = 0;
-    while pc < n {
-        match &plan[pc] {
-            Action::Keep => {
-                new_of_old[pc] = new_code.len();
-                old_of_new.push(pc);
-                new_code.push(f.code[pc].clone());
-                pc += 1;
-            }
-            Action::Drop => {
-                pc += 1;
-            }
-            Action::Replace(i) => {
-                new_of_old[pc] = new_code.len();
-                old_of_new.push(pc);
-                new_code.push(i.clone());
-                pc += 1;
-            }
-            Action::Fuse(i) => {
-                new_of_old[pc] = new_code.len();
-                old_of_new.push(pc);
-                new_code.push(i.clone());
-                pc += 2;
-            }
+    old_of_new.clear();
+    new_of_old.clear();
+    new_of_old.resize(n + 1, usize::MAX);
+    let mut second_of_pair = false;
+    for (pc, instr) in std::mem::take(&mut f.code).into_iter().enumerate() {
+        if std::mem::take(&mut second_of_pair) {
+            continue;
         }
+        let instr = match std::mem::replace(&mut plan[pc], Action::Keep) {
+            Action::Keep => instr,
+            Action::Drop => continue,
+            Action::Replace(i) => i,
+            Action::Fuse(i) => {
+                second_of_pair = true;
+                i
+            }
+        };
+        new_of_old[pc] = new_code.len();
+        old_of_new.push(pc);
+        new_code.push(instr);
     }
     new_of_old[n] = new_code.len();
     for i in (0..n).rev() {
@@ -696,33 +920,41 @@ fn rebuild(f: &mut VmFunc, plan: &[Action]) -> Vec<usize> {
         }
     }
     f.code = new_code;
-    old_of_new
 }
 
 // ---- dead-register elimination --------------------------------------------
 
-/// Removes pure writes whose destination is not live afterwards. Returns
-/// whether anything changed.
-fn eliminate_dead(f: &mut VmFunc, stats: &mut FuseStats) -> bool {
-    let mut changed_any = false;
+/// Removes pure writes whose destination is not live afterwards, until none
+/// is left. Returns whether anything changed.
+///
+/// Each round computes liveness once and drops, in its backward walk, every
+/// dead write including those that only fed writes dropped further down the
+/// block. A chain that crosses a block boundary needs another round. Removing
+/// a dead write only shrinks liveness, so whatever was dead stays dead and
+/// every order of removal reaches the same code: the result is that of
+/// dropping only the currently dead writes, round after round.
+fn eliminate_dead(f: &mut VmFunc, stats: &mut FuseStats, cx: &mut Scratch) -> bool {
+    let mut changed = false;
     loop {
-        let live = Liveness::compute(f);
-        let mut plan = vec![Action::Keep; f.code.len()];
-        let mut changed = false;
-        for (pc, i) in f.code.iter().enumerate() {
-            if let Some(d) = pure_def(i) {
-                if !live.live_out(pc, d) {
-                    plan[pc] = Action::Drop;
-                    changed = true;
-                }
+        cx.live.compute(&f.code, f.reg_count);
+        cx.plan.clear();
+        cx.plan.resize(f.code.len(), Action::Keep);
+        let (code, plan) = (&f.code, &mut cx.plan);
+        let mut dropped = 0;
+        cx.live.walk(code, |pc, live| {
+            let dead = pure_def(&code[pc]).is_some_and(|d| !live.has(d));
+            if dead {
+                plan[pc] = Action::Drop;
+                dropped += 1;
             }
+            dead
+        });
+        if dropped == 0 {
+            return changed;
         }
-        if !changed {
-            return changed_any;
-        }
-        stats.dead_removed += plan.iter().filter(|a| matches!(a, Action::Drop)).count();
-        rebuild(f, &plan);
-        changed_any = true;
+        stats.dead_removed += dropped;
+        rebuild(f, cx);
+        changed = true;
     }
 }
 
@@ -752,39 +984,54 @@ fn commutes(k: BinKind) -> bool {
 
 /// One left-to-right scan fusing adjacent pairs. Returns whether anything
 /// changed.
-fn fuse_pairs(f: &mut VmFunc, stats: &mut FuseStats) -> bool {
-    fuse_pairs_gated(f, stats, &|_, _| true).is_some()
+fn fuse_pairs(f: &mut VmFunc, stats: &mut FuseStats, cx: &mut Scratch) -> bool {
+    fuse_pairs_gated(f, stats, &|_, _| true, cx)
 }
 
 /// [`fuse_pairs`] with a pattern gate: a rewrite is attempted only when
 /// `gate` accepts the constituent instruction(s) — the tiered pass feeds the
 /// function's own dynamic opcode histogram here so only patterns whose
-/// opcodes are actually hot get fused. Returns the new→old pc map when
-/// anything changed.
+/// opcodes are actually hot get fused. When anything changed, returns true
+/// and leaves the new→old pc map in `cx.old_of_new`.
 fn fuse_pairs_gated(
     f: &mut VmFunc,
     stats: &mut FuseStats,
     gate: &dyn Fn(&Instr, &Instr) -> bool,
-) -> Option<Vec<usize>> {
-    let targets = jump_targets(&f.code);
-    let live = Liveness::compute(f);
+    cx: &mut Scratch,
+) -> bool {
+    let n = f.code.len();
     // Fusing deletes the first instruction's definition of the temp `r`;
     // that is sound exactly when `r` is dead after the pair — not live out
     // of the second instruction (which covers a branch's taken path too),
-    // or redefined by the second instruction itself.
+    // or redefined by the second instruction itself. Every pattern's temp
+    // is the first instruction's one coalescable destination, so one
+    // liveness walk answers it for every pc up front.
+    cx.live.compute(&f.code, f.reg_count);
+    let (code, dies) = (&f.code, &mut cx.dies);
+    dies.clear();
+    dies.resize(n, false);
+    cx.live.walk(code, |pc, live| {
+        if let Some(r) = pc.checked_sub(1).and_then(|p| coalescable_def(&code[p])) {
+            let mut redefined = false;
+            for_each_def(&code[pc], &mut |d| redefined |= d == r);
+            dies[pc - 1] = redefined || !live.has(r);
+        }
+        false
+    });
+    let (dies, targets) = (&cx.dies, &cx.live.target);
     let temp_dies = |r: Reg, pc: usize| {
-        let mut redefined = false;
-        for_each_def(&f.code[pc + 1], &mut |d| redefined |= d == r);
-        redefined || !live.live_out(pc + 1, r)
+        debug_assert_eq!(coalescable_def(&code[pc]), Some(r), "pattern temp at pc {pc}");
+        dies[pc]
     };
-    let n = f.code.len();
-    let mut plan = vec![Action::Keep; n];
+    let plan = &mut cx.plan;
+    plan.clear();
+    plan.resize(n, Action::Keep);
     let mut changed = false;
     let mut pc = 0;
     while pc < n {
         // Single-instruction rewrite: BinI(Add, r, r, imm) → IncLocal.
-        if let Instr::BinI { k: BinKind::Add, dst, a, imm } = f.code[pc] {
-            if dst == a && gate(&f.code[pc], &f.code[pc]) {
+        if let Instr::BinI { k: BinKind::Add, dst, a, imm } = code[pc] {
+            if dst == a && gate(&code[pc], &code[pc]) {
                 plan[pc] = Action::Replace(Instr::IncLocal { r: dst, imm });
                 stats.inc_local_fused += 1;
                 changed = true;
@@ -792,11 +1039,11 @@ fn fuse_pairs_gated(
                 continue;
             }
         }
-        if pc + 1 >= n || targets.contains(&(pc + 1)) {
+        if pc + 1 >= n || targets[pc + 1] {
             pc += 1;
             continue;
         }
-        let (first, second) = (&f.code[pc], &f.code[pc + 1]);
+        let (first, second) = (&code[pc], &code[pc + 1]);
         if !gate(first, second) {
             pc += 1;
             continue;
@@ -950,10 +1197,9 @@ fn fuse_pairs_gated(
         }
     }
     if changed {
-        Some(rebuild(f, &plan))
-    } else {
-        None
+        rebuild(f, cx);
     }
+    changed
 }
 
 // ---- tiered re-fuse (profile-parameterized) --------------------------------
@@ -1008,14 +1254,15 @@ pub fn tier_fuse_func(p: &VmProgram, func: FuncId, fb: &TierFeedback<'_>) -> Tie
     let ref_stores_before = count_ref_stores(&f.code);
     let mut orig_of: Vec<u32> = (0..f.code.len() as u32).collect();
     let mut stats = FuseStats::default();
+    let mut cx = Scratch::default();
     // Superinstructions only exist here because a previous gated round
     // built them from hot constituents, so they stay eligible — otherwise
     // chained patterns (e.g. Bin+Const → BinI, then BinI+Br → CmpBrI) would
     // never form: fusion-produced opcodes have no baseline histogram entry.
     let hot = |i: &Instr| i.is_super() || fb.hist[i.opcode()] >= fb.hot_min;
     let gate = |a: &Instr, b: &Instr| hot(a) && hot(b);
-    while let Some(old_of_new) = fuse_pairs_gated(&mut f, &mut stats, &gate) {
-        orig_of = old_of_new.iter().map(|&o| orig_of[o]).collect();
+    while fuse_pairs_gated(&mut f, &mut stats, &gate, &mut cx) {
+        orig_of = cx.old_of_new.iter().map(|&o| orig_of[o]).collect();
     }
     let mut guards = 0;
     let mut inlines = 0;
@@ -1306,7 +1553,7 @@ mod tests {
             Instr::Ret(vec![0]),
         ]);
         let mut stats = FuseStats::default();
-        assert!(eliminate_dead(&mut f, &mut stats));
+        assert!(eliminate_dead(&mut f, &mut stats, &mut Scratch::default()));
         assert_eq!(f.code.len(), 4);
         let Instr::BrTrue(_, off) = f.code[1] else { panic!("branch kept") };
         assert_eq!(off, 2, "target remapped past the dropped instruction");
@@ -1328,7 +1575,7 @@ mod tests {
     fn pairs(reg_count: usize, code: Vec<Instr>) -> (Vec<Instr>, FuseStats) {
         let mut f = func(reg_count, code);
         let mut stats = FuseStats::default();
-        fuse_pairs(&mut f, &mut stats);
+        fuse_pairs(&mut f, &mut stats, &mut Scratch::default());
         (f.code, stats)
     }
 
@@ -1487,10 +1734,10 @@ mod tests {
             Instr::Ret(vec![0]),
         ]);
         let mut stats = FuseStats::default();
-        fuse_pairs(&mut f, &mut stats);
+        fuse_pairs(&mut f, &mut stats, &mut Scratch::default());
         assert_eq!(stats.global_fused, 1);
         assert!(matches!(f.code[0], Instr::GlobalBin { k: BinKind::Add, dst: 2, g: 0, b: 0 }));
-        fuse_pairs(&mut f, &mut stats);
+        fuse_pairs(&mut f, &mut stats, &mut Scratch::default());
         assert_eq!(stats.global_fused, 2);
         assert!(
             matches!(f.code[0], Instr::GlobalAccum { k: BinKind::Add, g: 0, b: 0 }),
@@ -1551,13 +1798,44 @@ mod tests {
         assert!(matches!(code[1], Instr::Bin(BinKind::Lt, 2, 0, 1)), "{code:?}");
     }
 
-    /// End-to-end equivalence on a real loop: the full pass must produce the
-    /// same result as the unfused program and land the hot-loop
-    /// superinstructions.
-    #[test]
-    fn fused_loop_program_runs_identically() {
-        // sum = 0; for (i = 0; i < 10; i = i + 1) sum = sum + i; return sum
-        let body = vec![
+    /// Per-pc live-out sets by plain round-robin dataflow over the
+    /// instruction-level CFG: the oracle for [`Liveness`].
+    fn dense_live_out(code: &[Instr], regs: usize) -> Vec<Vec<bool>> {
+        let n = code.len();
+        let succs = |pc: usize| -> Vec<usize> {
+            let target = branch_off(&code[pc]).map(|off| (pc as i64 + off as i64) as usize);
+            match code[pc] {
+                Instr::Ret(..) | Instr::Trap(..) | Instr::FieldGetRet { .. } => vec![],
+                Instr::Jump(..) => target.into_iter().collect(),
+                _ => (pc + 1 < n).then_some(pc + 1).into_iter().chain(target).collect(),
+            }
+        };
+        let mut out = vec![vec![false; regs]; n];
+        let mut inn = vec![vec![false; regs]; n];
+        loop {
+            let mut changed = false;
+            for pc in (0..n).rev() {
+                let mut o = vec![false; regs];
+                for s in succs(pc) {
+                    o.iter_mut().zip(&inn[s]).for_each(|(o, &i)| *o |= i);
+                }
+                let mut i = o.clone();
+                for_each_def(&code[pc], &mut |d| i[d as usize] = false);
+                for_each_use(&code[pc], &mut |u| i[u as usize] = true);
+                if o != out[pc] || i != inn[pc] {
+                    (out[pc], inn[pc]) = (o, i);
+                    changed = true;
+                }
+            }
+            if !changed {
+                return out;
+            }
+        }
+    }
+
+    /// `sum = 0; for (i = 0; i < 10; i = i + 1) sum = sum + i; return sum`.
+    fn loop_body() -> Vec<Instr> {
+        vec![
             Instr::ConstI(0, 0),                     // sum
             Instr::ConstI(1, 0),                     // i
             Instr::ConstI(2, 10),                    // limit (live across loop)
@@ -1568,9 +1846,139 @@ mod tests {
             Instr::Bin(BinKind::Add, 1, 1, 4),
             Instr::Jump(-5),
             Instr::Ret(vec![0]),
+        ]
+    }
+
+    #[test]
+    fn block_liveness_matches_the_per_instruction_dataflow() {
+        // More than 64 registers cross the block boundary, so the block
+        // bitsets span two words; r70 is only ever block-local.
+        let mut wide: Vec<Instr> = (0..70).map(|r| Instr::ConstI(r, r as i64)).collect();
+        wide.push(Instr::BrTrue(0, 2));
+        wide.extend((0..70).map(|r| Instr::Bin(BinKind::Add, 70, 70, r)));
+        wide.push(Instr::Ret(vec![70]));
+        let branchy = vec![
+            Instr::ConstI(1, 1),
+            Instr::BrFalse(0, 3),                    // → 4
+            Instr::ConstI(2, 2),
+            Instr::Jump(2),                          // → 5
+            Instr::ConstI(2, 3),
+            Instr::Bin(BinKind::Add, 3, 1, 2),       // join: reads r1 and r2
+            Instr::Ret(vec![3]),
+            Instr::ConstI(4, 4),                     // unreachable
+            Instr::Trap(vgl_ir::ops::Exception::NullCheck),
         ];
+        for (regs, code) in [(5, loop_body()), (71, wide), (5, branchy)] {
+            let want = dense_live_out(&code, regs);
+            let mut live = Liveness::default();
+            live.compute(&code, regs);
+            let mut got = vec![vec![false; regs]; code.len()];
+            live.walk(&code, |pc, l| {
+                got[pc] = (0..regs as Reg).map(|r| l.has(r)).collect();
+                false
+            });
+            assert_eq!(got, want, "{code:?}");
+        }
+    }
+
+    #[test]
+    fn register_live_around_a_back_edge_is_kept() {
+        // r1 is rewritten at the bottom of the loop body and read only at
+        // the loop head, through the back edge.
+        let code = vec![
+            Instr::ConstI(0, 0),
+            Instr::ConstI(1, 10),
+            Instr::Bin(BinKind::Lt, 2, 0, 1),        // loop head
+            Instr::BrFalse(2, 4),                    // → 7
+            Instr::BinI { k: BinKind::Add, dst: 0, a: 0, imm: 1 },
+            Instr::ConstI(1, 20),
+            Instr::Jump(-4),                         // → 2
+            Instr::Ret(vec![0]),
+        ];
+        let mut f = func(3, code.clone());
+        let mut stats = FuseStats::default();
+        assert!(!eliminate_dead(&mut f, &mut stats, &mut Scratch::default()));
+        assert_eq!(f.code, code);
+        assert_eq!(stats.dead_removed, 0);
+    }
+
+    #[test]
+    fn dead_chain_across_a_block_boundary_is_fully_removed() {
+        let mut f = func(4, vec![
+            Instr::ConstI(1, 7),                     // feeds only pc 1
+            Instr::Bin(BinKind::Add, 2, 1, 1),       // feeds only pc 3, past the branch
+            Instr::BrTrue(0, 1),                     // ends the block
+            Instr::Bin(BinKind::Add, 3, 2, 2),       // r3 is never read
+            Instr::Ret(vec![0]),
+        ]);
+        let mut stats = FuseStats::default();
+        assert!(eliminate_dead(&mut f, &mut stats, &mut Scratch::default()));
+        assert_eq!(f.code, vec![Instr::BrTrue(0, 1), Instr::Ret(vec![0])]);
+        assert_eq!(stats.dead_removed, 3);
+    }
+
+    #[test]
+    fn redefining_a_source_invalidates_every_copy_of_it() {
+        let mut f = func(7, vec![
+            Instr::Mov(1, 0),
+            Instr::Mov(2, 0),
+            Instr::Mov(3, 0),
+            Instr::Bin(BinKind::Add, 4, 1, 2),       // reads r0 twice
+            Instr::Mov(1, 6),                        // r1 now copies r6 instead
+            Instr::ConstI(0, 9),                     // r2 and r3 stop being copies
+            Instr::Bin(BinKind::Add, 5, 1, 2),       // r1 still reads r6
+            Instr::Bin(BinKind::Add, 5, 5, 3),
+            Instr::Ret(vec![4, 5]),
+        ]);
+        let mut stats = FuseStats::default();
+        copy_propagate(&mut f, &mut stats, &mut Scratch::default());
+        assert_eq!(f.code[3], Instr::Bin(BinKind::Add, 4, 0, 0));
+        assert_eq!(f.code[6], Instr::Bin(BinKind::Add, 5, 6, 2));
+        assert_eq!(f.code[7], Instr::Bin(BinKind::Add, 5, 5, 3));
+        assert_eq!(stats.copies_propagated, 3);
+    }
+
+    #[test]
+    fn copies_reset_at_a_mid_block_branch_target() {
+        // pc 2 follows straight-line code but is also reached by the branch
+        // at pc 3, where r1 need not equal r0.
+        let mut f = func(4, vec![
+            Instr::Mov(1, 0),
+            Instr::Bin(BinKind::Add, 2, 1, 1),
+            Instr::Bin(BinKind::Add, 3, 1, 1),
+            Instr::BrFalse(3, -1),                   // → 2
+            Instr::Ret(vec![2]),
+        ]);
+        let mut stats = FuseStats::default();
+        copy_propagate(&mut f, &mut stats, &mut Scratch::default());
+        assert_eq!(f.code[1], Instr::Bin(BinKind::Add, 2, 0, 0));
+        assert_eq!(f.code[2], Instr::Bin(BinKind::Add, 3, 1, 1));
+        assert_eq!(stats.copies_propagated, 2);
+    }
+
+    #[test]
+    fn tier_fuse_keeps_the_deopt_map_on_a_multi_block_function() {
+        let p = VmProgram { funcs: vec![func(5, loop_body())], main: Some(0), ..VmProgram::default() };
+        let hist = [1; OPCODE_COUNT];
+        let fb = TierFeedback { spec: &|_| None, hist: &hist, hot_min: 1 };
+        let t = tier_fuse_func(&p, 0, &fb);
+        // The limit r2 is live around the back edge, so ConstI+Bin at pcs
+        // 2-3 stays unfused; the compare+branch (3-4) and the increment
+        // (6-7, then IncLocal) fuse.
+        assert_eq!(t.orig_of, vec![0, 1, 2, 3, 5, 6, 8, 9]);
+        assert_eq!(t.code[3], Instr::CmpBr { k: BinKind::Lt, a: 1, b: 2, off: 4, expect: false });
+        assert_eq!(t.code[5], Instr::IncLocal { r: 1, imm: 1 });
+        assert_eq!(t.code[6], Instr::Jump(-3));
+        assert_eq!(t.fused, 3);
+    }
+
+    /// End-to-end equivalence on a real loop: the full pass must produce the
+    /// same result as the unfused program and land the hot-loop
+    /// superinstructions.
+    #[test]
+    fn fused_loop_program_runs_identically() {
         let unfused = VmProgram {
-            funcs: vec![func(5, body)],
+            funcs: vec![func(5, loop_body())],
             main: Some(0),
             ..VmProgram::default()
         };
