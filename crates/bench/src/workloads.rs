@@ -510,7 +510,7 @@ fn class_battery(k: usize) -> String {
     src
 }
 
-/// The `bench_serve` / E13 edit model: a small [`class_battery`] (generics,
+/// The `bench_serve` / E13 edit model: a small `class_battery` (generics,
 /// tuples, virtual dispatch — the paper's feature mix) plus `workers`
 /// long straight-line functions whose bodies are optimizer and
 /// superinstruction-fuser fodder, plus one "hot" function whose body

@@ -1,21 +1,27 @@
-//! Chrome-trace assembly for `vglc trace`: one timeline unifying the
-//! compile phases, the parallel back-end worker lanes, the VM's function
-//! spans, and GC activity.
+//! Chrome-trace export for `vglc trace`: one timeline unifying the compile
+//! phases, the parallel back-end worker lanes, the VM's function spans, and
+//! GC activity.
 //!
-//! The layout uses two process lanes:
+//! Every record is stamped on the `vgl-obs` epoch ([`vgl_obs::since_epoch`])
+//! when it is taken, so the export is a plain dump: each stamp is written
+//! as recorded, rebased so the first compile phase starts at `t = 0`. That
+//! a worker lane lies inside its phase, and that execution starts after
+//! compilation, is read off the recorded stamps.
+//!
+//! The dump uses two process lanes:
 //!
 //! * **pid 1 "compile"** — tid 0 carries the phase spans (lex through
-//!   fuse) laid end to end from `t = 0`; tids 1+ carry one lane per
-//!   back-end worker, offset from the start of the parallel phase that ran
-//!   them;
+//!   fuse); tids 1+ carry one lane per back-end pool worker;
 //! * **pid 2 "runtime"** — tid 0 carries the VM's per-function wall-clock
-//!   spans (offset so execution starts where compilation ends), with GC
-//!   collections as instant ticks and the heap occupancy curve as a
-//!   stacked counter track (`live` + `free` = semispace capacity).
+//!   spans, with GC collections and tier transitions as instant ticks and
+//!   the heap occupancy curve as a stacked counter track (`live` + `free` =
+//!   semispace capacity).
 //!
 //! Truncation is reported, never hidden: when the VM's span log hit its
 //! cap, a `vm-spans-truncated` instant carries the dropped count; when the
 //! run trapped, a `trap` instant carries the error.
+
+use std::time::Duration;
 
 use crate::{Compilation, RunOutcome};
 use vgl_obs::json::Json;
@@ -31,6 +37,10 @@ pub const WORKER_TID0: u64 = 1;
 /// VM function spans to keep for a trace ([`crate::Vm::enable_trace_log`]).
 pub const MAX_VM_SPANS: usize = 1 << 18;
 
+fn micros(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e6
+}
+
 /// Builds the unified Chrome trace for one compiled-and-executed program.
 ///
 /// `run` and `log` come from [`Compilation::run_vm`] on a VM with the trace
@@ -43,86 +53,59 @@ pub fn chrome_trace(c: &Compilation, run: &RunOutcome, log: &TraceLog) -> Chrome
     t.name_process(RUNTIME_PID, "runtime");
     t.name_thread(RUNTIME_PID, 0, "vm");
 
-    // Compile phases laid end to end. The per-phase samples are wall-clock
-    // durations, not absolute timestamps, so the trace presents them as a
-    // contiguous strip starting at t = 0.
-    let mut phase_start: Vec<(&str, f64)> = Vec::new();
-    let mut cursor = 0.0;
+    let origin = c.trace.phases.first().map_or(Duration::ZERO, |p| p.start);
+    let ts = |at: Duration| micros(at.saturating_sub(origin));
     for p in &c.trace.phases {
-        let dur = p.duration.as_secs_f64() * 1e6;
-        phase_start.push((p.name, cursor));
         t.complete(
             p.name,
             COMPILE_PID,
             0,
-            cursor,
-            dur,
+            ts(p.start),
+            micros(p.duration),
             &[
                 ("items_in", Json::from(p.items_in as u64)),
                 ("items_out", Json::from(p.items_out as u64)),
             ],
         );
-        cursor += dur;
     }
-    let compile_total = cursor;
-
-    // Worker lanes. A sample's `start` is relative to its pool's start,
-    // which coincides with its parallel phase's start. Mono's streamed
-    // "mono-hash" pool runs inside mono, so anchor it there. The "hash"
-    // fingerprinting pool has no phase of its own — it runs at the head of
-    // the next parallel phase in commit order, so anchor it there.
-    let anchor =
-        |name: &str| phase_start.iter().find(|&&(n, _)| n == name).map(|&(_, s)| s);
-    let workers = &c.trace.workers;
-    let mut max_worker = None;
-    for (i, w) in workers.iter().enumerate() {
-        let base = anchor(w.phase)
-            .or_else(|| w.phase.strip_suffix("-hash").and_then(anchor))
-            .or_else(|| workers[i + 1..].iter().find_map(|later| anchor(later.phase)))
-            .unwrap_or(0.0);
-        max_worker = Some(max_worker.unwrap_or(0).max(w.worker));
+    for w in &c.trace.workers {
         t.complete(
             w.phase,
             COMPILE_PID,
             WORKER_TID0 + w.worker as u64,
-            base + w.start.as_secs_f64() * 1e6,
-            w.duration.as_secs_f64() * 1e6,
+            ts(w.start),
+            micros(w.duration),
             &[("items", Json::from(w.items as u64))],
         );
     }
-    if let Some(max) = max_worker {
+    if let Some(max) = c.trace.workers.iter().map(|w| w.worker).max() {
         for worker in 0..=max {
             t.name_thread(COMPILE_PID, WORKER_TID0 + worker as u64, &format!("worker {worker}"));
         }
     }
 
-    // VM function spans, shifted so the runtime strip starts where the
-    // compile strip ends.
-    let at = |d: std::time::Duration| compile_total + d.as_secs_f64() * 1e6;
-    let mut run_end = compile_total;
+    let func_name = |func: vgl_vm::FuncId| {
+        c.program.funcs.get(func as usize).map(|f| f.name.as_str()).unwrap_or("<unknown>")
+    };
+    let mut run_end = c.trace.phases.last().map_or(0.0, |p| ts(p.start) + micros(p.duration));
     for span in log.spans() {
-        let name = c
-            .program
-            .funcs
-            .get(span.func as usize)
-            .map(|f| f.name.as_str())
-            .unwrap_or("<unknown>");
+        let start = ts(span.start);
         t.complete(
-            name,
+            func_name(span.func),
             RUNTIME_PID,
             0,
-            at(span.start),
-            span.dur.as_secs_f64() * 1e6,
+            start,
+            micros(span.dur),
             &[("func", Json::from(span.func as u64)), ("depth", Json::from(span.depth as u64))],
         );
-        run_end = run_end.max(at(span.start) + span.dur.as_secs_f64() * 1e6);
+        run_end = run_end.max(start + micros(span.dur));
     }
 
     // GC: an instant tick per collection (named by generation, so minor
     // and major pauses are visually distinct) plus the occupancy curve.
     // The `live`/`free` series stack to the heap capacity in the viewer.
     for g in &log.gc {
-        let ts = at(g.at);
+        let at = ts(g.at);
         t.instant(
             match g.kind {
                 vgl_vm::GcKind::Minor => "gc-minor",
@@ -130,10 +113,10 @@ pub fn chrome_trace(c: &Compilation, run: &RunOutcome, log: &TraceLog) -> Chrome
             },
             RUNTIME_PID,
             0,
-            ts,
+            at,
             &[
                 ("kind", Json::Str(g.kind.label().into())),
-                ("pause_us", Json::Num(g.pause.as_secs_f64() * 1e6)),
+                ("pause_us", Json::Num(micros(g.pause))),
                 ("live_slots", Json::from(g.live_slots as u64)),
                 ("capacity_slots", Json::from(g.capacity_slots as u64)),
             ],
@@ -141,33 +124,27 @@ pub fn chrome_trace(c: &Compilation, run: &RunOutcome, log: &TraceLog) -> Chrome
         t.counter(
             "heap",
             RUNTIME_PID,
-            ts,
+            at,
             &[
                 ("live", g.live_slots as f64),
                 ("free", g.capacity_slots.saturating_sub(g.live_slots) as f64),
             ],
         );
-        run_end = run_end.max(ts);
+        run_end = run_end.max(at);
     }
 
     // Tier transitions: tier-up / deopt instants on the runtime lane, so
     // the warmup knee is visible right next to the function spans.
     for ti in &log.tier {
-        let ts = at(ti.at);
-        let name = c
-            .program
-            .funcs
-            .get(ti.func as usize)
-            .map(|f| f.name.as_str())
-            .unwrap_or("<unknown>");
+        let at = ts(ti.at);
         t.instant(
             if ti.deopt { "deopt" } else { "tier-up" },
             RUNTIME_PID,
             0,
-            ts,
-            &[("func", Json::Str(name.to_string()))],
+            at,
+            &[("func", Json::Str(func_name(ti.func).to_string()))],
         );
-        run_end = run_end.max(ts);
+        run_end = run_end.max(at);
     }
 
     if log.spans_dropped() > 0 {
@@ -295,6 +272,64 @@ mod tests {
                     .map(|n| n.starts_with("worker "))
                     .unwrap_or(false)
         }));
+    }
+
+    /// The phases a pool's lanes may lie inside: each pool runs within the
+    /// phase that started it. Mono fingerprints its finished module through
+    /// the `hash` pool at jobs 1 (its streamed `mono-hash` pool otherwise);
+    /// normalize and optimize fall back to that pool when mono left no map.
+    fn home_phases(lane: &str) -> &'static [&'static str] {
+        match lane {
+            "mono-hash" => &["mono"],
+            "hash" => &["mono", "normalize", "optimize"],
+            "optimize" => &["optimize"],
+            "fuse" => &["fuse"],
+            _ => &[],
+        }
+    }
+
+    #[test]
+    fn recorded_worker_lanes_lie_inside_their_phases() {
+        // Stamps are exact nanoseconds; allow for the µs float rendering.
+        const EPS: f64 = 1e-3;
+        for jobs in [1, 2] {
+            let c = Compiler::new().with_jobs(jobs).compile(ALLOCATING).expect("compiles");
+            let (run, log) = traced_run(&c);
+            let trace = chrome_trace(&c, &run, &log);
+            let parsed = parse(&trace.render()).expect("valid");
+            let events = parsed.get("traceEvents").unwrap().as_arr().unwrap().to_vec();
+            let num = |e: &Json, k: &str| e.get(k).and_then(Json::as_f64).unwrap_or(-1.0);
+            // (name, tid, start, end) of every compile-lane span.
+            let (phases, lanes): (Vec<_>, Vec<_>) = events
+                .iter()
+                .filter(|e| {
+                    e.get("ph").and_then(Json::as_str) == Some("X")
+                        && num(e, "pid") == COMPILE_PID as f64
+                })
+                .map(|e| {
+                    let name = e.get("name").and_then(Json::as_str).unwrap_or("").to_string();
+                    (name, num(e, "tid"), num(e, "ts"), num(e, "ts") + num(e, "dur"))
+                })
+                .partition(|&(_, tid, _, _)| tid == 0.0);
+            assert_eq!(phases[0].0, "lex");
+            assert_eq!(phases[0].2, 0.0, "jobs={jobs}: the first phase starts the timeline");
+            for pair in phases.windows(2) {
+                let ((a, _, _, a_end), (b, _, b_start, _)) = (&pair[0], &pair[1]);
+                assert!(*a_end <= b_start + EPS, "jobs={jobs}: {a} overlaps {b}");
+            }
+            assert!(!lanes.is_empty(), "jobs={jobs}: the back end recorded no worker lanes");
+            for (lane, tid, start, end) in &lanes {
+                let inside: Vec<&str> = phases
+                    .iter()
+                    .filter(|(_, _, p_start, p_end)| *p_start <= start + EPS && *end <= p_end + EPS)
+                    .map(|(phase, ..)| phase.as_str())
+                    .collect();
+                assert!(
+                    inside.iter().any(|phase| home_phases(lane).contains(phase)),
+                    "jobs={jobs}: {lane} lane (tid {tid}) at {start}..{end} lies inside {inside:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -35,7 +35,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use vgl_ir::Module;
-use vgl_obs::Tracer;
 use vgl_passes::{cache, context_digest, ShardedLru, StoreStats};
 use vgl_vm::{ReusePlan, SpliceFunc, SpliceRecord, VmProgram};
 
@@ -265,8 +264,7 @@ impl IncrementalCompiler {
         if let Some(art) = self.artifacts.get(&skey) {
             return Ok(art);
         }
-        let compilation =
-            self.compiler.drive(source, &mut Tracer::disabled(), Some(&self.store))?;
+        let compilation = self.compiler.drive(source, Some(&self.store))?;
         // First-writer-wins: concurrent compiles of the same source share
         // whichever artifact published first (they are byte-identical).
         Ok(self.artifacts.insert(skey, compilation))

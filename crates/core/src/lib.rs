@@ -46,7 +46,7 @@ use incremental::FuncStore;
 
 pub use vgl_interp::{Interp, InterpError, InterpStats};
 pub use vgl_ir::{Exception, Module, ModuleSize};
-pub use vgl_obs::{JsonLinesSink, PhaseTrace, Sink, TableSink, Tracer};
+pub use vgl_obs::PhaseTrace;
 pub use vgl_passes::{
     module_fingerprint, BackendConfig, BackendReport, CacheStats, MonoStats, NormStats,
     OptStats, PipelineStats,
@@ -56,8 +56,8 @@ pub use vgl_syntax::{Diagnostic, Diagnostics, LineMap, Severity};
 pub use vgl_types::{constructor_summary, ConstructorRow, Variance};
 pub use vgl_obs::trace::ChromeTrace;
 pub use vgl_vm::{
-    FlightRecorder, FuncSpan, FuseStats, GcEvent, GcInstant, GcKind, HotFunc, RuntimeProfile,
-    TraceLog, Vm, VmError, VmProfile, VmProgram, VmStats,
+    FlightRecorder, FuncSpan, FuseStats, GcEvent, GcKind, HotFunc, RuntimeProfile, TraceLog, Vm,
+    VmError, VmProfile, VmProgram, VmStats,
 };
 
 pub use vgl_fuzz as fuzz;
@@ -111,8 +111,8 @@ pub struct Options {
     pub validate_ir: bool,
     /// Run the bytecode back-end optimizer after lowering: copy propagation,
     /// dead-register elimination, and superinstruction fusion
-    /// ([`vgl_vm::fuse`]). Default on; turn it off for ablation with
-    /// [`Compiler::without_fuse`] or `vglc --no-fuse`.
+    /// ([`vgl_vm::fuse`](mod@vgl_vm::fuse)). Default on; turn it off for
+    /// ablation with [`Compiler::without_fuse`] or `vglc --no-fuse`.
     pub fuse: bool,
     /// Worker threads for the parallel back-end phases (optimize, fuse, and
     /// instance fingerprinting). `0` (the default) means auto: the
@@ -221,26 +221,12 @@ impl Compiler {
     /// # Errors
     /// Returns every parse and type error with rendered positions.
     pub fn compile(&self, source: &str) -> Result<Compilation, CompileError> {
-        self.compile_traced(source, &mut Tracer::disabled())
-    }
-
-    /// [`Compiler::compile`], emitting one span per phase (lex, parse, sema,
-    /// mono, normalize, optimize, lower, fuse) into `tracer`. The same
-    /// samples are kept on the returned [`Compilation::trace`] either way, so
-    /// a disabled tracer only skips the sink writes, not the timing.
-    ///
-    /// # Errors
-    /// Returns every parse and type error with rendered positions.
-    pub fn compile_traced(
-        &self,
-        source: &str,
-        tracer: &mut Tracer<'_>,
-    ) -> Result<Compilation, CompileError> {
-        self.drive(source, tracer, None)
+        self.drive(source, None)
     }
 
     /// The one compile pipeline behind one-shot and served builds: lex,
-    /// parse, sema, mono, normalize, optimize, lower, fuse.
+    /// parse, sema, mono, normalize, optimize, lower, fuse, each recorded
+    /// on [`Compilation::trace`].
     ///
     /// With no `store` this is the cold compile and takes no fingerprints.
     /// With one, post-normalize is the reuse horizon: every method the
@@ -251,28 +237,21 @@ impl Compiler {
     pub(crate) fn drive(
         &self,
         source: &str,
-        tracer: &mut Tracer<'_>,
         store: Option<&FuncStore>,
     ) -> Result<Compilation, CompileError> {
         let o = self.options;
         let mut trace = PhaseTrace::new();
-        // Lexing is timed on a scratch pass (the parser re-lexes internally;
-        // lexing is linear and cheap, so the duplication is negligible).
-        let token_count = {
-            let mut scratch = Diagnostics::new();
-            trace.time(
-                "lex",
-                source.len(),
-                || vgl_syntax::lexer::lex(source, &mut scratch),
-                Vec::len,
-            )
-            .len()
-        };
         let mut diags = Diagnostics::new();
+        let tokens = trace.time(
+            "lex",
+            source.len(),
+            || vgl_syntax::lexer::lex(source, &mut diags),
+            Vec::len,
+        );
         let ast = trace.time(
             "parse",
-            token_count,
-            || vgl_syntax::parse_program(source, &mut diags),
+            tokens.len(),
+            || vgl_syntax::parse_tokens(source, tokens, &mut diags),
             |p| p.decls.len(),
         );
         if diags.has_errors() {
@@ -395,10 +374,7 @@ impl Compiler {
         if let (Some(store), Some(splices)) = (store, splices) {
             store.publish(splices, &compiled, &program, records);
         }
-        trace.workers = backend.workers.clone();
-        if tracer.enabled() {
-            trace.emit(tracer);
-        }
+        trace.workers = std::mem::take(&mut backend.workers);
         Ok(Compilation {
             options: o,
             module,
@@ -567,13 +543,14 @@ pub struct Compilation {
     pub program: VmProgram,
     /// What the bytecode back-end optimizer did (all zero when disabled).
     pub fuse: FuseStats,
-    /// Parallel/cached back-end report: effective jobs, per-pass instance
-    /// cache hit rates, and worker-attributed spans (also mirrored on
-    /// [`Compilation::trace`] as `workers`).
+    /// Parallel/cached back-end report: effective jobs and per-pass
+    /// instance cache hit rates. Its worker spans are moved onto
+    /// [`Compilation::trace`].
     pub backend: BackendReport,
     /// Pipeline statistics.
     pub stats: PipelineStats,
-    /// Per-phase wall-clock samples (lex through lower).
+    /// The compile's recorded timeline: one sample per phase (lex through
+    /// fuse) and one per back-end pool worker, all on the `vgl-obs` epoch.
     pub trace: PhaseTrace,
 }
 

@@ -28,7 +28,7 @@ pub fn stats_json(
     root.set("pipeline", pipeline_json(c));
     root.set("bytecode_instrs", Json::from(c.code_size()));
     root.set("fuse", fuse_json(&c.fuse));
-    root.set("backend", backend_json(&c.backend));
+    root.set("backend", backend_json(c));
     if let Some(run) = interp {
         let mut o = outcome_json(run);
         if let Some(s) = &run.interp_stats {
@@ -211,25 +211,14 @@ fn cache_json(c: &crate::CacheStats) -> Json {
 }
 
 /// The parallel/cached back-end report: effective jobs, per-pass instance
-/// cache effectiveness, and worker-attributed spans.
-fn backend_json(b: &crate::BackendReport) -> Json {
+/// cache effectiveness, and the worker spans recorded on the trace.
+fn backend_json(c: &Compilation) -> Json {
+    let b = &c.backend;
     let mut o = Json::object();
     o.set("jobs", Json::from(b.jobs));
     o.set("norm_cache", cache_json(&b.norm_cache));
     o.set("opt_cache", cache_json(&b.opt_cache));
-    let mut workers = Json::Arr(Vec::new());
-    if let Json::Arr(items) = &mut workers {
-        for w in &b.workers {
-            let mut wo = Json::object();
-            wo.set("phase", Json::Str(w.phase.to_string()));
-            wo.set("worker", Json::from(w.worker));
-            wo.set("items", Json::from(w.items));
-            wo.set("start_us", Json::Num(w.start.as_secs_f64() * 1e6));
-            wo.set("dur_us", Json::Num(w.duration.as_secs_f64() * 1e6));
-            items.push(wo);
-        }
-    }
-    o.set("workers", workers);
+    o.set("workers", c.trace.workers_json());
     o
 }
 

@@ -16,9 +16,9 @@
 //! up. Nothing a client sends can make the daemon exit except an explicit
 //! `shutdown` request.
 //!
-//! Observability: every request is timed and recorded as a `vgl-obs` span
-//! (JSON-lines; a fixed number of the most recent are retrievable via
-//! [`Daemon::trace_lines`]); `stats` reports
+//! Observability: every request is timed and recorded as one JSON line
+//! stamped on the `vgl-obs` epoch (a fixed number of the most recent are
+//! retrievable via [`Daemon::trace_lines`]); `stats` reports
 //! per-command counts, live session names, in-flight requests, store hit
 //! rates, and p50/p90/p99 request latency.
 
@@ -32,7 +32,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use vgl_obs::flight::Ring;
-use vgl_obs::{FieldValue, JsonLinesSink, Tracer};
+use vgl_obs::since_epoch;
 
 use crate::incremental::IncrementalCompiler;
 use crate::proto::{self, error_response, ok_response, read_frame, write_frame};
@@ -68,15 +68,9 @@ impl Default for ServeConfig {
     }
 }
 
-/// Bounded reservoir of request latencies; percentiles sort a copy on
-/// demand. Capacity 4096 ≈ the last few minutes of a busy daemon, enough
-/// for serving percentiles without unbounded growth.
-struct LatencyRing {
-    samples: Vec<u64>,
-    next: usize,
-    recorded: u64,
-}
-
+/// Request latencies the daemon keeps for its percentiles: the most recent
+/// ones, in a fixed ring. 4096 ≈ the last few minutes of a busy daemon,
+/// enough for serving percentiles without unbounded growth.
 const LATENCY_CAPACITY: usize = 4096;
 
 /// Request spans the daemon keeps: the most recent ones, in a fixed ring,
@@ -94,31 +88,22 @@ const SESSION_CAPACITY: usize = TRACE_CAPACITY;
 /// too, so the key always means the same thing.
 const OTHER_SESSIONS: &str = "(other)";
 
-impl LatencyRing {
-    fn new() -> LatencyRing {
-        LatencyRing { samples: Vec::new(), next: 0, recorded: 0 }
-    }
-
-    fn record(&mut self, micros: u64) {
-        if self.samples.len() < LATENCY_CAPACITY {
-            self.samples.push(micros);
-        } else {
-            self.samples[self.next] = micros;
-            self.next = (self.next + 1) % LATENCY_CAPACITY;
-        }
-        self.recorded += 1;
-    }
-
-    /// (p50, p90, p99, max) over the retained window, zeros when empty.
-    fn percentiles(&self) -> (u64, u64, u64, u64) {
-        if self.samples.is_empty() {
-            return (0, 0, 0, 0);
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let at = |q: f64| sorted[((sorted.len() - 1) as f64 * q).round() as usize];
-        (at(0.50), at(0.90), at(0.99), *sorted.last().expect("non-empty"))
-    }
+/// The `latency_us` stats object: requests recorded ever, and p50, p90,
+/// p99 and max over the retained window (zeros when empty).
+fn latency_json(latency: &Ring<u64>) -> Json {
+    let mut sorted: Vec<u64> = latency.iter().copied().collect();
+    sorted.sort_unstable();
+    let at = |q: f64| match sorted.len() {
+        0 => 0,
+        n => sorted[((n - 1) as f64 * q).round() as usize],
+    };
+    let mut lat = Json::object();
+    lat.set("count", Json::from(latency.total()));
+    lat.set("p50_us", Json::from(at(0.50)));
+    lat.set("p90_us", Json::from(at(0.90)));
+    lat.set("p99_us", Json::from(at(0.99)));
+    lat.set("max_us", Json::from(at(1.0)));
+    lat
 }
 
 /// Everything the request threads share.
@@ -133,7 +118,8 @@ struct DaemonState {
     /// Session name → requests served for it, for at most
     /// [`SESSION_CAPACITY`] names plus [`OTHER_SESSIONS`].
     sessions: Mutex<HashMap<String, u64>>,
-    latency: Mutex<LatencyRing>,
+    /// Recent request latencies in microseconds.
+    latency: Mutex<Ring<u64>>,
     /// The most recent per-request spans, one JSON line each.
     trace: Mutex<Ring<String>>,
     idle_timeout: Duration,
@@ -301,35 +287,24 @@ impl DaemonState {
         cache.set("methods_compiled", Json::from(st.methods_compiled));
         cache.set("splice_rate", Json::Num(st.splice_rate()));
         resp.set("cache", cache);
-        let (p50, p90, p99, max) = self.latency.lock().expect("latency poisoned").percentiles();
-        let recorded = self.latency.lock().expect("latency poisoned").recorded;
-        let mut lat = Json::object();
-        lat.set("count", Json::from(recorded));
-        lat.set("p50_us", Json::from(p50));
-        lat.set("p90_us", Json::from(p90));
-        lat.set("p99_us", Json::from(p99));
-        lat.set("max_us", Json::from(max));
-        resp.set("latency_us", lat);
+        resp.set("latency_us", latency_json(&self.latency.lock().expect("latency poisoned")));
         resp
     }
 
-    /// Emits one `vgl-obs` span for a finished request into the shared
-    /// trace ring.
-    fn span(&self, cmd: &'static str, dur: Duration, ok: bool) {
-        let mut sink = JsonLinesSink::new();
-        {
-            let mut tracer = Tracer::new(&mut sink);
-            let span = tracer.start("request");
-            tracer.finish(
-                span,
-                &[
-                    ("cmd", FieldValue::Str(cmd.to_string())),
-                    ("dur_us", FieldValue::UInt(dur.as_micros() as u64)),
-                    ("ok", FieldValue::Bool(ok)),
-                ],
-            );
-        }
-        self.trace.lock().expect("trace poisoned").push(sink.into_string());
+    /// Records one finished request, which started at `start` since the
+    /// `vgl-obs` epoch, as a JSON line in the shared trace ring.
+    fn span(&self, cmd: &'static str, start: Duration, dur: Duration, ok: bool) {
+        let mut o = Json::object();
+        o.set("type", Json::from("span"));
+        o.set("name", Json::from("request"));
+        o.set("start_us", Json::Num(start.as_secs_f64() * 1e6));
+        o.set("dur_us", Json::from(dur.as_micros() as u64));
+        o.set("depth", Json::from(0u64));
+        o.set("cmd", Json::from(cmd));
+        o.set("ok", Json::Bool(ok));
+        let mut line = o.render();
+        line.push('\n');
+        self.trace.lock().expect("trace poisoned").push(line);
     }
 }
 
@@ -392,7 +367,7 @@ fn handle_conn(state: Arc<DaemonState>, stream: UnixStream) {
             }
         };
         state.in_flight.fetch_add(1, Ordering::SeqCst);
-        let started = Instant::now();
+        let started = since_epoch();
         let (cmd, outcome) = match Request::from_json(&msg) {
             Ok(req) => {
                 let cmd = match req {
@@ -425,11 +400,11 @@ fn handle_conn(state: Arc<DaemonState>, stream: UnixStream) {
                 (error_response("internal error: request handler panicked"), false)
             }
         };
-        let dur = started.elapsed();
-        state.latency.lock().expect("latency poisoned").record(dur.as_micros() as u64);
+        let dur = since_epoch().saturating_sub(started);
+        state.latency.lock().expect("latency poisoned").push(dur.as_micros() as u64);
         state.in_flight.fetch_sub(1, Ordering::SeqCst);
         let ok = resp.get("ok").and_then(Json::as_bool).unwrap_or(false);
-        state.span(cmd, dur, ok);
+        state.span(cmd, started, dur, ok);
         if write_frame(&mut &stream, &resp).is_err() {
             break;
         }
@@ -471,7 +446,7 @@ impl Daemon {
             connections: AtomicUsize::new(0),
             counts: Mutex::new(HashMap::new()),
             sessions: Mutex::new(HashMap::new()),
-            latency: Mutex::new(LatencyRing::new()),
+            latency: Mutex::new(Ring::new(LATENCY_CAPACITY)),
             trace: Mutex::new(Ring::new(TRACE_CAPACITY)),
             idle_timeout: config.idle_timeout,
         });
@@ -507,8 +482,8 @@ impl Daemon {
         let _ = UnixStream::connect(&self.path);
     }
 
-    /// The most recent per-request `vgl-obs` spans (at most 1024),
-    /// JSON-lines, oldest first.
+    /// The most recent per-request spans (at most 1024), JSON-lines, oldest
+    /// first.
     pub fn trace_lines(&self) -> String {
         self.state.trace.lock().expect("trace poisoned").iter().map(String::as_str).collect()
     }

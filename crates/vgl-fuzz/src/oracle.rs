@@ -10,7 +10,7 @@
 //! 4. the interpreter over the optimized module;
 //! 5. the VM over the lowered optimized module;
 //! 6. the VM over the lowered optimized module after the bytecode back-end
-//!    optimizer ([`vgl_vm::fuse`]: copy propagation, dead-register
+//!    optimizer ([`vgl_vm::fuse`](mod@vgl_vm::fuse): copy propagation, dead-register
 //!    elimination, superinstruction fusion) — run with
 //!    [`vgl_vm::check_fused`] validating the fused code first, and the
 //!    §4.2 zero-tuple-box invariant asserted on its heap statistics after;

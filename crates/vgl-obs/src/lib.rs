@@ -1,16 +1,20 @@
 //! # vgl-obs
 //!
-//! The unified observability substrate of virgil-rs: structured spans and
-//! events with monotonic wall-clock timing, pluggable sinks, and a
-//! dependency-free JSON value type (writer *and* parser) in [`json`].
+//! The observability substrate of virgil-rs: one process-wide clock
+//! ([`since_epoch`]) that every recorded span is stamped against, the
+//! per-compile timeline of phases and pool workers ([`PhaseTrace`]), a
+//! fixed-capacity ring ([`flight::Ring`]), the Chrome trace-event builder
+//! ([`trace`]), and a dependency-free JSON value type (writer *and* parser)
+//! in [`json`].
 //!
 //! Every layer of the system reports through this crate:
 //!
-//! * the **compiler pipeline** emits one [`PhaseSample`] per phase (lex,
-//!   parse, sema, mono, normalize, optimize, lower) with duration and IR
-//!   size in/out;
-//! * the **VM** exports a per-opcode retired-instruction histogram and GC
-//!   pause events;
+//! * the **compiler pipeline** records one [`PhaseSample`] per phase (lex,
+//!   parse, sema, mono, normalize, optimize, lower, fuse) with its start,
+//!   duration and IR size in/out, plus one [`WorkerSample`] per back-end
+//!   pool worker;
+//! * the **VM** exports a per-opcode retired-instruction histogram, GC
+//!   pause events and, for `vglc trace`, per-function spans;
 //! * the **interpreter** exports the §4 type-argument-passing cost counters.
 //!
 //! The paper's evaluation rests on *measured* claims (no boxing after
@@ -18,27 +22,23 @@
 //! "considerable runtime cost"); this crate is the measurement substrate
 //! that makes those claims reproducible per run.
 //!
-//! ## Design
+//! ## One timeline
 //!
-//! A [`Tracer`] either borrows a [`Sink`] or is
-//! [disabled](Tracer::disabled). Disabled tracers never read clocks, never
-//! format anything, and never call a sink — span bookkeeping reduces to a
-//! branch on an `Option`, so instrumented code pays nothing measurable when
-//! tracing is off. Hot loops (the VM dispatch loop) must not call the
-//! tracer per iteration at all; they accumulate plain counters and report
-//! once.
+//! Each record is stamped with [`since_epoch`] when its work starts, so
+//! compile phases, pool workers, VM function spans, GC pauses and daemon
+//! requests share one time axis: which work ran inside which, and in what
+//! order, is read off the recorded stamps. Hot loops (the VM dispatch loop)
+//! never read the clock per iteration; they accumulate plain counters and
+//! report once.
 //!
 //! ```
-//! use vgl_obs::{FieldValue, JsonLinesSink, Tracer};
+//! use vgl_obs::PhaseTrace;
 //!
-//! let mut sink = JsonLinesSink::new();
-//! {
-//!     let mut t = Tracer::new(&mut sink);
-//!     let span = t.start("mono");
-//!     // ... work ...
-//!     t.finish(span, &[("instances", FieldValue::UInt(7))]);
-//! }
-//! assert!(sink.as_str().contains("\"name\":\"mono\""));
+//! let mut trace = PhaseTrace::new();
+//! let tokens = trace.time("lex", 3, || vec!['a', 'b', 'c'], Vec::len);
+//! trace.time("parse", tokens.len(), || (), |_| 1);
+//! let (lex, parse) = (trace.phases[0], trace.phases[1]);
+//! assert!(lex.start + lex.duration <= parse.start);
 //! ```
 
 #![warn(missing_docs)]
@@ -47,300 +47,16 @@ pub mod flight;
 pub mod json;
 pub mod trace;
 
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-/// A typed field value attached to an event or span.
-#[derive(Clone, Debug, PartialEq)]
-pub enum FieldValue {
-    /// Signed integer.
-    Int(i64),
-    /// Unsigned integer (counters).
-    UInt(u64),
-    /// Floating point (ratios, times).
-    Float(f64),
-    /// Boolean.
-    Bool(bool),
-    /// Text.
-    Str(String),
-}
+static EPOCH: OnceLock<Instant> = OnceLock::new();
 
-impl FieldValue {
-    /// Converts to a JSON value.
-    pub fn to_json(&self) -> json::Json {
-        match self {
-            FieldValue::Int(v) => json::Json::from(*v),
-            FieldValue::UInt(v) => json::Json::from(*v),
-            FieldValue::Float(v) => json::Json::Num(*v),
-            FieldValue::Bool(v) => json::Json::Bool(*v),
-            FieldValue::Str(v) => json::Json::Str(v.clone()),
-        }
-    }
-
-    /// Human-readable rendering (no quotes on strings).
-    pub fn render(&self) -> String {
-        match self {
-            FieldValue::Int(v) => v.to_string(),
-            FieldValue::UInt(v) => v.to_string(),
-            FieldValue::Float(v) => format!("{v:.3}"),
-            FieldValue::Bool(v) => v.to_string(),
-            FieldValue::Str(v) => v.clone(),
-        }
-    }
-}
-
-/// A named field: key + value.
-pub type Field = (&'static str, FieldValue);
-
-/// A point-in-time structured event.
-#[derive(Debug)]
-pub struct Event<'a> {
-    /// Event name.
-    pub name: &'a str,
-    /// Time since the tracer's origin.
-    pub at: Duration,
-    /// Nesting depth (enclosing open spans).
-    pub depth: usize,
-    /// Attached fields.
-    pub fields: &'a [Field],
-}
-
-/// A completed span: a named region of time with fields.
-#[derive(Debug)]
-pub struct SpanRecord<'a> {
-    /// Span name.
-    pub name: &'a str,
-    /// Start offset since the tracer's origin.
-    pub start: Duration,
-    /// Wall-clock duration.
-    pub duration: Duration,
-    /// Nesting depth at the time the span was opened.
-    pub depth: usize,
-    /// Attached fields.
-    pub fields: &'a [Field],
-}
-
-/// Where structured records go. Implementations must be cheap to call; the
-/// tracer guarantees they are never called when tracing is disabled.
-pub trait Sink {
-    /// Receives a point event.
-    fn event(&mut self, event: &Event<'_>);
-    /// Receives a completed span.
-    fn span(&mut self, span: &SpanRecord<'_>);
-}
-
-/// A sink that drops everything. [`Tracer::disabled`] is cheaper still (no
-/// clock reads); this exists for APIs that demand a concrete sink.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn event(&mut self, _: &Event<'_>) {}
-    fn span(&mut self, _: &SpanRecord<'_>) {}
-}
-
-/// A sink that appends one compact JSON object per record to an in-memory
-/// buffer (JSON-lines). The output parses back with [`json::parse`].
-#[derive(Clone, Debug, Default)]
-pub struct JsonLinesSink {
-    buf: String,
-}
-
-impl JsonLinesSink {
-    /// An empty sink.
-    pub fn new() -> JsonLinesSink {
-        JsonLinesSink::default()
-    }
-
-    /// The buffered JSON-lines text so far.
-    pub fn as_str(&self) -> &str {
-        &self.buf
-    }
-
-    /// Consumes the sink, returning the buffered text.
-    pub fn into_string(self) -> String {
-        self.buf
-    }
-
-    fn push(&mut self, kind: &str, name: &str, fields: &[Field], extra: &[(&str, json::Json)]) {
-        let mut obj = json::Json::object();
-        obj.set("type", json::Json::Str(kind.to_string()));
-        obj.set("name", json::Json::Str(name.to_string()));
-        for (k, v) in extra {
-            obj.set(k, v.clone());
-        }
-        for (k, v) in fields {
-            obj.set(k, v.to_json());
-        }
-        self.buf.push_str(&obj.render());
-        self.buf.push('\n');
-    }
-}
-
-impl Sink for JsonLinesSink {
-    fn event(&mut self, e: &Event<'_>) {
-        let at = json::Json::Num(e.at.as_secs_f64() * 1e6);
-        self.push("event", e.name, e.fields, &[("at_us", at)]);
-    }
-
-    fn span(&mut self, s: &SpanRecord<'_>) {
-        let start = json::Json::Num(s.start.as_secs_f64() * 1e6);
-        let dur = json::Json::Num(s.duration.as_secs_f64() * 1e6);
-        let depth = json::Json::from(s.depth as u64);
-        self.push(
-            "span",
-            s.name,
-            s.fields,
-            &[("start_us", start), ("dur_us", dur), ("depth", depth)],
-        );
-    }
-}
-
-/// A sink that renders an indented human-readable line per record.
-#[derive(Clone, Debug, Default)]
-pub struct TableSink {
-    buf: String,
-}
-
-impl TableSink {
-    /// An empty sink.
-    pub fn new() -> TableSink {
-        TableSink::default()
-    }
-
-    /// The rendered text so far.
-    pub fn as_str(&self) -> &str {
-        &self.buf
-    }
-
-    /// Consumes the sink, returning the rendered text.
-    pub fn into_string(self) -> String {
-        self.buf
-    }
-
-    fn fields(fields: &[Field]) -> String {
-        fields
-            .iter()
-            .map(|(k, v)| format!("{k}={}", v.render()))
-            .collect::<Vec<_>>()
-            .join(" ")
-    }
-}
-
-impl Sink for TableSink {
-    fn event(&mut self, e: &Event<'_>) {
-        self.buf.push_str(&format!(
-            "{:indent$}• {:<16} {}\n",
-            "",
-            e.name,
-            TableSink::fields(e.fields),
-            indent = e.depth * 2
-        ));
-    }
-
-    fn span(&mut self, s: &SpanRecord<'_>) {
-        self.buf.push_str(&format!(
-            "{:indent$}{:<16} {:>10.1}us  {}\n",
-            "",
-            s.name,
-            s.duration.as_secs_f64() * 1e6,
-            TableSink::fields(s.fields),
-            indent = s.depth * 2
-        ));
-    }
-}
-
-/// An open span handle returned by [`Tracer::start`]; pass it back to
-/// [`Tracer::finish`].
-#[derive(Debug)]
-#[must_use = "finish the span with Tracer::finish"]
-pub struct OpenSpan {
-    name: &'static str,
-    start: Option<Instant>,
-    depth: usize,
-}
-
-/// The front door: timestamps records and forwards them to a borrowed sink.
-///
-/// A disabled tracer ([`Tracer::disabled`]) reads no clocks and formats
-/// nothing — instrumentation sites cost one branch.
-#[derive(Default)]
-pub struct Tracer<'s> {
-    sink: Option<&'s mut dyn Sink>,
-    origin: Option<Instant>,
-    depth: usize,
-}
-
-impl std::fmt::Debug for Tracer<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tracer")
-            .field("enabled", &self.sink.is_some())
-            .field("depth", &self.depth)
-            .finish()
-    }
-}
-
-impl<'s> Tracer<'s> {
-    /// A tracer that records nothing (the default).
-    pub fn disabled() -> Tracer<'static> {
-        Tracer::default()
-    }
-
-    /// A tracer over a borrowed sink.
-    pub fn new(sink: &'s mut dyn Sink) -> Tracer<'s> {
-        Tracer { sink: Some(sink), origin: Some(Instant::now()), depth: 0 }
-    }
-
-    /// True when records reach a sink.
-    pub fn enabled(&self) -> bool {
-        self.sink.is_some()
-    }
-
-    /// Emits a point event.
-    pub fn event(&mut self, name: &str, fields: &[Field]) {
-        let Some(origin) = self.origin else { return };
-        let at = origin.elapsed();
-        let depth = self.depth;
-        if let Some(sink) = &mut self.sink {
-            sink.event(&Event { name, at, depth, fields });
-        }
-    }
-
-    /// Opens a span. Cost when disabled: one branch, no clock read.
-    pub fn start(&mut self, name: &'static str) -> OpenSpan {
-        if self.origin.is_none() {
-            return OpenSpan { name, start: None, depth: 0 };
-        }
-        let depth = self.depth;
-        self.depth += 1;
-        OpenSpan { name, start: Some(Instant::now()), depth }
-    }
-
-    /// Closes a span, attaching fields.
-    pub fn finish(&mut self, span: OpenSpan, fields: &[Field]) {
-        let (Some(origin), Some(start)) = (self.origin, span.start) else {
-            return;
-        };
-        self.depth = span.depth;
-        let duration = start.elapsed();
-        let record = SpanRecord {
-            name: span.name,
-            start: start - origin,
-            duration,
-            depth: span.depth,
-            fields,
-        };
-        if let Some(sink) = &mut self.sink {
-            sink.span(&record);
-        }
-    }
-
-    /// Convenience: times a closure as a span.
-    pub fn scope<T>(&mut self, name: &'static str, f: impl FnOnce() -> T) -> T {
-        let span = self.start(name);
-        let r = f();
-        self.finish(span, &[]);
-        r
-    }
+/// Time since the process epoch: the instant of the first call in this
+/// process. Every span virgil-rs records is stamped with it, so stamps
+/// taken on different threads and in different layers compare directly.
+pub fn since_epoch() -> Duration {
+    EPOCH.get_or_init(Instant::now).elapsed()
 }
 
 /// One timed compiler phase with item counts in/out (IR nodes, instructions
@@ -349,6 +65,8 @@ impl<'s> Tracer<'s> {
 pub struct PhaseSample {
     /// Phase name (`"parse"`, `"mono"`, ...).
     pub name: &'static str,
+    /// When the phase started, since the process epoch ([`since_epoch`]).
+    pub start: Duration,
     /// Wall-clock duration.
     pub duration: Duration,
     /// Items entering the phase.
@@ -370,14 +88,15 @@ pub struct WorkerSample {
     pub worker: usize,
     /// Items this worker claimed and processed.
     pub items: usize,
-    /// Offset of this worker's first claim relative to the start of the
-    /// parallel phase — places the lane on a shared timeline.
+    /// When this worker started claiming, since the process epoch
+    /// ([`since_epoch`]) — the same axis as [`PhaseSample::start`].
     pub start: Duration,
     /// Busy wall-clock time of this worker's claim loop.
     pub duration: Duration,
 }
 
-/// An ordered collection of [`PhaseSample`]s for one compilation.
+/// The recorded timeline of one compilation: its [`PhaseSample`]s and the
+/// [`WorkerSample`]s of the pools those phases ran.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTrace {
     /// Samples in phase order.
@@ -401,11 +120,12 @@ impl PhaseTrace {
         f: impl FnOnce() -> T,
         items_out: impl FnOnce(&T) -> usize,
     ) -> T {
-        let start = Instant::now();
+        let start = since_epoch();
         let r = f();
         self.phases.push(PhaseSample {
             name,
-            duration: start.elapsed(),
+            start,
+            duration: since_epoch().saturating_sub(start),
             items_in,
             items_out: items_out(&r),
         });
@@ -459,7 +179,8 @@ impl PhaseTrace {
         out
     }
 
-    /// JSON: an array of per-phase objects.
+    /// JSON: an array of per-phase objects (`name`, `start_us` since the
+    /// epoch, `dur_us`, `items_in`, `items_out`).
     pub fn to_json(&self) -> json::Json {
         json::Json::Arr(
             self.phases
@@ -467,6 +188,7 @@ impl PhaseTrace {
                 .map(|p| {
                     let mut o = json::Json::object();
                     o.set("name", json::Json::Str(p.name.to_string()));
+                    o.set("start_us", json::Json::Num(p.start.as_secs_f64() * 1e6));
                     o.set("dur_us", json::Json::Num(p.duration.as_secs_f64() * 1e6));
                     o.set("items_in", json::Json::from(p.items_in as u64));
                     o.set("items_out", json::Json::from(p.items_out as u64));
@@ -476,7 +198,8 @@ impl PhaseTrace {
         )
     }
 
-    /// JSON: an array of per-worker objects for the parallel phases.
+    /// JSON: an array of per-worker objects for the parallel phases
+    /// (`phase`, `worker`, `items`, `start_us` since the epoch, `dur_us`).
     pub fn workers_json(&self) -> json::Json {
         json::Json::Arr(
             self.workers
@@ -516,78 +239,11 @@ impl PhaseTrace {
         }
         out
     }
-
-    /// Replays the trace into a tracer as spans (one per phase).
-    pub fn emit(&self, tracer: &mut Tracer<'_>) {
-        for p in &self.phases {
-            let span = tracer.start(p.name);
-            tracer.finish(
-                span,
-                &[
-                    ("items_in", FieldValue::UInt(p.items_in as u64)),
-                    ("items_out", FieldValue::UInt(p.items_out as u64)),
-                    ("dur_us", FieldValue::Float(p.duration.as_secs_f64() * 1e6)),
-                ],
-            );
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disabled_tracer_is_inert() {
-        let mut t = Tracer::disabled();
-        assert!(!t.enabled());
-        let s = t.start("x");
-        t.finish(s, &[("k", FieldValue::Int(1))]);
-        t.event("e", &[]);
-    }
-
-    #[test]
-    fn json_sink_emits_parseable_lines() {
-        let mut sink = JsonLinesSink::new();
-        {
-            let mut t = Tracer::new(&mut sink);
-            let span = t.start("mono");
-            t.finish(span, &[("instances", FieldValue::UInt(3))]);
-            t.event("gc", &[("copied", FieldValue::UInt(128))]);
-        }
-        let mut lines = sink.as_str().lines();
-        let span = json::parse(lines.next().unwrap()).expect("valid json");
-        assert_eq!(span.get("type").unwrap().as_str(), Some("span"));
-        assert_eq!(span.get("name").unwrap().as_str(), Some("mono"));
-        assert_eq!(span.get("instances").unwrap().as_f64(), Some(3.0));
-        assert!(span.get("dur_us").unwrap().as_f64().unwrap() >= 0.0);
-        let event = json::parse(lines.next().unwrap()).expect("valid json");
-        assert_eq!(event.get("type").unwrap().as_str(), Some("event"));
-        assert_eq!(event.get("copied").unwrap().as_f64(), Some(128.0));
-    }
-
-    #[test]
-    fn table_sink_indents_by_depth() {
-        let mut sink = TableSink::new();
-        sink.span(&SpanRecord {
-            name: "outer",
-            start: Duration::ZERO,
-            duration: Duration::from_micros(10),
-            depth: 0,
-            fields: &[],
-        });
-        sink.span(&SpanRecord {
-            name: "inner",
-            start: Duration::ZERO,
-            duration: Duration::from_micros(5),
-            depth: 1,
-            fields: &[("n", FieldValue::UInt(2))],
-        });
-        let text = sink.as_str();
-        assert!(text.contains("outer"));
-        assert!(text.contains("  inner"));
-        assert!(text.contains("n=2"));
-    }
 
     #[test]
     fn phase_trace_times_and_renders() {
@@ -603,33 +259,5 @@ mod tests {
         let j = trace.to_json().render();
         let parsed = json::parse(&j).expect("valid");
         assert_eq!(parsed.as_arr().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn nested_spans_track_depth() {
-        let mut sink = TableSink::new();
-        let mut t = Tracer::new(&mut sink);
-        let outer = t.start("outer");
-        let inner = t.start("inner");
-        t.finish(inner, &[]);
-        t.finish(outer, &[]);
-        // Depth restored after matching finishes.
-        let top = t.start("top");
-        assert_eq!(top.depth, 0);
-        t.finish(top, &[]);
-    }
-
-    #[test]
-    fn phase_trace_emit_replays_spans() {
-        let mut trace = PhaseTrace::new();
-        trace.time("opt", 10, || (), |_| 8);
-        let mut sink = JsonLinesSink::new();
-        {
-            let mut t = Tracer::new(&mut sink);
-            trace.emit(&mut t);
-        }
-        let v = json::parse(sink.as_str().trim()).expect("valid");
-        assert_eq!(v.get("name").unwrap().as_str(), Some("opt"));
-        assert_eq!(v.get("items_out").unwrap().as_f64(), Some(8.0));
     }
 }

@@ -1,7 +1,7 @@
 //! Round-trip tests for `PhaseTrace` phase and worker-span JSON: what
 //! `to_json()`/`workers_json()` emit must parse back with `vgl_obs::json`
-//! and preserve items_in/items_out and worker attribution exactly, for an
-//! empty trace, a jobs=1 trace, and a multi-worker trace.
+//! and preserve start stamps, items_in/items_out and worker attribution
+//! exactly, for an empty trace, a jobs=1 trace, and a multi-worker trace.
 
 use std::time::Duration;
 use vgl_obs::{json, PhaseTrace, WorkerSample};
@@ -33,6 +33,13 @@ fn phase_items_survive_round_trip() {
     assert_eq!(arr[0].get("items_out").unwrap().as_f64(), Some(96.0));
     assert_eq!(arr[1].get("name").unwrap().as_str(), Some("optimize"));
     assert_eq!(arr[1].get("items_out").unwrap().as_f64(), Some(80.0));
+    // Each phase carries its epoch stamp, and the stamps order the phases.
+    for (json, sample) in arr.iter().zip(&trace.phases) {
+        let start_us = sample.start.as_secs_f64() * 1e6;
+        assert_eq!(json.get("start_us").unwrap().as_f64(), Some(start_us));
+    }
+    let (first, second) = (trace.phases[0], trace.phases[1]);
+    assert!(first.start + first.duration <= second.start);
 }
 
 #[test]

@@ -71,7 +71,8 @@ pub struct BackendReport {
     /// Instance-cache counters from optimize (per-pipeline, counted once at
     /// grouping, not per fixpoint round).
     pub opt_cache: CacheStats,
-    /// Per-worker spans from every parallel phase, in commit order.
+    /// Per-worker spans from every parallel phase, in commit order, until
+    /// the compile driver moves them onto its `PhaseTrace`.
     pub workers: Vec<WorkerSample>,
     /// The duplicate-instance map normalize discovered, handed forward so
     /// optimize fingerprints the module at most once per pipeline.

@@ -21,11 +21,10 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::mpsc::SyncSender;
-use std::time::Instant;
 
 use crate::cache::{self, CacheStats, DupMap, ShardedIndex};
 use vgl_ir::visit::rewrite_exprs;
-use vgl_obs::WorkerSample;
+use vgl_obs::{since_epoch, WorkerSample};
 use vgl_ir::{
     Body, Class, Expr, ExprKind, Field, FieldRef, Global, Method, MethodId, MethodKind, Module,
     Oper, Stmt,
@@ -97,14 +96,13 @@ pub fn monomorphize_streamed(
     let index = ShardedIndex::new(jobs);
     let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, Method)>(STREAM_CAPACITY);
     let rx = std::sync::Mutex::new(rx);
-    let pool_start = Instant::now();
 
     let (new_module, stats, deferred, mut prints, samples) = std::thread::scope(|s| {
         let handles: Vec<_> = (0..hashers)
             .map(|w| {
                 let (rx, index) = (&rx, &index);
                 s.spawn(move || {
-                    let start = Instant::now();
+                    let start = since_epoch();
                     let mut pairs: Vec<(usize, (u64, u64))> = Vec::new();
                     loop {
                         // The guard is held across `recv`, so consumers
@@ -120,8 +118,8 @@ pub fn monomorphize_streamed(
                         phase: "mono-hash",
                         worker: w,
                         items: pairs.len(),
-                        start: start.duration_since(pool_start),
-                        duration: start.elapsed(),
+                        start,
+                        duration: since_epoch().saturating_sub(start),
                     };
                     (pairs, sample)
                 })

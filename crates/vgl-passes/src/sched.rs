@@ -1,12 +1,13 @@
 //! A dependency-free work-stealing pool for per-function compiler work.
 //!
 //! Built on `std::thread::scope` — no external crates, no global state.
-//! Two granularities share one merge rule:
+//! Workers claim **contiguous index ranges** from an atomic counter, at
+//! one of two granularities:
 //!
-//! * [`par_map_ctx`] — workers claim **single item indices** from an atomic
-//!   counter. Fine for coarse items; on per-function compiler work the
-//!   claim traffic itself dominates (BENCH_compile.json's pre-chunking rows
-//!   showed jobs=8 *losing* to jobs=1 on a 96-instance fan-out).
+//! * [`par_map_ctx`] — one range per item. Fine for coarse items; on
+//!   per-function compiler work the claim traffic itself dominates
+//!   (BENCH_compile.json's pre-chunking rows showed jobs=8 *losing* to
+//!   jobs=1 on a 96-instance fan-out).
 //! * [`plan_chunks`] + [`par_map_chunks`] — items are packed up front into
 //!   contiguous, cost-balanced chunks (targeting `total/(CHUNKS_PER_JOB ×
 //!   jobs)` estimated cost each, from `vgl_ir::metrics::method_cost`-style
@@ -15,20 +16,21 @@
 //!   pure integer function of the cost vector — identical on every
 //!   platform, every run, every thread count.
 //!
-//! In both modes results are merged back **in stable item-index order**.
-//! That ordering rule is the whole determinism story: the jobs count (and
-//! the chunking mode) changes which thread computes an item and nothing
-//! else, so `--jobs 1` and `--jobs 8` produce bit-identical output.
-//! (jobs=1 runs inline on the caller's thread through the same worker body
-//! — there is no separate sequential algorithm to drift.)
+//! Both run the same worker body ([`par_map_ctx`] is [`par_map_chunks`]
+//! over one chunk per item), and results are merged back **in stable
+//! item-index order**. That ordering rule is the whole determinism story:
+//! the jobs count (and the chunking mode) changes which thread computes an
+//! item and nothing else, so `--jobs 1` and `--jobs 8` produce
+//! bit-identical output. (jobs=1 runs inline on the caller's thread through
+//! the same worker body — there is no separate sequential algorithm to
+//! drift.)
 //!
-//! Each worker reports a [`WorkerSample`] (items claimed + busy time) for
-//! `vgl-obs`; those spans are telemetry, not part of the determinism
-//! contract.
+//! Each worker reports a [`WorkerSample`] (items claimed, start on the
+//! `vgl-obs` epoch, busy time); those spans are telemetry, not part of the
+//! determinism contract.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
-use vgl_obs::WorkerSample;
+use vgl_obs::{since_epoch, WorkerSample};
 
 /// Upper bound on the pool size; beyond this, per-thread overhead dwarfs any
 /// conceivable win on per-function compiler work.
@@ -77,57 +79,12 @@ where
     R: Send,
 {
     let n = items.len();
-    let workers = jobs.clamp(1, MAX_JOBS).min(n.max(1));
-    let next = AtomicUsize::new(0);
-    let pool_start = Instant::now();
-    // The worker body: claim indices until the queue is dry. Identical for
-    // the inline and the threaded path.
-    let work = |worker: usize| -> (Vec<(usize, R)>, WorkerSample) {
-        let mut cx = mk_ctx();
-        let mut out = Vec::new();
-        let start = Instant::now();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            out.push((i, f(&mut cx, i, &items[i])));
-        }
-        let sample = WorkerSample {
-            phase,
-            worker,
-            items: out.len(),
-            start: start.duration_since(pool_start),
-            duration: start.elapsed(),
-        };
-        (out, sample)
+    let per_item = ChunkPlan {
+        ranges: (0..n).map(|i| (i, i + 1)).collect(),
+        total_cost: n as u64,
+        target_cost: 1,
     };
-
-    let mut per_worker: Vec<(Vec<(usize, R)>, WorkerSample)> = if workers <= 1 || n < 2 {
-        vec![work(0)]
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> =
-                (0..workers).map(|w| s.spawn(move || work(w))).collect();
-            handles.into_iter().map(|h| h.join().expect("pool worker panicked")).collect()
-        })
-    };
-
-    // Merge in stable item-index order, independent of which worker
-    // computed what.
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    let mut samples = Vec::with_capacity(per_worker.len());
-    for (results, sample) in per_worker.drain(..) {
-        for (i, r) in results {
-            debug_assert!(slots[i].is_none(), "item {i} claimed twice");
-            slots[i] = Some(r);
-        }
-        samples.push(sample);
-    }
-    let results =
-        slots.into_iter().map(|r| r.expect("pool left an item unprocessed")).collect();
-    (results, samples)
+    par_map_chunks(jobs, phase, items, &per_item, mk_ctx, f)
 }
 
 /// How many chunks the planner aims to produce per worker. More chunks
@@ -221,57 +178,52 @@ where
     let n_chunks = plan.ranges.len();
     let workers = jobs.clamp(1, MAX_JOBS).min(n_chunks.max(1));
     let next = AtomicUsize::new(0);
-    let pool_start = Instant::now();
-    let work = |worker: usize| -> (Vec<(usize, Vec<R>)>, WorkerSample) {
+    // The worker body: claim ranges until the queue is dry, appending their
+    // results to one buffer. Identical for the inline and the threaded path.
+    let work = |worker: usize| -> WorkerOut<R> {
         let mut cx = mk_ctx();
-        let mut out = Vec::new();
-        let mut claimed = 0usize;
-        let start = Instant::now();
+        let mut claimed = Vec::new();
+        let mut results = Vec::new();
+        let start = since_epoch();
         loop {
             let c = next.fetch_add(1, Ordering::Relaxed);
             if c >= n_chunks {
                 break;
             }
             let (lo, hi) = plan.ranges[c];
-            let mut results = Vec::with_capacity(hi - lo);
-            for (i, item) in items.iter().enumerate().take(hi).skip(lo) {
-                results.push(f(&mut cx, i, item));
-            }
-            claimed += hi - lo;
-            out.push((lo, results));
+            results.extend((lo..hi).map(|i| f(&mut cx, i, &items[i])));
+            claimed.push((lo, hi));
         }
         let sample = WorkerSample {
             phase,
             worker,
-            items: claimed,
-            start: start.duration_since(pool_start),
-            duration: start.elapsed(),
+            items: results.len(),
+            start,
+            duration: since_epoch().saturating_sub(start),
         };
-        (out, sample)
+        (claimed, results, sample)
     };
 
-    // One worker's output: result blocks keyed by chunk start, plus a span.
-    type WorkerOut<R> = (Vec<(usize, Vec<R>)>, WorkerSample);
-    let mut per_worker: Vec<WorkerOut<R>> =
-        if workers <= 1 || n_chunks < 2 {
-            vec![work(0)]
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> =
-                    (0..workers).map(|w| s.spawn(move || work(w))).collect();
-                handles.into_iter().map(|h| h.join().expect("pool worker panicked")).collect()
-            })
-        };
+    let per_worker: Vec<WorkerOut<R>> = if workers <= 1 || n_chunks < 2 {
+        vec![work(0)]
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers).map(|w| s.spawn(move || work(w))).collect();
+            handles.into_iter().map(|h| h.join().expect("pool worker panicked")).collect()
+        })
+    };
 
-    // Merge chunk result blocks back in item order.
+    // Merge every worker's results back in item order, independent of which
+    // worker computed what.
     let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
     let mut samples = Vec::with_capacity(per_worker.len());
-    for (blocks, sample) in per_worker.drain(..) {
-        for (lo, results) in blocks {
-            for (off, r) in results.into_iter().enumerate() {
-                debug_assert!(slots[lo + off].is_none(), "item {} claimed twice", lo + off);
-                slots[lo + off] = Some(r);
+    for (claimed, results, sample) in per_worker {
+        let mut results = results.into_iter();
+        for (lo, hi) in claimed {
+            for (i, r) in (lo..hi).zip(&mut results) {
+                debug_assert!(slots[i].is_none(), "item {i} claimed twice");
+                slots[i] = Some(r);
             }
         }
         samples.push(sample);
@@ -280,6 +232,10 @@ where
         slots.into_iter().map(|r| r.expect("pool left an item unprocessed")).collect();
     (results, samples)
 }
+
+/// One worker's output: the ranges it claimed in claim order, their results
+/// back to back, and its span.
+type WorkerOut<R> = (Vec<(usize, usize)>, Vec<R>, WorkerSample);
 
 #[cfg(test)]
 mod tests {

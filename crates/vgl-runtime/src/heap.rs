@@ -53,8 +53,6 @@
 //! [`Heap::grow`] extends the mature space upward, so nursery indices — and
 //! every live reference — stay valid across growth.
 
-use std::time::{Duration, Instant};
-
 /// Tagged VM value.
 pub type Word = u64;
 
@@ -255,45 +253,6 @@ pub struct GcInfo {
     pub capacity_slots: usize,
 }
 
-/// One collection in the heap's telemetry timeline: when enabled, every
-/// [`Heap::collect`] appends a record with its wall-clock pause and the
-/// live/freed accounting needed to draw a heap-occupancy curve.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct GcRecord {
-    /// Minor or major.
-    pub kind: GcKind,
-    /// Wall-clock duration of the collection (root rewrite + scan + copy).
-    pub pause: Duration,
-    /// Slots in use when the collection started.
-    pub used_before: usize,
-    /// Slots in use (surviving) after the collection.
-    pub live_slots: usize,
-    /// Slots physically copied (promoted, for a minor).
-    pub copied_slots: usize,
-    /// Slots reclaimed.
-    pub freed_slots: usize,
-    /// Heap capacity at collection time.
-    pub capacity_slots: usize,
-}
-
-impl GcRecord {
-    /// Post-collection occupancy in `[0, 1]` — one point on the
-    /// heap-occupancy curve.
-    pub fn occupancy(&self) -> f64 {
-        self.live_slots as f64 / self.capacity_slots.max(1) as f64
-    }
-
-    /// Bytes surviving the collection.
-    pub fn live_bytes(&self) -> usize {
-        self.live_slots * SLOT_BYTES
-    }
-
-    /// Bytes reclaimed by the collection.
-    pub fn freed_bytes(&self) -> usize {
-        self.freed_slots * SLOT_BYTES
-    }
-}
-
 /// A generational copying heap (see the module docs for the layout).
 #[derive(Debug)]
 pub struct Heap {
@@ -313,9 +272,6 @@ pub struct Heap {
     remset: Vec<usize>,
     /// Statistics.
     pub stats: HeapStats,
-    /// Per-collection telemetry; `None` (the default) costs nothing — not
-    /// even a clock read — per collection.
-    timeline: Option<Vec<GcRecord>>,
 }
 
 /// Returned when an allocation cannot proceed before a collection.
@@ -344,26 +300,7 @@ impl Heap {
             top: 1 + nursery,
             remset: Vec::new(),
             stats: HeapStats::default(),
-            timeline: None,
         }
-    }
-
-    /// Turns on per-collection telemetry; subsequent [`Heap::collect`] calls
-    /// append a [`GcRecord`] each.
-    pub fn enable_timeline(&mut self) {
-        if self.timeline.is_none() {
-            self.timeline = Some(Vec::new());
-        }
-    }
-
-    /// The telemetry timeline so far; empty slice when disabled.
-    pub fn timeline(&self) -> &[GcRecord] {
-        self.timeline.as_deref().unwrap_or(&[])
-    }
-
-    /// Consumes the telemetry timeline, disabling further recording.
-    pub fn take_timeline(&mut self) -> Vec<GcRecord> {
-        self.timeline.take().unwrap_or_default()
     }
 
     /// Slots currently in use (including the reserved null slot).
@@ -526,8 +463,6 @@ impl Heap {
     /// nursery. Mature cells never move. The caller must guarantee the
     /// mature space has at least [`Heap::nursery_used`] free slots.
     fn collect_minor(&mut self, roots: &mut [&mut [Word]]) -> GcInfo {
-        let pause_start = self.timeline.is_some().then(Instant::now);
-        let used_before = self.used();
         self.stats.collections += 1;
         self.stats.minor_collections += 1;
         let promote_start = self.top;
@@ -569,14 +504,12 @@ impl Heap {
         self.nursery_top = 1;
         self.stats.copied_slots += promoted;
         self.stats.promoted_slots += promoted;
-        let info = GcInfo {
+        GcInfo {
             kind: GcKind::Minor,
             live_slots: self.mature_used(),
             copied_slots: promoted,
             capacity_slots: self.space.len(),
-        };
-        self.record(pause_start, used_before, info);
-        info
+        }
     }
 
     /// Forwards a word during a minor collection: only nursery references
@@ -609,8 +542,6 @@ impl Heap {
     /// from `roots` into the other semispace — nursery survivors are
     /// promoted in the same sweep — and rewrites the roots in place.
     pub fn collect_major(&mut self, roots: &mut [&mut [Word]]) -> GcInfo {
-        let pause_start = self.timeline.is_some().then(Instant::now);
-        let used_before = self.used();
         self.stats.collections += 1;
         self.stats.major_collections += 1;
         // Worst case everything survives into the mature region of the
@@ -653,28 +584,11 @@ impl Heap {
         }
         let copied = self.top - self.nursery_end;
         self.stats.copied_slots += copied;
-        let info = GcInfo {
+        GcInfo {
             kind: GcKind::Major,
             live_slots: copied,
             copied_slots: copied,
             capacity_slots: self.space.len(),
-        };
-        self.record(pause_start, used_before, info);
-        info
-    }
-
-    fn record(&mut self, pause_start: Option<Instant>, used_before: usize, info: GcInfo) {
-        let used_after = self.used();
-        if let Some(timeline) = &mut self.timeline {
-            timeline.push(GcRecord {
-                kind: info.kind,
-                pause: pause_start.map(|t| t.elapsed()).unwrap_or_default(),
-                used_before,
-                live_slots: info.live_slots,
-                copied_slots: info.copied_slots,
-                freed_slots: used_before.saturating_sub(used_after),
-                capacity_slots: info.capacity_slots,
-            });
         }
     }
 
@@ -886,30 +800,12 @@ mod tests {
         let mut h = Heap::new(64);
         let a = h.try_alloc(CellKind::Object, 0, 2).expect("fits");
         let mut roots = [a];
-        h.collect(&mut [&mut roots]);
-        assert!(h.timeline().is_empty(), "disabled timeline records nothing");
-
-        h.enable_timeline();
         while h.try_alloc(CellKind::Array, 0, 4).is_ok() {}
-        let used_before = h.used();
-        h.collect(&mut [&mut roots]);
-        let tl = h.timeline();
-        assert_eq!(tl.len(), 1);
-        let rec = tl[0];
-        assert_eq!(rec.kind, GcKind::Major);
-        assert_eq!(rec.used_before, used_before);
-        assert_eq!(rec.live_slots, 3, "only the rooted object survives");
-        assert_eq!(rec.copied_slots, rec.live_slots, "copied == live on a major");
-        assert_eq!(rec.freed_slots, used_before - 1 - rec.live_slots);
-        assert_eq!(rec.capacity_slots, h.capacity());
-        assert!(rec.occupancy() > 0.0 && rec.occupancy() <= 1.0);
-        assert_eq!(rec.live_bytes(), rec.live_slots * SLOT_BYTES);
-        assert_eq!(rec.freed_bytes(), rec.freed_slots * SLOT_BYTES);
-
-        let taken = h.take_timeline();
-        assert_eq!(taken.len(), 1);
-        h.collect(&mut [&mut roots]);
-        assert!(h.timeline().is_empty(), "take_timeline disables recording");
+        let info = h.collect(&mut [&mut roots]);
+        assert_eq!(info.kind, GcKind::Major);
+        assert_eq!(info.live_slots, 3, "only the rooted object survives");
+        assert_eq!(info.copied_slots, info.live_slots, "copied == live on a major");
+        assert_eq!(info.capacity_slots, h.capacity());
     }
 
     #[test]

@@ -16,6 +16,6 @@ pub mod heap;
 pub mod value;
 
 pub use heap::{
-    CellKind, GcInfo, GcKind, GcRecord, Heap, HeapStats, NeedsGc, Word, NULL, SLOT_BYTES,
+    CellKind, GcInfo, GcKind, Heap, HeapStats, NeedsGc, Word, NULL, SLOT_BYTES,
 };
 pub use value::{AllocStats, ArrData, Closure, ObjData, Value};

@@ -25,6 +25,6 @@ pub mod token;
 
 pub use ast::Program;
 pub use diag::{Diagnostic, Diagnostics, Severity};
-pub use parser::{parse_expr, parse_program, parse_type};
+pub use parser::{parse_expr, parse_program, parse_tokens, parse_type};
 pub use printer::{print_expr, print_program, print_type};
 pub use span::{LineCol, LineMap, Span};

@@ -22,8 +22,8 @@ use crate::token::{Token, TokenKind};
 
 /// Maximum nesting depth of expressions, types, and statements. This is a
 /// semantic bound, not a stack-safety bound: the parser hops to a fresh
-/// segment thread every [`STACK_SEGMENT_DEPTH`] levels (see
-/// [`Parser::in_fresh_segment`]), so no host thread overflows no matter how
+/// segment thread every `STACK_SEGMENT_DEPTH` levels (see
+/// `Parser::in_fresh_segment`), so no host thread overflows no matter how
 /// deep the input nests. The limit exists so every later recursive consumer
 /// of the AST (semantic analysis, printing, dropping the `Box` chains) sees
 /// bounded nesting, and it bounds the number of live segment threads to
@@ -44,6 +44,14 @@ const STACK_SEGMENT_BYTES: usize = 16 << 20;
 
 fn new_parser<'a, 'd>(source: &'a str, diags: &'d mut Diagnostics) -> Parser<'a, 'd> {
     let tokens = lexer::lex(source, diags);
+    token_parser(source, tokens, diags)
+}
+
+fn token_parser<'a, 'd>(
+    source: &'a str,
+    tokens: Vec<Token>,
+    diags: &'d mut Diagnostics,
+) -> Parser<'a, 'd> {
     Parser {
         src: source,
         tokens,
@@ -60,6 +68,13 @@ fn new_parser<'a, 'd>(source: &'a str, diags: &'d mut Diagnostics) -> Parser<'a,
 /// [`ExprKind::Error`] placeholders where expressions failed to parse.
 pub fn parse_program(source: &str, diags: &mut Diagnostics) -> Program {
     new_parser(source, diags).program()
+}
+
+/// [`parse_program`] over `tokens` already lexed from `source` by
+/// [`lexer::lex`] (whose diagnostics are already in `diags`), for callers
+/// that time or count the lexer separately.
+pub fn parse_tokens(source: &str, tokens: Vec<Token>, diags: &mut Diagnostics) -> Program {
+    token_parser(source, tokens, diags).program()
 }
 
 /// Parses a single expression (used by tests and tools).

@@ -15,9 +15,9 @@
 //!   tables;
 //! * the only allocations are explicit `new`/literals and closure cells —
 //!   [`vgl_runtime::HeapStats::tuple_boxes`] is structurally always zero;
-//! * an optional bytecode back-end optimizer ([`fuse`]) performs copy
-//!   propagation, dead-register elimination, and superinstruction fusion on
-//!   the lowered code, and virtual call sites carry monomorphic inline
+//! * an optional bytecode back-end optimizer ([`fuse`](mod@fuse)) performs
+//!   copy propagation, dead-register elimination, and superinstruction fusion
+//!   on the lowered code, and virtual call sites carry monomorphic inline
 //!   caches — the classic kernel-level VM optimizations the paper's
 //!   "optimize each version independently" claim licenses.
 
@@ -43,9 +43,7 @@ pub use fuse::{
     TierFeedback, TieredBody,
 };
 pub use lower::{lower, lower_reusing, Demand, ReusePlan, SpliceFunc, SpliceRecord};
-pub use profile::{
-    FuncSpan, GcEvent, GcInstant, HotFunc, RuntimeProfile, TierInstant, TraceLog, VmProfile,
-};
+pub use profile::{FuncSpan, GcEvent, HotFunc, RuntimeProfile, TierInstant, TraceLog, VmProfile};
 pub use tier::{
     site_speculation, Speculation, TierState, DEFAULT_TIER_THRESHOLD, SPEC_MISS_CAP,
 };

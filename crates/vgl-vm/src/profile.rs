@@ -7,16 +7,19 @@
 //! it with [`crate::Vm::enable_profiling`].
 
 use crate::bytecode::{FuncId, VmProgram, FIRST_SUPER_OPCODE, OPCODE_COUNT, OPCODE_NAMES};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use vgl_obs::json::Json;
-use vgl_obs::{FieldValue, Tracer};
+use vgl_obs::since_epoch;
 use vgl_runtime::heap::GcKind;
 
-/// One garbage collection observed during a profiled run.
+/// One garbage collection observed during a profiled or traced run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GcEvent {
     /// Minor (nursery) or major (full-heap) collection.
     pub kind: GcKind,
+    /// When the pause started, since the process epoch
+    /// ([`vgl_obs::since_epoch`]).
+    pub at: Duration,
     /// Wall-clock pause.
     pub pause: Duration,
     /// Slots live after the collection.
@@ -148,22 +151,6 @@ impl VmProfile {
         j.set("super_share", Json::Num(self.super_share()));
         j.set("gc", gc);
         j
-    }
-
-    /// Emits each GC event into a tracer.
-    pub fn emit_gc(&self, tracer: &mut Tracer<'_>) {
-        for e in &self.gc_events {
-            tracer.event(
-                "gc",
-                &[
-                    ("kind", FieldValue::Str(e.kind.label().into())),
-                    ("pause_us", FieldValue::Float(e.pause.as_secs_f64() * 1e6)),
-                    ("live_slots", FieldValue::UInt(e.live_slots as u64)),
-                    ("copied_slots", FieldValue::UInt(e.copied_slots as u64)),
-                    ("at_instr", FieldValue::UInt(e.at_instr)),
-                ],
-            );
-        }
     }
 }
 
@@ -308,7 +295,7 @@ impl RuntimeProfile {
 pub struct FuncSpan {
     /// The function that ran.
     pub func: FuncId,
-    /// Start offset from the log's origin.
+    /// Entry time, since the process epoch ([`vgl_obs::since_epoch`]).
     pub start: Duration,
     /// Wall-clock duration (to the matching return, or to the unwind point
     /// when the run trapped).
@@ -317,25 +304,10 @@ pub struct FuncSpan {
     pub depth: u32,
 }
 
-/// One collection as a wall-clock instant, for Chrome-trace export.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GcInstant {
-    /// Minor or major collection.
-    pub kind: GcKind,
-    /// Offset from the log's origin.
-    pub at: Duration,
-    /// Collection pause.
-    pub pause: Duration,
-    /// Slots surviving.
-    pub live_slots: usize,
-    /// Heap capacity.
-    pub capacity_slots: usize,
-}
-
 /// One tier transition as a wall-clock instant, for Chrome-trace export.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TierInstant {
-    /// Offset from the log's origin.
+    /// Since the process epoch ([`vgl_obs::since_epoch`]).
     pub at: Duration,
     /// The function that changed tier.
     pub func: FuncId,
@@ -343,9 +315,11 @@ pub struct TierInstant {
     pub deopt: bool,
 }
 
-/// A wall-clock log of VM function spans and GC instants, recorded only in
-/// explicit `vglc trace` runs (it reads the clock twice per call, which is
-/// exactly the overhead the deterministic [`RuntimeProfile`] avoids).
+/// A wall-clock log of VM function spans, collections and tier transitions,
+/// recorded only in explicit `vglc trace` runs (it reads the clock twice per
+/// call, which is exactly the overhead the deterministic [`RuntimeProfile`]
+/// avoids). Every stamp is taken on the process epoch
+/// ([`vgl_obs::since_epoch`]), the same axis as the compile phases.
 ///
 /// Span storage is a fixed ring of `max_spans` entries: a long run keeps
 /// its *last* `max_spans` completed spans — the tail of execution plus the
@@ -354,11 +328,11 @@ pub struct TierInstant {
 /// rather than hiding it.
 #[derive(Clone, Debug)]
 pub struct TraceLog {
-    origin: Instant,
-    open: Vec<(FuncId, Instant)>,
+    /// Open frames with their entry stamps.
+    open: Vec<(FuncId, Duration)>,
     spans: vgl_obs::flight::Ring<FuncSpan>,
     /// Collections, in order.
-    pub gc: Vec<GcInstant>,
+    pub gc: Vec<GcEvent>,
     /// Tier-ups and deoptimizations, in order.
     pub tier: Vec<TierInstant>,
 }
@@ -367,7 +341,6 @@ impl TraceLog {
     /// A log keeping the last `max_spans` completed spans (clamped to ≥ 1).
     pub fn new(max_spans: usize) -> TraceLog {
         TraceLog {
-            origin: Instant::now(),
             open: Vec::with_capacity(64),
             spans: vgl_obs::flight::Ring::new(max_spans),
             gc: Vec::new(),
@@ -378,7 +351,7 @@ impl TraceLog {
     /// Marks entry into `func`.
     #[inline]
     pub fn enter(&mut self, func: FuncId) {
-        self.open.push((func, Instant::now()));
+        self.open.push((func, since_epoch()));
     }
 
     /// Marks exit from the innermost open function.
@@ -387,8 +360,8 @@ impl TraceLog {
         let Some((func, entered)) = self.open.pop() else { return };
         self.spans.push(FuncSpan {
             func,
-            start: entered.duration_since(self.origin),
-            dur: entered.elapsed(),
+            start: entered,
+            dur: since_epoch().saturating_sub(entered),
             depth: self.open.len() as u32,
         });
     }
@@ -408,26 +381,9 @@ impl TraceLog {
         self.spans.dropped()
     }
 
-    /// Records a collection.
-    pub fn record_gc(
-        &mut self,
-        kind: GcKind,
-        pause: Duration,
-        live_slots: usize,
-        capacity_slots: usize,
-    ) {
-        self.gc.push(GcInstant {
-            kind,
-            at: self.origin.elapsed(),
-            pause,
-            live_slots,
-            capacity_slots,
-        });
-    }
-
     /// Records a tier transition (`deopt: false` = tier-up, `true` = deopt).
     pub fn record_tier(&mut self, func: FuncId, deopt: bool) {
-        self.tier.push(TierInstant { at: self.origin.elapsed(), func, deopt });
+        self.tier.push(TierInstant { at: since_epoch(), func, deopt });
     }
 
     /// Closes every open span at the current instant — called when a run

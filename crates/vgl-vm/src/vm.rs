@@ -23,8 +23,6 @@ use crate::fuse::{tier_fuse_func, TierFeedback, TieredBody};
 use crate::profile::{GcEvent, RuntimeProfile, TraceLog, VmProfile};
 use crate::tier::{site_speculation, Speculation, TierState};
 use std::rc::Rc;
-use std::time::Instant;
-use vgl_runtime::heap::GcRecord;
 use vgl_ir::ops::{self, Exception};
 use vgl_ir::Builtin;
 use vgl_runtime::heap::{
@@ -389,16 +387,6 @@ impl<'p> Vm<'p> {
             Some(fr) if !fr.is_empty() => Some(fr.dump(self.program)),
             _ => None,
         }
-    }
-
-    /// Turns on the heap's per-collection telemetry timeline.
-    pub fn enable_gc_timeline(&mut self) {
-        self.heap.enable_timeline();
-    }
-
-    /// The heap's telemetry timeline (empty when not enabled).
-    pub fn gc_timeline(&self) -> &[GcRecord] {
-        self.heap.timeline()
     }
 
     /// Captured output.
@@ -1274,27 +1262,30 @@ impl<'p> Vm<'p> {
         let sp = self.stack.len();
         let mut stack = std::mem::take(&mut self.stack);
         let mut globals = std::mem::take(&mut self.globals);
-        let pause_start =
-            (self.profile.is_some() || self.tracelog.is_some()).then(Instant::now);
+        let pause_start = (self.profile.is_some() || self.tracelog.is_some())
+            .then(vgl_obs::since_epoch);
         let roots = &mut [&mut stack[..sp], &mut globals[..]];
         let info = if force_major {
             self.heap.collect_major(roots)
         } else {
             self.heap.collect(roots)
         };
-        let pause = pause_start.map(|t| t.elapsed()).unwrap_or_default();
-        if let Some(p) = self.profile.as_deref_mut() {
-            p.gc_events.push(GcEvent {
+        if let Some(at) = pause_start {
+            let event = GcEvent {
                 kind: info.kind,
-                pause,
+                at,
+                pause: vgl_obs::since_epoch().saturating_sub(at),
                 live_slots: info.live_slots,
                 copied_slots: info.copied_slots,
                 capacity_slots: info.capacity_slots,
                 at_instr: self.stats.instrs,
-            });
-        }
-        if let Some(t) = self.tracelog.as_deref_mut() {
-            t.record_gc(info.kind, pause, info.live_slots, info.capacity_slots);
+            };
+            if let Some(p) = self.profile.as_deref_mut() {
+                p.gc_events.push(event);
+            }
+            if let Some(t) = self.tracelog.as_deref_mut() {
+                t.gc.push(event);
+            }
         }
         if let Some(fr) = self.flight.as_deref_mut() {
             fr.record(

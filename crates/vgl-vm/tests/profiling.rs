@@ -286,22 +286,6 @@ fn flight_recorder_empty_dump_is_none() {
 }
 
 #[test]
-fn gc_timeline_mirrors_collections_through_the_vm() {
-    let program = compile(CHURN);
-    let mut vm = Vm::with_heap(&program, 512);
-    vm.enable_gc_timeline();
-    vm.run().expect("runs");
-    assert!(vm.stats.heap.collections > 0, "expected GC activity");
-    let timeline = vm.gc_timeline();
-    assert_eq!(timeline.len(), vm.stats.heap.collections);
-    for rec in timeline {
-        assert!(rec.live_slots <= rec.capacity_slots);
-        assert!(rec.used_before >= rec.live_slots);
-        assert!(rec.occupancy() <= 1.0);
-    }
-}
-
-#[test]
 fn trace_log_records_spans_and_gc_instants() {
     let program = compile(CHURN);
     let mut vm = Vm::with_heap(&program, 512);
