@@ -276,11 +276,10 @@ mod tests {
 
     /// The phases a pool's lanes may lie inside: each pool runs within the
     /// phase that started it. Mono fingerprints its finished module through
-    /// the `hash` pool at jobs 1 (its streamed `mono-hash` pool otherwise);
-    /// normalize and optimize fall back to that pool when mono left no map.
+    /// the `hash` pool; normalize and optimize fall back to that pool when
+    /// mono left no map.
     fn home_phases(lane: &str) -> &'static [&'static str] {
         match lane {
-            "mono-hash" => &["mono"],
             "hash" => &["mono", "normalize", "optimize"],
             "optimize" => &["optimize"],
             "fuse" => &["fuse"],

@@ -84,6 +84,21 @@ pub(crate) struct Splices {
     pub(crate) mask: Vec<bool>,
     /// The spliced methods' relocatable code, for lowering.
     pub(crate) plan: ReusePlan,
+    /// The mask's counts.
+    pub(crate) reuse: Reuse,
+}
+
+/// What one [`IncrementalCompiler::compile_reporting`] call reused: its own
+/// counts, whatever else the shared stores serve meanwhile.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Reuse {
+    /// The whole artifact came from the level-1 store; nothing ran, so
+    /// both method counts are 0.
+    pub artifact_hit: bool,
+    /// Methods spliced from the level-2 store.
+    pub methods_spliced: usize,
+    /// Methods compiled afresh.
+    pub methods_compiled: usize,
 }
 
 impl FuncStore {
@@ -116,12 +131,14 @@ impl FuncStore {
         }
         let mask: Vec<bool> = hits.iter().map(Option::is_some).collect();
         let spliced = mask.iter().filter(|&&b| b).count();
+        let reuse =
+            Reuse { artifact_hit: false, methods_spliced: spliced, methods_compiled: n - spliced };
         self.methods_spliced.fetch_add(spliced, Ordering::Relaxed);
         self.methods_compiled.fetch_add(n - spliced, Ordering::Relaxed);
         let plan = ReusePlan {
             funcs: hits.into_iter().map(|h| h.map(|c| c.splice.clone())).collect(),
         };
-        Splices { ctx, fps, mask, plan }
+        Splices { ctx, fps, mask, plan, reuse }
     }
 
     /// Publishes every method this compile lowered afresh, from the final
@@ -184,17 +201,10 @@ fn options_key(o: &Options) -> u64 {
     u64::from(o.optimize) | u64::from(o.fuse) << 1 | u64::from(o.tier) << 2
 }
 
-/// 128-bit source fingerprint (FNV-1a + 31-multiplier streams, the same
-/// construction as `vgl_passes::cache`), joined with the option bits.
+/// 128-bit source fingerprint ([`cache::fingerprint_bytes`]), joined with
+/// the option bits.
 fn source_key(source: &str, opts: u64) -> (u64, u64, u64) {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut a = FNV_OFFSET;
-    let mut b = 0x9e37_79b9_7f4a_7c15_u64;
-    for &byte in source.as_bytes() {
-        a = (a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        b = b.wrapping_mul(31).wrapping_add(u64::from(byte));
-    }
+    let (a, b) = cache::fingerprint_bytes(source.as_bytes());
     (a, b, opts)
 }
 
@@ -260,14 +270,27 @@ impl IncrementalCompiler {
     /// Returns every parse and type error with rendered positions, exactly
     /// as the one-shot path does (diagnostics are never cached).
     pub fn compile(&self, source: &str) -> Result<Arc<Compilation>, CompileError> {
+        self.compile_reporting(source).map(|(c, _)| c)
+    }
+
+    /// [`compile`](Self::compile), also returning what this call reused.
+    /// [`stats`](Self::stats) sums every call; these counts are this
+    /// call's alone, so concurrent requests each get their own.
+    ///
+    /// # Errors
+    /// As [`compile`](Self::compile).
+    pub fn compile_reporting(
+        &self,
+        source: &str,
+    ) -> Result<(Arc<Compilation>, Reuse), CompileError> {
         let skey = source_key(source, self.store.opts_key);
         if let Some(art) = self.artifacts.get(&skey) {
-            return Ok(art);
+            return Ok((art, Reuse { artifact_hit: true, ..Reuse::default() }));
         }
-        let compilation = self.compiler.drive(source, Some(&self.store))?;
+        let (compilation, reuse) = self.compiler.drive(source, Some(&self.store))?;
         // First-writer-wins: concurrent compiles of the same source share
         // whichever artifact published first (they are byte-identical).
-        Ok(self.artifacts.insert(skey, compilation))
+        Ok((self.artifacts.insert(skey, compilation), reuse))
     }
 }
 

@@ -62,7 +62,7 @@ pub use vgl_vm::{
 
 pub use vgl_fuzz as fuzz;
 
-pub use incremental::{IncrementalCompiler, IncrementalStats};
+pub use incremental::{IncrementalCompiler, IncrementalStats, Reuse};
 
 /// A compilation failure: rendered diagnostics.
 #[derive(Clone, Debug)]
@@ -221,7 +221,7 @@ impl Compiler {
     /// # Errors
     /// Returns every parse and type error with rendered positions.
     pub fn compile(&self, source: &str) -> Result<Compilation, CompileError> {
-        self.drive(source, None)
+        self.drive(source, None).map(|(c, _)| c)
     }
 
     /// The one compile pipeline behind one-shot and served builds: lex,
@@ -233,12 +233,13 @@ impl Compiler {
     /// store already holds under the same module context is spliced in
     /// there (its post-optimize body skips the optimizer, its fused code
     /// skips lowering and fusion), and every freshly compiled method is
-    /// published once fusion is done.
+    /// published once fusion is done. The [`Reuse`] counts what this
+    /// compile spliced (all zero without a store).
     pub(crate) fn drive(
         &self,
         source: &str,
         store: Option<&FuncStore>,
-    ) -> Result<Compilation, CompileError> {
+    ) -> Result<(Compilation, Reuse), CompileError> {
         let o = self.options;
         let mut trace = PhaseTrace::new();
         let mut diags = Diagnostics::new();
@@ -264,7 +265,7 @@ impl Compiler {
         };
         // Back-end configuration: jobs resolved once per compile (explicit
         // request → VGL_JOBS → available parallelism) and shared by mono's
-        // streamed hashing, normalize, optimize, and fuse. No knob changes
+        // fingerprinting, normalize, optimize, and fuse. No knob changes
         // output.
         let backend_cfg = BackendConfig {
             jobs: vgl_passes::sched::resolve_jobs(o.jobs),
@@ -272,11 +273,11 @@ impl Compiler {
             chunking: true,
         };
         let mut backend = BackendReport { jobs: backend_cfg.jobs, ..BackendReport::default() };
-        // With the cache on, mono streams finished instances to hash
-        // workers so the duplicate map is ready for normalize the moment it
-        // returns. Each `vgl_ir::measure` is a full IR walk, so every size
-        // below is computed exactly once and threaded into both the trace
-        // and the pipeline stats.
+        // With the cache on, mono fingerprints its finished module, so the
+        // duplicate map is ready for normalize the moment it returns. Each
+        // `vgl_ir::measure` is a full IR walk, so every size below is
+        // computed exactly once and threaded into both the trace and the
+        // pipeline stats.
         let size_before = vgl_ir::measure(&module);
         trace.set_items_out("sema", size_before.expr_nodes);
         let (mut compiled, mono) = trace.time(
@@ -371,11 +372,12 @@ impl Compiler {
                 &vgl_vm::check_fused(&program),
             );
         }
+        let reuse = splices.as_ref().map_or_else(Reuse::default, |s| s.reuse);
         if let (Some(store), Some(splices)) = (store, splices) {
             store.publish(splices, &compiled, &program, records);
         }
         trace.workers = std::mem::take(&mut backend.workers);
-        Ok(Compilation {
+        let compilation = Compilation {
             options: o,
             module,
             compiled,
@@ -384,7 +386,8 @@ impl Compiler {
             backend,
             stats: PipelineStats { mono, norm, opt, size_before, size_after_mono, size_after },
             trace,
-        })
+        };
+        Ok((compilation, reuse))
     }
 }
 

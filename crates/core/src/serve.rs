@@ -185,13 +185,9 @@ impl DaemonState {
     /// `compile` and `run` share the cached pipeline; `run` additionally
     /// executes on the VM.
     fn compile_response(&self, source: &str, run: Option<()>) -> Json {
-        // Per-request store deltas; approximate when requests overlap (the
-        // counters are global), exact for the serial smoke/golden tests.
-        let before = self.compiler.stats();
         let started = Instant::now();
-        match self.compiler.compile(source) {
-            Ok(c) => {
-                let after = self.compiler.stats();
+        match self.compiler.compile_reporting(source) {
+            Ok((c, reuse)) => {
                 let mut resp = ok_response();
                 resp.set("compiled", Json::Bool(true));
                 resp.set("code_size", Json::from(c.code_size()));
@@ -201,18 +197,9 @@ impl DaemonState {
                     Json::from(started.elapsed().as_micros() as u64),
                 );
                 let mut warm = Json::object();
-                warm.set(
-                    "artifact_hit",
-                    Json::Bool(after.artifacts.hits > before.artifacts.hits),
-                );
-                warm.set(
-                    "methods_spliced",
-                    Json::from(after.methods_spliced - before.methods_spliced),
-                );
-                warm.set(
-                    "methods_compiled",
-                    Json::from(after.methods_compiled - before.methods_compiled),
-                );
+                warm.set("artifact_hit", Json::Bool(reuse.artifact_hit));
+                warm.set("methods_spliced", Json::from(reuse.methods_spliced));
+                warm.set("methods_compiled", Json::from(reuse.methods_compiled));
                 resp.set("warm", warm);
                 if run.is_some() {
                     let outcome = c.execute();
@@ -879,6 +866,75 @@ mod tests {
                 assert!(sessions.get(&format!("s{i}")).is_some(), "session s{i} recorded");
             }
         });
+    }
+
+    /// A program of 16 helpers in which edit `edit` of client `client`
+    /// changes one helper: each client's sources are its own.
+    fn edited_program(client: usize, edit: usize) -> String {
+        let mut src = String::from("def main() -> int {\n\tvar t = 0;\n");
+        for f in 0..16 {
+            src.push_str(&format!("\tt = t + f{f}({f});\n"));
+        }
+        src.push_str("\treturn t;\n}\n");
+        for f in 0..16 {
+            let k = if f == edit % 16 { 1000 * (client + 1) + edit } else { f };
+            src.push_str(&format!(
+                "def f{f}(n: int) -> int {{\n\tvar s = 0;\n\
+                 \tfor (i = 0; i < n; i = i + 1) {{ s = s + i * {k}; }}\n\treturn s;\n}}\n"
+            ));
+        }
+        src
+    }
+
+    #[test]
+    fn concurrent_responses_count_their_own_reuse() {
+        const ROUNDS: usize = 8;
+        // Every third round resubmits the previous round's source.
+        let resubmit = |round: usize| round % 3 == 2;
+        let responses = with_daemon(ServeConfig::default(), |path| {
+            // Both clients send each round's request together, so their
+            // compiles overlap inside the daemon. Nothing panics before
+            // the scope ends, so no client is left at the barrier.
+            let barrier = std::sync::Barrier::new(2);
+            thread::scope(|s| {
+                let clients: Vec<_> = (0..2)
+                    .map(|client| {
+                        let barrier = &barrier;
+                        s.spawn(move || {
+                            let mut conn = Client::connect(path).ok();
+                            let mut got = Vec::new();
+                            for round in 0..ROUNDS {
+                                let edit = round - usize::from(resubmit(round));
+                                let req = Request::Compile {
+                                    session: format!("c{client}"),
+                                    source: edited_program(client, edit),
+                                };
+                                barrier.wait();
+                                got.push(conn.as_mut().and_then(|c| c.request(&req).ok()));
+                            }
+                            got
+                        })
+                    })
+                    .collect();
+                clients.into_iter().map(|c| c.join().expect("client thread")).collect::<Vec<_>>()
+            })
+        });
+        for (client, got) in responses.iter().enumerate() {
+            for (round, resp) in got.iter().enumerate() {
+                let resp = resp.as_ref().expect("every request got a response");
+                let warm = resp.get("warm").expect("reuse counts");
+                let count = |k: &str| warm.get(k).and_then(Json::as_u64).expect(k);
+                let methods = resp.get("methods").and_then(Json::as_u64).expect("methods");
+                let what = format!("client {client}, round {round}: {resp}");
+                let hit = resubmit(round);
+                assert_eq!(warm.get("artifact_hit"), Some(&Json::Bool(hit)), "{what}");
+                assert_eq!(
+                    count("methods_spliced") + count("methods_compiled"),
+                    if hit { 0 } else { methods },
+                    "{what}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -11,16 +11,15 @@
 //! *except their name* (owner, kind, privacy, signature, locals, body,
 //! vtable slot) hashes equal under a 128-bit fingerprint.
 //!
-//! The fingerprint feeds the IR's `Debug` rendering through a
-//! non-allocating `fmt::Write` adapter into two independent 64-bit streams
-//! (FNV-1a and a 31-multiplier stream), so no intermediate strings are
-//! built. Types print as interned ids (`ty#N`), which is exactly right:
-//! the interner is deterministic, so structurally identical methods
-//! reference identical ids.
+//! Every fingerprint here — methods, modules, the module context, and raw
+//! bytes ([`fingerprint_bytes`]) — is one construction: the derived `Hash`
+//! of the IR fed into two independent 64-bit streams (FNV-1a and a
+//! 31-multiplier stream), so no intermediate strings are built. Types hash
+//! as interned ids, which is exactly right: the interner is deterministic,
+//! so structurally identical methods reference identical ids.
 
 use std::collections::HashMap;
-use std::fmt::{self, Write};
-use std::sync::Mutex;
+use std::hash::{Hash, Hasher};
 use vgl_ir::{Method, Module};
 use vgl_obs::WorkerSample;
 
@@ -29,38 +28,12 @@ use crate::sched;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Two independent 64-bit hash streams fed by `fmt::Write` — a 128-bit
+/// Two independent 64-bit hash streams fed through [`Hasher`] — a 128-bit
 /// combined key makes accidental collision between distinct instances
 /// (which would silently merge their compiled bodies) a non-concern.
-struct FingerprintWriter {
-    a: u64,
-    b: u64,
-}
-
-impl FingerprintWriter {
-    fn new() -> FingerprintWriter {
-        FingerprintWriter { a: FNV_OFFSET, b: 0x9e37_79b9_7f4a_7c15 }
-    }
-}
-
-impl Write for FingerprintWriter {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        for &byte in s.as_bytes() {
-            self.a = (self.a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-            self.b = self.b.wrapping_mul(31).wrapping_add(u64::from(byte));
-        }
-        Ok(())
-    }
-}
-
-/// The same two independent streams as [`FingerprintWriter`], fed
-/// structurally through `std::hash::Hasher` instead of through `Debug`
-/// rendering. Fingerprinting is on the hot path of every warm daemon
-/// compile (every method of every request is fingerprinted before the
-/// function store can answer), and formatting machinery was the dominant
-/// cost — hashing the IR tree directly is several times faster and keyed
-/// on exactly the same structure (derived `Hash` visits every field the
-/// `Debug` rendering printed, types still as interned ids).
+/// Fingerprinting is on the hot path of every warm daemon compile (every
+/// method of every request is fingerprinted before the function store can
+/// answer), so the IR tree is hashed directly, with no formatting.
 struct FingerprintHasher {
     a: u64,
     b: u64,
@@ -72,7 +45,7 @@ impl FingerprintHasher {
     }
 }
 
-impl std::hash::Hasher for FingerprintHasher {
+impl Hasher for FingerprintHasher {
     fn write(&mut self, bytes: &[u8]) {
         for &byte in bytes {
             self.a = (self.a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
@@ -85,11 +58,18 @@ impl std::hash::Hasher for FingerprintHasher {
     }
 }
 
+/// 128-bit fingerprint of raw bytes (a source file, say) under the same
+/// two streams as every other fingerprint in this module.
+pub fn fingerprint_bytes(bytes: &[u8]) -> (u64, u64) {
+    let mut h = FingerprintHasher::new();
+    h.write(bytes);
+    (h.a, h.b)
+}
+
 /// 128-bit content fingerprint of a post-mono method, **excluding its
 /// name**: two methods with equal fingerprints are interchangeable inputs
 /// to normalize and optimize.
 pub fn method_fingerprint(m: &Method) -> (u64, u64) {
-    use std::hash::Hash;
     let mut h = FingerprintHasher::new();
     m.owner.hash(&mut h);
     m.is_private.hash(&mut h);
@@ -110,7 +90,6 @@ pub fn method_fingerprint(m: &Method) -> (u64, u64) {
 /// unordered); every type the program can observe is reachable through the
 /// hashed items as interned ids.
 pub fn module_fingerprint(m: &Module) -> u64 {
-    use std::hash::Hash;
     let mut h = FingerprintHasher::new();
     m.classes.hash(&mut h);
     m.methods.hash(&mut h);
@@ -133,19 +112,27 @@ pub fn module_fingerprint(m: &Module) -> u64 {
 /// are what the fingerprints compare); names are excluded so renames stay
 /// warm, the same policy as `method_fingerprint`.
 pub fn context_digest(module: &Module) -> (u64, u64) {
-    let mut h = FingerprintWriter::new();
+    let mut h = FingerprintHasher::new();
+    module.store.len().hash(&mut h);
     for k in module.store.kinds() {
-        write!(h, "{k:?};").expect("hash writer never fails");
+        k.hash(&mut h);
     }
-    write!(h, "|{:?}|{:?}|{:?}|{:?}|{}", module.hier, module.classes, module.globals, module.main, module.methods.len())
-        .expect("hash writer never fails");
+    module.hier.hash(&mut h);
+    module.classes.hash(&mut h);
+    module.globals.hash(&mut h);
+    module.main.hash(&mut h);
+    module.methods.len().hash(&mut h);
     for m in &module.methods {
-        write!(h, "|{:?}|{:?}|{:?}|{:?}|{}", m.owner, m.is_private, m.kind, m.type_params, m.param_count)
-            .expect("hash writer never fails");
+        m.owner.hash(&mut h);
+        m.is_private.hash(&mut h);
+        m.kind.hash(&mut h);
+        m.type_params.hash(&mut h);
+        m.param_count.hash(&mut h);
         for l in &m.locals[..m.param_count] {
-            write!(h, ",{:?}", l.ty).expect("hash writer never fails");
+            l.ty.hash(&mut h);
         }
-        write!(h, "|{:?}|{:?}", m.ret, m.vtable_index).expect("hash writer never fails");
+        m.ret.hash(&mut h);
+        m.vtable_index.hash(&mut h);
     }
     (h.a, h.b)
 }
@@ -203,106 +190,25 @@ impl DupMap {
     }
 }
 
-/// Upper bound on the number of lock stripes in a [`ShardedIndex`]. More
-/// stripes than this buys nothing: the pool is capped well below the point
-/// where 16 mutexes see meaningful collision.
-pub const MAX_SHARDS: usize = 16;
-
-/// A lock-striped fingerprint → first-index map shared across pool workers.
-///
-/// The pre-sharding design funneled every fingerprint through one mutex,
-/// which serialized the hash phase exactly when jobs was high. Keys are
-/// spread over `min(16, jobs)` independent [`Mutex`]-guarded shards by the
-/// fingerprint's **high byte** — the FNV stream diffuses content into the
-/// high bits as well as the low ones, and taking bits the in-shard
-/// `HashMap` doesn't also consume keeps the two levels independent.
-///
-/// Determinism does not come from locking order — it comes from
-/// [`ShardedIndex::insert_min`]'s *minimum-index-wins* rule, which makes
-/// the final map a pure function of the inserted set: whatever order
-/// threads arrive in, each key ends up mapped to the smallest index ever
-/// inserted for it, exactly what a serial first-seen scan in index order
-/// would produce.
-pub struct ShardedIndex {
-    shards: Vec<Mutex<HashMap<(u64, u64), usize>>>,
-}
-
-impl ShardedIndex {
-    /// Creates an index striped over `min(16, jobs)` shards (at least 1).
-    pub fn new(jobs: usize) -> ShardedIndex {
-        let n = jobs.clamp(1, MAX_SHARDS);
-        ShardedIndex { shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect() }
-    }
-
-    /// Number of lock stripes.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_of(&self, key: (u64, u64)) -> usize {
-        ((key.0 >> 56) as usize) % self.shards.len()
-    }
-
-    /// Records that method `index` has fingerprint `key`, keeping the
-    /// **minimum** index seen for the key, and returns that minimum.
-    /// Commutative and idempotent, so concurrent insertion from any number
-    /// of threads converges to the same map as a serial index-order scan.
-    pub fn insert_min(&self, key: (u64, u64), index: usize) -> usize {
-        let mut shard =
-            self.shards[self.shard_of(key)].lock().expect("cache shard poisoned");
-        let slot = shard.entry(key).or_insert(index);
-        if index < *slot {
-            *slot = index;
-        }
-        *slot
-    }
-
-    /// The representative (minimum inserted) index for `key`, if any.
-    pub fn get(&self, key: (u64, u64)) -> Option<usize> {
-        self.shards[self.shard_of(key)]
-            .lock()
-            .expect("cache shard poisoned")
-            .get(&key)
-            .copied()
-    }
-
-    /// Total number of distinct keys across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("cache shard poisoned").len()).sum()
-    }
-
-    /// True when no key has been inserted.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Builds the duplicate map for `module`: workers fingerprint method bodies
-/// and publish `(fingerprint, index)` into a [`ShardedIndex`] concurrently;
-/// a serial scan then resolves every method to its group's minimum index.
-/// Both halves are order-independent (hashing is read-only, `insert_min`
-/// is commutative), so the map is identical at every jobs count.
+/// Builds the duplicate map for `module`: workers fingerprint the bodied
+/// methods as a pure map, then one serial scan in index order maps every
+/// method to the first method with its fingerprint. Workers share nothing,
+/// so the map is identical at every jobs count.
 pub fn dup_groups(module: &Module, jobs: usize) -> (DupMap, Vec<WorkerSample>) {
-    let index = ShardedIndex::new(jobs);
     let (prints, workers) = sched::par_map_ctx(
         jobs,
         "hash",
         &module.methods,
         || (),
-        |_, i, m: &Method| {
-            m.body.as_ref().map(|_| {
-                let key = method_fingerprint(m);
-                index.insert_min(key, i);
-                key
-            })
-        },
+        |_, _, m: &Method| m.body.as_ref().map(|_| method_fingerprint(m)),
     );
+    let mut first: HashMap<(u64, u64), usize> = HashMap::new();
     let mut rep: Vec<usize> = (0..module.methods.len()).collect();
     let mut stats = CacheStats::default();
     for (i, print) in prints.into_iter().enumerate() {
         let Some(key) = print else { continue };
         stats.lookups += 1;
-        let r = index.get(key).expect("fingerprint published during hashing");
+        let r = *first.entry(key).or_insert(i);
         rep[i] = r;
         if r == i {
             stats.unique += 1;
@@ -319,16 +225,17 @@ mod tests {
 
     #[test]
     fn writer_streams_are_independent_and_stable() {
-        let mut h1 = FingerprintWriter::new();
-        write!(h1, "abc").unwrap();
-        let mut h2 = FingerprintWriter::new();
-        write!(h2, "a").unwrap();
-        write!(h2, "bc").unwrap();
-        // Chunking must not matter.
-        assert_eq!((h1.a, h1.b), (h2.a, h2.b));
-        let mut h3 = FingerprintWriter::new();
-        write!(h3, "abd").unwrap();
-        assert_ne!((h1.a, h1.b), (h3.a, h3.b));
+        // FNV-1a and the 31-multiplier stream of "abc", pinned: served
+        // source keys must not change between builds.
+        assert_eq!(fingerprint_bytes(b"abc"), (0xe71f_a219_0541_574b, 0xd9be_3983_fcdf_082d));
+        // Chunking must not matter: the helper is the structural hasher.
+        let mut h = FingerprintHasher::new();
+        h.write(b"a");
+        h.write(b"bc");
+        assert_eq!((h.a, h.b), fingerprint_bytes(b"abc"));
+        let (a, b) = fingerprint_bytes(b"abd");
+        assert_ne!(a, h.a);
+        assert_ne!(b, h.b);
     }
 
     #[test]
@@ -345,86 +252,5 @@ mod tests {
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
         let s = CacheStats { lookups: 4, hits: 3, unique: 1 };
         assert!((s.hit_rate() - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sharded_index_shard_counts() {
-        assert_eq!(ShardedIndex::new(0).shard_count(), 1);
-        assert_eq!(ShardedIndex::new(1).shard_count(), 1);
-        assert_eq!(ShardedIndex::new(8).shard_count(), 8);
-        assert_eq!(ShardedIndex::new(64).shard_count(), MAX_SHARDS);
-    }
-
-    #[test]
-    fn insert_min_keeps_minimum_in_any_order() {
-        let idx = ShardedIndex::new(4);
-        let key = (0xAB00_0000_0000_0001, 7);
-        assert_eq!(idx.insert_min(key, 9), 9);
-        assert_eq!(idx.insert_min(key, 3), 3);
-        assert_eq!(idx.insert_min(key, 5), 3);
-        assert_eq!(idx.get(key), Some(3));
-        assert_eq!(idx.get((0, 0)), None);
-        assert_eq!(idx.len(), 1);
-        assert!(!idx.is_empty());
-    }
-
-    /// Deterministic op stream for the stress test: `(key, index)` pairs
-    /// drawn from a small key pool whose fingerprints all share one high
-    /// byte, so every operation lands on the **same shard** — the worst
-    /// case for stripe contention.
-    fn stress_op(thread: u64, step: u64) -> ((u64, u64), usize) {
-        // xorshift-style mix, pure function of (thread, step).
-        let mut x = thread.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ step;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        // 64 distinct keys, identical top byte 0xCC → one shard for all.
-        let key = (0xCC00_0000_0000_0000 | (x % 64), 0x5EED ^ (x % 64));
-        (key, (x >> 8) as usize % 10_000)
-    }
-
-    #[test]
-    fn sharded_index_stress_matches_serial_replay() {
-        const THREADS: u64 = 8;
-        const OPS: u64 = 10_000;
-        let idx = ShardedIndex::new(8);
-        std::thread::scope(|s| {
-            for t in 0..THREADS {
-                let idx = &idx;
-                s.spawn(move || {
-                    for step in 0..OPS {
-                        let (key, i) = stress_op(t, step);
-                        if step % 3 == 2 {
-                            // Mixed lookup: whatever is present must never
-                            // exceed any index this thread already
-                            // inserted for the key (minimum only falls).
-                            if let Some(r) = idx.get(key) {
-                                assert!(r < 10_000);
-                            }
-                        } else {
-                            let r = idx.insert_min(key, i);
-                            assert!(r <= i, "returned rep above inserted index");
-                        }
-                    }
-                });
-            }
-        });
-        // Serial replay: the final map must equal the plain min over every
-        // inserted pair — no lost inserts, no stale minima.
-        let mut expect: HashMap<(u64, u64), usize> = HashMap::new();
-        for t in 0..THREADS {
-            for step in 0..OPS {
-                if step % 3 == 2 {
-                    continue;
-                }
-                let (key, i) = stress_op(t, step);
-                let slot = expect.entry(key).or_insert(i);
-                *slot = (*slot).min(i);
-            }
-        }
-        assert_eq!(idx.len(), expect.len());
-        for (key, min) in expect {
-            assert_eq!(idx.get(key), Some(min), "lost or wrong insert for {key:?}");
-        }
     }
 }

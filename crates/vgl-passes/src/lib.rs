@@ -26,7 +26,7 @@ pub mod sched;
 pub mod store;
 
 pub use cache::{context_digest, module_fingerprint, CacheStats};
-pub use mono::{monomorphize, monomorphize_streamed, MonoStats};
+pub use mono::{monomorphize, MonoStats};
 pub use normalize::{normalize, normalize_cfg, NormStats};
 pub use optimize::{optimize, optimize_cfg, optimize_cfg_masked, OptStats};
 pub use store::{ShardedLru, StoreStats};
@@ -74,12 +74,13 @@ pub struct BackendReport {
     /// Per-worker spans from every parallel phase, in commit order, until
     /// the compile driver moves them onto its `PhaseTrace`.
     pub workers: Vec<WorkerSample>,
-    /// The duplicate-instance map normalize discovered, handed forward so
-    /// optimize fingerprints the module at most once per pipeline.
-    /// Normalize copies each duplicate's flattened result from its
-    /// representative, so the grouping stays exact across the pass; methods
-    /// appended later (synthesized wrappers) are treated as unique. Only
-    /// valid for the module the same report was passed through.
+    /// The duplicate-instance map, built once per pipeline by
+    /// [`monomorphize_cfg`] and handed forward through normalize to
+    /// optimize, so the module is fingerprinted only once. Normalize copies
+    /// each duplicate's flattened result from its representative, so the
+    /// grouping stays exact across the pass; methods appended later
+    /// (synthesized wrappers) are treated as unique. Only valid for the
+    /// module the same report was passed through.
     pub dup_map: Option<cache::DupMap>,
 }
 
@@ -101,25 +102,23 @@ pub struct PipelineStats {
 }
 
 /// [`monomorphize`] under a [`BackendConfig`]: with the cache enabled,
-/// instance expansion streams each finished method to hash workers over a
-/// bounded channel ([`monomorphize_streamed`]), so the duplicate-instance
-/// map normalize needs is ready the moment mono returns — it lands in
-/// `report.dup_map` and [`normalize_cfg`] picks it up instead of
-/// re-fingerprinting. Output module and map are identical at every jobs
-/// count and to the unstreamed path.
+/// the finished module's duplicate-instance map is built right away
+/// ([`cache::dup_groups`], fingerprinting on `cfg.jobs` workers), so the
+/// hashing is part of the mono phase. The map lands in `report.dup_map`,
+/// where [`normalize_cfg`] picks it up instead of re-fingerprinting.
+/// Module and map are identical at every jobs count.
 pub fn monomorphize_cfg(
     module: &Module,
     cfg: &BackendConfig,
     report: &mut BackendReport,
 ) -> (Module, MonoStats) {
+    let (m, stats) = monomorphize(module);
     if cfg.cache {
-        let (m, stats, dup, workers) = monomorphize_streamed(module, cfg.jobs);
+        let (dup, workers) = cache::dup_groups(&m, cfg.jobs);
         report.workers.extend(workers);
         // The stats ride with the map; normalize_cfg counts them into
         // `norm_cache` when it consumes it (no double count here).
         report.dup_map = Some(dup);
-        (m, stats)
-    } else {
-        monomorphize(module)
     }
+    (m, stats)
 }

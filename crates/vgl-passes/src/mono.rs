@@ -20,11 +20,8 @@
 //! elimination" is a natural corollary of instantiation-driven copying).
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::mpsc::SyncSender;
 
-use crate::cache::{self, CacheStats, DupMap, ShardedIndex};
 use vgl_ir::visit::rewrite_exprs;
-use vgl_obs::{since_epoch, WorkerSample};
 use vgl_ir::{
     Body, Class, Expr, ExprKind, Field, FieldRef, Global, Method, MethodId, MethodKind, Module,
     Oper, Stmt,
@@ -60,120 +57,6 @@ pub fn monomorphize(module: &Module) -> (Module, MonoStats) {
     m.finish()
 }
 
-/// Bound on the mono → hash-worker channel: deep enough that discovery
-/// never stalls on a momentarily busy hasher, small enough that a stalled
-/// consumer applies backpressure instead of buffering the whole module.
-const STREAM_CAPACITY: usize = 256;
-
-/// Hash workers fed by the stream. More than a few is pointless — hashing
-/// is much cheaper than instantiation, so the producer is the bottleneck.
-const MAX_HASHERS: usize = 4;
-
-/// [`monomorphize`] overlapped with duplicate-instance fingerprinting:
-/// instead of hashing the finished module in a separate pass
-/// ([`cache::dup_groups`]), instance expansion streams each completed
-/// method over a bounded channel to hash workers that publish
-/// `(fingerprint, index)` into a [`ShardedIndex`] while discovery is still
-/// running. Virtual instances (whose vtable slot lands late) are hashed in
-/// a final batch.
-///
-/// The returned [`DupMap`] is **identical** to `dup_groups` on the same
-/// module: fingerprints are pure functions of final method content, and
-/// the index's minimum-wins rule reproduces the serial first-seen scan no
-/// matter how sends interleave. With `jobs <= 1` it simply runs the serial
-/// pair — one code path's output is the other's golden value, which the
-/// determinism suite exploits.
-pub fn monomorphize_streamed(
-    module: &Module,
-    jobs: usize,
-) -> (Module, MonoStats, DupMap, Vec<WorkerSample>) {
-    if jobs <= 1 {
-        let (m, stats) = monomorphize(module);
-        let (dup, workers) = cache::dup_groups(&m, 1);
-        return (m, stats, dup, workers);
-    }
-    let hashers = (jobs - 1).min(MAX_HASHERS);
-    let index = ShardedIndex::new(jobs);
-    let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, Method)>(STREAM_CAPACITY);
-    let rx = std::sync::Mutex::new(rx);
-
-    let (new_module, stats, deferred, mut prints, samples) = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..hashers)
-            .map(|w| {
-                let (rx, index) = (&rx, &index);
-                s.spawn(move || {
-                    let start = since_epoch();
-                    let mut pairs: Vec<(usize, (u64, u64))> = Vec::new();
-                    loop {
-                        // The guard is held across `recv`, so consumers
-                        // take turns blocking; each message is hashed
-                        // outside the lock.
-                        let msg = rx.lock().expect("stream receiver poisoned").recv();
-                        let Ok((i, m)) = msg else { break };
-                        let key = cache::method_fingerprint(&m);
-                        index.insert_min(key, i);
-                        pairs.push((i, key));
-                    }
-                    let sample = WorkerSample {
-                        phase: "mono-hash",
-                        worker: w,
-                        items: pairs.len(),
-                        start,
-                        duration: since_epoch().saturating_sub(start),
-                    };
-                    (pairs, sample)
-                })
-            })
-            .collect();
-
-        let mut mono = Mono::new(module);
-        mono.stream = Some(tx);
-        mono.run();
-        mono.stream = None; // hangs up the channel; hashers drain and exit
-        let deferred = std::mem::take(&mut mono.deferred);
-        let (new_module, stats) = mono.finish();
-
-        let mut prints: Vec<(usize, (u64, u64))> = Vec::new();
-        let mut samples = Vec::new();
-        for h in handles {
-            let (pairs, sample) = h.join().expect("hash worker panicked");
-            prints.extend(pairs);
-            samples.push(sample);
-        }
-        (new_module, stats, deferred, prints, samples)
-    });
-
-    // Late batch: the deferred instances have their final vtable slots now.
-    for &i in &deferred {
-        let m = &new_module.methods[i];
-        debug_assert!(m.body.is_some(), "only bodied instances are deferred");
-        let key = cache::method_fingerprint(m);
-        index.insert_min(key, i);
-        prints.push((i, key));
-    }
-
-    // Resolve every hashed method to its group's minimum index — the same
-    // rule as a serial first-seen scan in index order.
-    let mut rep: Vec<usize> = (0..new_module.methods.len()).collect();
-    let mut cache_stats = CacheStats::default();
-    let mut keys: Vec<Option<(u64, u64)>> = vec![None; new_module.methods.len()];
-    for (i, key) in prints {
-        keys[i] = Some(key);
-    }
-    for (i, key) in keys.into_iter().enumerate() {
-        let Some(key) = key else { continue };
-        cache_stats.lookups += 1;
-        let r = index.get(key).expect("fingerprint published during streaming");
-        rep[i] = r;
-        if r == i {
-            cache_stats.unique += 1;
-        } else {
-            cache_stats.hits += 1;
-        }
-    }
-    (new_module, stats, DupMap { rep, stats: cache_stats }, samples)
-}
-
 type TypeArgs = Vec<Type>;
 
 struct Mono<'m> {
@@ -203,15 +86,6 @@ struct Mono<'m> {
     depth: usize,
     /// For each (old class, slot): the *root* method that introduced the slot.
     slot_roots: HashMap<(ClassId, usize), MethodId>,
-    /// When streaming ([`monomorphize_streamed`]), each finished instance is
-    /// cloned out to the hash workers the moment its body is rewritten —
-    /// unless its fingerprint is not final yet (see `deferred`).
-    stream: Option<SyncSender<(usize, Method)>>,
-    /// Instances whose `vtable_index` is assigned *late* (in
-    /// `build_vtables`): source methods that are owned, non-private, and
-    /// slotted. Their fingerprint input is incomplete at body-rewrite time,
-    /// so they are hashed in a final batch instead of streamed.
-    deferred: Vec<usize>,
 }
 
 impl<'m> Mono<'m> {
@@ -250,8 +124,6 @@ impl<'m> Mono<'m> {
             class_instances: Vec::new(),
             depth: 0,
             slot_roots,
-            stream: None,
-            deferred: Vec::new(),
         }
     }
 
@@ -558,22 +430,6 @@ impl<'m> Mono<'m> {
         let mut body = src.body.clone().expect("worklist only holds bodied methods");
         self.rewrite_body(&mut body, &subst);
         self.new_methods[new_m.index()].body = Some(body);
-        if let Some(tx) = &self.stream {
-            // Every fingerprint input except `vtable_index` is final once
-            // the body is in place; `assign_slots` later touches only
-            // owned, non-private, slotted source methods. Stream the rest
-            // now so hashing overlaps the remaining discovery.
-            let late_slot =
-                src.owner.is_some() && !src.is_private && src.vtable_index.is_some();
-            if late_slot {
-                self.deferred.push(new_m.index());
-            } else {
-                let snapshot = self.new_methods[new_m.index()].clone();
-                // A send fails only if every hash worker died — their panic
-                // resurfaces at join, so just stop streaming here.
-                let _ = tx.send((new_m.index(), snapshot));
-            }
-        }
     }
 
     /// Substitutes, translates, and re-links one body in place.

@@ -79,10 +79,9 @@ pub fn normalize_cfg(
     report: &mut BackendReport,
 ) -> NormStats {
     let dup = if cfg.cache {
-        // Prefer the map mono's streamed hashing already built (identical
-        // to `dup_groups` on this module by construction); fall back to
-        // fingerprinting here when mono ran without streaming or the
-        // module was produced some other way.
+        // Prefer the map `monomorphize_cfg` already built for this
+        // module; fall back to fingerprinting here when mono ran without
+        // the cache or the module was produced some other way.
         match report.dup_map.take() {
             Some(dup) if dup.rep.len() == module.methods.len() => dup,
             _ => {

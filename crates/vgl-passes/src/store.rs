@@ -2,30 +2,33 @@
 //! eviction — the per-invocation pass cache ([`crate::cache`]) promoted to
 //! daemon lifetime.
 //!
-//! [`crate::cache::ShardedIndex`] answers "which method in *this* compile
-//! is the representative for this fingerprint"; it lives and dies with one
-//! `compile()` call. A compile server wants the complement: artifacts that
-//! outlive the request that produced them, keyed by the same
+//! [`crate::cache::dup_groups`] answers "which method in *this* compile is
+//! the representative for this fingerprint"; its map lives and dies with
+//! one `compile()` call. A compile server wants the complement: artifacts
+//! that outlive the request that produced them, keyed by the same
 //! content-addressed fingerprints, shared between concurrent sessions, and
 //! bounded so a long-lived daemon cannot grow without limit.
 //!
-//! [`ShardedLru`] is that store: lock-striped like `ShardedIndex` (a shard
-//! per high byte of the key hash, capped at [`MAX_SHARDS`]), each shard an
-//! LRU map holding `Arc<V>` values. Publication is first-writer-wins —
-//! values are content-addressed, so two racing publishers for one key are
-//! by construction publishing interchangeable values, and keeping the
-//! incumbent maximizes sharing (the loser's allocation is dropped, exactly
-//! like `insert_min` discards the higher index). Recency is tracked per
-//! shard: a `get` or re-`insert` refreshes the entry, and inserting into a
-//! full shard evicts that shard's least-recently-used entry. The size
-//! bound is therefore per-shard (`capacity` total spread over the shards);
-//! pressure on one shard never evicts another shard's hot entries.
+//! [`ShardedLru`] is that store: lock-striped (a shard per high byte of the
+//! key hash, capped at [`MAX_SHARDS`]), each shard an LRU map holding
+//! `Arc<V>` values. Publication is first-writer-wins — values are
+//! content-addressed, so two racing publishers for one key are by
+//! construction publishing interchangeable values, and keeping the
+//! incumbent maximizes sharing (the loser's allocation is dropped).
+//! Recency is tracked per shard: a `get` or re-`insert` refreshes the
+//! entry, and inserting into a full shard evicts that shard's
+//! least-recently-used entry. The size bound is therefore per-shard
+//! (`capacity` total spread over the shards); pressure on one shard never
+//! evicts another shard's hot entries.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
-use crate::cache::MAX_SHARDS;
+/// Upper bound on the number of lock stripes in a [`ShardedLru`]. More
+/// stripes than this buys nothing: the daemon's session threads are far
+/// fewer than the point where 16 mutexes see meaningful collision.
+pub const MAX_SHARDS: usize = 16;
 
 /// Aggregate counters across all shards of a [`ShardedLru`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -133,7 +136,7 @@ impl<K: Eq + Hash + Clone, V> ShardedLru<K, V> {
     }
 
     /// A store holding at most `capacity` entries with the default stripe
-    /// count ([`MAX_SHARDS`], the `ShardedIndex` layout).
+    /// count ([`MAX_SHARDS`]).
     pub fn new(capacity: usize) -> ShardedLru<K, V> {
         ShardedLru::with_shards(capacity, MAX_SHARDS)
     }
@@ -239,13 +242,12 @@ mod tests {
         assert_eq!(lru.stats().inserts, 1);
     }
 
-    /// Deterministic op mix, same idiom as the `ShardedIndex` stress test:
-    /// 8 threads × 10k ops of interleaved publishes and lookups under
-    /// heavy eviction pressure (capacity far below the key range). The
-    /// store is content-addressed (value is derived from the key), so
-    /// every hit must return exactly the value its key maps to, the size
-    /// bound must hold at every step a thread can observe, and the
-    /// counters must reconcile.
+    /// Deterministic op mix: 8 threads × 10k ops of interleaved publishes
+    /// and lookups under heavy eviction pressure (capacity far below the
+    /// key range). The store is content-addressed (value is derived from
+    /// the key), so every hit must return exactly the value its key maps
+    /// to, the size bound must hold at every step a thread can observe,
+    /// and the counters must reconcile.
     #[test]
     fn sharded_lru_stress_under_eviction_pressure() {
         const THREADS: usize = 8;

@@ -9,9 +9,9 @@
 //!   jobs ∈ {1, 2, 8, 16} × cache ∈ {on, off} × chunking ∈ {on, off}
 //!
 //! and assert the outputs are byte-identical: same post-optimize module
-//! fingerprint, same bytecode disassembly. The streamed monomorphizer gets
-//! the same treatment against the serial re-scan, and profiled execution
-//! against itself across job counts and repeated runs.
+//! fingerprint, same bytecode disassembly. Mono with its duplicate map gets
+//! the same treatment across job counts, and profiled execution against
+//! itself across job counts and repeated runs.
 //!
 //! Override the fuzz-case count with `VGL_DET_CASES` (default 300).
 
@@ -31,10 +31,6 @@ fn analyze(src: &str) -> vgl_ir::Module {
 /// Compiles `src` through the whole back half at the given configuration and
 /// returns the two observables the determinism contract is stated over: the
 /// fused bytecode disassembly and the post-optimize module content hash.
-///
-/// With the cache enabled this runs the *streamed* monomorphizer
-/// ([`vgl_passes::monomorphize_cfg`]), so the matrix exercises the bounded
-/// channel + sharded-index path, not just the serial re-scan.
 fn compile_with(src: &str, jobs: usize, cache: bool, chunking: bool) -> (String, u64) {
     let module = analyze(src);
     let cfg = vgl_passes::BackendConfig { jobs, cache, chunking };
@@ -68,7 +64,7 @@ fn det_cases() -> u64 {
 }
 
 /// A 16-instance cache-hostile fan-out: every instance survives dedup, so
-/// chunk planning and streamed hashing see real work.
+/// chunk planning and parallel hashing see real work.
 fn fanout_source() -> String {
     let mut src = String::new();
     for i in 0..16 {
@@ -121,29 +117,25 @@ fn examples_warm_rerun_matches_cold() {
     }
 }
 
-/// The streamed monomorphizer returns the same module and the same
-/// duplicate-instance map as the serial monomorphize + re-scan pair: the
-/// bounded channel and sharded min-wins index are pure scheduling.
+/// Mono under the cache returns the same module, stats and
+/// duplicate-instance map at every jobs count: fingerprinting on more
+/// workers is pure scheduling.
 #[test]
-fn streamed_mono_matches_serial_rescan() {
+fn mono_cfg_matches_serial_at_every_job_count() {
+    let mono = |module: &vgl_ir::Module, jobs: usize| {
+        let cfg = vgl_passes::BackendConfig { jobs, cache: true, chunking: true };
+        let mut report = vgl_passes::BackendReport::default();
+        let (m, stats) = vgl_passes::monomorphize_cfg(module, &cfg, &mut report);
+        let dup = report.dup_map.expect("the cache builds a duplicate map");
+        (vgl_passes::module_fingerprint(&m), stats, dup.rep, dup.stats)
+    };
     let mut sources = example_sources();
     sources.push(("fanout_distinct_16".into(), fanout_source()));
     for (name, src) in sources {
         let module = analyze(&src);
-        let (serial_m, serial_stats) = vgl_passes::monomorphize(&module);
-        let (serial_dup, _) = vgl_passes::cache::dup_groups(&serial_m, 1);
+        let serial = mono(&module, 1);
         for jobs in [2, 8, 16] {
-            let (m, stats, dup, _) = vgl_passes::monomorphize_streamed(&module, jobs);
-            assert_eq!(
-                vgl_passes::module_fingerprint(&serial_m),
-                vgl_passes::module_fingerprint(&m),
-                "{name}: streamed mono module differs at jobs={jobs}"
-            );
-            assert_eq!(serial_stats, stats, "{name}: mono stats differ at jobs={jobs}");
-            assert_eq!(
-                serial_dup.rep, dup.rep,
-                "{name}: streamed dup map differs from serial re-scan at jobs={jobs}"
-            );
+            assert_eq!(serial, mono(&module, jobs), "{name}: mono differs at jobs={jobs}");
         }
     }
 }

@@ -5,9 +5,10 @@
 //! The workload is a 256-instance cache-hostile fan-out — every instance
 //! mentions its own class type, so the per-instance cache deduplicates
 //! nothing and parallelism is the only lever. We time the configured back
-//! half (streamed mono → normalize → optimize → lower → fuse, the split
-//! path `vgl::Compiler` ships) at jobs = 1 and jobs = 8, min-of-3 trials
-//! after a warmup round, and require jobs = 8 to be at least 1.5× faster.
+//! half (mono with its fingerprinting → normalize → optimize → lower →
+//! fuse, the path `vgl::Compiler` ships) at jobs = 1 and jobs = 8, min-of-3
+//! trials after a warmup round, and require jobs = 8 to be at least 1.5×
+//! faster.
 //!
 //! Gating: a speedup assertion is meaningless on a starved machine, and
 //! tier-1 CI may run on one core. The test therefore auto-skips when

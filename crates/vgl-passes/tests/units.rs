@@ -222,3 +222,38 @@ fn mono_separates_distinct_instantiations() {
     let (_, stats) = monomorphize(&m);
     assert_eq!(stats.method_instances, 4, "{stats:?}"); // main + 3 ids
 }
+
+/// `context_digest` covers what reused code can reference by index and
+/// nothing else: body and method-name edits keep it; signature, global,
+/// field and interner changes move it. Every change but the last interns
+/// the same types, so the digest must see the change itself.
+#[test]
+fn context_digest_keys_ids_not_bodies_or_names() {
+    const BASE: &str = "var g: int = 1;\n\
+        class P { var a: int; var b: bool; new(a, b) { } }\n\
+        def u(x: int) -> int { return 0; }\n\
+        def k() -> bool { return true; }\n\
+        def main() -> int { var p = P.new(2, true); k(); return u(3) + p.a + g; }";
+    let digest = |edits: &[(&str, &str)]| {
+        let src = edits.iter().fold(BASE.to_string(), |s, (from, to)| s.replace(from, to));
+        let (mut m, _) = monomorphize(&front(&src));
+        normalize(&mut m);
+        (vgl_passes::context_digest(&m), m.store.kinds().cloned().collect::<Vec<_>>())
+    };
+    let (base, kinds) = digest(&[]);
+    for edits in [[("return 0;", "return 7;")], [("u(", "w(")]] {
+        assert_eq!(digest(&edits).0, base, "{edits:?} moved the digest");
+    }
+    let param = [("u(x: int)", "u(x: bool)"), ("u(3)", "u(false)")];
+    let ret = [("k() -> bool { return true; }", "k() -> int { return 3; }")];
+    let global = [("= 1;", "= 2;")];
+    let field = [("var b: bool;", "var b: bool; var c: int;")];
+    for edits in [&param[..], &ret, &global, &field] {
+        let (moved, moved_kinds) = digest(edits);
+        assert_eq!(moved_kinds, kinds, "{edits:?} interned other types");
+        assert_ne!(moved, base, "{edits:?} kept the digest");
+    }
+    let (moved, moved_kinds) = digest(&[("return 0;", "var s = Array<bool>.new(1); return 0;")]);
+    assert_ne!(moved_kinds, kinds, "the body edit interns a type");
+    assert_ne!(moved, base, "a new interned type kept the digest");
+}

@@ -9,7 +9,7 @@ use crate::store::{ClassId, Type, TypeStore, TypeVarId};
 use std::collections::HashMap;
 
 /// Metadata for one class, as needed by the type system.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct ClassInfo {
     /// Class name (for display).
     pub name: String,
@@ -21,7 +21,7 @@ pub struct ClassInfo {
 }
 
 /// All classes in a program.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, Hash)]
 pub struct Hierarchy {
     classes: Vec<ClassInfo>,
 }

@@ -126,11 +126,11 @@ fn fuse_cost(f: &VmFunc) -> u64 {
 /// post-mono instances survive lowering verbatim, names aside) are fused
 /// once: the representative's output is copied to each duplicate, which is
 /// exactly what re-running the deterministic pass on the identical input
-/// would produce. Grouping hashes candidates but deduplicates only on full
-/// equality, first-seen in index order, so the grouping itself is
-/// deterministic. The rewrite counters count performed work only;
-/// `instrs_before`/`instrs_after` describe the whole program, duplicates
-/// included. Also returns per-worker spans for `vgl-obs`.
+/// would produce. Grouping keys a map by that full tuple, first-seen in
+/// index order, so the grouping itself is deterministic. The rewrite
+/// counters count performed work only; `instrs_before`/`instrs_after`
+/// describe the whole program, duplicates included. Also returns
+/// per-worker spans for `vgl-obs`.
 pub fn fuse_cfg(
     p: &mut VmProgram,
     cfg: &vgl_passes::BackendConfig,
@@ -150,7 +150,6 @@ pub fn fuse_cfg_masked(
     skip: Option<&[bool]>,
 ) -> (FuseStats, Vec<vgl_obs::WorkerSample>) {
     use std::collections::HashMap;
-    use std::hash::{Hash, Hasher};
 
     let mut stats = FuseStats::default();
     let funcs = std::mem::take(&mut p.funcs);
@@ -161,22 +160,10 @@ pub fn fuse_cfg_masked(
     let skipped = |i: usize| skip.is_some_and(|m| m[i]);
     let mut rep: Vec<usize> = (0..n).collect();
     if cfg.cache {
-        let mut groups: HashMap<u64, Vec<usize>> = HashMap::new();
-        let same = |a: &VmFunc, b: &VmFunc| {
-            a.param_count == b.param_count
-                && a.reg_count == b.reg_count
-                && a.ret_count == b.ret_count
-                && a.code == b.code
-        };
+        let mut first: HashMap<(usize, usize, usize, &[Instr]), usize> = HashMap::new();
         for (i, f) in funcs.iter().enumerate().filter(|&(i, _)| !skipped(i)) {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            (f.param_count, f.reg_count, f.ret_count).hash(&mut h);
-            f.code.hash(&mut h);
-            let candidates = groups.entry(h.finish()).or_default();
-            match candidates.iter().find(|&&j| same(&funcs[j], f)) {
-                Some(&j) => rep[i] = j,
-                None => candidates.push(i),
-            }
+            let key = (f.param_count, f.reg_count, f.ret_count, f.code.as_slice());
+            rep[i] = *first.entry(key).or_insert(i);
         }
     }
     let items: Vec<usize> = (0..n).filter(|&i| rep[i] == i && !skipped(i)).collect();
