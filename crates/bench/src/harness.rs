@@ -1,51 +1,12 @@
-//! A minimal timing harness for the `benches/` targets — warmup plus a
-//! fixed number of wall-clock samples per case, reporting min/median/mean.
-//! It exists so the workspace builds fully offline; it makes no statistical
-//! claims beyond what EXPERIMENTS.md records (medians of repeated runs).
-//!
-//! Sample counts honor `VGL_BENCH_SAMPLES` (and `VGL_BENCH_WARMUP`) so CI
-//! can smoke-run every bench with 1 sample.
+//! The one sampling loop behind every timing `paper_tables` reports, apart
+//! from E10's summed samples: an untimed warmup, then min-of-N. It is
+//! in-tree so the workspace builds fully offline.
 
-use std::hint::black_box;
-use std::time::{Duration, Instant};
-
-/// Wall-clock samples for one benchmark case.
-#[derive(Clone, Debug)]
-pub struct Samples {
-    /// Case label, e.g. `interp_boxed/1000`.
-    pub name: String,
-    /// One duration per sample, in run order.
-    pub times: Vec<Duration>,
-}
-
-impl Samples {
-    /// Fastest sample.
-    pub fn min(&self) -> Duration {
-        self.times.iter().copied().min().unwrap_or_default()
-    }
-
-    /// Median sample (lower-middle for even counts).
-    pub fn median(&self) -> Duration {
-        if self.times.is_empty() {
-            return Duration::ZERO;
-        }
-        let mut sorted = self.times.clone();
-        sorted.sort();
-        sorted[(sorted.len() - 1) / 2]
-    }
-
-    /// Mean sample.
-    pub fn mean(&self) -> Duration {
-        if self.times.is_empty() {
-            return Duration::ZERO;
-        }
-        self.times.iter().sum::<Duration>() / self.times.len() as u32
-    }
-}
+use std::time::Duration;
 
 /// The shared warmup + min-of-N loop behind every `measure_*` comparison
-/// in this crate (`measure_fusion`, `measure_tiered`, `measure_gc`,
-/// `measure_backend`, `bench_serve`).
+/// in this crate (`measure_both`, `measure_compile`, `measure_fusion`,
+/// `measure_tiered`, `measure_gc`, `measure_backend`, `measure_serve`).
 ///
 /// Calls `run` once with sample index 0 as the **untimed warmup** — its
 /// timings are discarded, but side effects (thread spawn, allocator
@@ -87,88 +48,9 @@ pub fn measure_min_of_n<const K: usize>(
     best.expect("at least one timed sample")
 }
 
-/// Runs a named group of benchmark cases and prints a table at the end.
-pub struct Runner {
-    group: String,
-    warmup: usize,
-    samples: usize,
-    results: Vec<Samples>,
-}
-
-fn env_count(var: &str, default: usize) -> usize {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
-impl Runner {
-    /// A runner with the default 2 warmup + 10 measured iterations
-    /// (overridable via `VGL_BENCH_WARMUP` / `VGL_BENCH_SAMPLES`).
-    pub fn new(group: &str) -> Runner {
-        Runner {
-            group: group.to_string(),
-            warmup: env_count("VGL_BENCH_WARMUP", 2),
-            samples: env_count("VGL_BENCH_SAMPLES", 10),
-            results: Vec::new(),
-        }
-    }
-
-    /// Times `f`, one call per sample.
-    pub fn bench<T>(&mut self, name: &str, mut f: impl FnMut() -> T) {
-        for _ in 0..self.warmup {
-            black_box(f());
-        }
-        let mut times = Vec::with_capacity(self.samples);
-        for _ in 0..self.samples {
-            let start = Instant::now();
-            black_box(f());
-            times.push(start.elapsed());
-        }
-        self.results.push(Samples { name: name.to_string(), times });
-    }
-
-    /// Prints the result table and returns the samples.
-    pub fn finish(self) -> Vec<Samples> {
-        println!("{}", self.group);
-        println!(
-            "{:<32} {:>12} {:>12} {:>12}",
-            "case", "min (us)", "median (us)", "mean (us)"
-        );
-        for s in &self.results {
-            println!(
-                "{:<32} {:>12.1} {:>12.1} {:>12.1}",
-                s.name,
-                s.min().as_secs_f64() * 1e6,
-                s.median().as_secs_f64() * 1e6,
-                s.mean().as_secs_f64() * 1e6
-            );
-        }
-        println!();
-        self.results
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn samples_statistics() {
-        let s = Samples {
-            name: "x".into(),
-            times: vec![
-                Duration::from_micros(30),
-                Duration::from_micros(10),
-                Duration::from_micros(20),
-            ],
-        };
-        assert_eq!(s.min(), Duration::from_micros(10));
-        assert_eq!(s.median(), Duration::from_micros(20));
-        assert_eq!(s.mean(), Duration::from_micros(20));
-        assert_eq!(Samples { name: "e".into(), times: vec![] }.median(), Duration::ZERO);
-    }
 
     #[test]
     fn min_of_n_discards_warmup_and_takes_elementwise_min() {
@@ -196,16 +78,5 @@ mod tests {
     #[should_panic(expected = "at least one timed sample")]
     fn min_of_n_rejects_zero_samples() {
         measure_min_of_n(0, |_| [Duration::ZERO]);
-    }
-
-    #[test]
-    fn runner_measures() {
-        let mut r = Runner::new("g");
-        r.samples = 3;
-        r.warmup = 0;
-        r.bench("case", || 1 + 1);
-        let out = r.finish();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].times.len(), 3);
     }
 }

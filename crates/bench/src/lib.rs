@@ -1,25 +1,31 @@
 //! # vgl-bench
 //!
 //! The benchmark harness that regenerates every evaluation claim of the
-//! paper (see DESIGN.md's per-experiment index, E1–E6 and T1). The
-//! `paper_tables` binary prints the tables recorded in EXPERIMENTS.md
-//! (`--json` emits them machine-readable via `vgl_obs::json`); the
-//! `benches/` directory holds the timing benches, built on the in-tree
-//! [`harness`] so the workspace builds with no external dependencies.
+//! paper (see DESIGN.md's per-experiment index). The `paper_tables` binary
+//! prints the tables recorded in EXPERIMENTS.md and runs the paper-claim
+//! [`gate`]s; `--json` emits one `BENCH_ledger.jsonl` row. The `measure_*`
+//! functions below take every timing through [`harness`].
 
+pub mod gate;
 pub mod harness;
 pub mod workloads;
 
 use std::time::{Duration, Instant};
-use vgl::{Compilation, Compiler};
+use vgl::serve::{with_daemon, Client, Request, ServeConfig};
+use vgl::{Compilation, Compiler, Options};
+use vgl_obs::json::Json;
 
 /// Compiles a workload or panics with rendered diagnostics (workloads are
 /// trusted sources).
 pub fn compile(source: &str) -> Compilation {
-    match Compiler::new().compile(source) {
-        Ok(c) => c,
-        Err(e) => panic!("workload failed to compile:\n{e}"),
-    }
+    compile_with(&Compiler::new(), source)
+}
+
+/// [`compile`] with a configured compiler.
+pub fn compile_with(compiler: &Compiler, source: &str) -> Compilation {
+    compiler
+        .compile(source)
+        .unwrap_or_else(|e| panic!("workload failed to compile:\n{e}"))
 }
 
 /// Measured observations of one engine run.
@@ -59,12 +65,35 @@ pub fn measure_vm(c: &Compilation) -> Measured {
     }
 }
 
-/// Asserts both engines agree, then returns (interp, vm) measurements.
-pub fn measure_both(c: &Compilation) -> (Measured, Measured) {
-    let i = measure_interp(c);
-    let v = measure_vm(c);
-    assert_eq!(i.result, v.result, "engines disagree");
+/// Runs both engines on `c` in interleaved pairs, asserting on every run
+/// that they agree, and returns (interp, vm) with each time the min of
+/// `samples` (see [`harness::measure_min_of_n`]).
+pub fn measure_both(c: &Compilation, samples: usize) -> (Measured, Measured) {
+    let mut last = None;
+    let [ti, tv] = harness::measure_min_of_n(samples, |_| {
+        let (i, v) = (measure_interp(c), measure_vm(c));
+        assert_eq!(i.result, v.result, "engines disagree");
+        let times = [i.time, v.time];
+        last = Some((i, v));
+        times
+    });
+    let (mut i, mut v) = last.expect("at least one run");
+    (i.time, v.time) = (ti, tv);
     (i, v)
+}
+
+/// Compiles `source` and returns the compilation with the min-of-`samples`
+/// compile time (dropping a compilation is not timed).
+pub fn measure_compile(source: &str, samples: usize) -> (Compilation, Duration) {
+    let mut last = None;
+    let [time] = harness::measure_min_of_n(samples, |_| {
+        let start = Instant::now();
+        let c = compile(source);
+        let time = start.elapsed();
+        last = Some(c);
+        [time]
+    });
+    (last.expect("at least one compile"), time)
 }
 
 /// Formats a duration in microseconds with 1 decimal.
@@ -77,8 +106,6 @@ pub fn us(d: Duration) -> String {
 /// observability-overhead data point.
 #[derive(Clone, Debug)]
 pub struct ObsMeasurement {
-    /// Workload label.
-    pub name: String,
     /// Total VM time with profiling off.
     pub plain: Duration,
     /// Total VM time with the sampling hotness profiler on.
@@ -93,7 +120,7 @@ pub struct ObsMeasurement {
 
 impl ObsMeasurement {
     /// profiled/plain − 1 — the fractional slowdown the default sampling
-    /// profiler costs (what the `bench_obs` gate enforces).
+    /// profiler costs (what the E10 gate bounds).
     pub fn overhead(&self) -> f64 {
         self.profiled.as_secs_f64() / self.plain.as_secs_f64().max(1e-9) - 1.0
     }
@@ -114,7 +141,7 @@ impl ObsMeasurement {
 pub fn measure_obs(name: &str, source: &str, samples: usize) -> ObsMeasurement {
     let c = compile(source);
     // Only the hotness profiler, no opcode histogram: sampling mode is the
-    // low-overhead production configuration the `bench_obs` gate holds.
+    // low-overhead production configuration the E10 gate holds.
     let hotness_run = |precise: bool| {
         let mut vm = c.vm();
         if precise {
@@ -131,6 +158,7 @@ pub fn measure_obs(name: &str, source: &str, samples: usize) -> ObsMeasurement {
     assert_eq!(plain_out.result, profiled_out.result, "{name}: profiling changed the result");
     assert_eq!(plain_out.output, profiled_out.output, "{name}: profiling changed the output");
     assert_eq!(plain_out.result, precise_out.result, "{name}: precise mode changed the result");
+    assert_eq!(plain_out.output, precise_out.output, "{name}: precise mode changed the output");
     for (a, b) in hotness.rows.iter().zip(precise_hotness.rows.iter()) {
         assert_eq!(a.calls, b.calls, "{name}: modes disagree on call counts");
         assert_eq!(a.ticks, b.ticks, "{name}: modes disagree on ticks");
@@ -150,7 +178,6 @@ pub fn measure_obs(name: &str, source: &str, samples: usize) -> ObsMeasurement {
     }
     let top = hotness.hotness_ranked(&c.program).into_iter().next();
     ObsMeasurement {
-        name: name.to_string(),
         plain: tp,
         profiled: to,
         precise: tq,
@@ -163,8 +190,6 @@ pub fn measure_obs(name: &str, source: &str, samples: usize) -> ObsMeasurement {
 /// (superinstruction fusion + inline caches) off and on — the E8 data point.
 #[derive(Clone, Debug)]
 pub struct FusionMeasurement {
-    /// Workload label.
-    pub name: String,
     /// Best (min-of-N after warmup) VM time without fusion.
     pub unfused: Duration,
     /// Best (min-of-N after warmup) VM time with fusion.
@@ -194,14 +219,8 @@ impl FusionMeasurement {
 /// the sample with the least scheduler interference, and interleaving
 /// makes clock drift and cache warmth hit both engines equally.
 pub fn measure_fusion(name: &str, source: &str, samples: usize) -> FusionMeasurement {
-    let unfused = match Compiler::new().without_fuse().compile(source) {
-        Ok(c) => c,
-        Err(e) => panic!("workload failed to compile:\n{e}"),
-    };
-    let fused = match Compiler::new().compile(source) {
-        Ok(c) => c,
-        Err(e) => panic!("workload failed to compile:\n{e}"),
-    };
+    let unfused = compile_with(&Compiler::new().without_fuse(), source);
+    let fused = compile(source);
     let a = unfused.execute();
     let b = fused.execute();
     assert_eq!(a.result, b.result, "{name}: fusion changed the result");
@@ -213,7 +232,6 @@ pub fn measure_fusion(name: &str, source: &str, samples: usize) -> FusionMeasure
     });
     let (_, profile) = fused.execute_profiled();
     FusionMeasurement {
-        name: name.to_string(),
         unfused: tu,
         fused: tf,
         instrs_before: fused.fuse.instrs_before,
@@ -228,8 +246,6 @@ pub fn measure_fusion(name: &str, source: &str, samples: usize) -> FusionMeasure
 /// runtime profile and inline-cache feedback) — the E11 data point.
 #[derive(Clone, Debug)]
 pub struct TieredMeasurement {
-    /// Workload label.
-    pub name: String,
     /// Best (min-of-N after warmup) VM time with static fusion.
     pub fused: Duration,
     /// Best (min-of-N after warmup) VM time with runtime tiering.
@@ -258,14 +274,8 @@ impl TieredMeasurement {
 /// tiered run's speculation counters. Every tiered sample re-warms from the
 /// cold tier, so the warmup knee is honestly inside the measurement.
 pub fn measure_tiered(name: &str, source: &str, samples: usize) -> TieredMeasurement {
-    let fused = match Compiler::new().compile(source) {
-        Ok(c) => c,
-        Err(e) => panic!("workload failed to compile:\n{e}"),
-    };
-    let tiered = match Compiler::new().with_tiering().compile(source) {
-        Ok(c) => c,
-        Err(e) => panic!("workload failed to compile:\n{e}"),
-    };
+    let fused = compile(source);
+    let tiered = compile_with(&Compiler::new().with_tiering(), source);
     let a = fused.execute();
     let b = tiered.execute();
     assert_eq!(a.result, b.result, "{name}: tiering changed the result");
@@ -277,7 +287,6 @@ pub fn measure_tiered(name: &str, source: &str, samples: usize) -> TieredMeasure
         [measure_vm(&fused).time, measure_vm(&tiered).time]
     });
     TieredMeasurement {
-        name: name.to_string(),
         fused: tf,
         tiered: tt,
         tier_ups: stats.tier_ups,
@@ -291,8 +300,6 @@ pub fn measure_tiered(name: &str, source: &str, samples: usize) -> TieredMeasure
 /// generational collector at equal heap capacity — the E12 data point.
 #[derive(Clone, Debug)]
 pub struct GcMeasurement {
-    /// Workload label.
-    pub name: String,
     /// p99 GC pause under the semispace collector (nursery disabled),
     /// pooled over every collection in every sample run.
     pub semi_p99: Duration,
@@ -313,7 +320,7 @@ pub struct GcMeasurement {
 
 impl GcMeasurement {
     /// gen_p99 / semi_p99 — below 1.0 means the generational collector
-    /// pauses shorter at the tail (the `bench_gc` gate wants ≤ 0.5 on the
+    /// pauses shorter at the tail (the E12 gate wants ≤ 0.5 on the
     /// steady-state server workload).
     pub fn pause_ratio(&self) -> f64 {
         self.gen_p99.as_secs_f64() / self.semi_p99.as_secs_f64().max(1e-9)
@@ -327,15 +334,14 @@ impl GcMeasurement {
     }
 }
 
-/// p99 by rank over the pooled pauses: the value below which 99% of pauses
-/// fall. Zero when nothing collected.
-fn pause_p99(pauses: &mut [Duration]) -> Duration {
-    if pauses.is_empty() {
+/// The `q` quantile by rank of `sorted`: the value below which a `q`
+/// share of the samples fall. Zero when there are none.
+fn percentile(sorted: &[Duration], q: f64) -> Duration {
+    if sorted.is_empty() {
         return Duration::ZERO;
     }
-    pauses.sort();
-    let idx = ((pauses.len() as f64 - 1.0) * 0.99).ceil() as usize;
-    pauses[idx.min(pauses.len() - 1)]
+    let idx = ((sorted.len() as f64 - 1.0) * q).ceil() as usize;
+    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Compiles `source` twice — nursery disabled (pure semispace) vs a
@@ -358,10 +364,7 @@ pub fn measure_gc(
             nursery_slots: nursery,
             ..Default::default()
         };
-        match Compiler::with_options(options).compile(source) {
-            Ok(c) => c,
-            Err(e) => panic!("workload failed to compile:\n{e}"),
-        }
+        compile_with(&Compiler::with_options(options), source)
     };
     let semi = compile_with(0);
     let generational = compile_with(nursery_slots);
@@ -395,10 +398,11 @@ pub fn measure_gc(
         }
         [s, g]
     });
+    semi_pauses.sort();
+    gen_pauses.sort();
     GcMeasurement {
-        name: name.to_string(),
-        semi_p99: pause_p99(&mut semi_pauses),
-        gen_p99: pause_p99(&mut gen_pauses),
+        semi_p99: percentile(&semi_pauses, 0.99),
+        gen_p99: percentile(&gen_pauses, 0.99),
         semi_time: ts,
         gen_time: tg,
         semi_collections,
@@ -410,12 +414,6 @@ pub fn measure_gc(
 /// One back-end configuration measured on one workload — the E9 data point.
 #[derive(Clone, Debug)]
 pub struct BackendMeasurement {
-    /// Workload label.
-    pub name: String,
-    /// Thread count the back half ran with.
-    pub jobs: usize,
-    /// Whether the per-instance pass cache was on.
-    pub cache: bool,
     /// Best (min-of-N after warmup) wall-clock time of the back half
     /// (mono → fuse).
     pub time: Duration,
@@ -463,12 +461,170 @@ pub fn measure_backend(
         [start.elapsed()]
     });
     BackendMeasurement {
-        name: name.to_string(),
-        jobs,
-        cache,
         time,
         norm_cache: report.norm_cache,
         opt_cache: report.opt_cache,
+    }
+}
+
+/// Warm served edit cycles against the same compiles done cold — the E13
+/// data point.
+#[derive(Clone, Debug)]
+pub struct ServeMeasurement {
+    /// Best (min-of-N after warmup) wall time of one batch of cold one-shot
+    /// compile-and-runs.
+    pub cold: Duration,
+    /// Best (min-of-N after warmup) wall time of the same batch served.
+    pub warm: Duration,
+    /// Client-observed latency of every timed served request, sorted.
+    pub latencies: Vec<Duration>,
+    /// Function-store lookups the daemon reported after the last batch.
+    pub store_lookups: u64,
+    /// Function-store hits the daemon reported after the last batch.
+    pub store_hits: u64,
+}
+
+impl ServeMeasurement {
+    /// cold/warm — at or above 1.0 means serving never loses.
+    pub fn speedup(&self) -> f64 {
+        self.cold.as_secs_f64() / self.warm.as_secs_f64().max(1e-9)
+    }
+
+    /// The `q` quantile of the served request latencies.
+    pub fn latency(&self, q: f64) -> Duration {
+        percentile(&self.latencies, q)
+    }
+}
+
+/// Runs `client(i, sources)` for each client's sources, one thread per
+/// client, and returns the wall time of the whole batch with each client's
+/// output in order.
+fn on_clients<T: Send>(
+    batch: &[Vec<String>],
+    client: impl Fn(usize, &[String]) -> T + Sync,
+) -> (Duration, Vec<T>) {
+    let client = &client;
+    let start = Instant::now();
+    let out = std::thread::scope(|s| {
+        let handles: Vec<_> = batch
+            .iter()
+            .enumerate()
+            .map(|(i, sources)| s.spawn(move || client(i, sources)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .collect()
+    });
+    (start.elapsed(), out)
+}
+
+/// `clients` concurrent editing sessions, each `cycles` edit/recompile/run
+/// requests of [`workloads::serve_edit`]`(workers, ·)` against a live
+/// daemon, versus the same compiles done cold (a fresh `Compiler` per
+/// source — what `vglc build` pays per invocation). Every served result is
+/// asserted equal to the cold one, so the comparison is at equal output.
+/// Sample 0 is the untimed warmup that also seeds the daemon's function
+/// store, like the first build of an editing session.
+pub fn measure_serve(
+    clients: usize,
+    cycles: usize,
+    workers: usize,
+    samples: usize,
+) -> ServeMeasurement {
+    // Both sides run the fused back end with backend jobs pinned to 1: the
+    // parallelism under test is across concurrent requests, and letting
+    // every compile fan out its own pool too oversubscribes the machine
+    // identically for cold and warm while adding only noise.
+    let options = Options {
+        fuse: true,
+        jobs: 1,
+        ..Options::default()
+    };
+    let config = ServeConfig {
+        options,
+        ..ServeConfig::default()
+    };
+    let mut latencies = Vec::new();
+    // Edit stamps never repeat, across clients, cycles *and* samples, so the
+    // daemon's whole-artifact cache stays out of the data.
+    let mut edits = 0..;
+    let (cold, warm, stats) = with_daemon(config, |socket| {
+        let [cold, warm] = harness::measure_min_of_n(samples, |sample| {
+            let batch: Vec<Vec<String>> = (0..clients)
+                .map(|_| {
+                    (&mut edits)
+                        .take(cycles)
+                        .map(|e| workloads::serve_edit(workers, e))
+                        .collect()
+                })
+                .collect();
+            let (cold, expected) = on_clients(&batch, |_, sources| {
+                let run = |src: &String| {
+                    let c = compile_with(&Compiler::with_options(options), src);
+                    c.execute()
+                        .result
+                        .unwrap_or_else(|t| panic!("workload trapped: {t}"))
+                };
+                sources.iter().map(run).collect::<Vec<String>>()
+            });
+            // Each client its own connection and session, every response
+            // checked against the cold result of the same source.
+            let (warm, lat) = on_clients(&batch, |c, sources| {
+                let mut client = Client::connect(socket).expect("client connects");
+                let request = |(src, want): (&String, &String)| {
+                    let t0 = Instant::now();
+                    let resp = client
+                        .request(&Request::Run {
+                            session: format!("bench-{c}"),
+                            source: src.clone(),
+                        })
+                        .expect("daemon responds");
+                    let latency = t0.elapsed();
+                    assert_eq!(
+                        resp.get("ok").and_then(Json::as_bool),
+                        Some(true),
+                        "served compile failed: {resp}"
+                    );
+                    let got = resp
+                        .get("result")
+                        .and_then(Json::as_str)
+                        .unwrap_or("<none>");
+                    assert_eq!(got, want, "served result diverged from cold one-shot");
+                    latency
+                };
+                sources
+                    .iter()
+                    .zip(&expected[c])
+                    .map(request)
+                    .collect::<Vec<Duration>>()
+            });
+            if sample > 0 {
+                latencies.extend(lat.into_iter().flatten());
+            }
+            [cold, warm]
+        });
+        let mut client = Client::connect(socket).expect("stats client");
+        (
+            cold,
+            warm,
+            client.request(&Request::Stats).expect("stats response"),
+        )
+    });
+    latencies.sort();
+    let funcs = stats.get("cache").and_then(|c| c.get("funcs"));
+    let count = |key| {
+        funcs
+            .and_then(|f| f.get(key))
+            .and_then(Json::as_u64)
+            .unwrap_or(0)
+    };
+    ServeMeasurement {
+        cold,
+        warm,
+        latencies,
+        store_lookups: count("lookups"),
+        store_hits: count("hits"),
     }
 }
 
@@ -559,7 +715,7 @@ mod tests {
             workloads::server_steady(200),
         ] {
             let c = compile(&src);
-            let (i, v) = measure_both(&c);
+            let (i, v) = measure_both(&c, 1);
             assert!(i.result.is_ok(), "{:?}", i.result);
             let _ = v;
         }

@@ -1,4 +1,4 @@
-//! Virgil source generators for the experiment suite (DESIGN.md E1–E6).
+//! Virgil source generators for the experiment suite (DESIGN.md E1–E13).
 
 use std::fmt::Write as _;
 
@@ -413,7 +413,7 @@ def main() -> int {{
 /// store allocated once at startup. The semispace collector re-copies the
 /// whole store on every collection; the generational collector promotes it
 /// once and then pays only for nursery survivors — the configuration the
-/// `bench_gc` pause-p99 gate measures.
+/// E12 pause-p99 gate measures.
 pub fn server_steady(requests: usize) -> String {
     format!(
         r#"
@@ -510,7 +510,7 @@ fn class_battery(k: usize) -> String {
     src
 }
 
-/// The `bench_serve` / E13 edit model: a small `class_battery` (generics,
+/// The E13 edit model: a small `class_battery` (generics,
 /// tuples, virtual dispatch — the paper's feature mix) plus `workers`
 /// long straight-line functions whose bodies are optimizer and
 /// superinstruction-fuser fodder, plus one "hot" function whose body

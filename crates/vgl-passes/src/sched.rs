@@ -6,7 +6,7 @@
 //!
 //! * [`par_map_ctx`] — one range per item. Fine for coarse items; on
 //!   per-function compiler work the claim traffic itself dominates
-//!   (BENCH_compile.json's pre-chunking rows showed jobs=8 *losing* to
+//!   (E9's pre-chunking rows showed jobs=8 *losing* to
 //!   jobs=1 on a 96-instance fan-out).
 //! * [`plan_chunks`] + [`par_map_chunks`] — items are packed up front into
 //!   contiguous, cost-balanced chunks (targeting `total/(CHUNKS_PER_JOB ×

@@ -165,7 +165,7 @@ impl VmProfile {
 /// produces the same profile on every run (the property the determinism
 /// suite checks with profiling enabled). The default (sampling) mode hooks
 /// only calls and back-edges (the existing fuel-check points) — that
-/// configuration is what the `bench_obs` 5% overhead gate measures.
+/// configuration is what the E10 5% overhead gate (`paper_tables e10`) measures.
 /// Precise mode additionally maintains exact inclusive/exclusive
 /// retired-instruction counts at every frame exit; it costs more and is
 /// meant for offline analysis (`vglc stats`, `vglc profile`).

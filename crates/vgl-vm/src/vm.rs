@@ -193,7 +193,7 @@ pub struct Vm<'p> {
     /// every hook gates on `rows.get_mut(func)`, so the disabled case is
     /// one always-failing bounds check and the enabled case touches one
     /// packed row — checked only at calls, returns, and back-edges, never
-    /// per instruction, which keeps it inside the `bench_obs` 5% gate.
+    /// per instruction, which keeps it inside the E10 5% gate.
     hotness: RuntimeProfile,
     /// When true, the runtime profiler also maintains exact
     /// inclusive/exclusive retired-instruction counts at every frame exit

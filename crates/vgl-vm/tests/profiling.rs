@@ -146,7 +146,7 @@ fn runtime_profiling_observes_not_perturbs() {
 fn sampling_profile_counts_calls_and_ticks_only() {
     // Default (sampling) mode: exact call counts, back-edge ticks for cost
     // attribution, and no per-return accounting — the configuration the
-    // bench_obs overhead gate measures.
+    // E10 overhead gate measures.
     let program = compile(CHURN);
     let mut vm = Vm::with_heap(&program, 512);
     vm.enable_runtime_profiling();
