@@ -26,13 +26,22 @@
 //!                              emits one JSON object
 //! vglc fuzz [--seed N] [--cases N] [--dump]
 //!                              differential fuzzing: generate N programs,
-//!                              run them on nine engine configurations, and
+//!                              run them on eight engine configurations, and
 //!                              shrink + report the first disagreement
 //! vglc fuzz --chaos [--seed N] [--cases N]
 //!                              crash fuzzing: corrupt generated programs
 //!                              (token surgery, byte splices, truncation,
 //!                              nesting bombs) and demand diagnostics, not
 //!                              panics; minimizes + reports the first crash
+//! vglc fuzz --protocol [--seed N] [--cases N]
+//!                              hostile client scripts against a live daemon
+//! vglc serve [--socket PATH] [--no-fuse] [--no-opt] [--jobs N]
+//!            [--artifact-cap N] [--func-cap N]
+//!                              run the compile daemon; the level-1 store
+//!                              holds at most N whole compilations, the
+//!                              level-2 store at most N compiled functions
+//! vglc client [--socket PATH] [--session NAME] <request> [file.v]
+//!                              send one request to a running daemon
 //! ```
 //!
 //! `--no-fuse` turns off the bytecode back-end optimizer (on by default) for
@@ -41,9 +50,7 @@
 //! `--jobs N` sets the worker-thread count for the parallel back-end phases
 //! (default: the `VGL_JOBS` environment variable, else the machine's
 //! available parallelism). The jobs count never changes compiled output —
-//! `--jobs 1` and `--jobs 8` produce bit-identical bytecode. `--no-cache`
-//! disables the per-instance pass cache (also output-identical; it only
-//! recomputes what duplicate instances would have shared).
+//! `--jobs 1` and `--jobs 8` produce bit-identical bytecode.
 //!
 //! `--heap-slots N` sets the VM heap size in 8-byte slots (default 2^20);
 //! `--nursery-slots N` sets the generational collector's nursery size
@@ -72,9 +79,10 @@ fn usage() -> ExitCode {
         "usage: vglc [run|interp|both|check [--json]|stats [--json]|profile|\
          disasm [--tiered]|trace [-o out.json]] \
          [--no-fuse] [--tier|--no-tier] [--tier-threshold N] [--jobs N] \
-         [--heap-slots N] [--nursery-slots N] [--no-cache] [--flight-record[=N]] <file.v>\n\
+         [--heap-slots N] [--nursery-slots N] [--flight-record[=N]] <file.v>\n\
          \x20      vglc fuzz [--chaos|--protocol] [--seed N] [--cases N] [--dump]\n\
-         \x20      vglc serve [--socket PATH] [--no-fuse] [--jobs N] [--no-cache]\n\
+         \x20      vglc serve [--socket PATH] [--no-fuse] [--no-opt] [--jobs N] \
+         [--artifact-cap N] [--func-cap N]\n\
          \x20      vglc client [--socket PATH] [--session NAME] \
          <compile|check|run|stats|shutdown> [file.v]"
     );
@@ -102,19 +110,19 @@ fn serve(args: &[String]) -> ExitCode {
                 None => return usage(),
             },
             "--no-fuse" => config.options.fuse = false,
-            "--no-cache" => config.options.pass_cache = false,
             "--no-opt" => config.options.optimize = false,
             "--jobs" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) => config.options.jobs = n,
                 None => return usage(),
             },
+            // A store holds exactly its capacity, so it must hold something.
             "--artifact-cap" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => config.artifact_capacity = n,
-                None => return usage(),
+                Some(n) if n > 0 => config.artifact_capacity = n,
+                _ => return usage(),
             },
             "--func-cap" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => config.func_capacity = n,
-                None => return usage(),
+                Some(n) if n > 0 => config.func_capacity = n,
+                _ => return usage(),
             },
             _ => return usage(),
         }
@@ -315,7 +323,7 @@ fn fuzz(args: &[String]) -> ExitCode {
             eprintln!("// ---- seed {seed} ----\n{}", vgl::fuzz::emit(&prog));
         }
     }
-    println!("fuzzing: seed {}, {} cases, 9 engine configurations", cfg.seed, cfg.cases);
+    println!("fuzzing: seed {}, {} cases, 8 engine configurations", cfg.seed, cfg.cases);
     let report = vgl::fuzz::run_fuzz(&cfg, |i, v| {
         if (i + 1) % 50 == 0 {
             println!("  ... case {} ({})", i + 1, vgl::fuzz::describe(v));
@@ -341,10 +349,6 @@ fn main() -> ExitCode {
     }
     if args.first().map(String::as_str) == Some("serve") {
         return serve(&args[1..]);
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--serve") {
-        args.remove(pos);
-        return serve(&args);
     }
     if args.first().map(String::as_str) == Some("client") {
         return client(&args[1..]);
@@ -408,10 +412,6 @@ fn main() -> ExitCode {
     args.retain(|a| match a.as_str() {
         "--no-fuse" => {
             options.fuse = false;
-            false
-        }
-        "--no-cache" => {
-            options.pass_cache = false;
             false
         }
         "--tier" => {

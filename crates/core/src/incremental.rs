@@ -1,7 +1,8 @@
 //! Cross-request incremental compilation — the daemon's warm path.
 //!
 //! [`IncrementalCompiler`] wraps a [`Compiler`] with two persistent,
-//! content-addressed, bounded-LRU stores (`vgl_passes::ShardedLru`):
+//! content-addressed LRU stores ([`vgl_passes::Lru`]), each bounded to
+//! exactly its configured number of entries:
 //!
 //! * **Level 1 — whole artifacts.** Keyed by a 128-bit source fingerprint
 //!   plus the codegen-relevant option bits. A byte-identical resubmission
@@ -35,7 +36,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use vgl_ir::Module;
-use vgl_passes::{cache, context_digest, ShardedLru, StoreStats};
+use vgl_passes::{cache, context_digest, Lru, StoreStats};
 use vgl_vm::{ReusePlan, SpliceFunc, SpliceRecord, VmProgram};
 
 use crate::{Compilation, CompileError, Compiler, Options};
@@ -70,7 +71,7 @@ struct CachedFunc {
 /// The level-2 store as the compile driver sees it: looked up after
 /// normalize, published to after fuse.
 pub(crate) struct FuncStore {
-    funcs: ShardedLru<FuncKey, CachedFunc>,
+    funcs: Lru<FuncKey, CachedFunc>,
     opts_key: u64,
     methods_spliced: AtomicUsize,
     methods_compiled: AtomicUsize,
@@ -193,8 +194,8 @@ impl IncrementalStats {
 }
 
 /// Option bits that change compiled bytes and therefore partition the
-/// stores. `jobs`, `pass_cache`, and `chunking` are excluded by the
-/// determinism contract (they never change output); heap/fuel/tiering
+/// stores. `jobs` and `pass_cache` are excluded by the determinism
+/// contract (they never change output); heap/fuel/tiering
 /// thresholds only affect execution, except `tier` itself, which gates the
 /// static fuse pass.
 fn options_key(o: &Options) -> u64 {
@@ -209,12 +210,12 @@ fn source_key(source: &str, opts: u64) -> (u64, u64, u64) {
 }
 
 /// A [`Compiler`] with persistent cross-request caching. Shareable across
-/// threads (`&self` everywhere; the stores are lock-striped internally) —
-/// the daemon holds one in an `Arc` and every session thread compiles
-/// through it.
+/// threads (`&self` everywhere; each store is behind its own lock) — the
+/// daemon holds one in an `Arc` and every session thread compiles through
+/// it.
 pub struct IncrementalCompiler {
     compiler: Compiler,
-    artifacts: ShardedLru<(u64, u64, u64), Compilation>,
+    artifacts: Lru<(u64, u64, u64), Compilation>,
     store: FuncStore,
 }
 
@@ -228,7 +229,8 @@ impl IncrementalCompiler {
         )
     }
 
-    /// Wraps `compiler` with explicit level-1 / level-2 capacities.
+    /// Wraps `compiler` with explicit level-1 / level-2 capacities: each
+    /// store holds at most that many entries (at least one).
     pub fn with_capacity(
         compiler: Compiler,
         artifact_capacity: usize,
@@ -237,9 +239,9 @@ impl IncrementalCompiler {
         let opts_key = options_key(&compiler.options);
         IncrementalCompiler {
             compiler,
-            artifacts: ShardedLru::new(artifact_capacity),
+            artifacts: Lru::new(artifact_capacity),
             store: FuncStore {
-                funcs: ShardedLru::new(func_capacity),
+                funcs: Lru::new(func_capacity),
                 opts_key,
                 methods_spliced: AtomicUsize::new(0),
                 methods_compiled: AtomicUsize::new(0),

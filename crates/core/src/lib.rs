@@ -103,12 +103,6 @@ pub struct Options {
     /// Fuel (steps/instructions) for the convenience runners; `None` means
     /// unbounded.
     pub fuel: Option<u64>,
-    /// Validate IR invariants ([`vgl_ir::check_monomorphic`] after
-    /// monomorphization, [`vgl_ir::check_normalized`] after normalization
-    /// and again after optimization, [`vgl_vm::check_fused`] after bytecode
-    /// fusion) and panic on violation. On by default in debug builds and
-    /// tests, off in release builds to keep the hot path clean.
-    pub validate_ir: bool,
     /// Run the bytecode back-end optimizer after lowering: copy propagation,
     /// dead-register elimination, and superinstruction fusion
     /// ([`vgl_vm::fuse`](mod@vgl_vm::fuse)). Default on; turn it off for
@@ -124,7 +118,11 @@ pub struct Options {
     /// Per-instance pass cache (default on): duplicate post-mono method
     /// instances — content-identical up to their name — skip
     /// normalize/optimize and copy their representative's result. Output
-    /// is identical either way; see [`BackendReport`] for hit rates.
+    /// is identical either way, so no CLI flag or builder sets it; the
+    /// field stays only because perfbench reads it, and ROADMAP lists its
+    /// deletion next to `BackendConfig.chunking` among the items blocked
+    /// until the next benchmark change. See [`BackendReport`] for hit
+    /// rates.
     pub pass_cache: bool,
     /// Tiered profile-guided execution (default off in the library; `vglc`
     /// turns it on): functions start in the cheap unfused tier and re-fuse
@@ -146,7 +144,6 @@ impl Default for Options {
             heap_slots: 1 << 20,
             nursery_slots: vgl_vm::DEFAULT_NURSERY_SLOTS,
             fuel: Some(1 << 32),
-            validate_ir: cfg!(debug_assertions),
             fuse: true,
             jobs: 0,
             pass_cache: true,
@@ -191,28 +188,9 @@ impl Compiler {
         self
     }
 
-    /// Disables the per-instance pass cache (ablation / cold baseline).
-    pub fn without_pass_cache(mut self) -> Compiler {
-        self.options.pass_cache = false;
-        self
-    }
-
     /// Enables tiered profile-guided execution (see [`Options::tier`]).
     pub fn with_tiering(mut self) -> Compiler {
         self.options.tier = true;
-        self
-    }
-
-    /// Enables tiering with an explicit tier-up threshold.
-    pub fn with_tier_threshold(mut self, threshold: u64) -> Compiler {
-        self.options.tier = true;
-        self.options.tier_threshold = threshold;
-        self
-    }
-
-    /// Disables tiered execution (the static-pipeline default).
-    pub fn without_tiering(mut self) -> Compiler {
-        self.options.tier = false;
         self
     }
 
@@ -226,7 +204,9 @@ impl Compiler {
 
     /// The one compile pipeline behind one-shot and served builds: lex,
     /// parse, sema, mono, normalize, optimize, lower, fuse, each recorded
-    /// on [`Compilation::trace`].
+    /// on [`Compilation::trace`]. The IR passes assert their §4
+    /// postconditions in debug builds; the bytecode, spliced functions
+    /// included, is checked with [`vgl_vm::check_fused`] in every build.
     ///
     /// With no `store` this is the cold compile and takes no fingerprints.
     /// With one, post-normalize is the reuse horizon: every method the
@@ -286,12 +266,6 @@ impl Compiler {
             || vgl_passes::monomorphize_cfg(&module, &backend_cfg, &mut backend),
             |_| 0,
         );
-        if o.validate_ir {
-            assert_valid(
-                "monomorphization left polymorphism behind",
-                &vgl_ir::check_monomorphic(&compiled),
-            );
-        }
         let size_after_mono = vgl_ir::measure(&compiled);
         trace.set_items_out("mono", size_after_mono.expr_nodes);
         let norm = trace.time(
@@ -300,9 +274,6 @@ impl Compiler {
             || vgl_passes::normalize_cfg(&mut compiled, &backend_cfg, &mut backend),
             |_| 0,
         );
-        if o.validate_ir {
-            assert_valid("normalization left tuples", &vgl_ir::check_normalized(&compiled));
-        }
         let size_after_norm = vgl_ir::measure(&compiled);
         trace.set_items_out("normalize", size_after_norm.expr_nodes);
         // Post-normalize id spaces are final and bodies are in tuple normal
@@ -325,12 +296,6 @@ impl Compiler {
             },
             |_| 0,
         );
-        if o.validate_ir {
-            assert_valid(
-                "optimization broke tuple normal form",
-                &vgl_ir::check_normalized(&compiled),
-            );
-        }
         let size_after = vgl_ir::measure(&compiled);
         trace.set_items_out("optimize", size_after.expr_nodes);
         let (mut program, records) = trace.time(
@@ -366,12 +331,10 @@ impl Compiler {
         } else {
             vgl_vm::FuseStats::default()
         };
-        if o.validate_ir {
-            assert_valid(
-                "bytecode back end broke a VM invariant",
-                &vgl_vm::check_fused(&program),
-            );
-        }
+        vgl_ir::assert_valid(
+            "bytecode back end broke a VM invariant",
+            &vgl_vm::check_fused(&program),
+        );
         let reuse = splices.as_ref().map_or_else(Reuse::default, |s| s.reuse);
         if let (Some(store), Some(splices)) = (store, splices) {
             store.publish(splices, &compiled, &program, records);
@@ -389,20 +352,6 @@ impl Compiler {
         };
         Ok((compilation, reuse))
     }
-}
-
-/// Panics with an internal-compiler-error report when a `validate_ir`
-/// check found violations.
-fn assert_valid(what: &str, violations: &[vgl_ir::Violation]) {
-    assert!(
-        violations.is_empty(),
-        "internal compiler error: {what}:\n{}",
-        violations
-            .iter()
-            .map(|v| format!("  {}: {}", v.location, v.message))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
 }
 
 /// The result of [`Compiler::check`]: every front-end diagnostic for one
@@ -562,17 +511,7 @@ impl Compilation {
     /// type-argument-passing strategy with boxed tuples and §4.1 dynamic
     /// call-site checks.
     pub fn interpret(&self) -> RunOutcome {
-        self.interpret_module(&self.module)
-    }
-
-    /// Runs the interpreter on the *compiled* module (used by differential
-    /// tests; boundary tuples are still boxed here, unlike on the VM).
-    pub fn interpret_compiled(&self) -> RunOutcome {
-        self.interpret_module(&self.compiled)
-    }
-
-    fn interpret_module(&self, m: &Module) -> RunOutcome {
-        let mut i = Interp::new(m);
+        let mut i = Interp::new(&self.module);
         if let Some(f) = self.options.fuel {
             i.set_fuel(f);
         }

@@ -43,14 +43,14 @@ pub use vgl_obs::json::Json;
 
 /// How a daemon is configured. The compiler options are fixed for the
 /// daemon's lifetime — they are part of every cache key, so one daemon
-/// serves exactly one configuration (as `vglc --serve` flags request).
+/// serves exactly one configuration (as `vglc serve` flags request).
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Compiler options shared by every request.
     pub options: Options,
-    /// Level-1 (whole-artifact) store capacity.
+    /// Level-1 (whole-artifact) store capacity, in entries.
     pub artifact_capacity: usize,
-    /// Level-2 (per-function) store capacity.
+    /// Level-2 (per-function) store capacity, in entries.
     pub func_capacity: usize,
     /// A connection with no complete read for this long is dropped; keeps
     /// half-open peers from pinning threads forever.

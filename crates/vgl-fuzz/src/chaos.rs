@@ -1,7 +1,7 @@
 //! Chaos lane: crash-fuzzing the front end with corrupted inputs.
 //!
 //! The regular fuzz lane feeds the pipeline well-typed-by-construction
-//! programs and checks that nine engine configurations agree. This lane does
+//! programs and checks that eight engine configurations agree. This lane does
 //! the opposite: it takes those valid programs and *breaks* them — deleting,
 //! duplicating, and swapping tokens, splicing in garbage bytes, truncating
 //! mid-token, and amplifying nesting depth — then asserts the whole pipeline

@@ -10,10 +10,11 @@
 //!   spanning class hierarchies with virtual and abstract methods, first-class
 //!   functions and bound delegates, generics, tuples up to width 16, type
 //!   queries/casts, recursion, and GC-pressure loops;
-//! - [`oracle`] runs each program on nine engine configurations (source
+//! - [`oracle`] runs each program on eight engine configurations (source
 //!   interpreter, monomorphized interpreter, VM, both post-optimizer
-//!   variants, and the VM over bytecode rewritten by the back-end
-//!   superinstruction fuser), validates the §4 IR invariants between passes,
+//!   variants, the VM over bytecode rewritten by the back-end
+//!   superinstruction fuser, the tiered VM, and the generational heap),
+//!   validates the §4 IR invariants between passes,
 //!   and demands identical results, output, and traps — with fuel exhaustion
 //!   kept strictly distinct from language exceptions;
 //! - [`mod@shrink`] greedily reduces a failing program to a minimal repro while

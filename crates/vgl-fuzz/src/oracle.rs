@@ -1,7 +1,7 @@
 //! The differential oracle: one generated program, every execution strategy,
 //! identical observable behavior.
 //!
-//! A case is run on **nine** engine configurations:
+//! A case is run on **eight** engine configurations:
 //!
 //! 1. the reference interpreter over the *source* module (runtime type
 //!    arguments, boxed tuples — the paper's §4.3 interpreter strategy);
@@ -14,20 +14,17 @@
 //!    elimination, superinstruction fusion) — run with
 //!    [`vgl_vm::check_fused`] validating the fused code first, and the
 //!    §4.2 zero-tuple-box invariant asserted on its heap statistics after;
-//! 7. `vm-fused-par`: the same fused configuration rebuilt with the back
-//!    end at **jobs = 8** (parallel normalize-fingerprinting, optimize,
-//!    and fuse with the per-instance pass cache). Before it runs, the
-//!    oracle asserts its disassembly is **byte-identical** to the serial
-//!    build — the parallel back end's determinism contract — and then
-//!    compares its observable behavior like any other engine;
-//! 8. `vm-tiered`: the fused program again under **tiered profile-guided
-//!    execution** — functions re-fuse themselves mid-run from their own
-//!    runtime profile, speculating on monomorphic call sites behind
+//! 7. `vm-tiered`: the *unfused* lowering of the optimized module under
+//!    **tiered profile-guided execution** — the program `vglc run` ships
+//!    (`Options::tier` skips the static fuse, so every function starts in
+//!    the unfused tier). Functions re-fuse themselves mid-run from their
+//!    own runtime profile, speculating on monomorphic call sites behind
 //!    receiver-class guards and deoptimizing on guard failure. The hotness
 //!    threshold comes from `VGL_TIER_THRESHOLD` (CI's forced-deopt lane
 //!    sets it to 1 so effectively every call tiers up); tier-up, guard
-//!    hits, and deopts must all be behaviourally invisible;
-//! 9. `vm-fused-gen`: the fused program once more on a **generational
+//!    hits, and deopts must all be behaviourally invisible, and the §4.2
+//!    zero-tuple-box invariant is asserted on its heap;
+//! 8. `vm-fused-gen`: the fused program once more on a **generational
 //!    heap** — a bump-allocated nursery with write-barrier-fed minor
 //!    collections in front of the mature space — at the
 //!    [`OracleConfig::gen_heap_slots`]/[`OracleConfig::gen_nursery_slots`]
@@ -44,7 +41,7 @@
 //! function, so the optimizer can never fuse away a write barrier the
 //! generational lane depends on.
 //!
-//! All nine must agree on the result value, the printed output, and the trap
+//! All eight must agree on the result value, the printed output, and the trap
 //! (`!DivideByZeroException`, `!NullCheckException`, `!TypeCheckException`,
 //! ...). Fuel exhaustion is **never** conflated with a language exception:
 //! engines count steps differently, so an `OutOfFuel` anywhere makes the
@@ -112,7 +109,7 @@ pub enum Outcome {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EngineRun {
     /// Engine label (`interp-src`, `interp-mono`, `vm-noopt`, `interp-opt`,
-    /// `vm-opt`, `vm-fused`, `vm-fused-par`, `vm-tiered`, `vm-fused-gen`).
+    /// `vm-opt`, `vm-fused`, `vm-tiered`, `vm-fused-gen`).
     pub engine: &'static str,
     /// How the run ended.
     pub outcome: Outcome,
@@ -238,8 +235,8 @@ fn run_vm_program(
 }
 
 /// The fully general VM lane: `nursery_slots` > 0 runs the generational
-/// collector (the ninth configuration); `tier` is the hotness threshold
-/// for tiered execution (the eighth).
+/// collector (the eighth configuration); `tier` is the hotness threshold
+/// for tiered execution (the seventh).
 fn run_vm_program_full(
     engine: &'static str,
     prog: &vgl_vm::VmProgram,
@@ -277,17 +274,18 @@ fn strict_decl_tuple_violations(m: &Module) -> Vec<Violation> {
 }
 
 /// Compiles `src` through the front end and both pipeline variants, runs all
-/// nine engine configurations, validates IR invariants between passes, and
+/// eight engine configurations, validates IR invariants between passes, and
 /// compares every observable.
 pub fn check_source(src: &str, cfg: &OracleConfig) -> Verdict {
     check_source_tampered(src, cfg, |_| {})
 }
 
 /// [`check_source`] with a bytecode tamper hook: `tamper` is applied to the
-/// fused program (after structural validation) and identically to its
-/// parallel rebuild. The identity closure is the production path; tests
-/// inject deterministic miscompiles here to prove the oracle catches them
-/// and attaches the flight-recorder dump to the resulting mismatch.
+/// fused program after structural validation (the tiered lane runs the
+/// unfused lowering and is not tampered). The identity closure is the
+/// production path; tests inject deterministic miscompiles here to prove
+/// the oracle catches them and attaches the flight-recorder dump to the
+/// resulting mismatch.
 pub fn check_source_tampered(
     src: &str,
     cfg: &OracleConfig,
@@ -344,73 +342,28 @@ pub fn check_source_tampered(
     }
     tamper(&mut fused_prog);
     let (fused_run, fused_tuple_boxes) = run_vm_program("vm-fused", &fused_prog, cfg);
-    if fused_tuple_boxes != 0 {
-        return Verdict::Invariant {
-            stage: "fuse (execution)",
-            violations: vec![Violation {
-                location: "heap".into(),
-                message: format!(
-                    "fused execution allocated {fused_tuple_boxes} tuple boxes; §4.2 \
-                     requires exactly 0"
-                ),
-            }],
-        };
-    }
 
-    // The seventh configuration rebuilds the same fused program with the
-    // back end at jobs = 8 (parallel passes + instance cache) and first
-    // asserts bit-for-bit determinism against the serial build.
-    let par_cfg = vgl_passes::BackendConfig { jobs: 8, cache: true, chunking: true };
-    let mut par_report = vgl_passes::BackendReport::default();
-    let (mut par_m, _) = vgl_passes::monomorphize(&module);
-    vgl_passes::normalize_cfg(&mut par_m, &par_cfg, &mut par_report);
-    vgl_passes::optimize_cfg(&mut par_m, &par_cfg, &mut par_report);
-    let mut par_prog = vgl_vm::lower(&par_m);
-    vgl_vm::fuse_cfg(&mut par_prog, &par_cfg);
-    tamper(&mut par_prog);
-    if vgl_vm::disasm(&par_prog) != vgl_vm::disasm(&fused_prog) {
-        return Verdict::Invariant {
-            stage: "parallel back end (determinism)",
-            violations: vec![Violation {
-                location: "program".into(),
-                message: "jobs=8 compile produced different bytecode than jobs=1".into(),
-            }],
-        };
-    }
-    let (par_run, _) = run_vm_program("vm-fused-par", &par_prog, cfg);
-
-    // The eighth configuration re-runs the (tampered) fused program under
-    // tiered execution: functions cross the hotness threshold mid-run and
-    // re-fuse themselves from their own profile, speculating on monomorphic
-    // sites and deoptimizing on guard failure — all of which must be
-    // behaviourally invisible. `VGL_TIER_THRESHOLD` feeds the CI
-    // forced-deopt lane (threshold 1 ⇒ tier-up on effectively every call).
+    // The seventh configuration runs what `Options::tier` builds — the
+    // unfused lowering — under tiered execution: functions cross the
+    // hotness threshold mid-run and re-fuse themselves from their own
+    // profile, speculating on monomorphic sites and deoptimizing on guard
+    // failure — all of which must be behaviourally invisible.
+    // `VGL_TIER_THRESHOLD` feeds the CI forced-deopt lane (threshold 1 ⇒
+    // tier-up on effectively every call).
     let tier_threshold = std::env::var("VGL_TIER_THRESHOLD")
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
         .unwrap_or(vgl_vm::DEFAULT_TIER_THRESHOLD);
     let (tiered_run, tiered_tuple_boxes) = run_vm_program_full(
         "vm-tiered",
-        &fused_prog,
+        &baseline_prog,
         cfg.heap_slots,
         0,
         cfg.vm_fuel,
         Some(tier_threshold),
     );
-    if tiered_tuple_boxes != 0 {
-        return Verdict::Invariant {
-            stage: "tier (execution)",
-            violations: vec![Violation {
-                location: "heap".into(),
-                message: format!(
-                    "tiered execution allocated {tiered_tuple_boxes} tuple boxes; §4.2 \
-                     requires exactly 0"
-                ),
-            }],
-        };
-    }
 
-    // The ninth configuration runs the fused program on the generational
+    // The eighth configuration runs the fused program on the generational
     // heap at the (seed-randomized) nursery/heap limits: minors, promotion,
     // write-barrier traffic, and heap growth must all be behaviourally
     // invisible, and the §4.2 invariant holds on this heap too.
@@ -422,20 +375,25 @@ pub fn check_source_tampered(
         cfg.vm_fuel,
         None,
     );
-    if gen_tuple_boxes != 0 {
-        return Verdict::Invariant {
-            stage: "generational heap (execution)",
-            violations: vec![Violation {
-                location: "heap".into(),
-                message: format!(
-                    "generational execution allocated {gen_tuple_boxes} tuple boxes; §4.2 \
-                     requires exactly 0"
-                ),
-            }],
-        };
+    for (stage, what, boxes) in [
+        ("fuse (execution)", "fused", fused_tuple_boxes),
+        ("tier (execution)", "tiered", tiered_tuple_boxes),
+        ("generational heap (execution)", "generational", gen_tuple_boxes),
+    ] {
+        if boxes != 0 {
+            return Verdict::Invariant {
+                stage,
+                violations: vec![Violation {
+                    location: "heap".into(),
+                    message: format!(
+                        "{what} execution allocated {boxes} tuple boxes; §4.2 requires exactly 0"
+                    ),
+                }],
+            };
+        }
     }
 
-    // Nine engine configurations.
+    // Eight engine configurations.
     let runs = vec![
         run_interp("interp-src", &module, cfg.interp_fuel),
         run_interp("interp-mono", &norm_m, cfg.interp_fuel),
@@ -443,7 +401,6 @@ pub fn check_source_tampered(
         run_interp("interp-opt", &opt_m, cfg.interp_fuel),
         run_vm("vm-opt", &opt_m, cfg),
         fused_run,
-        par_run,
         tiered_run,
         gen_run,
     ];
@@ -554,6 +511,23 @@ mod tests {
         assert!(report.contains("main"), "dump names the entry frame:\n{report}");
     }
 
+    /// The tiered lane runs the unfused lowering that `Options::tier`
+    /// ships, so a miscompile confined to the fused program leaves it in
+    /// agreement with the reference.
+    #[test]
+    fn tiered_lane_runs_the_unfused_lowering() {
+        let v = check_source_tampered(
+            "def main() -> int { System.puti(7); return 0; }",
+            &OracleConfig::default(),
+            |p| swap_imm(p, 7, 8),
+        );
+        let Verdict::Mismatch { runs } = &v else { panic!("expected mismatch: {}", describe(&v)) };
+        let output = |engine| &runs.iter().find(|r| r.engine == engine).unwrap().output;
+        assert_eq!(output("vm-fused"), "8");
+        assert_eq!(output("vm-tiered"), output("interp-src"));
+        assert_eq!(output("vm-tiered"), "7");
+    }
+
     #[test]
     fn injected_trap_bug_attaches_the_trap_flight_dump() {
         // Zero the loop bound in the fused build: the divisor stays 0, the
@@ -580,8 +554,7 @@ mod tests {
 
     #[test]
     fn untampered_path_is_the_production_path() {
-        // The identity tamper must behave exactly like check_source,
-        // including the parallel-determinism comparison.
+        // The identity tamper must behave exactly like check_source.
         let v = check_source_tampered(
             "def main() -> int { return 40 + 2; }",
             &OracleConfig::default(),

@@ -299,24 +299,3 @@ pub enum ExprKind {
         body: Box<Expr>,
     },
 }
-
-impl ExprKind {
-    /// A conservative per-node cost used by size metrics.
-    pub fn is_leaf(&self) -> bool {
-        matches!(
-            self,
-            ExprKind::Int(_)
-                | ExprKind::Byte(_)
-                | ExprKind::Bool(_)
-                | ExprKind::Unit
-                | ExprKind::Null
-                | ExprKind::Local(_)
-                | ExprKind::Global(_)
-                | ExprKind::OpClosure(_)
-                | ExprKind::FuncRef { .. }
-                | ExprKind::CtorRef { .. }
-                | ExprKind::ArrayNewRef { .. }
-                | ExprKind::BuiltinRef(_)
-        )
-    }
-}

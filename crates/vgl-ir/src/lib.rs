@@ -29,4 +29,4 @@ pub use body::{Body, Builtin, Expr, ExprKind, FieldRef, Oper, Stmt};
 pub use metrics::{measure, method_cost, ModuleSize};
 pub use module::{Class, Field, Global, GlobalId, Local, LocalId, Method, MethodId, MethodKind, Module};
 pub use ops::Exception;
-pub use validate::{check_monomorphic, check_normalized, check_tuple_free, Violation};
+pub use validate::{assert_valid, check_monomorphic, check_normalized, check_tuple_free, Violation};

@@ -121,14 +121,6 @@ impl Module {
         None
     }
 
-    /// Finds a global by name.
-    pub fn global_by_name(&self, name: &str) -> Option<GlobalId> {
-        self.globals
-            .iter()
-            .position(|g| g.name == name)
-            .map(|i| GlobalId(i as u32))
-    }
-
     /// The concatenated type parameters a call site must instantiate for
     /// `m`: the owner class's parameters followed by the method's own.
     pub fn all_type_params(&self, m: MethodId) -> Vec<TypeVarId> {
@@ -217,25 +209,6 @@ pub struct Method {
     pub body: Option<Body>,
     /// Virtual slot index, if dispatched through the vtable.
     pub vtable_index: Option<usize>,
-}
-
-impl Method {
-    /// The declared type of the method as a function, seen from outside:
-    /// parameter tuple (excluding receiver) → return type.
-    pub fn func_type(&self, store: &mut TypeStore, skip_receiver: bool) -> Type {
-        let start = if skip_receiver { 1 } else { 0 };
-        let params: Vec<Type> = self.locals[start..self.param_count]
-            .iter()
-            .map(|l| l.ty)
-            .collect();
-        let p = store.tuple(params);
-        store.function(p, self.ret)
-    }
-
-    /// Types of the value parameters (including receiver if present).
-    pub fn param_types(&self) -> Vec<Type> {
-        self.locals[..self.param_count].iter().map(|l| l.ty).collect()
-    }
 }
 
 /// A local variable or parameter slot.

@@ -7,8 +7,9 @@
 //! * after **normalization** no tuple type occurs anywhere (§4.2: "a normal
 //!   form where tuples no longer appear").
 //!
-//! These checks are run by the pass manager after the respective passes and
-//! by the test suite as properties.
+//! Each pass checks the invariant it establishes as a debug assertion
+//! ([`assert_valid`]); the fuzz oracle and the test suite run the checkers
+//! directly as properties.
 
 use crate::body::{Expr, ExprKind, Oper};
 use crate::module::Module;
@@ -21,6 +22,20 @@ pub struct Violation {
     pub location: String,
     /// What is wrong.
     pub message: String,
+}
+
+/// Panics with an internal-compiler-error report naming `what` when a
+/// checker found violations.
+pub fn assert_valid(what: &str, violations: &[Violation]) {
+    assert!(
+        violations.is_empty(),
+        "internal compiler error: {what}:\n{}",
+        violations
+            .iter()
+            .map(|v| format!("  {}: {}", v.location, v.message))
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
 }
 
 /// Checks that no type variables remain anywhere in the module.

@@ -132,9 +132,15 @@ impl PhaseTrace {
         r
     }
 
-    /// Total wall-clock time across phases.
+    /// The compile's wall span: the last phase's end minus the first
+    /// phase's start (zero for an empty trace). Time that falls between
+    /// phases counts, so unrecorded work shows as the gap between this and
+    /// the summed phase durations.
     pub fn total(&self) -> Duration {
-        self.phases.iter().map(|p| p.duration).sum()
+        match (self.phases.first(), self.phases.last()) {
+            (Some(first), Some(last)) => (last.start + last.duration).saturating_sub(first.start),
+            _ => Duration::ZERO,
+        }
     }
 
     /// Wall-clock time of the phases named `name` (zero when none ran).
@@ -259,5 +265,25 @@ mod tests {
         let j = trace.to_json().render();
         let parsed = json::parse(&j).expect("valid");
         assert_eq!(parsed.as_arr().unwrap().len(), 1);
+    }
+
+    /// The total spans the gap between phases instead of summing their
+    /// durations; built by hand, so no clock is read.
+    #[test]
+    fn total_is_the_wall_span_of_the_phases() {
+        let ms = Duration::from_millis;
+        let phase = |name, start| PhaseSample {
+            name,
+            start,
+            duration: ms(1),
+            ..PhaseSample::default()
+        };
+        let trace = PhaseTrace {
+            phases: vec![phase("lex", ms(0)), phase("parse", ms(5))],
+            workers: Vec::new(),
+        };
+        assert_eq!(trace.total(), ms(6));
+        assert_eq!(trace.duration("lex") + trace.duration("parse"), ms(2));
+        assert_eq!(PhaseTrace::new().total(), Duration::ZERO);
     }
 }

@@ -29,7 +29,7 @@ pub use cache::{context_digest, module_fingerprint, CacheStats};
 pub use mono::{monomorphize, MonoStats};
 pub use normalize::{normalize, normalize_cfg, NormStats};
 pub use optimize::{optimize, optimize_cfg, optimize_cfg_masked, OptStats};
-pub use store::{ShardedLru, StoreStats};
+pub use store::{Lru, StoreStats};
 
 use vgl_ir::Module;
 use vgl_obs::WorkerSample;

@@ -46,6 +46,8 @@ pub struct MonoStats {
 }
 
 /// Runs monomorphization, returning the specialized module and statistics.
+/// Debug builds assert the §4.3 postcondition: no type parameters remain
+/// ([`vgl_ir::check_monomorphic`]).
 ///
 /// # Panics
 /// Panics if instantiation depth exceeds the divergence bound (which the
@@ -54,7 +56,14 @@ pub struct MonoStats {
 pub fn monomorphize(module: &Module) -> (Module, MonoStats) {
     let mut m = Mono::new(module);
     m.run();
-    m.finish()
+    let (out, stats) = m.finish();
+    if cfg!(debug_assertions) {
+        vgl_ir::assert_valid(
+            "monomorphization left polymorphism behind",
+            &vgl_ir::check_monomorphic(&out),
+        );
+    }
+    (out, stats)
 }
 
 type TypeArgs = Vec<Type>;

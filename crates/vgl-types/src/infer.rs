@@ -41,11 +41,6 @@ impl InferCtx {
     pub fn is_complete(&self) -> bool {
         self.bindable.iter().all(|v| self.bindings.contains_key(v))
     }
-
-    /// The solutions in declaration order; `None` entries are unsolved.
-    pub fn solutions(&self) -> Vec<Option<Type>> {
-        self.bindable.iter().map(|v| self.bindings.get(v).copied()).collect()
-    }
 }
 
 /// Matches the concrete `actual` type against `expected` (which may contain

@@ -610,11 +610,6 @@ impl Instr {
     pub fn is_ref_store(&self) -> bool {
         matches!(self, Instr::ArraySetRef { .. } | Instr::FieldSetRef { .. })
     }
-
-    /// The mnemonic for this instruction's opcode.
-    pub fn opcode_name(&self) -> &'static str {
-        OPCODE_NAMES[self.opcode()]
-    }
 }
 
 /// Per-function admissibility for closure type tests: whether each function,

@@ -4,11 +4,11 @@
 
 use vgl_vm::{check_fused, fuse, ret_as_int, Vm, VmProgram, RET_INLINE};
 
-/// Compiles `src` through the shipped pipeline with every IR check on,
-/// unfused: these tests lower and fuse the plain bytecode themselves.
+/// Compiles `src` through the shipped pipeline, unfused: these tests lower
+/// and fuse the plain bytecode themselves.
 fn compile(src: &str) -> VmProgram {
-    let options = vgl::Options { validate_ir: true, fuse: false, ..vgl::Options::default() };
-    vgl::Compiler::with_options(options)
+    vgl::Compiler::new()
+        .without_fuse()
         .compile(src)
         .unwrap_or_else(|e| panic!("compile: {e}"))
         .program

@@ -4,11 +4,11 @@
 
 use vgl_vm::{ret_as_int, Vm, VmProgram, OPCODE_COUNT, OPCODE_NAMES};
 
-/// Compiles `src` through the shipped pipeline with every IR check on,
-/// unfused: these tests lower and fuse the plain bytecode themselves.
+/// Compiles `src` through the shipped pipeline, unfused: these tests lower
+/// and fuse the plain bytecode themselves.
 fn compile(src: &str) -> VmProgram {
-    let options = vgl::Options { validate_ir: true, fuse: false, ..vgl::Options::default() };
-    vgl::Compiler::with_options(options)
+    vgl::Compiler::new()
+        .without_fuse()
         .compile(src)
         .unwrap_or_else(|e| panic!("compile: {e}"))
         .program
@@ -52,7 +52,7 @@ fn profiling_disabled_is_free() {
         let path = format!("{}/../../examples/v/{name}", env!("CARGO_MANIFEST_DIR"));
         let src = std::fs::read_to_string(&path).expect("example exists");
         for tier in [false, true] {
-            let options = vgl::Options { validate_ir: true, tier, ..vgl::Options::default() };
+            let options = vgl::Options { tier, ..vgl::Options::default() };
             let c = vgl::Compiler::with_options(options).compile(&src).expect("compiles");
             let observe = |vm: &mut Vm<'_>| {
                 let out = c.run_vm(vm);

@@ -7,11 +7,11 @@ use vgl_interp::{Interp, InterpError};
 use vgl_ir::ops::Exception;
 use vgl_vm::{ret_as_int, Vm, VmError};
 
-/// Compiles `src` through the shipped pipeline with every IR check on,
-/// unfused: the claims under test are the plain lowering's.
+/// Compiles `src` through the shipped pipeline, unfused: the claims under
+/// test are the plain lowering's.
 fn compile(src: &str) -> vgl::Compilation {
-    let options = vgl::Options { validate_ir: true, fuse: false, ..vgl::Options::default() };
-    vgl::Compiler::with_options(options)
+    vgl::Compiler::new()
+        .without_fuse()
         .compile(src)
         .unwrap_or_else(|e| panic!("compile: {e}"))
 }

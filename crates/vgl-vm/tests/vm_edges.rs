@@ -4,11 +4,11 @@
 
 use vgl_vm::{ret_as_int, Vm};
 
-/// Compiles `src` through the shipped pipeline with every IR check on,
-/// unfused: the edges under test are the plain lowering's.
+/// Compiles `src` through the shipped pipeline, unfused: the edges under
+/// test are the plain lowering's.
 fn compile_vm(src: &str) -> vgl_vm::VmProgram {
-    let options = vgl::Options { validate_ir: true, fuse: false, ..vgl::Options::default() };
-    vgl::Compiler::with_options(options)
+    vgl::Compiler::new()
+        .without_fuse()
         .compile(src)
         .unwrap_or_else(|e| panic!("compile: {e}"))
         .program

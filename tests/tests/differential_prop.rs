@@ -45,13 +45,13 @@ fn differential_three_way() {
 }
 
 /// Pinned regression sweep for the bytecode back-end optimizer and the
-/// parallel back end: 500 seeded cases (base seed 42) through the full
-/// seven-engine oracle. The `vm-fused` configuration validates the fused
-/// bytecode with `check_fused` before running and asserts zero tuple boxes
-/// after; the `vm-fused-par` configuration rebuilds at jobs = 8 and asserts
-/// byte-identical bytecode before running, so a clean sweep here is both the
-/// fusion/IC acceptance gate and the parallel-determinism parity gate.
-/// Override the count with `VGL_FUZZ_CASES`.
+/// tiered VM: 500 seeded cases (base seed 42) through the full eight-engine
+/// oracle. The `vm-fused` configuration validates the fused bytecode with
+/// `check_fused` before running and asserts zero tuple boxes after; the
+/// `vm-tiered` configuration tiers up the unfused lowering that `vglc run`
+/// ships. Jobs-count parity is the determinism suite's job
+/// (`vgl-passes/tests/determinism.rs`). Override the count with
+/// `VGL_FUZZ_CASES`.
 #[test]
 fn fuzz_regression_seed42_seven_engines() {
     let cfg = fuzz::FuzzConfig {

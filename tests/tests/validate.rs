@@ -2,13 +2,12 @@
 //! valid program, then break an invariant by hand and assert the matching
 //! checker reports it. This guards the guards — a checker that silently
 //! accepts everything would make the fuzzer's pass-level validation (and the
-//! `validate_ir` compile option) worthless.
+//! passes' own debug-build postcondition checks) worthless.
 
 use vgl_ir::{check_monomorphic, check_normalized, check_tuple_free};
 
 fn compiled_module(src: &str) -> vgl::Module {
-    let options = vgl::Options { validate_ir: true, ..vgl::Options::default() };
-    vgl::Compiler::with_options(options).compile(src).expect("compiles").compiled
+    vgl::Compiler::new().compile(src).expect("compiles").compiled
 }
 
 const CLEAN: &str = "def main() -> int { return 42; }";
@@ -129,17 +128,4 @@ fn surviving_tuple_construction_trips_check_normalized() {
         violations.iter().any(|v| v.message.contains("tuple construction")),
         "expected a construction violation, got {violations:?}"
     );
-}
-
-/// The `validate_ir` compiler option panics on broken IR and is on by
-/// default in debug builds; a normal compile under it stays silent.
-#[test]
-fn validate_ir_option_is_quiet_on_valid_programs() {
-    let opts = vgl::Options { validate_ir: true, ..vgl::Options::default() };
-    let c = vgl::Compiler::with_options(opts)
-        .compile("def pair() -> (int, int) { return (1, 2); }\n\
-                  def main() -> int { var p = pair(); return p.0 + p.1; }")
-        .expect("compiles with validation on");
-    assert_eq!(c.execute().result.unwrap(), "3");
-    assert!(vgl::Options::default().validate_ir == cfg!(debug_assertions));
 }
