@@ -9,21 +9,30 @@
 //!   (the same file saved twice, or two clients compiling the same source)
 //!   returns the shared [`Compilation`] `Arc` without running anything.
 //!
-//! * **Level 2 — per-function artifacts.** Keyed by
+//! * **Level 2 — per-function fused code.** Keyed by
 //!   ([`vgl_passes::context_digest`], `method_fingerprint`, option bits),
-//!   both computed **post-normalize**. A level-1 miss runs the same compile
-//!   driver as [`Compiler::compile`], handing it this store. The front end,
-//!   mono, and normalize always run — normalize is cheap, and its wrapper
-//!   synthesis and type interning are order-sensitive global state, so
-//!   skipping it would change id spaces. Every method whose fingerprint
-//!   matches under the same context digest then skips optimize (its cached
-//!   *post-optimize* body is spliced into the module and masked out of
-//!   rewriting, so the devirtualization and inlining tables other methods
-//!   fold against match the cold fixpoint) and skips lower + fuse (its
-//!   cached fused bytecode is relocated into the reserved function slot by
-//!   [`vgl_vm::lower_reusing`], and the fuse pool leaves it alone). The
-//!   remaining functions fuse on the same parallel pool as a cold compile,
-//!   and the trace reports the same phases.
+//!   both taken on the **optimized** module. A level-1 miss runs the same
+//!   compile driver as [`Compiler::compile`], handing it this store. The
+//!   front end, mono, normalize and optimize always run. Every method whose
+//!   optimized body matches under the same context digest then skips lower
+//!   and fuse: its cached fused code is relocated into the reserved
+//!   function slot by [`vgl_vm::lower_reusing`], and the fuse pool leaves
+//!   it alone. The remaining functions fuse on the same parallel pool as a
+//!   cold compile, and the trace reports the same phases.
+//!
+//! Why after optimize. A cached artifact must be a pure function of its
+//! key:
+//!
+//! * Lowering and fusion of a method read only its own optimized body plus
+//!   what the context digest covers: type ids, class layouts, globals and
+//!   every method's signature.
+//! * The shared wrappers a body demands are replayed through
+//!   [`vgl_vm::Demand`]s, and its `CallVirt` site and constant-pool ids
+//!   relocate, so they need no key.
+//! * Optimize has no such property: inlining reads other methods' bodies,
+//!   so a method's optimized body can change while its own source does not.
+//!   Reusing anything that skips optimize would need those inline
+//!   dependencies in the key.
 //!
 //! The contract, pinned by the serving determinism suite: warm output is
 //! **byte-identical** to a cold one-shot [`Compiler::compile`] of the same
@@ -31,7 +40,6 @@
 //! to exactly the cold path for that method, so the stores can be evicted
 //! (or raced) freely without affecting output — only latency.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -51,7 +59,7 @@ pub const DEFAULT_ARTIFACT_CAPACITY: usize = 64;
 pub const DEFAULT_FUNC_CAPACITY: usize = 4096;
 
 /// Level-2 store key: an artifact is reusable exactly when the module
-/// context, the method content, and the codegen options all match.
+/// context, the optimized method, and the codegen options all match.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct FuncKey {
     ctx: (u64, u64),
@@ -59,33 +67,22 @@ struct FuncKey {
     opts: u64,
 }
 
-/// One cached function: the post-optimize IR body (spliced into warm
-/// modules so unchanged methods skip the optimizer while still feeding its
-/// interprocedural tables) and the relocatable fused bytecode capture.
-struct CachedFunc {
-    opt_body: Option<vgl_ir::Body>,
-    opt_locals: Vec<vgl_ir::Local>,
-    splice: Arc<SpliceFunc>,
-}
-
 /// The level-2 store as the compile driver sees it: looked up after
-/// normalize, published to after fuse.
+/// optimize, published to after fuse.
 pub(crate) struct FuncStore {
-    funcs: Lru<FuncKey, CachedFunc>,
+    funcs: Lru<FuncKey, SpliceFunc>,
     opts_key: u64,
     methods_spliced: AtomicUsize,
     methods_compiled: AtomicUsize,
 }
 
-/// One compile's reuse decisions, taken on the post-normalize module.
+/// One compile's reuse decisions, taken on the optimized module.
 pub(crate) struct Splices {
     ctx: (u64, u64),
     fps: Vec<(u64, u64)>,
-    /// Per module method: spliced from the store.
-    pub(crate) mask: Vec<bool>,
     /// The spliced methods' relocatable code, for lowering.
     pub(crate) plan: ReusePlan,
-    /// The mask's counts.
+    /// The plan's counts.
     pub(crate) reuse: Reuse,
 }
 
@@ -96,61 +93,37 @@ pub struct Reuse {
     /// The whole artifact came from the level-1 store; nothing ran, so
     /// both method counts are 0.
     pub artifact_hit: bool,
-    /// Methods spliced from the level-2 store.
+    /// Methods whose lower and fuse work was spliced from the level-2 store.
     pub methods_spliced: usize,
-    /// Methods compiled afresh.
+    /// Methods lowered and fused afresh.
     pub methods_compiled: usize,
 }
 
 impl FuncStore {
-    /// Looks every method of the post-normalize `module` up in the store
-    /// and splices each hit's post-optimize body in place.
-    pub(crate) fn splice(&self, module: &mut Module) -> Splices {
+    /// Looks every method of the optimized `module` up in the store.
+    pub(crate) fn splice(&self, module: &Module) -> Splices {
         let ctx = context_digest(module);
-        let n = module.methods.len();
-        let mut memo: HashMap<(u64, u64), Option<Arc<CachedFunc>>> = HashMap::new();
-        let mut fps = Vec::with_capacity(n);
-        let mut hits = Vec::with_capacity(n);
-        for m in &module.methods {
-            let fp = cache::method_fingerprint(m);
-            // Memoized per fingerprint so duplicate instances (equal
-            // fingerprint, different name) always agree — the optimizer's
-            // skip mask must be duplicate-consistent even if the store
-            // evicts between two lookups.
-            let hit = memo
-                .entry(fp)
-                .or_insert_with(|| self.funcs.get(&FuncKey { ctx, fp, opts: self.opts_key }))
-                .clone();
-            fps.push(fp);
-            hits.push(hit);
-        }
-        for (m, hit) in module.methods.iter_mut().zip(&hits) {
-            if let Some(c) = hit {
-                m.body.clone_from(&c.opt_body);
-                m.locals.clone_from(&c.opt_locals);
-            }
-        }
-        let mask: Vec<bool> = hits.iter().map(Option::is_some).collect();
-        let spliced = mask.iter().filter(|&&b| b).count();
+        let fps: Vec<(u64, u64)> = module.methods.iter().map(cache::method_fingerprint).collect();
+        let funcs: Vec<Option<Arc<SpliceFunc>>> = fps
+            .iter()
+            .map(|&fp| self.funcs.get(&FuncKey { ctx, fp, opts: self.opts_key }))
+            .collect();
+        let n = funcs.len();
+        let spliced = funcs.iter().filter(|f| f.is_some()).count();
         let reuse =
             Reuse { artifact_hit: false, methods_spliced: spliced, methods_compiled: n - spliced };
         self.methods_spliced.fetch_add(spliced, Ordering::Relaxed);
         self.methods_compiled.fetch_add(n - spliced, Ordering::Relaxed);
-        let plan = ReusePlan {
-            funcs: hits.into_iter().map(|h| h.map(|c| c.splice.clone())).collect(),
-        };
-        Splices { ctx, fps, mask, plan, reuse }
+        Splices { ctx, fps, plan: ReusePlan { funcs }, reuse }
     }
 
     /// Publishes every method this compile lowered afresh, from the final
-    /// `module` and `program`. Insert is content-addressed first-writer-wins,
-    /// so racing compiles of equal methods share one entry; duplicate
-    /// instances collapse onto their representative's key by fingerprint
-    /// equality.
+    /// `program`. Insert is content-addressed first-writer-wins, so racing
+    /// compiles of equal methods share one entry; duplicate instances
+    /// collapse onto their representative's key by fingerprint equality.
     pub(crate) fn publish(
         &self,
         splices: Splices,
-        module: &Module,
         program: &VmProgram,
         records: Vec<Option<SpliceRecord>>,
     ) {
@@ -158,11 +131,7 @@ impl FuncStore {
             let Some(record) = record else { continue };
             self.funcs.insert(
                 FuncKey { ctx: splices.ctx, fp: splices.fps[i], opts: self.opts_key },
-                CachedFunc {
-                    opt_body: module.methods[i].body.clone(),
-                    opt_locals: module.methods[i].locals.clone(),
-                    splice: Arc::new(record.capture(program, i)),
-                },
+                record.capture(program, i),
             );
         }
     }
@@ -175,9 +144,9 @@ pub struct IncrementalStats {
     pub artifacts: StoreStats,
     /// Level-2 (per-function) store counters.
     pub funcs: StoreStats,
-    /// Methods whose optimize+lower+fuse work was skipped via splicing.
+    /// Methods whose lower and fuse work was skipped via splicing.
     pub methods_spliced: usize,
-    /// Methods compiled from scratch (and published to the store).
+    /// Methods lowered and fused from scratch (and published to the store).
     pub methods_compiled: usize,
 }
 

@@ -209,12 +209,13 @@ impl Compiler {
     /// included, is checked with [`vgl_vm::check_fused`] in every build.
     ///
     /// With no `store` this is the cold compile and takes no fingerprints.
-    /// With one, post-normalize is the reuse horizon: every method the
-    /// store already holds under the same module context is spliced in
-    /// there (its post-optimize body skips the optimizer, its fused code
-    /// skips lowering and fusion), and every freshly compiled method is
-    /// published once fusion is done. The [`Reuse`] counts what this
-    /// compile spliced (all zero without a store).
+    /// With one, the optimized module is the reuse horizon: every method
+    /// whose optimized body the store already holds under the same module
+    /// context has its fused code spliced in, skipping lowering and fusion,
+    /// and every freshly compiled method is published once fusion is done.
+    /// Optimize itself always runs in full, because inlining reads other
+    /// methods' bodies. The [`Reuse`] counts what this compile spliced (all
+    /// zero without a store).
     pub(crate) fn drive(
         &self,
         source: &str,
@@ -276,20 +277,12 @@ impl Compiler {
         );
         let size_after_norm = vgl_ir::measure(&compiled);
         trace.set_items_out("normalize", size_after_norm.expr_nodes);
-        // Post-normalize id spaces are final and bodies are in tuple normal
-        // form, so both store keys are well-defined here.
-        let splices = store.map(|s| s.splice(&mut compiled));
         let opt = trace.time(
             "optimize",
             size_after_norm.expr_nodes,
             || {
                 if o.optimize {
-                    vgl_passes::optimize_cfg_masked(
-                        &mut compiled,
-                        &backend_cfg,
-                        &mut backend,
-                        splices.as_ref().map(|s| s.mask.as_slice()),
-                    )
+                    vgl_passes::optimize_cfg(&mut compiled, &backend_cfg, &mut backend)
                 } else {
                     OptStats::default()
                 }
@@ -298,6 +291,10 @@ impl Compiler {
         );
         let size_after = vgl_ir::measure(&compiled);
         trace.set_items_out("optimize", size_after.expr_nodes);
+        // Every body is final here, and lowering and fusion read nothing of
+        // another method's body, so a method's fused code is a function of
+        // its store key.
+        let splices = store.map(|s| s.splice(&compiled));
         let (mut program, records) = trace.time(
             "lower",
             size_after.expr_nodes,
@@ -311,7 +308,7 @@ impl Compiler {
             // Spliced code is final: the pool neither fuses it again nor
             // copies it into a duplicate.
             let skip = splices.as_ref().map(|s| {
-                let mut mask = s.mask.clone();
+                let mut mask: Vec<bool> = s.plan.funcs.iter().map(Option::is_some).collect();
                 mask.resize(program.funcs.len(), false);
                 mask
             });
@@ -337,7 +334,7 @@ impl Compiler {
         );
         let reuse = splices.as_ref().map_or_else(Reuse::default, |s| s.reuse);
         if let (Some(store), Some(splices)) = (store, splices) {
-            store.publish(splices, &compiled, &program, records);
+            store.publish(splices, &program, records);
         }
         trace.workers = std::mem::take(&mut backend.workers);
         let compilation = Compilation {

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use vgl::incremental::IncrementalCompiler;
+use vgl::incremental::{IncrementalCompiler, Reuse};
 use vgl::serve::{with_daemon, Client, Request, ServeConfig};
 use vgl::{Compiler, Options};
 use vgl_obs::json::Json;
@@ -142,15 +142,17 @@ fn concurrent_warm_compiles_are_deterministic() {
 
 #[test]
 fn fuzz_programs_warm_equal_cold() {
-    // A sweep of generated programs through one shared store: every warm
-    // recompile (second submission of the same source arrives via the
-    // artifact cache; a fresh store compile of a *mutated* neighbor goes
-    // through the function store) matches its cold compile.
+    // A sweep of generated programs through one shared store. Each program
+    // primes the store and must itself compile as it does cold; then a
+    // sibling with the first integer literal of `main` bumped goes through
+    // the function store, where every method but `main` can splice, and
+    // must match its cold compile too.
     use vgl_fuzz::gen::{emit, gen_program, GenConfig};
+    use vgl_syntax::token::TokenKind;
     let options = serving_options();
     let inc = IncrementalCompiler::new(Compiler::with_options(options));
     let cfg = GenConfig::default();
-    let mut checked = 0;
+    let (mut checked, mut spliced) = (0, 0);
     for seed in 0..40u64 {
         let src = emit(&gen_program(seed, &cfg));
         let Ok(cold) = Compiler::with_options(options).compile(&src) else {
@@ -162,9 +164,28 @@ fn fuzz_programs_warm_equal_cold() {
             disasm(&cold.program),
             "seed {seed}: warm disassembly diverged"
         );
+        let main_at = src.find("def main(").expect("a generated program has a main");
+        let tokens = vgl_syntax::lexer::lex(&src, &mut vgl_syntax::Diagnostics::new());
+        let Some((v, sibling)) = tokens
+            .iter()
+            .find(|t| t.kind == TokenKind::IntLit && t.span.start as usize > main_at)
+            .and_then(|t| bump(&src, t))
+        else {
+            continue;
+        };
+        let Ok(cold) = Compiler::with_options(options).compile(&sibling) else { continue };
+        let (warm, reuse) = inc.compile_reporting(&sibling).expect("warm compiles the sibling");
+        assert_eq!(
+            disasm(&warm.program),
+            disasm(&cold.program),
+            "seed {seed}, `main` literal {v} -> {}: warm disassembly diverged",
+            v + 1
+        );
+        spliced += reuse.methods_spliced;
         checked += 1;
     }
-    assert!(checked >= 20, "enough fuzz programs compiled: {checked}");
+    assert!(checked >= 20, "enough fuzz siblings compiled: {checked}");
+    assert!(spliced > 0, "the siblings went through the function store");
 }
 
 #[test]
@@ -203,4 +224,98 @@ fn served_run_equals_one_shot_over_the_wire() {
             }
         });
     }
+}
+
+/// The shipped example programs.
+fn examples() -> Vec<std::path::PathBuf> {
+    let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/v");
+    let mut v: Vec<_> = std::fs::read_dir(&dir)
+        .expect("examples/v exists")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "v"))
+        .collect();
+    v.sort();
+    v
+}
+
+/// `src` with the integer literal `t` bumped by one, and the literal's value.
+fn bump(src: &str, t: &vgl_syntax::token::Token) -> Option<(i64, String)> {
+    let (start, end) = (t.span.start as usize, t.span.end as usize);
+    let v = src[start..end].parse::<i64>().ok()?;
+    Some((v, format!("{}{}{}", &src[..start], v + 1, &src[end..])))
+}
+
+/// Compiles `edited` warm, on a store primed with `original`, and cold.
+/// Requires byte-identical disassembly and equal runs; returns the warm
+/// compile's reuse counts and its run result.
+fn warm_equals_cold(original: &str, edited: &str, what: &str) -> (Reuse, Result<String, String>) {
+    let options = serving_options();
+    let inc = IncrementalCompiler::new(Compiler::with_options(options));
+    inc.compile(original).expect("the original compiles");
+    let (warm, reuse) = inc.compile_reporting(edited).expect("warm compile");
+    let cold = Compiler::with_options(options).compile(edited).expect("cold compile");
+    assert_eq!(disasm(&warm.program), disasm(&cold.program), "{what}: warm disassembly diverged");
+    let (w, c) = (warm.execute(), cold.execute());
+    assert_eq!(w.output, c.output, "{what}: warm output diverged");
+    assert_eq!(w.result, c.result, "{what}: warm result diverged");
+    (reuse, w.result)
+}
+
+#[test]
+fn editing_an_inlined_callee_serves_the_edit() {
+    // `m` inlines `c`, so `m`'s optimized body changes with `c`'s although
+    // `m`'s own source does not. Reusing `m` across the edit must not serve
+    // the old `c`.
+    let program = |callee: &str| {
+        format!(
+            "def c(x: int) -> int {{ {callee} }}\n\
+             def m(x: int) -> int {{ return c(x) * 2; }}\n\
+             def main() -> int {{ return m(3); }}\n"
+        )
+    };
+    for (before, after) in [
+        ("return x + 1;", "return x + 2;"),
+        ("return x + 1;", "var y = x + 2; return y;"),
+        ("var y = x + 1; return y;", "return x + 2;"),
+    ] {
+        let what = format!("`{before}` -> `{after}`");
+        let (_, result) = warm_equals_cold(&program(before), &program(after), &what);
+        assert_eq!(result, Ok("10".to_string()), "{what}");
+    }
+}
+
+#[test]
+fn editing_an_inlined_tuple_sum_serves_the_edit() {
+    // The `sum8` edit of `wide_tuples.v`: `main` inlines `sum8`.
+    let path = examples().into_iter().find(|p| p.ends_with("wide_tuples.v"));
+    let original = std::fs::read_to_string(path.expect("wide_tuples.v ships")).expect("reads");
+    let edited = original.replace("return t.0 + t.1", "return t.1 + t.1");
+    assert_ne!(edited, original, "the edit applies");
+    let (_, result) = warm_equals_cold(&original, &edited, "sum8 edit");
+    assert_eq!(result, Ok("183".to_string()));
+}
+
+#[test]
+fn every_literal_edit_of_the_examples_serves_cold_output() {
+    // Each sibling bumps one integer literal of one example by one: a
+    // one-method edit whose callers may have inlined it.
+    use vgl_syntax::token::TokenKind;
+    let (mut siblings, mut spliced) = (0, 0);
+    for path in examples() {
+        let original = std::fs::read_to_string(&path).expect("reads");
+        let tokens = vgl_syntax::lexer::lex(&original, &mut vgl_syntax::Diagnostics::new());
+        for t in tokens.iter().filter(|t| t.kind == TokenKind::IntLit) {
+            let Some((v, sibling)) = bump(&original, t) else { continue };
+            if Compiler::with_options(serving_options()).compile(&sibling).is_err() {
+                continue; // e.g. a tuple index bumped past the width
+            }
+            let name = path.file_name().expect("a file").to_string_lossy();
+            let what = format!("{name} with {v} -> {} at byte {}", v + 1, t.span.start);
+            spliced += warm_equals_cold(&original, &sibling, &what).0.methods_spliced;
+            siblings += 1;
+        }
+    }
+    eprintln!("{siblings} siblings, {spliced} methods spliced");
+    assert!(siblings >= 100, "the sweep covers the examples: {siblings}");
+    assert!(spliced > 0, "the sweep exercises splicing");
 }

@@ -38,7 +38,7 @@ pub enum Stmt {
 }
 
 /// A typed expression.
-#[derive(Clone, Debug, Hash)]
+#[derive(Clone, Debug, Hash, PartialEq)]
 pub struct Expr {
     /// The shape.
     pub kind: ExprKind,
@@ -149,7 +149,7 @@ pub enum Builtin {
 }
 
 /// The shape of an [`Expr`].
-#[derive(Clone, Debug, Hash)]
+#[derive(Clone, Debug, Hash, PartialEq)]
 pub enum ExprKind {
     /// 32-bit integer literal.
     Int(i32),

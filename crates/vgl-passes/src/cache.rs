@@ -104,13 +104,13 @@ pub fn module_fingerprint(m: &Module) -> u64 {
 /// method's *signature* (owner, kind, privacy, parameter types, return
 /// type, vtable slot) — but **not** method names or bodies.
 ///
-/// Two post-normalize modules with equal digests agree on every id space a
+/// Two optimized modules with equal digests agree on every id space a
 /// [`method_fingerprint`]-keyed artifact embeds — type ids, `MethodId` /
 /// `FuncId`, `ClassId`, `GlobalId`, field slots, vtable slots — so a
-/// function artifact cached under one module can be soundly reused in the
-/// other wherever the fingerprints also match. Bodies are excluded (they
-/// are what the fingerprints compare); names are excluded so renames stay
-/// warm, the same policy as `method_fingerprint`.
+/// function's fused code cached under one module can be soundly reused in
+/// the other wherever the fingerprints of the optimized bodies also match.
+/// Bodies are excluded (they are what the fingerprints compare); names are
+/// excluded so renames stay warm, the same policy as `method_fingerprint`.
 pub fn context_digest(module: &Module) -> (u64, u64) {
     let mut h = FingerprintHasher::new();
     module.store.len().hash(&mut h);

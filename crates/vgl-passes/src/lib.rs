@@ -28,7 +28,7 @@ pub mod store;
 pub use cache::{context_digest, module_fingerprint, CacheStats};
 pub use mono::{monomorphize, MonoStats};
 pub use normalize::{normalize, normalize_cfg, NormStats};
-pub use optimize::{optimize, optimize_cfg, optimize_cfg_masked, OptStats};
+pub use optimize::{optimize, optimize_cfg, OptStats};
 pub use store::{Lru, StoreStats};
 
 use vgl_ir::Module;

@@ -1077,11 +1077,14 @@ impl<'m> Norm<'m> {
         Expr::new(k, ty)
     }
 
+    /// Flattens arguments into their scalar pieces, in a vector of exactly
+    /// that length.
     fn flat_args(&mut self, args: &[Expr], fx: &mut Fx, out: &mut Vec<Stmt>) -> Vec<Expr> {
-        let mut flat = Vec::new();
+        let mut flat = Vec::with_capacity(args.len());
         for a in args {
             flat.extend(self.flat(a, fx, out));
         }
+        flat.shrink_to_fit();
         flat
     }
 
@@ -1216,10 +1219,7 @@ impl<'m> Norm<'m> {
             }
             _ => {
                 // Scalar operator: flatten args (each scalar) and rebuild.
-                let mut flat = Vec::new();
-                for a in args {
-                    flat.extend(self.flat(a, fx, out));
-                }
+                let flat = self.flat_args(args, fx, out);
                 let ret = self.norm_type(old_result);
                 let applied = Expr::new(ExprKind::Apply(op, flat), ret);
                 vec![self.spill(applied, fx, out)]

@@ -13,13 +13,15 @@
 //! pieces are effect-free, making identity-cast removal and branch folding
 //! sound without effect analysis.
 
+use std::sync::Mutex;
+
 use crate::cache::{self, DupMap};
 use crate::{sched, BackendConfig, BackendReport};
 use vgl_ir::ops::{self, Exception};
 use vgl_ir::visit::rewrite_exprs;
-use vgl_ir::{Expr, ExprKind, Method, MethodId, MethodKind, Module, Oper, Stmt};
+use vgl_ir::{Body, Expr, ExprKind, Local, Method, MethodId, MethodKind, Module, Oper, Stmt};
 use vgl_obs::WorkerSample;
-use vgl_types::{CastRelation, ClassId, Hierarchy, TypeKind, TypeStore};
+use vgl_types::{CastRelation, ClassId, Hierarchy, Type, TypeKind, TypeStore};
 
 /// Optimizer statistics (experiment E3 narrates these).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -49,39 +51,28 @@ pub fn optimize(module: &mut Module) -> OptStats {
 
 /// [`optimize`] with explicit parallelism and caching.
 ///
-/// Each fixpoint round snapshots the devirt/inline tables, rewrites every
-/// *representative* method body on `cfg.jobs` workers (each with a private
-/// clone of the type store — interning is the only store mutation folding
-/// performs, and fold decisions never depend on ids interned mid-round),
-/// then commits results in method-index order and copies duplicates from
-/// their representatives. Statistics count work actually performed, so a
-/// cache hit reduces the counters; cache effectiveness is reported
-/// separately in `report.opt_cache`.
+/// A worklist fixpoint over *representative* method bodies; a duplicate
+/// copies its representative whenever that changes. Round 1 rewrites every
+/// representative. A later round rewrites one only if its body changed in
+/// the previous round or it calls a method whose inline entry changed: a
+/// rewrite reads nothing else that changes (the devirtualization table
+/// reads classes, vtables and signatures, and is built once), so any other
+/// body would come back as it went in, with no counter moved. The rounds
+/// stop after one that adds nothing to [`OptStats`], or after 8, so the
+/// output is that of rewriting every body in every round.
+///
+/// Each round moves the scheduled bodies onto `cfg.jobs` workers (each with
+/// a private clone of the type store — interning is the only store mutation
+/// folding performs, and fold decisions never depend on ids interned
+/// mid-round) and commits them back in method-index order. Statistics count
+/// work actually performed, so a cache hit reduces the counters; cache
+/// effectiveness is reported separately in `report.opt_cache`. Debug builds
+/// assert that the module leaves in tuple normal form
+/// ([`vgl_ir::check_normalized`]).
 pub fn optimize_cfg(
     module: &mut Module,
     cfg: &BackendConfig,
     report: &mut BackendReport,
-) -> OptStats {
-    optimize_cfg_masked(module, cfg, report, None)
-}
-
-/// [`optimize_cfg`] with an external skip mask: methods with `skip[i]`
-/// true are neither rewritten nor copied into. The daemon's warm path uses
-/// this for methods whose **post-optimize** bodies were already spliced in
-/// from the persistent store (same context digest + fingerprint), so
-/// re-optimizing them would be wasted work; their spliced bodies still
-/// participate in the devirtualization/inline tables other methods fold
-/// against, which is what keeps warm output byte-identical to cold.
-///
-/// The mask must be duplicate-consistent: a method and its representative
-/// share a fingerprint, so they must share a mask bit (debug-asserted).
-/// Debug builds also assert that the module leaves in tuple normal form
-/// ([`vgl_ir::check_normalized`]).
-pub fn optimize_cfg_masked(
-    module: &mut Module,
-    cfg: &BackendConfig,
-    report: &mut BackendReport,
-    skip: Option<&[bool]>,
 ) -> OptStats {
     let dup = if cfg.cache {
         match report.dup_map.take() {
@@ -108,20 +99,37 @@ pub fn optimize_cfg_masked(
         DupMap::identity(module.methods.len())
     };
     report.opt_cache.merge(&dup.stats);
-    if let Some(mask) = skip {
-        debug_assert_eq!(mask.len(), module.methods.len(), "mask covers every method");
-        debug_assert!(
-            (0..module.methods.len()).all(|i| mask[dup.rep[i]] == mask[i]),
-            "skip mask must be duplicate-consistent"
-        );
-    }
+    let n = module.methods.len();
+    let devirt = build_devirt_table(module);
+    // Inline candidates: single-`Return(expr)` leaf bodies referencing only
+    // their parameters ("only a call to the corresponding version remains,
+    // which the compiler may then inline" — §3.3).
+    let mut inline: Vec<Option<InlineBody>> = (0..n).map(|i| inline_entry(module, i)).collect();
+    let mut todo: Vec<usize> =
+        (0..n).filter(|&i| module.methods[i].body.is_some() && !dup.is_dup(i)).collect();
     let mut stats = OptStats::default();
     for _ in 0..8 {
-        let before = stats;
-        one_round(module, cfg, &dup, skip, &mut stats, &mut report.workers);
-        if stats == before {
+        let (round, changed) =
+            one_round(module, cfg, &dup, &devirt, &inline, &todo, &mut report.workers);
+        if round == OptStats::default() {
             break;
         }
+        add_stats(&mut stats, &round);
+        let mut entry_changed = vec![false; n];
+        for i in (0..n).filter(|&i| changed[i]) {
+            let entry = inline_entry(module, i);
+            if entry != inline[i] {
+                inline[i] = entry;
+                entry_changed[i] = true;
+            }
+        }
+        let any_entry_changed = entry_changed.contains(&true);
+        todo = (0..n)
+            .filter(|&i| !dup.is_dup(i))
+            .filter(|&i| {
+                changed[i] || any_entry_changed && calls_any(&module.methods[i], &entry_changed)
+            })
+            .collect();
     }
     if cfg!(debug_assertions) {
         vgl_ir::assert_valid(
@@ -133,13 +141,18 @@ pub fn optimize_cfg_masked(
 }
 
 /// Everything `fold_expr` needs from the module, split so parallel workers
-/// can fold against a shared read-only method/hierarchy view with a
-/// worker-private type store (the only part folding mutates, via
-/// `cast_relation` interning).
+/// can fold against a shared read-only hierarchy view with a worker-private
+/// type store (the only part folding mutates, via `cast_relation`
+/// interning).
 struct FoldCx<'a> {
     store: &'a mut TypeStore,
     hier: &'a Hierarchy,
-    methods: &'a [Method],
+    /// Per declared method: its unique override and that override's
+    /// receiver type (see [`build_devirt_table`]).
+    devirt: &'a [Option<(MethodId, Type)>],
+    /// Set by the one rewrite no [`OptStats`] counter records: dropping the
+    /// null check on a fresh object, string or array.
+    uncounted: bool,
 }
 
 fn add_stats(dst: &mut OptStats, s: &OptStats) {
@@ -152,144 +165,162 @@ fn add_stats(dst: &mut OptStats, s: &OptStats) {
     dst.inlined += s.inlined;
 }
 
+/// One representative's body and locals on their way through a worker.
+type Slot = Mutex<Option<(Body, Vec<Local>)>>;
+
+/// One fixpoint round: rewrites the representatives in `todo` (ascending),
+/// copies each one that changed into its duplicates, and folds the globals'
+/// initializers. Returns the round's statistics and, per method, whether
+/// its body changed.
 fn one_round(
     module: &mut Module,
     cfg: &BackendConfig,
     dup: &DupMap,
-    skip: Option<&[bool]>,
-    stats: &mut OptStats,
+    devirt: &[Option<(MethodId, Type)>],
+    inline: &[Option<InlineBody>],
+    todo: &[usize],
     worker_log: &mut Vec<WorkerSample>,
-) {
-    let skipped = |i: usize| skip.is_some_and(|m| m[i]);
-    // Devirtualization table: (declared method slot) → unique target if any.
-    let devirt = build_devirt_table(module);
-    // Inline candidates: single-`Return(expr)` leaf bodies referencing only
-    // their parameters ("only a call to the corresponding version remains,
-    // which the compiler may then inline" — §3.3).
-    let inline = build_inline_table(module);
-    // Rewrite representative bodies only; duplicates are copied afterwards.
-    let items: Vec<usize> = (0..module.methods.len())
-        .filter(|&i| module.methods[i].body.is_some() && !dup.is_dup(i) && !skipped(i))
-        .collect();
-    let m_ref: &Module = module;
-    let run_item = |store: &mut TypeStore, _: usize, &i: &usize| {
-        let m = &m_ref.methods[i];
-        let mut body = m.body.clone().expect("scheduled method has a body");
-        let mut locals = m.locals.clone();
-        let mut st = OptStats::default();
-        let mut cx = FoldCx { store, hier: &m_ref.hier, methods: &m_ref.methods };
-        rewrite_exprs(&mut body, &mut |e| {
-            let e = fold_expr(&mut cx, e, &devirt, &mut st);
-            inline_expr(e, MethodId(i as u32), &inline, &mut locals, &mut st)
-        });
-        fold_stmts(&mut body.stmts, &mut st);
-        (body, locals, st)
-    };
-    let mk_ctx = || m_ref.store.clone();
-    let (results, samples) = if cfg.chunking {
-        let costs: Vec<u64> = items
+) -> (OptStats, Vec<bool>) {
+    let plan = cfg.chunking.then(|| {
+        let costs: Vec<u64> = todo
             .iter()
             .map(|&i| {
-                vgl_ir::method_cost(&m_ref.methods[i])
-                    * vgl_ir::metrics::pass_weight::OPTIMIZE
+                vgl_ir::method_cost(&module.methods[i]) * vgl_ir::metrics::pass_weight::OPTIMIZE
             })
             .collect();
-        let plan = sched::plan_chunks(&costs, cfg.jobs);
-        sched::par_map_chunks(cfg.jobs, "optimize", &items, &plan, mk_ctx, run_item)
-    } else {
-        sched::par_map_ctx(cfg.jobs, "optimize", &items, mk_ctx, run_item)
+        sched::plan_chunks(&costs, cfg.jobs)
+    });
+    let slots: Vec<Slot> = todo
+        .iter()
+        .map(|&i| {
+            let m = &mut module.methods[i];
+            let body = m.body.take().expect("scheduled method has a body");
+            Mutex::new(Some((body, std::mem::take(&mut m.locals))))
+        })
+        .collect();
+    let hier = &module.hier;
+    let run_item = |store: &mut TypeStore, k: usize, slot: &Slot| {
+        let (mut body, mut locals) = slot
+            .lock()
+            .expect("a slot is locked only to take its item")
+            .take()
+            .expect("each slot is claimed once");
+        let mut st = OptStats::default();
+        let mut cx = FoldCx { store, hier, devirt, uncounted: false };
+        let caller = MethodId(todo[k] as u32);
+        rewrite_exprs(&mut body, &mut |e| {
+            let e = fold_expr(&mut cx, e, &mut st);
+            inline_expr(e, caller, inline, &mut locals, &mut st)
+        });
+        fold_stmts(&mut body.stmts, &mut st);
+        // Normalize's temporaries and inlining grew the locals one by one.
+        locals.shrink_to_fit();
+        let changed = cx.uncounted || st != OptStats::default();
+        (body, locals, st, changed)
+    };
+    let mk_ctx = || module.store.clone();
+    let (results, samples) = match &plan {
+        Some(plan) => sched::par_map_chunks(cfg.jobs, "optimize", &slots, plan, mk_ctx, run_item),
+        None => sched::par_map_ctx(cfg.jobs, "optimize", &slots, mk_ctx, run_item),
     };
     worker_log.extend(samples);
-    // Commit in stable method-index order (items is ascending).
-    for (&i, (body, locals, st)) in items.iter().zip(results) {
+    // Commit in stable method-index order (todo is ascending).
+    let mut stats = OptStats::default();
+    let mut changed = vec![false; module.methods.len()];
+    for (&i, (body, locals, st, ch)) in todo.iter().zip(results) {
         module.methods[i].body = Some(body);
         module.methods[i].locals = locals;
-        add_stats(stats, &st);
+        add_stats(&mut stats, &st);
+        changed[i] = ch;
     }
-    // Duplicates take their representative's result (reps always precede
-    // their dups, so the source is already this round's output). Skipped
-    // methods keep their spliced bodies (their reps are skipped too).
+    // A duplicate takes its representative's body when that changed (reps
+    // always precede their dups, so the source is this round's output).
     for i in 0..module.methods.len() {
-        if skipped(i) {
-            continue;
-        }
         let r = dup.rep[i];
-        if r != i {
+        if r != i && changed[r] {
             let (body, locals) =
                 (module.methods[r].body.clone(), module.methods[r].locals.clone());
             module.methods[i].body = body;
             module.methods[i].locals = locals;
+            changed[i] = true;
         }
     }
     // Globals' initializers too (serial: there are few, and they may read
     // each other in declaration order anyway).
-    let Module { store, hier, methods, globals, .. } = &mut *module;
-    let mut cx = FoldCx { store, hier, methods };
+    let Module { store, hier, globals, .. } = &mut *module;
+    let mut cx = FoldCx { store, hier, devirt, uncounted: false };
     for g in globals.iter_mut() {
         let Some(init) = g.init.take() else { continue };
-        let mut body = vgl_ir::Body { stmts: vec![Stmt::Expr(init)] };
-        rewrite_exprs(&mut body, &mut |e| fold_expr(&mut cx, e, &devirt, stats));
+        let mut body = Body { stmts: vec![Stmt::Expr(init)] };
+        rewrite_exprs(&mut body, &mut |e| fold_expr(&mut cx, e, &mut stats));
         let Some(Stmt::Expr(e)) = body.stmts.pop() else { unreachable!() };
         g.init = Some(e);
     }
+    (stats, changed)
+}
+
+/// Whether `m`'s body calls a method flagged in `set` directly.
+fn calls_any(m: &Method, set: &[bool]) -> bool {
+    let Some(body) = &m.body else { return false };
+    let mut hit = false;
+    vgl_ir::visit::for_each_expr(body, &mut |e| {
+        if let ExprKind::CallStatic { method, .. } = e.kind {
+            hit |= set[method.index()];
+        }
+    });
+    hit
 }
 
 /// Maximum expression nodes in an inlinable leaf body.
 const INLINE_LIMIT: usize = 16;
 
 /// An inline candidate: parameter count and the returned expression.
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 struct InlineBody {
     param_count: usize,
     expr: Expr,
 }
 
-/// Finds single-return leaf methods whose body references only parameters.
-fn build_inline_table(module: &Module) -> Vec<Option<InlineBody>> {
-    module
-        .methods
-        .iter()
-        .enumerate()
-        .map(|(i, m)| {
-            if module.main == Some(MethodId(i as u32)) {
-                return None;
-            }
-            let body = m.body.as_ref()?;
-            let [Stmt::Return(Some(e))] = body.stmts.as_slice() else {
-                return None;
-            };
-            // Multi-value returns are a boundary form (Return(Tuple)); they
-            // cannot be spliced into expression position.
-            if matches!(e.kind, ExprKind::Tuple(_))
-                || matches!(module.store.kind(e.ty), TypeKind::Tuple(_))
-            {
-                return None;
-            }
-            let mut nodes = 0;
-            let mut ok = true;
-            count_expr(e, &mut |x: &Expr| {
-                nodes += 1;
-                match &x.kind {
-                    // No nested calls (keeps inlining one level and cheap),
-                    // no local writes, no Lets.
-                    ExprKind::CallStatic { .. }
-                    | ExprKind::CallVirtual { .. }
-                    | ExprKind::CallClosure { .. }
-                    | ExprKind::CallBuiltin(..)
-                    | ExprKind::New { .. }
-                    | ExprKind::LocalSet(..)
-                    | ExprKind::GlobalSet(..)
-                    | ExprKind::Let { .. } => ok = false,
-                    ExprKind::Local(l) if l.index() >= m.param_count => ok = false,
-                    _ => {}
-                }
-            });
-            if !ok || nodes > INLINE_LIMIT {
-                return None;
-            }
-            Some(InlineBody { param_count: m.param_count, expr: e.clone() })
-        })
-        .collect()
+/// Method `i`'s inline entry: present when its body is a single return of
+/// a leaf expression that references only parameters.
+fn inline_entry(module: &Module, i: usize) -> Option<InlineBody> {
+    if module.main == Some(MethodId(i as u32)) {
+        return None;
+    }
+    let m = &module.methods[i];
+    let body = m.body.as_ref()?;
+    let [Stmt::Return(Some(e))] = body.stmts.as_slice() else {
+        return None;
+    };
+    // Multi-value returns are a boundary form (Return(Tuple)); they
+    // cannot be spliced into expression position.
+    if matches!(e.kind, ExprKind::Tuple(_)) || matches!(module.store.kind(e.ty), TypeKind::Tuple(_))
+    {
+        return None;
+    }
+    let mut nodes = 0;
+    let mut ok = true;
+    count_expr(e, &mut |x: &Expr| {
+        nodes += 1;
+        match &x.kind {
+            // No nested calls (keeps inlining one level and cheap),
+            // no local writes, no Lets.
+            ExprKind::CallStatic { .. }
+            | ExprKind::CallVirtual { .. }
+            | ExprKind::CallClosure { .. }
+            | ExprKind::CallBuiltin(..)
+            | ExprKind::New { .. }
+            | ExprKind::LocalSet(..)
+            | ExprKind::GlobalSet(..)
+            | ExprKind::Let { .. } => ok = false,
+            ExprKind::Local(l) if l.index() >= m.param_count => ok = false,
+            _ => {}
+        }
+    });
+    if !ok || nodes > INLINE_LIMIT {
+        return None;
+    }
+    Some(InlineBody { param_count: m.param_count, expr: e.clone() })
 }
 
 fn count_expr(e: &Expr, f: &mut impl FnMut(&Expr)) {
@@ -307,17 +338,14 @@ fn inline_expr(
     caller_locals: &mut Vec<vgl_ir::Local>,
     stats: &mut OptStats,
 ) -> Expr {
-    let ty = e.ty;
-    let ExprKind::CallStatic { method, args, .. } = e.kind else {
+    let ExprKind::CallStatic { method, .. } = e.kind else {
         return e;
     };
     let candidate = if method == caller { None } else { table[method.index()].as_ref() };
     let Some(ib) = candidate else {
-        return Expr::new(
-            ExprKind::CallStatic { method, type_args: vec![], args },
-            ty,
-        );
+        return e;
     };
+    let ExprKind::CallStatic { args, .. } = e.kind else { unreachable!("matched above") };
     debug_assert_eq!(args.len(), ib.param_count);
     // Fresh caller locals for the parameters.
     let base = caller_locals.len();
@@ -365,8 +393,8 @@ fn remap_locals(e: &mut Expr, base: usize) {
 }
 
 /// For each virtual slot, the unique implementing method across instantiable
-/// classes, or `None` when several exist.
-fn build_devirt_table(module: &Module) -> Vec<Option<MethodId>> {
+/// classes and its receiver type, or `None` when several exist.
+fn build_devirt_table(module: &Module) -> Vec<Option<(MethodId, Type)>> {
     // Indexed by (declared method id): unique target considering every
     // non-abstract class whose vtable covers the slot of that method and
     // which is a subclass of the declaring owner.
@@ -397,7 +425,13 @@ fn build_devirt_table(module: &Module) -> Vec<Option<MethodId>> {
         }
         unique[mi] = target;
     }
-    unique.into_iter().map(|t| t.flatten()).collect()
+    unique
+        .into_iter()
+        .map(|t| {
+            let t = t.flatten()?;
+            Some((t, module.method(t).locals[0].ty))
+        })
+        .collect()
 }
 
 fn as_const_int(e: &Expr) -> Option<i32> {
@@ -431,12 +465,7 @@ fn is_pure(e: &Expr) -> bool {
     }
 }
 
-fn fold_expr(
-    cx: &mut FoldCx<'_>,
-    e: Expr,
-    devirt: &[Option<MethodId>],
-    stats: &mut OptStats,
-) -> Expr {
+fn fold_expr(cx: &mut FoldCx<'_>, e: Expr, stats: &mut OptStats) -> Expr {
     let ty = e.ty;
     match e.kind {
         ExprKind::Apply(op, args) => fold_apply(cx, op, args, ty, stats),
@@ -487,13 +516,15 @@ fn fold_expr(
             None => Expr::new(ExprKind::Ternary { cond, then, els }, ty),
         },
         ExprKind::CallVirtual { method, type_args, recv, args } => {
-            if let Some(target) = devirt[method.index()] {
+            if let Some((target, recv_ty)) = cx.devirt[method.index()] {
                 stats.devirtualized += 1;
-                let checked = Expr::new(ExprKind::CheckNull(recv), ty_of(cx, target));
-                let mut all = vec![checked];
+                let mut all = Vec::with_capacity(args.len() + 1);
+                all.push(Expr::new(ExprKind::CheckNull(recv), recv_ty));
                 all.extend(args);
+                // Mono resolved the type arguments into the target, so a
+                // direct call carries none.
                 Expr::new(
-                    ExprKind::CallStatic { method: target, type_args, args: all },
+                    ExprKind::CallStatic { method: target, type_args: vec![], args: all },
                     ty,
                 )
             } else {
@@ -519,16 +550,15 @@ fn fold_expr(
         ExprKind::CheckNull(v) => {
             // A CheckNull over a definitely-non-null value folds away.
             match v.kind {
-                ExprKind::New { .. } | ExprKind::String(_) | ExprKind::ArrayLit(_) => *v,
+                ExprKind::New { .. } | ExprKind::String(_) | ExprKind::ArrayLit(_) => {
+                    cx.uncounted = true;
+                    *v
+                }
                 _ => Expr::new(ExprKind::CheckNull(v), ty),
             }
         }
         other => Expr::new(other, ty),
     }
-}
-
-fn ty_of(cx: &FoldCx<'_>, m: MethodId) -> vgl_types::Type {
-    cx.methods[m.index()].locals[0].ty
 }
 
 fn fold_apply(
@@ -708,48 +738,45 @@ fn fold_apply(
 }
 
 /// Statement-level folding: constant branches, dead pure statements, and
-/// `while (false)` loops.
+/// `while (false)` loops. Each list is edited in place and left at its
+/// exact size.
 fn fold_stmts(stmts: &mut Vec<Stmt>, stats: &mut OptStats) {
-    let old = std::mem::take(stmts);
-    for mut s in old {
-        match &mut s {
+    stmts.retain_mut(|s| {
+        let taken = match s {
             Stmt::If(c, t, e) => {
                 fold_stmts(t, stats);
                 fold_stmts(e, stats);
                 match as_const_bool(c) {
-                    Some(true) => {
-                        stats.branches_folded += 1;
-                        stmts.push(Stmt::Block(std::mem::take(t)));
-                        continue;
-                    }
-                    Some(false) => {
-                        stats.branches_folded += 1;
-                        stmts.push(Stmt::Block(std::mem::take(e)));
-                        continue;
-                    }
-                    None => {}
+                    Some(true) => std::mem::take(t),
+                    Some(false) => std::mem::take(e),
+                    None => return true,
                 }
             }
             Stmt::While(c, b) => {
                 fold_stmts(b, stats);
                 if as_const_bool(c) == Some(false) {
                     stats.dead_stmts_removed += 1;
-                    continue;
+                    return false;
                 }
+                return true;
             }
             Stmt::Block(b) => {
                 fold_stmts(b, stats);
                 if b.is_empty() {
                     stats.dead_stmts_removed += 1;
-                    continue;
+                    return false;
                 }
+                return true;
             }
             Stmt::Expr(e) if is_pure(e) => {
                 stats.dead_stmts_removed += 1;
-                continue;
+                return false;
             }
-            _ => {}
-        }
-        stmts.push(s);
-    }
+            _ => return true,
+        };
+        stats.branches_folded += 1;
+        *s = Stmt::Block(taken);
+        true
+    });
+    stmts.shrink_to_fit();
 }

@@ -67,6 +67,27 @@ fn inliner_collapses_leaf_helpers() {
 }
 
 #[test]
+fn inliner_revisits_callers_of_a_callee_that_becomes_a_leaf() {
+    // `c` becomes a single-return leaf only in round 2, which drops the
+    // empty block round 1 left of `if (false)`. `m` does not change before
+    // then, so only the change to `c`'s inline entry brings `m` back.
+    let (compiled, stats) = compile(
+        "def c(x: int) -> int { if (false) System.puti(x); return x + 1; }\n\
+         def m(x: int) -> int { return c(x) * 2; }\n\
+         def main() -> int { return m(3); }",
+    );
+    assert_eq!(stats.opt.inlined, 1, "{:?}", stats.opt);
+    let m = compiled.methods.iter().find(|m| m.name == "m").expect("m");
+    let mut calls = 0;
+    vgl_ir::visit::for_each_expr(m.body.as_ref().expect("body"), &mut |e| {
+        if matches!(e.kind, vgl_ir::ExprKind::CallStatic { .. }) {
+            calls += 1;
+        }
+    });
+    assert_eq!(calls, 0, "m still calls c");
+}
+
+#[test]
 fn inliner_skips_recursive_and_large_bodies() {
     let (_, stats) = compile(
         "def f(n: int) -> int { return n == 0 ? 0 : f(n - 1); }\n\

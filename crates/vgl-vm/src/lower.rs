@@ -47,15 +47,15 @@ pub enum Demand {
 }
 
 /// One method's compiled artifact in relocatable form, as captured by
-/// [`SpliceRecord::capture`]. The code is final (post-fuse when fusion
-/// was on) but its program-indexed operands are positional: `CallVirt`
-/// site ids and `ConstPool` ids are dense, assigned in lowering order, so
-/// they relocate by the delta between the capture-time base and the
-/// splice-time base; `ClosQuery`/`ClosCast` test ids are memoized by type
-/// and map through the demand replay. Function, class, global, field-slot
-/// and vtable-slot operands are embedded verbatim — that is only sound
-/// between modules with equal `vgl_passes::context_digest`s, which is the
-/// caller's contract.
+/// [`SpliceRecord::capture`]: the lowered and (when fusion was on) fused
+/// code of one optimized body. Its program-indexed operands are
+/// positional: `CallVirt` site ids and `ConstPool` ids are dense, assigned
+/// in lowering order, so they relocate by the delta between the
+/// capture-time base and the splice-time base; `ClosQuery`/`ClosCast` test
+/// ids are memoized by type and map through the demand replay. Function,
+/// class, global, field-slot and vtable-slot operands are embedded
+/// verbatim — that is only sound between modules with equal
+/// `vgl_passes::context_digest`s, which is the caller's contract.
 #[derive(Clone, Debug)]
 pub struct SpliceFunc {
     /// Parameter registers.
@@ -162,8 +162,11 @@ impl SpliceRecord {
 /// to `lower` + [`crate::fuse::fuse_cfg`] on the same module, provided
 /// every plan entry was captured from a compile whose module had the same
 /// `vgl_passes::context_digest` and whose method had the same
-/// `vgl_passes::cache::method_fingerprint` — the serving determinism suite
-/// pins this equivalence across cold, warm, and concurrent compiles.
+/// `vgl_passes::cache::method_fingerprint`, both taken on the optimized
+/// module. Lowering and fusion of a method read only its own body and what
+/// the digest covers, and the shared allocators replay through
+/// [`Demand`]s. The serving determinism suite pins this equivalence across
+/// cold, warm, and concurrent compiles.
 pub fn lower_reusing(
     module: &Module,
     plan: Option<&ReusePlan>,
