@@ -114,13 +114,15 @@ pub fn e12(workload: &str, steady: bool, pause_ratio: f64, throughput: f64) -> V
     }
 }
 
-/// E13: a warm served edit is never slower than a cold one-shot compile
-/// (`speedup` is cold/warm), and the function store was hit at least once,
-/// so the warm path really ran.
+/// E13: a batch of warm served edits is at least 1.3x faster than the same
+/// compiles done cold (`speedup` is cold/warm), and the function store was
+/// hit at least once, so the warm path really ran. The floor is what three
+/// runs at CI's sample count all cleared once normalized bodies were
+/// reused (1.37x to 1.47x), rounded down; it never falls.
 pub fn e13(workload: &str, speedup: f64, store_hits: u64) -> [Gate; 2] {
     let hits = store_hits as f64;
     [
-        Gate::new("e13", workload, "speedup", speedup, 1.0, f64::ge),
+        Gate::new("e13", workload, "speedup", speedup, 1.3, f64::ge),
         Gate::new("e13", workload, "store hits", hits, 1.0, f64::ge),
     ]
 }
@@ -185,10 +187,10 @@ mod tests {
     }
 
     #[test]
-    fn e13_needs_parity_and_a_store_hit() {
+    fn e13_needs_the_speedup_floor_and_a_store_hit() {
         let pass = |gates: [Gate; 2]| gates.iter().all(Gate::pass);
-        assert!(pass(e13("w", 1.0, 1)));
-        assert!(!pass(e13("w", 1.0 - EPS, 1)));
-        assert!(!pass(e13("w", 1.0, 0)));
+        assert!(pass(e13("w", 1.3, 1)));
+        assert!(!pass(e13("w", 1.3 - EPS, 1)));
+        assert!(!pass(e13("w", 1.3, 0)));
     }
 }

@@ -482,6 +482,8 @@ pub struct ServeMeasurement {
     pub store_lookups: u64,
     /// Function-store hits the daemon reported after the last batch.
     pub store_hits: u64,
+    /// Normalized-body store hits the daemon reported after the last batch.
+    pub body_hits: u64,
 }
 
 impl ServeMeasurement {
@@ -612,9 +614,10 @@ pub fn measure_serve(
         )
     });
     latencies.sort();
-    let funcs = stats.get("cache").and_then(|c| c.get("funcs"));
-    let count = |key| {
-        funcs
+    let count = |store, key| {
+        stats
+            .get("cache")
+            .and_then(|c| c.get(store))
             .and_then(|f| f.get(key))
             .and_then(Json::as_u64)
             .unwrap_or(0)
@@ -623,8 +626,9 @@ pub fn measure_serve(
         cold,
         warm,
         latencies,
-        store_lookups: count("lookups"),
-        store_hits: count("hits"),
+        store_lookups: count("funcs", "lookups"),
+        store_hits: count("funcs", "hits"),
+        body_hits: count("bodies", "hits"),
     }
 }
 

@@ -38,8 +38,9 @@
 //! vglc serve [--socket PATH] [--no-fuse] [--no-opt] [--jobs N]
 //!            [--artifact-cap N] [--func-cap N]
 //!                              run the compile daemon; the level-1 store
-//!                              holds at most N whole compilations, the
-//!                              level-2 store at most N compiled functions
+//!                              holds at most N whole compilations, each
+//!                              level-2 store (normalized bodies, compiled
+//!                              functions) at most N entries
 //! vglc client [--socket PATH] [--session NAME] <request> [file.v]
 //!                              send one request to a running daemon
 //! ```

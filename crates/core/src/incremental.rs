@@ -1,50 +1,73 @@
 //! Cross-request incremental compilation — the daemon's warm path.
 //!
-//! [`IncrementalCompiler`] wraps a [`Compiler`] with two persistent,
+//! [`IncrementalCompiler`] wraps a [`Compiler`] with persistent,
 //! content-addressed LRU stores ([`vgl_passes::Lru`]), each bounded to
-//! exactly its configured number of entries:
+//! exactly its configured number of entries. A request can reuse work at
+//! three horizons, each keyed on what determines the work it skips:
 //!
-//! * **Level 1 — whole artifacts.** Keyed by a 128-bit source fingerprint
+//! * **Level 1 — whole artifacts**, keyed by a 128-bit source fingerprint
 //!   plus the codegen-relevant option bits. A byte-identical resubmission
 //!   (the same file saved twice, or two clients compiling the same source)
 //!   returns the shared [`Compilation`] `Arc` without running anything.
 //!
-//! * **Level 2 — per-function fused code.** Keyed by
+//! * **Level 2, at the mono boundary — normalized bodies**, keyed by
 //!   ([`vgl_passes::context_digest`], `method_fingerprint`, option bits),
-//!   both taken on the **optimized** module. A level-1 miss runs the same
-//!   compile driver as [`Compiler::compile`], handing it this store. The
-//!   front end, mono, normalize and optimize always run. Every method whose
-//!   optimized body matches under the same context digest then skips lower
-//!   and fuse: its cached fused code is relocated into the reserved
-//!   function slot by [`vgl_vm::lower_reusing`], and the fuse pool leaves
-//!   it alone. The remaining functions fuse on the same parallel pool as a
-//!   cold compile, and the trace reports the same phases.
+//!   both taken on the **post-mono** module. The fingerprints are the ones
+//!   mono already took to find duplicate instances. Every representative
+//!   method whose post-mono body matches under the same digest has its
+//!   stored normalized body copied in, so normalize flattens only the
+//!   module layout and the methods that changed.
 //!
-//! Why after optimize. A cached artifact must be a pure function of its
+//! * **Level 2, at the optimized module — fused code**, keyed the same way
+//!   but on the **optimized** module. Every method whose optimized body
+//!   matches skips lower and fuse: its cached fused code is relocated into
+//!   the reserved function slot by [`vgl_vm::lower_reusing`], and the fuse
+//!   pool leaves it alone.
+//!
+//! A level-1 miss runs the same compile driver as [`Compiler::compile`],
+//! handing it the level-2 stores. The front end, mono and optimize always
+//! run in full, and the trace reports the same phases as a cold compile.
+//! The level-2 stores each hold the same configured number of entries.
+//!
+//! Why these horizons. A cached artifact must be a pure function of its
 //! key:
 //!
+//! * Flattening a method (§4.2) reads the method, the module layout (class
+//!   fields, globals, every method's return type) and the post-mono type
+//!   ids, all covered by the post-mono digest and fingerprint. It also
+//!   reads state that the methods flattened before it leave behind: the
+//!   types normalization interns and the ids of the scalar wrappers of
+//!   first-class tuple operators, handed out in first-use order. So a
+//!   stored body carries its flattening's demands on that state, in order,
+//!   and a hit replays them through the live allocators. The body is used
+//!   only if every demand returns what it returned when the body was
+//!   stored, so every id it embeds means the same thing; otherwise the
+//!   method is flattened, and the replay has left exactly the state a cold
+//!   flattening reaches (`vgl_passes::normalize_reusing` has the details).
 //! * Lowering and fusion of a method read only its own optimized body plus
 //!   what the context digest covers: type ids, class layouts, globals and
-//!   every method's signature.
-//! * The shared wrappers a body demands are replayed through
-//!   [`vgl_vm::Demand`]s, and its `CallVirt` site and constant-pool ids
-//!   relocate, so they need no key.
+//!   every method's signature. The shared wrappers a body demands are
+//!   replayed through [`vgl_vm::Demand`]s, and its `CallVirt` site and
+//!   constant-pool ids relocate, so they need no key.
 //! * Optimize has no such property: inlining reads other methods' bodies,
-//!   so a method's optimized body can change while its own source does not.
-//!   Reusing anything that skips optimize would need those inline
-//!   dependencies in the key.
+//!   so a method's optimized body can change while its own post-mono body
+//!   does not. Nothing is reused across optimize; it runs on the whole
+//!   module, stored bodies included.
 //!
 //! The contract, pinned by the serving determinism suite: warm output is
 //! **byte-identical** to a cold one-shot [`Compiler::compile`] of the same
-//! source under the same options. A digest or fingerprint miss falls back
-//! to exactly the cold path for that method, so the stores can be evicted
-//! (or raced) freely without affecting output — only latency.
+//! source under the same options. A digest, fingerprint or replay miss
+//! falls back to exactly the cold path for that method, so the stores can
+//! be evicted (or raced) freely without affecting output — only latency.
+//! With the per-instance cache off, mono takes no fingerprints and the
+//! body store is not consulted.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use vgl_ir::Module;
-use vgl_passes::{cache, context_digest, Lru, StoreStats};
+use vgl_passes::cache::DupMap;
+use vgl_passes::{cache, context_digest, Lru, NormFunc, NormPlan, NormRecord, StoreStats};
 use vgl_vm::{ReusePlan, SpliceFunc, SpliceRecord, VmProgram};
 
 use crate::{Compilation, CompileError, Compiler, Options};
@@ -53,13 +76,14 @@ use crate::{Compilation, CompileError, Compiler, Options};
 /// and a serving session rarely juggles more than a few dozen live sources.
 pub const DEFAULT_ARTIFACT_CAPACITY: usize = 64;
 
-/// Default level-2 capacity: per-function artifacts are small and the whole
-/// point is surviving edits, so keep room for many generations of a
-/// program's method set.
+/// Default capacity of each level-2 store: per-function artifacts are small
+/// and the whole point is surviving edits, so keep room for many
+/// generations of a program's method set.
 pub const DEFAULT_FUNC_CAPACITY: usize = 4096;
 
 /// Level-2 store key: an artifact is reusable exactly when the module
-/// context, the optimized method, and the codegen options all match.
+/// context, the method, and the codegen options all match. Fused code is
+/// keyed on the optimized module, normalized bodies on the post-mono one.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct FuncKey {
     ctx: (u64, u64),
@@ -67,13 +91,24 @@ struct FuncKey {
     opts: u64,
 }
 
-/// The level-2 store as the compile driver sees it: looked up after
-/// optimize, published to after fuse.
+/// The level-2 stores as the compile driver sees them: normalized bodies,
+/// looked up after mono and published to after normalize, and fused code,
+/// looked up after optimize and published to after fuse.
 pub(crate) struct FuncStore {
+    bodies: Lru<FuncKey, NormFunc>,
     funcs: Lru<FuncKey, SpliceFunc>,
     opts_key: u64,
+    bodies_reused: AtomicUsize,
     methods_spliced: AtomicUsize,
     methods_compiled: AtomicUsize,
+}
+
+/// One compile's normalized-body lookups, taken on the post-mono module.
+pub(crate) struct BodyLookups {
+    ctx: (u64, u64),
+    fps: Vec<Option<(u64, u64)>>,
+    /// The stored bodies found, for normalize.
+    pub(crate) plan: NormPlan,
 }
 
 /// One compile's reuse decisions, taken on the optimized module.
@@ -91,8 +126,11 @@ pub(crate) struct Splices {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Reuse {
     /// The whole artifact came from the level-1 store; nothing ran, so
-    /// both method counts are 0.
+    /// every method count is 0.
     pub artifact_hit: bool,
+    /// Methods whose normalized body was copied from the level-2 store
+    /// instead of flattened.
+    pub bodies_reused: usize,
     /// Methods whose lower and fuse work was spliced from the level-2 store.
     pub methods_spliced: usize,
     /// Methods lowered and fused afresh.
@@ -100,6 +138,52 @@ pub struct Reuse {
 }
 
 impl FuncStore {
+    /// Looks every representative bodied method of the post-mono `module`
+    /// up in the body store, under the fingerprints mono took for `dup`.
+    /// `None` when mono took none (the per-instance cache is off).
+    pub(crate) fn lookup_bodies(
+        &self,
+        module: &Module,
+        dup: Option<&DupMap>,
+    ) -> Option<BodyLookups> {
+        let dup = dup.filter(|d| d.prints.len() == module.methods.len())?;
+        let ctx = context_digest(module);
+        let funcs = dup
+            .prints
+            .iter()
+            .enumerate()
+            .map(|(i, fp)| {
+                let fp = fp.filter(|_| !dup.is_dup(i))?;
+                self.bodies.get(&FuncKey { ctx, fp, opts: self.opts_key })
+            })
+            .collect();
+        Some(BodyLookups { ctx, fps: dup.prints.clone(), plan: NormPlan { funcs } })
+    }
+
+    /// Publishes every body the normalized `module` flattened afresh and
+    /// returns how many bodies it reused: the plan entries whose method
+    /// got no record.
+    pub(crate) fn publish_bodies(
+        &self,
+        lookups: BodyLookups,
+        module: &Module,
+        records: Vec<Option<NormRecord>>,
+    ) -> usize {
+        let mut reused = 0;
+        for (i, record) in records.into_iter().enumerate() {
+            match (record, lookups.fps[i]) {
+                (Some(record), Some(fp)) => {
+                    let key = FuncKey { ctx: lookups.ctx, fp, opts: self.opts_key };
+                    self.bodies.insert(key, record.capture(module, i));
+                }
+                (None, _) if lookups.plan.funcs[i].is_some() => reused += 1,
+                _ => {}
+            }
+        }
+        self.bodies_reused.fetch_add(reused, Ordering::Relaxed);
+        reused
+    }
+
     /// Looks every method of the optimized `module` up in the store.
     pub(crate) fn splice(&self, module: &Module) -> Splices {
         let ctx = context_digest(module);
@@ -110,8 +194,11 @@ impl FuncStore {
             .collect();
         let n = funcs.len();
         let spliced = funcs.iter().filter(|f| f.is_some()).count();
-        let reuse =
-            Reuse { artifact_hit: false, methods_spliced: spliced, methods_compiled: n - spliced };
+        let reuse = Reuse {
+            methods_spliced: spliced,
+            methods_compiled: n - spliced,
+            ..Reuse::default()
+        };
         self.methods_spliced.fetch_add(spliced, Ordering::Relaxed);
         self.methods_compiled.fetch_add(n - spliced, Ordering::Relaxed);
         Splices { ctx, fps, plan: ReusePlan { funcs }, reuse }
@@ -142,8 +229,12 @@ impl FuncStore {
 pub struct IncrementalStats {
     /// Level-1 (whole-artifact) store counters.
     pub artifacts: StoreStats,
-    /// Level-2 (per-function) store counters.
+    /// Level-2 normalized-body store counters.
+    pub bodies: StoreStats,
+    /// Level-2 fused-code store counters.
     pub funcs: StoreStats,
+    /// Methods whose normalized body was reused instead of flattened.
+    pub bodies_reused: usize,
     /// Methods whose lower and fuse work was skipped via splicing.
     pub methods_spliced: usize,
     /// Methods lowered and fused from scratch (and published to the store).
@@ -199,7 +290,8 @@ impl IncrementalCompiler {
     }
 
     /// Wraps `compiler` with explicit level-1 / level-2 capacities: each
-    /// store holds at most that many entries (at least one).
+    /// store holds at most that many entries (at least one); the two
+    /// level-2 stores each hold `func_capacity`.
     pub fn with_capacity(
         compiler: Compiler,
         artifact_capacity: usize,
@@ -210,8 +302,10 @@ impl IncrementalCompiler {
             compiler,
             artifacts: Lru::new(artifact_capacity),
             store: FuncStore {
+                bodies: Lru::new(func_capacity),
                 funcs: Lru::new(func_capacity),
                 opts_key,
+                bodies_reused: AtomicUsize::new(0),
                 methods_spliced: AtomicUsize::new(0),
                 methods_compiled: AtomicUsize::new(0),
             },
@@ -227,7 +321,9 @@ impl IncrementalCompiler {
     pub fn stats(&self) -> IncrementalStats {
         IncrementalStats {
             artifacts: self.artifacts.stats(),
+            bodies: self.store.bodies.stats(),
             funcs: self.store.funcs.stats(),
+            bodies_reused: self.store.bodies_reused.load(Ordering::Relaxed),
             methods_spliced: self.store.methods_spliced.load(Ordering::Relaxed),
             methods_compiled: self.store.methods_compiled.load(Ordering::Relaxed),
         }
@@ -326,6 +422,21 @@ mod tests {
         let st = inc.stats();
         assert!(st.funcs.hits > 0, "unchanged methods must hit the store: {st:?}");
         assert!(st.methods_spliced > 0);
+    }
+
+    #[test]
+    fn without_the_instance_cache_no_body_is_looked_up() {
+        // Mono takes no fingerprints, so the body store has no keys; the
+        // fused-code store still serves the edit.
+        let options = Options { pass_cache: false, ..Options::default() };
+        let inc = IncrementalCompiler::new(Compiler::with_options(options));
+        inc.compile(BASE).expect("compiles");
+        let warm = inc.compile(EDITED).expect("compiles");
+        let cold = Compiler::with_options(options).compile(EDITED).expect("compiles");
+        assert_eq!(program_bytes(&warm), program_bytes(&cold));
+        let st = inc.stats();
+        assert_eq!((st.bodies.lookups, st.bodies_reused), (0, 0), "{st:?}");
+        assert!(st.methods_spliced > 0, "{st:?}");
     }
 
     #[test]

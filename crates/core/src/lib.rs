@@ -208,14 +208,18 @@ impl Compiler {
     /// postconditions in debug builds; the bytecode, spliced functions
     /// included, is checked with [`vgl_vm::check_fused`] in every build.
     ///
-    /// With no `store` this is the cold compile and takes no fingerprints.
-    /// With one, the optimized module is the reuse horizon: every method
-    /// whose optimized body the store already holds under the same module
-    /// context has its fused code spliced in, skipping lowering and fusion,
-    /// and every freshly compiled method is published once fusion is done.
-    /// Optimize itself always runs in full, because inlining reads other
-    /// methods' bodies. The [`Reuse`] counts what this compile spliced (all
-    /// zero without a store).
+    /// With no `store` this is the cold compile: it takes no digests and
+    /// records nothing. With one, reuse happens at two horizons. After mono,
+    /// every representative method is looked up in the body store under
+    /// mono's fingerprint and the post-mono context digest; normalize
+    /// copies in each stored body whose replayed demands come out as
+    /// recorded and flattens the rest, which are published before the phase
+    /// ends. After optimize, every method whose optimized body the store
+    /// already holds under the same module context has its fused code
+    /// spliced in, skipping lowering and fusion, and every freshly compiled
+    /// method is published once fusion is done. Optimize itself always runs
+    /// in full, because inlining reads other methods' bodies. The [`Reuse`]
+    /// counts what this compile reused (all zero without a store).
     pub(crate) fn drive(
         &self,
         source: &str,
@@ -269,10 +273,26 @@ impl Compiler {
         );
         let size_after_mono = vgl_ir::measure(&compiled);
         trace.set_items_out("mono", size_after_mono.expr_nodes);
-        let norm = trace.time(
+        // The body store's lookups and publishing run inside the phase they
+        // serve, so a served compile's time stays in recorded phases.
+        let (norm, bodies_reused) = trace.time(
             "normalize",
             size_after_mono.expr_nodes,
-            || vgl_passes::normalize_cfg(&mut compiled, &backend_cfg, &mut backend),
+            || {
+                let lookups =
+                    store.and_then(|s| s.lookup_bodies(&compiled, backend.dup_map.as_ref()));
+                let (stats, records) = vgl_passes::normalize_reusing(
+                    &mut compiled,
+                    &backend_cfg,
+                    &mut backend,
+                    lookups.as_ref().map(|l| &l.plan),
+                );
+                let reused = match (store, lookups) {
+                    (Some(s), Some(l)) => s.publish_bodies(l, &compiled, records),
+                    _ => 0,
+                };
+                (stats, reused)
+            },
             |_| 0,
         );
         let size_after_norm = vgl_ir::measure(&compiled);
@@ -332,7 +352,10 @@ impl Compiler {
             "bytecode back end broke a VM invariant",
             &vgl_vm::check_fused(&program),
         );
-        let reuse = splices.as_ref().map_or_else(Reuse::default, |s| s.reuse);
+        let reuse = Reuse {
+            bodies_reused,
+            ..splices.as_ref().map_or_else(Reuse::default, |s| s.reuse)
+        };
         if let (Some(store), Some(splices)) = (store, splices) {
             store.publish(splices, &program, records);
         }

@@ -50,7 +50,7 @@ pub struct ServeConfig {
     pub options: Options,
     /// Level-1 (whole-artifact) store capacity, in entries.
     pub artifact_capacity: usize,
-    /// Level-2 (per-function) store capacity, in entries.
+    /// Capacity of each level-2 (per-function) store, in entries.
     pub func_capacity: usize,
     /// A connection with no complete read for this long is dropped; keeps
     /// half-open peers from pinning threads forever.
@@ -198,6 +198,7 @@ impl DaemonState {
                 );
                 let mut warm = Json::object();
                 warm.set("artifact_hit", Json::Bool(reuse.artifact_hit));
+                warm.set("bodies_reused", Json::from(reuse.bodies_reused));
                 warm.set("methods_spliced", Json::from(reuse.methods_spliced));
                 warm.set("methods_compiled", Json::from(reuse.methods_compiled));
                 resp.set("warm", warm);
@@ -269,7 +270,9 @@ impl DaemonState {
         };
         let mut cache = Json::object();
         cache.set("artifacts", store(st.artifacts));
+        cache.set("bodies", store(st.bodies));
         cache.set("funcs", store(st.funcs));
+        cache.set("bodies_reused", Json::from(st.bodies_reused));
         cache.set("methods_spliced", Json::from(st.methods_spliced));
         cache.set("methods_compiled", Json::from(st.methods_compiled));
         cache.set("splice_rate", Json::Num(st.splice_rate()));
@@ -760,6 +763,11 @@ mod tests {
                     .unwrap_or(0)
                     >= 1
             );
+            // The one compile that ran looked `main` up in the body store
+            // and published it.
+            let bodies = stats.get("cache").and_then(|c| c.get("bodies")).expect("body store");
+            let count = |k: &str| bodies.get(k).and_then(Json::as_u64);
+            assert_eq!((count("lookups"), count("inserts")), (Some(1), Some(1)), "{stats}");
             assert!(
                 stats
                     .get("latency_us")
@@ -933,6 +941,18 @@ mod tests {
                     if hit { 0 } else { methods },
                     "{what}"
                 );
+                // After its first request, a client's edit changes one
+                // helper and restores the one its previous edit changed;
+                // `main` and the 15 others are bodies this client's own
+                // earlier requests published. The other client may have
+                // published more, but never past the method count.
+                let reused = count("bodies_reused");
+                if hit {
+                    assert_eq!(reused, 0, "{what}");
+                } else {
+                    assert!(reused <= methods, "{what}");
+                    assert!(round == 0 || reused >= 15, "{what}");
+                }
             }
         }
     }

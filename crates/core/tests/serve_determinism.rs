@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use vgl::incremental::{IncrementalCompiler, Reuse};
 use vgl::serve::{with_daemon, Client, Request, ServeConfig};
-use vgl::{Compiler, Options};
+use vgl::{Compilation, Compiler, Options};
 use vgl_obs::json::Json;
 use vgl_vm::disasm;
 
@@ -65,8 +65,9 @@ fn warm_output_is_byte_identical_to_cold_across_edits() {
     let options = serving_options();
     let inc = IncrementalCompiler::new(Compiler::with_options(options));
     // Seed the store, then replay an edit history: every warm compile
-    // (which splices cached post-optimize bodies and reuses lowered code
-    // for every unchanged function) must equal a cold compile byte for
+    // (which copies in the stored normalized body of every method whose
+    // post-mono body is unchanged, and splices stored fused code for every
+    // method whose optimized body is) must equal a cold compile byte for
     // byte. Edit 3 repeats an earlier fingerprint on purpose.
     inc.compile(&edited_program(0)).expect("seed");
     for edit in [1u64, 2, 99, 1] {
@@ -80,6 +81,7 @@ fn warm_output_is_byte_identical_to_cold_across_edits() {
     }
     let stats = inc.stats();
     assert!(stats.funcs.hits > 0, "the warm path must actually engage: {stats:?}");
+    assert!(stats.bodies_reused > 0, "normalized bodies must be reused: {stats:?}");
 }
 
 #[test]
@@ -145,14 +147,15 @@ fn fuzz_programs_warm_equal_cold() {
     // A sweep of generated programs through one shared store. Each program
     // primes the store and must itself compile as it does cold; then a
     // sibling with the first integer literal of `main` bumped goes through
-    // the function store, where every method but `main` can splice, and
-    // must match its cold compile too.
+    // the function stores, where every method but `main` can reuse its
+    // normalized body and splice its fused code, and must match its cold
+    // compile too: bytecode, IR and type ids.
     use vgl_fuzz::gen::{emit, gen_program, GenConfig};
     use vgl_syntax::token::TokenKind;
     let options = serving_options();
     let inc = IncrementalCompiler::new(Compiler::with_options(options));
     let cfg = GenConfig::default();
-    let (mut checked, mut spliced) = (0, 0);
+    let (mut checked, mut spliced, mut reused) = (0, 0, 0);
     for seed in 0..40u64 {
         let src = emit(&gen_program(seed, &cfg));
         let Ok(cold) = Compiler::with_options(options).compile(&src) else {
@@ -181,11 +184,14 @@ fn fuzz_programs_warm_equal_cold() {
             "seed {seed}, `main` literal {v} -> {}: warm disassembly diverged",
             v + 1
         );
+        assert_same_ir(&warm, &cold, &format!("seed {seed}, `main` literal {v} -> {}", v + 1));
         spliced += reuse.methods_spliced;
+        reused += reuse.bodies_reused;
         checked += 1;
     }
     assert!(checked >= 20, "enough fuzz siblings compiled: {checked}");
     assert!(spliced > 0, "the siblings went through the function store");
+    assert!(reused > 0, "the siblings reused normalized bodies");
 }
 
 #[test]
@@ -245,9 +251,25 @@ fn bump(src: &str, t: &vgl_syntax::token::Token) -> Option<(i64, String)> {
     Some((v, format!("{}{}{}", &src[..start], v + 1, &src[end..])))
 }
 
+/// Requires the warm and cold compiled modules to be the same IR with the
+/// same type ids: equal module fingerprints (names included) and equal
+/// context digests (the type interner dumped in id order).
+fn assert_same_ir(warm: &Compilation, cold: &Compilation, what: &str) {
+    assert_eq!(
+        vgl::module_fingerprint(&warm.compiled),
+        vgl::module_fingerprint(&cold.compiled),
+        "{what}: warm IR diverged"
+    );
+    assert_eq!(
+        vgl_passes::context_digest(&warm.compiled),
+        vgl_passes::context_digest(&cold.compiled),
+        "{what}: warm type ids or layout diverged"
+    );
+}
+
 /// Compiles `edited` warm, on a store primed with `original`, and cold.
-/// Requires byte-identical disassembly and equal runs; returns the warm
-/// compile's reuse counts and its run result.
+/// Requires byte-identical disassembly, the same IR and type ids, and equal
+/// runs; returns the warm compile's reuse counts and its run result.
 fn warm_equals_cold(original: &str, edited: &str, what: &str) -> (Reuse, Result<String, String>) {
     let options = serving_options();
     let inc = IncrementalCompiler::new(Compiler::with_options(options));
@@ -255,6 +277,7 @@ fn warm_equals_cold(original: &str, edited: &str, what: &str) -> (Reuse, Result<
     let (warm, reuse) = inc.compile_reporting(edited).expect("warm compile");
     let cold = Compiler::with_options(options).compile(edited).expect("cold compile");
     assert_eq!(disasm(&warm.program), disasm(&cold.program), "{what}: warm disassembly diverged");
+    assert_same_ir(&warm, &cold, what);
     let (w, c) = (warm.execute(), cold.execute());
     assert_eq!(w.output, c.output, "{what}: warm output diverged");
     assert_eq!(w.result, c.result, "{what}: warm result diverged");
@@ -296,11 +319,44 @@ fn editing_an_inlined_tuple_sum_serves_the_edit() {
 }
 
 #[test]
+fn swapped_tuple_operator_wrappers_serve_cold_output() {
+    // `T.==` and `T.!=` on a tuple `T` normalize to references to scalar
+    // wrappers, whose ids are handed out in first-use order. Swapping which
+    // caller instantiates which operator swaps the order mono lists the two
+    // instances in, so each keeps its post-mono fingerprint and the module
+    // keeps its context digest, but the wrapper ids their normalized bodies
+    // embed trade places. A stored body is only reused when replaying its
+    // wrapper demands gives the ids it embeds.
+    let program = |a: &str, b: &str| {
+        format!(
+            "def eqof<T>() -> (T, T) -> bool {{ return T.==; }}\n\
+             def neof<T>() -> (T, T) -> bool {{ return T.!=; }}\n\
+             def a() -> bool {{ return {a}; }}\n\
+             def b() -> bool {{ return {b}; }}\n\
+             def main() -> bool {{ return a() && b(); }}\n"
+        )
+    };
+    let eq = "eqof<(int, int)>()((1, 2), (1, 2))";
+    let ne = "neof<(int, int)>()((1, 2), (3, 4))";
+    let (reuse, result) = warm_equals_cold(&program(eq, ne), &program(ne, eq), "swapped operators");
+    // `main` returns `true`, which the VM displays as 1.
+    assert_eq!(result, Ok("1".to_string()));
+    assert!(reuse.bodies_reused > 0, "unchanged bodies are still reused: {reuse:?}");
+    // The two instances found their stored bodies, and the replay refused
+    // them.
+    let inc = IncrementalCompiler::new(Compiler::with_options(serving_options()));
+    inc.compile(&program(eq, ne)).expect("the original compiles");
+    let (_, reuse) = inc.compile_reporting(&program(ne, eq)).expect("warm compile");
+    let stats = inc.stats();
+    assert_eq!(stats.bodies.hits, reuse.bodies_reused + 2, "{stats:?}");
+}
+
+#[test]
 fn every_literal_edit_of_the_examples_serves_cold_output() {
     // Each sibling bumps one integer literal of one example by one: a
     // one-method edit whose callers may have inlined it.
     use vgl_syntax::token::TokenKind;
-    let (mut siblings, mut spliced) = (0, 0);
+    let (mut siblings, mut spliced, mut reused) = (0, 0, 0);
     for path in examples() {
         let original = std::fs::read_to_string(&path).expect("reads");
         let tokens = vgl_syntax::lexer::lex(&original, &mut vgl_syntax::Diagnostics::new());
@@ -311,11 +367,14 @@ fn every_literal_edit_of_the_examples_serves_cold_output() {
             }
             let name = path.file_name().expect("a file").to_string_lossy();
             let what = format!("{name} with {v} -> {} at byte {}", v + 1, t.span.start);
-            spliced += warm_equals_cold(&original, &sibling, &what).0.methods_spliced;
+            let reuse = warm_equals_cold(&original, &sibling, &what).0;
+            spliced += reuse.methods_spliced;
+            reused += reuse.bodies_reused;
             siblings += 1;
         }
     }
-    eprintln!("{siblings} siblings, {spliced} methods spliced");
+    eprintln!("{siblings} siblings, {spliced} methods spliced, {reused} bodies reused");
     assert!(siblings >= 100, "the sweep covers the examples: {siblings}");
     assert!(spliced > 0, "the sweep exercises splicing");
+    assert!(reused > 0, "the sweep reuses normalized bodies");
 }

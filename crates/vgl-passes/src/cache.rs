@@ -142,10 +142,11 @@ pub fn context_digest(module: &Module) -> (u64, u64) {
 pub struct CacheStats {
     /// Methods with bodies that were looked up.
     pub lookups: usize,
-    /// Duplicates that skipped the pass (result copied from their
-    /// representative).
+    /// Methods that skipped the pass: duplicates, whose result is copied
+    /// from their representative, and in normalize the bodies a reuse plan
+    /// supplied.
     pub hits: usize,
-    /// Unique representatives that did the work.
+    /// Methods that did the work.
     pub unique: usize,
 }
 
@@ -174,6 +175,10 @@ impl CacheStats {
 pub struct DupMap {
     /// Representative index per method.
     pub rep: Vec<usize>,
+    /// The [`method_fingerprint`] of each method the map was built from,
+    /// `None` for methods without bodies; empty for the identity map, which
+    /// takes none.
+    pub prints: Vec<Option<(u64, u64)>>,
     /// Lookup/hit counters from building the map.
     pub stats: CacheStats,
 }
@@ -181,7 +186,7 @@ pub struct DupMap {
 impl DupMap {
     /// The identity map (cache disabled): every method represents itself.
     pub fn identity(n: usize) -> DupMap {
-        DupMap { rep: (0..n).collect(), stats: CacheStats::default() }
+        DupMap { rep: (0..n).collect(), prints: Vec::new(), stats: CacheStats::default() }
     }
 
     /// True if `i` is a duplicate of an earlier method.
@@ -205,8 +210,8 @@ pub fn dup_groups(module: &Module, jobs: usize) -> (DupMap, Vec<WorkerSample>) {
     let mut first: HashMap<(u64, u64), usize> = HashMap::new();
     let mut rep: Vec<usize> = (0..module.methods.len()).collect();
     let mut stats = CacheStats::default();
-    for (i, print) in prints.into_iter().enumerate() {
-        let Some(key) = print else { continue };
+    for (i, print) in prints.iter().enumerate() {
+        let Some(key) = *print else { continue };
         stats.lookups += 1;
         let r = *first.entry(key).or_insert(i);
         rep[i] = r;
@@ -216,7 +221,7 @@ pub fn dup_groups(module: &Module, jobs: usize) -> (DupMap, Vec<WorkerSample>) {
             stats.hits += 1;
         }
     }
-    (DupMap { rep, stats }, workers)
+    (DupMap { rep, prints, stats }, workers)
 }
 
 #[cfg(test)]

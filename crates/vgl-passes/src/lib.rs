@@ -27,7 +27,9 @@ pub mod store;
 
 pub use cache::{context_digest, module_fingerprint, CacheStats};
 pub use mono::{monomorphize, MonoStats};
-pub use normalize::{normalize, normalize_cfg, NormStats};
+pub use normalize::{
+    normalize, normalize_cfg, normalize_reusing, NormFunc, NormPlan, NormRecord, NormStats,
+};
 pub use optimize::{optimize, optimize_cfg, OptStats};
 pub use store::{Lru, StoreStats};
 
@@ -66,7 +68,8 @@ impl Default for BackendConfig {
 pub struct BackendReport {
     /// Effective worker count the passes ran with.
     pub jobs: usize,
-    /// Instance-cache counters from normalize.
+    /// Instance-cache counters from normalize. Its hits also count the
+    /// bodies a [`NormPlan`] supplied ([`normalize_reusing`]).
     pub norm_cache: CacheStats,
     /// Instance-cache counters from optimize (per-pipeline, counted once at
     /// grouping, not per fixpoint round).
@@ -76,7 +79,9 @@ pub struct BackendReport {
     pub workers: Vec<WorkerSample>,
     /// The duplicate-instance map, built once per pipeline by
     /// [`monomorphize_cfg`] and handed forward through normalize to
-    /// optimize, so the module is fingerprinted only once. Normalize copies
+    /// optimize, so the module is fingerprinted only once. It keeps mono's
+    /// fingerprints, which also key a served compile's normalized-body
+    /// store. Normalize copies
     /// each duplicate's flattened result from its representative, so the
     /// grouping stays exact across the pass; methods appended later
     /// (synthesized wrappers) are treated as unique. Only valid for the

@@ -26,8 +26,43 @@
 //! and a multi-value call result is bound to one tuple-typed local whose only
 //! uses are direct projections (lowered to consecutive registers). The
 //! [`check_normalized`] validator enforces that nothing else survives.
+//!
+//! ## Reusing a normalized body
+//!
+//! Flattening one method reads the method itself, the module's layout
+//! (classes, globals, every method's return type) and two pieces of state
+//! that earlier methods build up: the types normalization interns and the
+//! synthesized wrappers, whose ids are handed out in first-use order. The
+//! layout and the post-mono type ids are covered by
+//! [`crate::context_digest`], so two compiles with equal digests start
+//! flattening their methods from the same state; after that the state is
+//! whatever the methods flattened so far left behind.
+//!
+//! [`normalize_reusing`] therefore copies in a stored body only after
+//! replaying what flattening it did to that state. A method flattened
+//! under a [`NormPlan`] records its demands in first-use order: each
+//! `norm_type` call on a tuple, array or function type and the type it
+//! returned, and each wrapper it asked for and the id it got. A plan entry
+//! replays them through the same memoized allocators, in method order, and
+//! is used only if every call returns what it returned at capture and
+//! every type interned during normalization that those results reach has
+//! its recorded kind. Then every id the stored body embeds means here what
+//! it meant there, and the allocators hold exactly what a cold flattening
+//! would have left. Wrapper ids do move between compiles with equal
+//! digests (the serving determinism suite has a case); no program is known
+//! to move a type id, and the type checks guard that case too. The replay
+//! stops at the first call that differs; the calls before it are the ones
+//! a cold flattening makes first, and repeats hit the memo tables, so
+//! flattening the method afresh is still exact.
+//!
+//! The other interning calls of flattening only look types up: they
+//! rebuild a tuple from the flattened pieces of a type a recorded
+//! `norm_type` call already normalized (`tuple(flatten(norm(t)))` is
+//! `norm(t)`, by the degenerate tuple rules), or an array of one of its
+//! columns, which normalizing the array type interned.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 use crate::cache::{self, DupMap};
 use crate::{BackendConfig, BackendReport};
@@ -55,30 +90,116 @@ pub struct NormStats {
     pub wrappers_synthesized: usize,
 }
 
+/// One effect of flattening a method on the state later methods read (see
+/// the module docs), with what it returned.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum NormDemand {
+    /// `norm_type` of a tuple, array or function type.
+    Type(Type, Type),
+    /// The wrapper of a first-class tuple operator.
+    Oper(Oper, MethodId),
+    /// The wrapper of `Array<elem>.new` for a multi-column element.
+    ArrayNew(Type, MethodId),
+}
+
+/// One method's normalized signature and body in reusable form, as
+/// [`NormRecord::capture`] takes it, with the demands its flattening made
+/// and the kinds of the normalization-made types their results reach.
+#[derive(Clone, Debug)]
+pub struct NormFunc {
+    param_count: usize,
+    locals: Vec<Local>,
+    ret: Type,
+    body: Option<Body>,
+    demands: Vec<NormDemand>,
+    kinds: Vec<(Type, TypeKind)>,
+}
+
+/// Per-method reuse decisions for [`normalize_reusing`]: `funcs[i]` is
+/// `Some` when method `i`'s normalized body, from a compile whose post-mono
+/// module had the same [`crate::context_digest`] and whose method had the
+/// same [`cache::method_fingerprint`], should be copied in instead of
+/// flattened.
+#[derive(Clone, Default)]
+pub struct NormPlan {
+    /// One slot per post-mono method.
+    pub funcs: Vec<Option<Arc<NormFunc>>>,
+}
+
+/// The demands of one method flattened under a [`NormPlan`];
+/// [`NormRecord::capture`] turns it into a store entry once the module is
+/// normalized.
+#[derive(Clone, Debug)]
+pub struct NormRecord {
+    demands: Vec<NormDemand>,
+    kinds: Vec<(Type, TypeKind)>,
+}
+
+impl NormRecord {
+    /// The reusable form of method `method` of the normalized `module` it
+    /// was recorded for.
+    pub fn capture(self, module: &Module, method: usize) -> NormFunc {
+        let m = &module.methods[method];
+        NormFunc {
+            param_count: m.param_count,
+            locals: m.locals.clone(),
+            ret: m.ret,
+            body: m.body.clone(),
+            demands: self.demands,
+            kinds: self.kinds,
+        }
+    }
+}
+
 /// Runs normalization in place (serially, instance cache on — equivalent
 /// to [`normalize_cfg`] with the default [`BackendConfig`]).
 pub fn normalize(module: &mut Module) -> NormStats {
     normalize_cfg(module, &BackendConfig::default(), &mut BackendReport::default())
 }
 
-/// [`normalize`] with the per-instance cache configurable.
+/// [`normalize`] with the per-instance cache configurable: the no-plan
+/// case of [`normalize_reusing`].
 ///
 /// Normalization itself stays serial — wrapper synthesis and the type map
-/// are order-sensitive shared state, and the pass is cheap next to
-/// optimize — but duplicate post-mono instances skip `flatten_method`
-/// entirely and copy their representative's flattened signature and body.
-/// This is output-identical to the uncached run: flattening is a pure
-/// function of the method's content plus module-level maps built up front,
-/// and wrapper ids are memoized by operator with reps preceding their dups,
-/// so the id assignment order is unchanged. Statistics count performed
-/// work; skips are reported in `report.norm_cache`. (`cfg.jobs` only
-/// parallelizes the fingerprinting.) Debug builds assert the §4.2
-/// postcondition: tuple normal form ([`vgl_ir::check_normalized`]).
+/// are order-sensitive shared state — but duplicate post-mono instances
+/// skip `flatten_method` entirely and copy their representative's
+/// flattened signature and body. This is output-identical to the uncached
+/// run: a duplicate's flattening would make only demands its
+/// representative, which precedes it, already made (see the module docs),
+/// so the id assignment order is unchanged. The duplicate map comes from
+/// `report.dup_map`, where [`crate::monomorphize_cfg`] leaves it; only a
+/// module produced some other way is fingerprinted here, on `cfg.jobs`
+/// workers. Statistics count performed work; skips are reported in
+/// `report.norm_cache`. Debug builds assert the §4.2 postcondition: tuple
+/// normal form ([`vgl_ir::check_normalized`]).
 pub fn normalize_cfg(
     module: &mut Module,
     cfg: &BackendConfig,
     report: &mut BackendReport,
 ) -> NormStats {
+    normalize_reusing(module, cfg, report, None).0
+}
+
+/// [`normalize_cfg`] with cross-compile reuse of normalized bodies, the
+/// daemon's warm path. Without a plan this is plain normalization and
+/// returns no records. With one, every representative method with a plan
+/// entry replays the entry's demands and, if they all come out as recorded,
+/// gets the stored body copied in by the code that copies a duplicate from
+/// its representative (see the module docs). Every other representative
+/// is flattened as [`normalize_cfg`] would and gets a [`NormRecord`].
+/// Records then come one per post-mono method, `None` for duplicates and
+/// reused bodies. Reused bodies count as hits in `report.norm_cache`.
+///
+/// The module is identical to [`normalize_cfg`]'s, provided every plan
+/// entry was captured from a compile whose post-mono module had the same
+/// [`crate::context_digest`] and whose method had the same
+/// [`cache::method_fingerprint`].
+pub fn normalize_reusing(
+    module: &mut Module,
+    cfg: &BackendConfig,
+    report: &mut BackendReport,
+    plan: Option<&NormPlan>,
+) -> (NormStats, Vec<Option<NormRecord>>) {
     let dup = if cfg.cache {
         // Prefer the map `monomorphize_cfg` already built for this
         // module; fall back to fingerprinting here when mono ran without
@@ -97,7 +218,9 @@ pub fn normalize_cfg(
     report.norm_cache.merge(&dup.stats);
     let mut n = Norm::new(module);
     n.dup = dup;
-    n.run();
+    let (records, reused) = n.run(plan);
+    report.norm_cache.hits += reused;
+    report.norm_cache.unique = report.norm_cache.unique.saturating_sub(reused);
     if cfg.cache {
         // The grouping survives the pass verbatim (dups are copies of their
         // reps again); let optimize reuse it instead of re-fingerprinting.
@@ -107,7 +230,25 @@ pub fn normalize_cfg(
     if cfg!(debug_assertions) {
         vgl_ir::assert_valid("normalization left tuples", &vgl_ir::check_normalized(module));
     }
-    stats
+    (stats, records)
+}
+
+/// The demands of the method being flattened under a plan, each kept once:
+/// a repeated call hits the memo tables and changes nothing.
+#[derive(Default)]
+struct DemandLog {
+    demands: Vec<NormDemand>,
+    seen: HashSet<NormDemand>,
+}
+
+/// The types a type constructor is built from.
+fn components(kind: &TypeKind) -> Vec<Type> {
+    match kind {
+        TypeKind::Array(e) => vec![*e],
+        TypeKind::Tuple(es) | TypeKind::Class(_, es) => es.clone(),
+        TypeKind::Function(p, r) => vec![*p, *r],
+        _ => Vec::new(),
+    }
 }
 
 struct Norm<'m> {
@@ -130,6 +271,11 @@ struct Norm<'m> {
     /// Duplicate-instance map: dups skip `flatten_method` and copy their
     /// representative's result.
     dup: DupMap,
+    /// Type ids below this are fixed by the context digest: the post-mono
+    /// types and those the layout flattening interned.
+    base: usize,
+    /// The current method's demands, while flattening under a plan.
+    log: Option<DemandLog>,
 }
 
 impl<'m> Norm<'m> {
@@ -147,29 +293,51 @@ impl<'m> Norm<'m> {
             old_rets,
             old_global_inits: Vec::new(),
             dup: DupMap::identity(module_len),
+            base: 0,
+            log: None,
         }
     }
 
-    fn run(&mut self) {
+    /// Normalizes the module; under a plan, returns one record per method
+    /// (see [`normalize_reusing`]) and the number of bodies reused.
+    fn run(&mut self, plan: Option<&NormPlan>) -> (Vec<Option<NormRecord>>, usize) {
         self.flatten_fields();
         self.flatten_globals();
+        self.base = self.module.store.len();
         let method_count = self.module.methods.len();
+        let mut records: Vec<Option<NormRecord>> =
+            if plan.is_some() { vec![None; method_count] } else { Vec::new() };
+        let mut reused: Vec<Option<&NormFunc>> = vec![None; method_count];
         for i in 0..method_count {
             if self.dup.is_dup(i) {
                 continue;
             }
-            self.flatten_method(MethodId(i as u32));
-        }
-        // Duplicates copy their representative's flattened result (reps
-        // always precede their dups), keeping their own name.
-        for i in 0..method_count {
-            let r = self.dup.rep[i];
-            if r == i {
+            let hit = plan.and_then(|p| p.funcs.get(i)).and_then(Option::as_deref);
+            if let Some(hit) = hit.filter(|hit| self.replay(hit)) {
+                reused[i] = Some(hit);
                 continue;
             }
-            let src = &self.module.methods[r];
-            let (param_count, locals, ret, body) =
-                (src.param_count, src.locals.clone(), src.ret, src.body.clone());
+            if plan.is_some() {
+                self.log = Some(DemandLog::default());
+            }
+            self.flatten_method(MethodId(i as u32));
+            if let Some(log) = self.log.take() {
+                records[i] = Some(self.record(log));
+            }
+        }
+        // Reused bodies are copied in, and duplicates copy their
+        // representative's flattened result (reps always precede their
+        // dups), each keeping its own name.
+        for (i, hit) in reused.iter().enumerate() {
+            let r = self.dup.rep[i];
+            let (param_count, locals, ret, body) = match hit {
+                Some(hit) => (hit.param_count, hit.locals.clone(), hit.ret, hit.body.clone()),
+                None if r != i => {
+                    let src = &self.module.methods[r];
+                    (src.param_count, src.locals.clone(), src.ret, src.body.clone())
+                }
+                None => continue,
+            };
             let dst = &mut self.module.methods[i];
             dst.param_count = param_count;
             dst.locals = locals;
@@ -182,6 +350,61 @@ impl<'m> Norm<'m> {
         let pending = std::mem::take(&mut self.pending_wrappers);
         self.stats.wrappers_synthesized = self.wrapper_map.len();
         self.module.methods.extend(pending);
+        (records, reused.iter().flatten().count())
+    }
+
+    /// Replays a stored body's demands in order and reports whether each
+    /// came out as recorded (see the module docs). Stops at the first that
+    /// does not.
+    fn replay(&mut self, hit: &NormFunc) -> bool {
+        hit.demands.iter().all(|&d| match d {
+            NormDemand::Type(t, n) => self.norm_type(t) == n && self.same_type(n, &hit.kinds),
+            NormDemand::Oper(op, id) => self.oper_wrapper(op) == id,
+            NormDemand::ArrayNew(elem, id) => self.array_ctor_wrapper(elem) == id,
+        })
+    }
+
+    /// True when `t` and every normalization-made type it reaches have the
+    /// kinds recorded in `kinds` (sorted by id).
+    fn same_type(&self, t: Type, kinds: &[(Type, TypeKind)]) -> bool {
+        if t.index() < self.base {
+            return true;
+        }
+        let Ok(at) = kinds.binary_search_by_key(&t, |&(id, _)| id) else { return false };
+        let kind = self.module.store.kind(t);
+        *kind == kinds[at].1 && components(kind).into_iter().all(|c| self.same_type(c, kinds))
+    }
+
+    /// The record of one method flattened under a plan: its demands, and
+    /// the kinds of the normalization-made types their results reach.
+    fn record(&self, log: DemandLog) -> NormRecord {
+        let mut kinds = BTreeMap::new();
+        for d in &log.demands {
+            if let NormDemand::Type(_, n) = *d {
+                self.collect_kinds(n, &mut kinds);
+            }
+        }
+        NormRecord { demands: log.demands, kinds: kinds.into_iter().collect() }
+    }
+
+    fn collect_kinds(&self, t: Type, out: &mut BTreeMap<Type, TypeKind>) {
+        if t.index() < self.base || out.contains_key(&t) {
+            return;
+        }
+        let kind = self.module.store.kind(t).clone();
+        for c in components(&kind) {
+            self.collect_kinds(c, out);
+        }
+        out.insert(t, kind);
+    }
+
+    /// Logs `d` for the method being recorded, once.
+    fn note(&mut self, d: NormDemand) {
+        if let Some(log) = &mut self.log {
+            if log.seen.insert(d) {
+                log.demands.push(d);
+            }
+        }
     }
 
     /// Reserves the next method id for a synthesized method.
@@ -193,7 +416,21 @@ impl<'m> Norm<'m> {
 
     // ---- type normalization -------------------------------------------------
 
+    /// The normalized form of `t`; a demand when it may intern types.
     fn norm_type(&mut self, t: Type) -> Type {
+        let n = self.normalized(t);
+        if self.log.is_some()
+            && matches!(
+                self.module.store.kind(t),
+                TypeKind::Tuple(_) | TypeKind::Array(_) | TypeKind::Function(..)
+            )
+        {
+            self.note(NormDemand::Type(t, n));
+        }
+        n
+    }
+
+    fn normalized(&mut self, t: Type) -> Type {
         if let Some(&n) = self.type_map.get(&t) {
             return n;
         }
@@ -209,14 +446,14 @@ impl<'m> Norm<'m> {
             TypeKind::Tuple(es) => {
                 let mut flat = Vec::new();
                 for e in es {
-                    let ne = self.norm_type(e);
+                    let ne = self.normalized(e);
                     let pieces = self.module.store.flatten(ne);
                     flat.extend(pieces);
                 }
                 self.module.store.tuple(flat)
             }
             TypeKind::Array(e) => {
-                let ne = self.norm_type(e);
+                let ne = self.normalized(e);
                 let pieces = self.module.store.flatten(ne);
                 match pieces.len() {
                     0 => {
@@ -235,8 +472,8 @@ impl<'m> Norm<'m> {
                 }
             }
             TypeKind::Function(p, r) => {
-                let np = self.norm_type(p);
-                let nr = self.norm_type(r);
+                let np = self.normalized(p);
+                let nr = self.normalized(r);
                 self.module.store.function(np, nr)
             }
             TypeKind::Var(_) => unreachable!("normalize requires a monomorphic module"),
@@ -1305,11 +1542,24 @@ impl<'m> Norm<'m> {
 
     // ---- wrappers ------------------------------------------------------------------
 
-    /// Synthesizes a scalar wrapper method for a first-class tuple operator.
+    /// The scalar wrapper method for a first-class tuple operator, made on
+    /// first use; a demand. Building it is part of the demand, not logged
+    /// on its own.
     fn oper_wrapper(&mut self, op: Oper) -> MethodId {
-        if let Some(&m) = self.wrapper_map.get(&op) {
-            return m;
-        }
+        let id = match self.wrapper_map.get(&op) {
+            Some(&m) => m,
+            None => {
+                let log = self.log.take();
+                let id = self.build_oper_wrapper(op);
+                self.log = log;
+                id
+            }
+        };
+        self.note(NormDemand::Oper(op, id));
+        id
+    }
+
+    fn build_oper_wrapper(&mut self, op: Oper) -> MethodId {
         let bool_ = self.module.store.bool_;
         let method = match op {
             Oper::Eq(t) | Oper::Ne(t) => {
@@ -1504,8 +1754,17 @@ impl<'m> Norm<'m> {
         ));
     }
 
-    /// Wrapper for `Array<T>.new` when the element splits into columns.
+    /// Wrapper for `Array<T>.new` when the element splits into columns; a
+    /// demand, logged as one call like [`Norm::oper_wrapper`].
     fn array_ctor_wrapper(&mut self, elem: Type) -> MethodId {
+        let log = self.log.take();
+        let id = self.build_array_ctor_wrapper(elem);
+        self.log = log;
+        self.note(NormDemand::ArrayNew(elem, id));
+        id
+    }
+
+    fn build_array_ctor_wrapper(&mut self, elem: Type) -> MethodId {
         let op = Oper::Cast {
             // Reuse the wrapper map keyed by a synthetic op; array ctors are
             // keyed by their (normalized) element type via Query to avoid a
