@@ -427,8 +427,9 @@ pub struct BackendMeasurement {
 /// lower → fuse) at one `(jobs, cache)` configuration. The front end
 /// runs outside the timer — it is identical across configurations — but
 /// monomorphization is timed: with the cache on it ends by fingerprinting
-/// every bodied method on the pool ([`vgl_passes::monomorphize_cfg`]), and
-/// leaving that hashing off the clock would overstate the cache rows.
+/// every bodied method ([`vgl_passes::monomorphize_cfg`]), and leaving
+/// that hashing off the clock would overstate the cache rows. Only fuse
+/// reads `jobs`.
 ///
 /// One untimed warmup run precedes the samples: the first run pays thread
 /// spawn, allocator growth, and cold icache for every configuration alike,

@@ -8,11 +8,14 @@
 //! test fails and the new map must be reviewed and re-pinned deliberately —
 //! chunk boundaries shifting silently is how nondeterminism sneaks in.
 //!
-//! Costs are taken where the optimize pass takes them: post-mono,
-//! post-normalize, `method_cost × pass_weight::OPTIMIZE`. Within a single
-//! pass the weight multiplies every item and the target alike, so these
-//! goldens survive weight retuning; they only move if `method_cost`, the
-//! packing algorithm, or the workload itself changes.
+//! Costs follow the optimizer's formula on its input: post-mono,
+//! post-normalize, `method_cost × pass_weight::OPTIMIZE`. The optimizer
+//! itself runs on the calling thread and plans no chunks any more, and
+//! fuse packs by code length; this cost vector stays as a large, varied,
+//! reproducible input to the planner. The weight multiplies every item and
+//! the target alike, so these goldens survive weight retuning; they only
+//! move if `method_cost`, the packing algorithm, or the workload itself
+//! changes.
 
 use vgl_bench::workloads;
 use vgl_ir::{method_cost, metrics::pass_weight};
@@ -20,7 +23,7 @@ use vgl_passes::sched::plan_chunks;
 
 const FANOUT_K: usize = 64;
 
-/// The per-item cost vector exactly as `optimize` computes it.
+/// The per-item cost vector by the optimizer's formula.
 fn optimize_costs() -> Vec<u64> {
     let src = workloads::instance_fanout_distinct(FANOUT_K);
     let mut diags = vgl_syntax::Diagnostics::new();

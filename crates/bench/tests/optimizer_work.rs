@@ -1,5 +1,5 @@
 //! Optimizer work, counted without a clock: the method bodies the
-//! `optimize` pool rewrites, summed over its worker samples at jobs 1.
+//! optimizer rewrites, summed over its `optimize` worker samples at jobs 1.
 //!
 //! Round 1 rewrites every representative method. A later round rewrites
 //! only a method whose body changed in the round before, or one that calls

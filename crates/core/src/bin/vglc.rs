@@ -48,8 +48,8 @@
 //! `--no-fuse` turns off the bytecode back-end optimizer (on by default) for
 //! any compile-based subcommand.
 //!
-//! `--jobs N` sets the worker-thread count for the parallel back-end phases
-//! (default: the `VGL_JOBS` environment variable, else the machine's
+//! `--jobs N` sets the worker-thread count for fuse, the one pooled back-end
+//! phase (default: the `VGL_JOBS` environment variable, else the machine's
 //! available parallelism). The jobs count never changes compiled output —
 //! `--jobs 1` and `--jobs 8` produce bit-identical bytecode.
 //!

@@ -1,6 +1,6 @@
 //! Chrome-trace export for `vglc trace`: one timeline unifying the compile
-//! phases, the parallel back-end worker lanes, the VM's function spans, and
-//! GC activity.
+//! phases, the back-end worker lanes, the VM's function spans, and GC
+//! activity.
 //!
 //! Every record is stamped on the `vgl-obs` epoch ([`vgl_obs::since_epoch`])
 //! when it is taken, so the export is a plain dump: each stamp is written
@@ -11,7 +11,8 @@
 //! The dump uses two process lanes:
 //!
 //! * **pid 1 "compile"** — tid 0 carries the phase spans (lex through
-//!   fuse); tids 1+ carry one lane per back-end pool worker;
+//!   fuse); tids 1+ carry one lane per worker (worker 0 also runs the
+//!   fingerprinting and the optimizer);
 //! * **pid 2 "runtime"** — tid 0 carries the VM's per-function wall-clock
 //!   spans, with GC collections and tier transitions as instant ticks and
 //!   the heap occupancy curve as a stacked counter track (`live` + `free` =
@@ -274,10 +275,10 @@ mod tests {
         }));
     }
 
-    /// The phases a pool's lanes may lie inside: each pool runs within the
-    /// phase that started it. Mono fingerprints its finished module through
-    /// the `hash` pool; normalize and optimize fall back to that pool when
-    /// mono left no map.
+    /// The phases a lane may lie inside: each runs within the phase that
+    /// started it. Mono fingerprints its finished module (`hash`);
+    /// normalize and optimize fingerprint it themselves when mono left no
+    /// map.
     fn home_phases(lane: &str) -> &'static [&'static str] {
         match lane {
             "hash" => &["mono", "normalize", "optimize"],

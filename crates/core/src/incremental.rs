@@ -98,9 +98,8 @@ pub(crate) struct FuncStore {
     bodies: Lru<FuncKey, NormFunc>,
     funcs: Lru<FuncKey, SpliceFunc>,
     opts_key: u64,
+    /// Not a store hit count: a hit whose replay is refused reuses nothing.
     bodies_reused: AtomicUsize,
-    methods_spliced: AtomicUsize,
-    methods_compiled: AtomicUsize,
 }
 
 /// One compile's normalized-body lookups, taken on the post-mono module.
@@ -184,7 +183,8 @@ impl FuncStore {
         reused
     }
 
-    /// Looks every method of the optimized `module` up in the store.
+    /// Looks every method of the optimized `module` up in the store, one
+    /// `get` each, so the store's hits are the spliced methods.
     pub(crate) fn splice(&self, module: &Module) -> Splices {
         let ctx = context_digest(module);
         let fps: Vec<(u64, u64)> = module.methods.iter().map(cache::method_fingerprint).collect();
@@ -199,8 +199,6 @@ impl FuncStore {
             methods_compiled: n - spliced,
             ..Reuse::default()
         };
-        self.methods_spliced.fetch_add(spliced, Ordering::Relaxed);
-        self.methods_compiled.fetch_add(n - spliced, Ordering::Relaxed);
         Splices { ctx, fps, plan: ReusePlan { funcs }, reuse }
     }
 
@@ -306,8 +304,6 @@ impl IncrementalCompiler {
                 funcs: Lru::new(func_capacity),
                 opts_key,
                 bodies_reused: AtomicUsize::new(0),
-                methods_spliced: AtomicUsize::new(0),
-                methods_compiled: AtomicUsize::new(0),
             },
         }
     }
@@ -319,13 +315,14 @@ impl IncrementalCompiler {
 
     /// Store effectiveness counters since construction.
     pub fn stats(&self) -> IncrementalStats {
+        let funcs = self.store.funcs.stats();
         IncrementalStats {
             artifacts: self.artifacts.stats(),
             bodies: self.store.bodies.stats(),
-            funcs: self.store.funcs.stats(),
+            funcs,
             bodies_reused: self.store.bodies_reused.load(Ordering::Relaxed),
-            methods_spliced: self.store.methods_spliced.load(Ordering::Relaxed),
-            methods_compiled: self.store.methods_compiled.load(Ordering::Relaxed),
+            methods_spliced: funcs.hits,
+            methods_compiled: funcs.lookups - funcs.hits,
         }
     }
 
@@ -460,6 +457,23 @@ mod tests {
         let names = |c: &Compilation| c.trace.phases.iter().map(|p| p.name).collect::<Vec<_>>();
         assert_eq!(names(&warm), names(&cold));
         assert_eq!(names(&cold).last(), Some(&"fuse"));
+    }
+
+    #[test]
+    fn splice_counts_are_the_fused_code_store_counters() {
+        // A cold compile and two warm edits: the per-call counts sum to
+        // what `stats` reads off the fused-code store.
+        let inc = IncrementalCompiler::new(Compiler::new());
+        let (mut spliced, mut compiled) = (0, 0);
+        for src in [BASE, EDITED, &EDITED.replace("s * s", "s * s + 1")] {
+            let (_, reuse) = inc.compile_reporting(src).expect("compiles");
+            spliced += reuse.methods_spliced;
+            compiled += reuse.methods_compiled;
+        }
+        let st = inc.stats();
+        assert!(spliced > 0 && compiled > 0, "{st:?}");
+        assert_eq!((st.methods_spliced, st.methods_compiled), (spliced, compiled));
+        assert_eq!((st.funcs.hits, st.funcs.lookups), (spliced, spliced + compiled));
     }
 
     #[test]

@@ -108,12 +108,13 @@ pub struct Options {
     /// ([`vgl_vm::fuse`](mod@vgl_vm::fuse)). Default on; turn it off for
     /// ablation with [`Compiler::without_fuse`] or `vglc --no-fuse`.
     pub fuse: bool,
-    /// Worker threads for the parallel back-end phases (optimize, fuse, and
-    /// instance fingerprinting). `0` (the default) means auto: the
-    /// `VGL_JOBS` environment variable if set, else the machine's available
+    /// Worker threads for fuse, the one pooled back-end phase; instance
+    /// fingerprinting, normalize and optimize run on the calling thread at
+    /// every count. `0` (the default) means auto: the `VGL_JOBS`
+    /// environment variable if set, else the machine's available
     /// parallelism. **The jobs count never changes compiled output** —
-    /// results are committed in stable function-index order, so `--jobs 1`
-    /// and `--jobs 8` produce bit-identical modules and bytecode.
+    /// fused functions are committed in stable function-index order, so
+    /// `--jobs 1` and `--jobs 8` produce bit-identical modules and bytecode.
     pub jobs: usize,
     /// Per-instance pass cache (default on): duplicate post-mono method
     /// instances — content-identical up to their name — skip
@@ -243,39 +244,45 @@ impl Compiler {
         if diags.has_errors() {
             return Err(render(source, diags));
         }
-        let analyzed =
-            trace.time("sema", ast.decls.len(), || vgl_sema::analyze(&ast, &mut diags), |_| 0);
+        // Each phase drops or measures its own output: sema is the AST's
+        // last reader, and each `vgl_ir::measure` is a full IR walk, taken
+        // once and threaded into both the trace and the pipeline stats.
+        let (analyzed, size_before) = trace.time(
+            "sema",
+            ast.decls.len(),
+            || {
+                let module = vgl_sema::analyze(&ast, &mut diags);
+                drop(ast);
+                let size = module.as_ref().map(vgl_ir::measure).unwrap_or_default();
+                (module, size)
+            },
+            |(_, size)| size.expr_nodes,
+        );
         let Some(module) = analyzed else {
             return Err(render(source, diags));
         };
         // Back-end configuration: jobs resolved once per compile (explicit
-        // request → VGL_JOBS → available parallelism) and shared by mono's
-        // fingerprinting, normalize, optimize, and fuse. No knob changes
-        // output.
-        let backend_cfg = BackendConfig {
-            jobs: vgl_passes::sched::resolve_jobs(o.jobs),
-            cache: o.pass_cache,
-            chunking: true,
-        };
-        let mut backend = BackendReport { jobs: backend_cfg.jobs, ..BackendReport::default() };
+        // request → VGL_JOBS → available parallelism) for fuse's pool, the
+        // one pooled phase. No knob changes output.
+        let jobs = vgl_passes::sched::resolve_jobs(o.jobs);
+        let backend_cfg = BackendConfig { jobs, cache: o.pass_cache, chunking: true };
+        let mut backend = BackendReport { jobs, ..BackendReport::default() };
         // With the cache on, mono fingerprints its finished module, so the
-        // duplicate map is ready for normalize the moment it returns. Each
-        // `vgl_ir::measure` is a full IR walk, so every size below is
-        // computed exactly once and threaded into both the trace and the
-        // pipeline stats.
-        let size_before = vgl_ir::measure(&module);
-        trace.set_items_out("sema", size_before.expr_nodes);
-        let (mut compiled, mono) = trace.time(
+        // duplicate map is ready for normalize the moment it returns.
+        let (mut compiled, mono, size_after_mono) = trace.time(
             "mono",
             size_before.expr_nodes,
-            || vgl_passes::monomorphize_cfg(&module, &backend_cfg, &mut backend),
-            |_| 0,
+            || {
+                let (m, stats) =
+                    vgl_passes::monomorphize_cfg(&module, &backend_cfg, &mut backend);
+                let size = vgl_ir::measure(&m);
+                (m, stats, size)
+            },
+            |(_, _, size)| size.expr_nodes,
         );
-        let size_after_mono = vgl_ir::measure(&compiled);
-        trace.set_items_out("mono", size_after_mono.expr_nodes);
         // The body store's lookups and publishing run inside the phase they
         // serve, so a served compile's time stays in recorded phases.
-        let (norm, bodies_reused) = trace.time(
+        let (norm, bodies_reused, size_after_norm) = trace.time(
             "normalize",
             size_after_mono.expr_nodes,
             || {
@@ -291,26 +298,23 @@ impl Compiler {
                     (Some(s), Some(l)) => s.publish_bodies(l, &compiled, records),
                     _ => 0,
                 };
-                (stats, reused)
+                (stats, reused, vgl_ir::measure(&compiled))
             },
-            |_| 0,
+            |(_, _, size)| size.expr_nodes,
         );
-        let size_after_norm = vgl_ir::measure(&compiled);
-        trace.set_items_out("normalize", size_after_norm.expr_nodes);
-        let opt = trace.time(
+        let (opt, size_after) = trace.time(
             "optimize",
             size_after_norm.expr_nodes,
             || {
-                if o.optimize {
+                let stats = if o.optimize {
                     vgl_passes::optimize_cfg(&mut compiled, &backend_cfg, &mut backend)
                 } else {
                     OptStats::default()
-                }
+                };
+                (stats, vgl_ir::measure(&compiled))
             },
-            |_| 0,
+            |(_, size)| size.expr_nodes,
         );
-        let size_after = vgl_ir::measure(&compiled);
-        trace.set_items_out("optimize", size_after.expr_nodes);
         // Every body is final here, and lowering and fusion read nothing of
         // another method's body, so a method's fused code is a function of
         // its store key.
@@ -332,18 +336,17 @@ impl Compiler {
                 mask.resize(program.funcs.len(), false);
                 mask
             });
-            let stats = trace.time(
+            let (stats, _) = trace.time(
                 "fuse",
                 program.code_size(),
                 || {
                     let (stats, workers) =
                         vgl_vm::fuse_cfg_masked(&mut program, &backend_cfg, skip.as_deref());
                     backend.workers.extend(workers);
-                    stats
+                    (stats, program.code_size())
                 },
-                |_| 0,
+                |&(_, size)| size,
             );
-            trace.set_items_out("fuse", program.code_size());
             stats
         } else {
             vgl_vm::FuseStats::default()
@@ -515,14 +518,15 @@ pub struct Compilation {
     pub program: VmProgram,
     /// What the bytecode back-end optimizer did (all zero when disabled).
     pub fuse: FuseStats,
-    /// Parallel/cached back-end report: effective jobs and per-pass
+    /// Cached back-end report: fuse's effective jobs and per-pass
     /// instance cache hit rates. Its worker spans are moved onto
     /// [`Compilation::trace`].
     pub backend: BackendReport,
     /// Pipeline statistics.
     pub stats: PipelineStats,
     /// The compile's recorded timeline: one sample per phase (lex through
-    /// fuse) and one per back-end pool worker, all on the `vgl-obs` epoch.
+    /// fuse), one per fuse pool worker, and one worker-0 sample per
+    /// fingerprinting pass and optimizer round, all on the `vgl-obs` epoch.
     pub trace: PhaseTrace,
 }
 

@@ -210,7 +210,7 @@ fn cache_json(c: &crate::CacheStats) -> Json {
     o
 }
 
-/// The parallel/cached back-end report: effective jobs, per-pass instance
+/// The cached back-end report: fuse's effective jobs, per-pass instance
 /// cache effectiveness, and the worker spans recorded on the trace.
 fn backend_json(c: &Compilation) -> Json {
     let b = &c.backend;

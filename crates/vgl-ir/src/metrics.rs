@@ -39,18 +39,13 @@ impl std::fmt::Display for ModuleSize {
 
 /// Relative per-pass cost weights for the cost-chunked back-end scheduler.
 ///
-/// The absolute scale is meaningless; only ratios matter, and they only
-/// matter when one chunk plan covers work from *different* passes (the
-/// joined lower+fuse schedule). Within a single pass the weight multiplies
-/// every item and the chunk target alike, so boundaries are unchanged —
-/// which keeps the golden chunk maps independent of retuning here.
+/// The absolute scale is meaningless: each chunk plan covers one pass, and
+/// the weight multiplies every item and the chunk target alike, so
+/// boundaries are unchanged — which keeps the golden chunk maps independent
+/// of retuning here.
 pub mod pass_weight {
-    /// Tuple flattening: one linear walk per body.
-    pub const NORMALIZE: u64 = 1;
-    /// Constant/query/branch folding: up to 8 fixpoint rounds per body.
+    /// Constant/query/branch folding; only the golden chunk maps use it.
     pub const OPTIMIZE: u64 = 4;
-    /// IR → bytecode lowering: one linear walk per body.
-    pub const LOWER: u64 = 1;
     /// Bytecode peephole + liveness, iterated to a fixpoint.
     pub const FUSE: u64 = 2;
 }
@@ -60,9 +55,9 @@ pub mod pass_weight {
 /// locals as a small additive term (liveness and frame setup scale with
 /// them). Body-less methods cost 1 (the scheduler never divides by zero).
 ///
-/// This is the unit the chunked scheduler packs by — it must be a pure,
-/// platform-independent function of the IR so chunk plans are reproducible
-/// across machines (the seed-pinned golden chunk map test relies on that).
+/// It is a pure, platform-independent function of the IR, so a chunk plan
+/// packed by it is reproducible across machines; the seed-pinned golden
+/// chunk map test packs by it.
 pub fn method_cost(m: &crate::module::Method) -> u64 {
     let Some(body) = &m.body else { return 1 };
     1 + count_exprs(body) as u64 + m.locals.len() as u64

@@ -11,8 +11,8 @@
 //!
 //! * the **compiler pipeline** records one [`PhaseSample`] per phase (lex,
 //!   parse, sema, mono, normalize, optimize, lower, fuse) with its start,
-//!   duration and IR size in/out, plus one [`WorkerSample`] per back-end
-//!   pool worker;
+//!   duration and IR size in/out, plus one [`WorkerSample`] per fuse pool
+//!   worker, instance-fingerprinting pass and optimizer round;
 //! * the **VM** exports a per-opcode retired-instruction histogram, GC
 //!   pause events and, for `vglc trace`, per-function spans;
 //! * the **interpreter** exports the §4 type-argument-passing cost counters.
@@ -82,7 +82,8 @@ pub struct PhaseSample {
 /// produces identical output but different worker spans).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerSample {
-    /// Parallel phase name (`"optimize"`, `"fuse"`, `"hash"`, ...).
+    /// Phase name: `"fuse"`, one sample per pool worker; or `"hash"` (one
+    /// fingerprinting pass) and `"optimize"` (one round), always worker 0.
     pub phase: &'static str,
     /// Worker index within the pool (0-based; jobs=1 runs inline as worker 0).
     pub worker: usize,
@@ -96,12 +97,12 @@ pub struct WorkerSample {
 }
 
 /// The recorded timeline of one compilation: its [`PhaseSample`]s and the
-/// [`WorkerSample`]s of the pools those phases ran.
+/// [`WorkerSample`]s recorded inside them.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTrace {
     /// Samples in phase order.
     pub phases: Vec<PhaseSample>,
-    /// Worker-attributed spans from parallel phases, in commit order.
+    /// Worker spans ([`WorkerSample`]), in commit order.
     pub workers: Vec<WorkerSample>,
 }
 
@@ -148,19 +149,6 @@ impl PhaseTrace {
         self.phases.iter().filter(|p| p.name == name).map(|p| p.duration).sum()
     }
 
-    /// Updates `items_out` on the most recent sample *iff* it is named
-    /// `name`; a no-op when the trace is empty or the last phase is a
-    /// different one (e.g. the phase list was reordered or tracing is
-    /// disabled). Replaces the old `phases.last_mut().expect(...)` pattern,
-    /// which panicked instead of degrading.
-    pub fn set_items_out(&mut self, name: &'static str, items: usize) {
-        if let Some(p) = self.phases.last_mut() {
-            if p.name == name {
-                p.items_out = items;
-            }
-        }
-    }
-
     /// Renders an aligned per-phase table.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
@@ -204,8 +192,8 @@ impl PhaseTrace {
         )
     }
 
-    /// JSON: an array of per-worker objects for the parallel phases
-    /// (`phase`, `worker`, `items`, `start_us` since the epoch, `dur_us`).
+    /// JSON: an array of per-worker objects (`phase`, `worker`, `items`,
+    /// `start_us` since the epoch, `dur_us`).
     pub fn workers_json(&self) -> json::Json {
         json::Json::Arr(
             self.workers
@@ -223,8 +211,8 @@ impl PhaseTrace {
         )
     }
 
-    /// Renders an aligned per-worker table for the parallel phases; empty
-    /// string when no parallel phase ran.
+    /// Renders an aligned per-worker table; empty string when no worker
+    /// span was recorded.
     pub fn render_workers(&self) -> String {
         if self.workers.is_empty() {
             return String::new();

@@ -90,18 +90,3 @@ fn multi_worker_trace_round_trips() {
     assert_eq!(table.matches("optimize").count(), 2);
     assert_eq!(table.matches("fuse").count(), 2);
 }
-
-#[test]
-fn set_items_out_is_noop_safe() {
-    // Empty trace: nothing to update, no panic.
-    let mut trace = PhaseTrace::new();
-    trace.set_items_out("optimize", 42);
-    assert!(trace.phases.is_empty());
-    // Last phase has a different name (reordered list): untouched.
-    trace.time("lower", 10, || (), |_| 10);
-    trace.set_items_out("optimize", 42);
-    assert_eq!(trace.phases[0].items_out, 10);
-    // Matching name: updated.
-    trace.set_items_out("lower", 7);
-    assert_eq!(trace.phases[0].items_out, 7);
-}

@@ -21,9 +21,7 @@
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use vgl_ir::{Method, Module};
-use vgl_obs::WorkerSample;
-
-use crate::sched;
+use vgl_obs::{since_epoch, WorkerSample};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -195,18 +193,21 @@ impl DupMap {
     }
 }
 
-/// Builds the duplicate map for `module`: workers fingerprint the bodied
-/// methods as a pure map, then one serial scan in index order maps every
-/// method to the first method with its fingerprint. Workers share nothing,
-/// so the map is identical at every jobs count.
-pub fn dup_groups(module: &Module, jobs: usize) -> (DupMap, Vec<WorkerSample>) {
-    let (prints, workers) = sched::par_map_ctx(
-        jobs,
-        "hash",
-        &module.methods,
-        || (),
-        |_, _, m: &Method| m.body.as_ref().map(|_| method_fingerprint(m)),
-    );
+/// Builds the duplicate map for `module`: fingerprints every bodied
+/// method, then maps every method, in index order, to the first method
+/// with its fingerprint. The fingerprinting's span comes back as one
+/// `hash` sample, so a trace shows how much of a phase is hashing.
+pub fn dup_groups(module: &Module) -> (DupMap, WorkerSample) {
+    let start = since_epoch();
+    let prints: Vec<Option<(u64, u64)>> =
+        module.methods.iter().map(|m| m.body.as_ref().map(|_| method_fingerprint(m))).collect();
+    let sample = WorkerSample {
+        phase: "hash",
+        worker: 0,
+        items: prints.len(),
+        start,
+        duration: since_epoch().saturating_sub(start),
+    };
     let mut first: HashMap<(u64, u64), usize> = HashMap::new();
     let mut rep: Vec<usize> = (0..module.methods.len()).collect();
     let mut stats = CacheStats::default();
@@ -221,7 +222,7 @@ pub fn dup_groups(module: &Module, jobs: usize) -> (DupMap, Vec<WorkerSample>) {
             stats.hits += 1;
         }
     }
-    (DupMap { rep, prints, stats }, workers)
+    (DupMap { rep, prints, stats }, sample)
 }
 
 #[cfg(test)]

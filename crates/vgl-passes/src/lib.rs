@@ -36,23 +36,24 @@ pub use store::{Lru, StoreStats};
 use vgl_ir::Module;
 use vgl_obs::WorkerSample;
 
-/// Configuration for the parallel, cached back-end passes (normalize,
-/// optimize, fuse). `jobs` is the *effective* worker count — resolve a
-/// user request (0 = auto) through [`sched::resolve_jobs`] first.
+/// Configuration for the cached back-end passes (normalize, optimize,
+/// fuse). `jobs` is the *effective* worker count of fuse, the one pooled
+/// phase — resolve a user request (0 = auto) through
+/// [`sched::resolve_jobs`] first.
 ///
 /// Determinism contract: no field changes compiled output. `jobs` moves
-/// work between threads; `cache` skips recomputation whose result is
-/// copied from a content-identical representative instead; `chunking`
-/// switches the pool between per-item claiming and cost-balanced
+/// fuse's work between threads; `cache` skips recomputation whose result
+/// is copied from a content-identical representative instead; `chunking`
+/// switches fuse's pool between per-item claiming and cost-balanced
 /// chunk-granular claiming (same items, same merge order).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BackendConfig {
-    /// Worker threads for the parallel phases (>= 1).
+    /// Worker threads for fuse (>= 1); no other pass reads it.
     pub jobs: usize,
     /// Enable the per-instance pass cache.
     pub cache: bool,
-    /// Schedule parallel phases in cost-balanced chunks
-    /// ([`sched::plan_chunks`]) instead of one atomic claim per item.
+    /// Schedule fuse in cost-balanced chunks ([`sched::plan_chunks`])
+    /// instead of one atomic claim per item.
     pub chunking: bool,
 }
 
@@ -66,7 +67,7 @@ impl Default for BackendConfig {
 /// pass and worker-attributed spans for `vgl-obs`.
 #[derive(Clone, Debug, Default)]
 pub struct BackendReport {
-    /// Effective worker count the passes ran with.
+    /// Effective worker count of fuse's pool.
     pub jobs: usize,
     /// Instance-cache counters from normalize. Its hits also count the
     /// bodies a [`NormPlan`] supplied ([`normalize_reusing`]).
@@ -74,8 +75,8 @@ pub struct BackendReport {
     /// Instance-cache counters from optimize (per-pipeline, counted once at
     /// grouping, not per fixpoint round).
     pub opt_cache: CacheStats,
-    /// Per-worker spans from every parallel phase, in commit order, until
-    /// the compile driver moves them onto its `PhaseTrace`.
+    /// Worker spans ([`WorkerSample`]), in commit order, until the compile
+    /// driver moves them onto its `PhaseTrace`.
     pub workers: Vec<WorkerSample>,
     /// The duplicate-instance map, built once per pipeline by
     /// [`monomorphize_cfg`] and handed forward through normalize to
@@ -108,10 +109,9 @@ pub struct PipelineStats {
 
 /// [`monomorphize`] under a [`BackendConfig`]: with the cache enabled,
 /// the finished module's duplicate-instance map is built right away
-/// ([`cache::dup_groups`], fingerprinting on `cfg.jobs` workers), so the
-/// hashing is part of the mono phase. The map lands in `report.dup_map`,
-/// where [`normalize_cfg`] picks it up instead of re-fingerprinting.
-/// Module and map are identical at every jobs count.
+/// ([`cache::dup_groups`], on the calling thread), so the hashing is part
+/// of the mono phase. The map lands in `report.dup_map`, where
+/// [`normalize_cfg`] picks it up instead of re-fingerprinting.
 pub fn monomorphize_cfg(
     module: &Module,
     cfg: &BackendConfig,
@@ -119,8 +119,8 @@ pub fn monomorphize_cfg(
 ) -> (Module, MonoStats) {
     let (m, stats) = monomorphize(module);
     if cfg.cache {
-        let (dup, workers) = cache::dup_groups(&m, cfg.jobs);
-        report.workers.extend(workers);
+        let (dup, sample) = cache::dup_groups(&m);
+        report.workers.push(sample);
         // The stats ride with the map; normalize_cfg counts them into
         // `norm_cache` when it consumes it (no double count here).
         report.dup_map = Some(dup);

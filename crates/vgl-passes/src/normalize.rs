@@ -168,10 +168,10 @@ pub fn normalize(module: &mut Module) -> NormStats {
 /// representative, which precedes it, already made (see the module docs),
 /// so the id assignment order is unchanged. The duplicate map comes from
 /// `report.dup_map`, where [`crate::monomorphize_cfg`] leaves it; only a
-/// module produced some other way is fingerprinted here, on `cfg.jobs`
-/// workers. Statistics count performed work; skips are reported in
-/// `report.norm_cache`. Debug builds assert the §4.2 postcondition: tuple
-/// normal form ([`vgl_ir::check_normalized`]).
+/// module produced some other way is fingerprinted here. Statistics count
+/// performed work; skips are reported in `report.norm_cache`. Debug builds
+/// assert the §4.2 postcondition: tuple normal form
+/// ([`vgl_ir::check_normalized`]).
 pub fn normalize_cfg(
     module: &mut Module,
     cfg: &BackendConfig,
@@ -207,8 +207,8 @@ pub fn normalize_reusing(
         match report.dup_map.take() {
             Some(dup) if dup.rep.len() == module.methods.len() => dup,
             _ => {
-                let (dup, workers) = cache::dup_groups(module, cfg.jobs);
-                report.workers.extend(workers);
+                let (dup, sample) = cache::dup_groups(module);
+                report.workers.push(sample);
                 dup
             }
         }

@@ -13,14 +13,12 @@
 //! pieces are effect-free, making identity-cast removal and branch folding
 //! sound without effect analysis.
 
-use std::sync::Mutex;
-
 use crate::cache::{self, DupMap};
-use crate::{sched, BackendConfig, BackendReport};
+use crate::{BackendConfig, BackendReport};
 use vgl_ir::ops::{self, Exception};
 use vgl_ir::visit::rewrite_exprs;
-use vgl_ir::{Body, Expr, ExprKind, Local, Method, MethodId, MethodKind, Module, Oper, Stmt};
-use vgl_obs::WorkerSample;
+use vgl_ir::{Body, Expr, ExprKind, Method, MethodId, MethodKind, Module, Oper, Stmt};
+use vgl_obs::{since_epoch, WorkerSample};
 use vgl_types::{CastRelation, ClassId, Hierarchy, Type, TypeKind, TypeStore};
 
 /// Optimizer statistics (experiment E3 narrates these).
@@ -42,14 +40,13 @@ pub struct OptStats {
     pub inlined: usize,
 }
 
-/// Runs the optimizer in place until a fixpoint (bounded), serially with
-/// the instance cache on. Equivalent to [`optimize_cfg`] with the default
-/// [`BackendConfig`] — the output is identical at any jobs count.
+/// Runs the optimizer in place until a fixpoint (bounded), with the
+/// instance cache on: [`optimize_cfg`] with the default [`BackendConfig`].
 pub fn optimize(module: &mut Module) -> OptStats {
     optimize_cfg(module, &BackendConfig::default(), &mut BackendReport::default())
 }
 
-/// [`optimize`] with explicit parallelism and caching.
+/// [`optimize`] with the instance cache configurable (`cfg.cache`).
 ///
 /// A worklist fixpoint over *representative* method bodies; a duplicate
 /// copies its representative whenever that changes. Round 1 rewrites every
@@ -61,14 +58,14 @@ pub fn optimize(module: &mut Module) -> OptStats {
 /// stop after one that adds nothing to [`OptStats`], or after 8, so the
 /// output is that of rewriting every body in every round.
 ///
-/// Each round moves the scheduled bodies onto `cfg.jobs` workers (each with
-/// a private clone of the type store — interning is the only store mutation
+/// Each round rewrites the scheduled bodies on the calling thread (a pool
+/// was slower on every program measured), in method-index order, against
+/// one clone of the type store: interning is the only store mutation
 /// folding performs, and fold decisions never depend on ids interned
-/// mid-round) and commits them back in method-index order. Statistics count
-/// work actually performed, so a cache hit reduces the counters; cache
-/// effectiveness is reported separately in `report.opt_cache`. Debug builds
-/// assert that the module leaves in tuple normal form
-/// ([`vgl_ir::check_normalized`]).
+/// mid-round. Statistics count work actually performed, so a cache hit
+/// reduces the counters; cache effectiveness is reported separately in
+/// `report.opt_cache`. Debug builds assert that the module leaves in tuple
+/// normal form ([`vgl_ir::check_normalized`]).
 pub fn optimize_cfg(
     module: &mut Module,
     cfg: &BackendConfig,
@@ -90,8 +87,8 @@ pub fn optimize_cfg(
                 dup
             }
             _ => {
-                let (dup, hash_workers) = cache::dup_groups(module, cfg.jobs);
-                report.workers.extend(hash_workers);
+                let (dup, sample) = cache::dup_groups(module);
+                report.workers.push(sample);
                 dup
             }
         }
@@ -110,7 +107,7 @@ pub fn optimize_cfg(
     let mut stats = OptStats::default();
     for _ in 0..8 {
         let (round, changed) =
-            one_round(module, cfg, &dup, &devirt, &inline, &todo, &mut report.workers);
+            one_round(module, &dup, &devirt, &inline, &todo, &mut report.workers);
         if round == OptStats::default() {
             break;
         }
@@ -140,10 +137,9 @@ pub fn optimize_cfg(
     stats
 }
 
-/// Everything `fold_expr` needs from the module, split so parallel workers
-/// can fold against a shared read-only hierarchy view with a worker-private
-/// type store (the only part folding mutates, via `cast_relation`
-/// interning).
+/// Everything `fold_expr` needs from the module, split so method bodies can
+/// fold against the hierarchy with a round-private clone of the type store
+/// (the only part folding mutates, via `cast_relation` interning).
 struct FoldCx<'a> {
     store: &'a mut TypeStore,
     hier: &'a Hierarchy,
@@ -165,74 +161,48 @@ fn add_stats(dst: &mut OptStats, s: &OptStats) {
     dst.inlined += s.inlined;
 }
 
-/// One representative's body and locals on their way through a worker.
-type Slot = Mutex<Option<(Body, Vec<Local>)>>;
-
-/// One fixpoint round: rewrites the representatives in `todo` (ascending),
-/// copies each one that changed into its duplicates, and folds the globals'
-/// initializers. Returns the round's statistics and, per method, whether
-/// its body changed.
+/// One fixpoint round: rewrites the representatives in `todo` (ascending)
+/// and logs that as one `optimize` sample, copies each one that changed
+/// into its duplicates, and folds the globals' initializers. Returns the
+/// round's statistics and, per method, whether its body changed.
 fn one_round(
     module: &mut Module,
-    cfg: &BackendConfig,
     dup: &DupMap,
     devirt: &[Option<(MethodId, Type)>],
     inline: &[Option<InlineBody>],
     todo: &[usize],
     worker_log: &mut Vec<WorkerSample>,
 ) -> (OptStats, Vec<bool>) {
-    let plan = cfg.chunking.then(|| {
-        let costs: Vec<u64> = todo
-            .iter()
-            .map(|&i| {
-                vgl_ir::method_cost(&module.methods[i]) * vgl_ir::metrics::pass_weight::OPTIMIZE
-            })
-            .collect();
-        sched::plan_chunks(&costs, cfg.jobs)
-    });
-    let slots: Vec<Slot> = todo
-        .iter()
-        .map(|&i| {
-            let m = &mut module.methods[i];
-            let body = m.body.take().expect("scheduled method has a body");
-            Mutex::new(Some((body, std::mem::take(&mut m.locals))))
-        })
-        .collect();
-    let hier = &module.hier;
-    let run_item = |store: &mut TypeStore, k: usize, slot: &Slot| {
-        let (mut body, mut locals) = slot
-            .lock()
-            .expect("a slot is locked only to take its item")
-            .take()
-            .expect("each slot is claimed once");
-        let mut st = OptStats::default();
-        let mut cx = FoldCx { store, hier, devirt, uncounted: false };
-        let caller = MethodId(todo[k] as u32);
-        rewrite_exprs(&mut body, &mut |e| {
-            let e = fold_expr(&mut cx, e, &mut st);
-            inline_expr(e, caller, inline, &mut locals, &mut st)
-        });
-        fold_stmts(&mut body.stmts, &mut st);
-        // Normalize's temporaries and inlining grew the locals one by one.
-        locals.shrink_to_fit();
-        let changed = cx.uncounted || st != OptStats::default();
-        (body, locals, st, changed)
-    };
-    let mk_ctx = || module.store.clone();
-    let (results, samples) = match &plan {
-        Some(plan) => sched::par_map_chunks(cfg.jobs, "optimize", &slots, plan, mk_ctx, run_item),
-        None => sched::par_map_ctx(cfg.jobs, "optimize", &slots, mk_ctx, run_item),
-    };
-    worker_log.extend(samples);
-    // Commit in stable method-index order (todo is ascending).
+    let start = since_epoch();
     let mut stats = OptStats::default();
     let mut changed = vec![false; module.methods.len()];
-    for (&i, (body, locals, st, ch)) in todo.iter().zip(results) {
-        module.methods[i].body = Some(body);
-        module.methods[i].locals = locals;
-        add_stats(&mut stats, &st);
-        changed[i] = ch;
+    {
+        let mut store = module.store.clone();
+        let Module { methods, hier, .. } = &mut *module;
+        for &i in todo {
+            let Method { body, locals, .. } = &mut methods[i];
+            let body = body.as_mut().expect("scheduled method has a body");
+            let mut st = OptStats::default();
+            let mut cx = FoldCx { store: &mut store, hier, devirt, uncounted: false };
+            let caller = MethodId(i as u32);
+            rewrite_exprs(body, &mut |e| {
+                let e = fold_expr(&mut cx, e, &mut st);
+                inline_expr(e, caller, inline, locals, &mut st)
+            });
+            fold_stmts(&mut body.stmts, &mut st);
+            // Normalize's temporaries and inlining grew the locals one by one.
+            locals.shrink_to_fit();
+            changed[i] = cx.uncounted || st != OptStats::default();
+            add_stats(&mut stats, &st);
+        }
     }
+    worker_log.push(WorkerSample {
+        phase: "optimize",
+        worker: 0,
+        items: todo.len(),
+        start,
+        duration: since_epoch().saturating_sub(start),
+    });
     // A duplicate takes its representative's body when that changed (reps
     // always precede their dups, so the source is this round's output).
     for i in 0..module.methods.len() {
@@ -245,8 +215,7 @@ fn one_round(
             changed[i] = true;
         }
     }
-    // Globals' initializers too (serial: there are few, and they may read
-    // each other in declaration order anyway).
+    // Globals' initializers too, against the module's own store.
     let Module { store, hier, globals, .. } = &mut *module;
     let mut cx = FoldCx { store, hier, devirt, uncounted: false };
     for g in globals.iter_mut() {

@@ -1,4 +1,7 @@
 //! A dependency-free work-stealing pool for per-function compiler work.
+//! Fuse is its one caller: mono's fingerprinting and the optimizer were
+//! slower on it at jobs 2 than at jobs 1 on nearly every program measured,
+//! so they run on the calling thread.
 //!
 //! Built on `std::thread::scope` — no external crates, no global state.
 //! Workers claim **contiguous index ranges** from an atomic counter, at
@@ -10,8 +13,8 @@
 //!   jobs=1 on a 96-instance fan-out).
 //! * [`plan_chunks`] + [`par_map_chunks`] — items are packed up front into
 //!   contiguous, cost-balanced chunks (targeting `total/(CHUNKS_PER_JOB ×
-//!   jobs)` estimated cost each, from `vgl_ir::metrics::method_cost`-style
-//!   estimates) and workers steal **whole chunks**. One atomic claim
+//!   jobs)` estimated cost each, from per-item estimates such as fuse's
+//!   code length) and workers steal **whole chunks**. One atomic claim
 //!   amortizes over a chunk's worth of work, and chunk boundaries are a
 //!   pure integer function of the cost vector — identical on every
 //!   platform, every run, every thread count.

@@ -3,38 +3,13 @@
 //! sequences of allocations, pointer writes, root changes, and collections,
 //! every live cell must be intact and identical to the model.
 //!
-//! Op sequences come from a seeded in-tree xorshift PRNG (deterministic,
-//! dependency-free); failures print the seed. `VGL_PROP_CASES` overrides the
-//! default 64 cases.
+//! Op sequences come from the workspace's seeded PRNG ([`vgl_fuzz::Rng`],
+//! deterministic, dependency-free); failures print the seed.
+//! `VGL_PROP_CASES` overrides the default 64 cases.
 
 use std::collections::HashMap;
+use vgl_fuzz::Rng;
 use vgl_runtime::heap::{self, CellKind, Heap, Word, NULL};
-
-/// xorshift64* — deterministic, dependency-free.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn byte(&mut self) -> u8 {
-        self.next() as u8
-    }
-}
 
 /// One scripted operation.
 #[derive(Clone, Debug)]
@@ -53,14 +28,14 @@ enum Op {
 
 fn gen_op(rng: &mut Rng) -> Op {
     match rng.below(5) {
-        0 => Op::Alloc { slots: 1 + rng.below(5) as u8, root: rng.byte() },
+        0 => Op::Alloc { slots: 1 + rng.below(5) as u8, root: rng.next() as u8 },
         1 => Op::WriteScalar {
-            root: rng.byte(),
-            slot: rng.byte(),
+            root: rng.next() as u8,
+            slot: rng.next() as u8,
             value: rng.next() as i32,
         },
-        2 => Op::WritePtr { a: rng.byte(), b: rng.byte(), slot: rng.byte() },
-        3 => Op::DropRoot(rng.byte()),
+        2 => Op::WritePtr { a: rng.next() as u8, b: rng.next() as u8, slot: rng.next() as u8 },
+        3 => Op::DropRoot(rng.next() as u8),
         _ => Op::Collect,
     }
 }

@@ -2,35 +2,14 @@
 //! rules, flattening invariants, and cast-relation coherence over randomly
 //! generated types.
 //!
-//! Types are generated from a seeded in-tree xorshift PRNG (deterministic,
-//! dependency-free); failures print the seed. `VGL_PROP_CASES` overrides the
-//! default 128 cases.
+//! Types are generated from the workspace's seeded PRNG ([`vgl_fuzz::Rng`],
+//! deterministic, dependency-free); failures print the seed.
+//! `VGL_PROP_CASES` overrides the default 128 cases.
 
+use vgl_fuzz::Rng;
 use vgl_types::{
     cast_relation, is_subtype, CastRelation, ClassInfo, Hierarchy, Type, TypeStore,
 };
-
-/// xorshift64* — deterministic, dependency-free.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 fn cases() -> u64 {
     std::env::var("VGL_PROP_CASES")
