@@ -8,33 +8,25 @@
 //! test fails and the new map must be reviewed and re-pinned deliberately —
 //! chunk boundaries shifting silently is how nondeterminism sneaks in.
 //!
-//! Costs follow the optimizer's formula on its input: post-mono,
-//! post-normalize, `method_cost × pass_weight::OPTIMIZE`. The optimizer
-//! itself runs on the calling thread and plans no chunks any more, and
-//! fuse packs by code length; this cost vector stays as a large, varied,
-//! reproducible input to the planner. The weight multiplies every item and
-//! the target alike, so these goldens survive weight retuning; they only
-//! move if `method_cost`, the packing algorithm, or the workload itself
-//! changes.
+//! Costs follow fuse's formula on its input, the one phase that plans
+//! chunks: `1 + code.len()` for each lowered (unfused) function. They only
+//! move if lowering, the packing algorithm, or the workload itself changes.
 
 use vgl_bench::workloads;
-use vgl_ir::{method_cost, metrics::pass_weight};
 use vgl_passes::sched::plan_chunks;
 
 const FANOUT_K: usize = 64;
 
-/// The per-item cost vector by the optimizer's formula.
-fn optimize_costs() -> Vec<u64> {
+/// The per-item cost vector by fuse's formula: one per instruction of each
+/// lowered function, plus one.
+fn fuse_costs() -> Vec<u64> {
     let src = workloads::instance_fanout_distinct(FANOUT_K);
-    let mut diags = vgl_syntax::Diagnostics::new();
-    let ast = vgl_syntax::parse_program(&src, &mut diags);
-    assert!(!diags.has_errors(), "fan-out workload must parse");
-    let module = vgl_sema::analyze(&ast, &mut diags).expect("fan-out workload analyzes");
-    let cfg = vgl_passes::BackendConfig { jobs: 1, cache: true, chunking: true };
-    let mut report = vgl_passes::BackendReport::default();
-    let (mut m, _) = vgl_passes::monomorphize_cfg(&module, &cfg, &mut report);
-    vgl_passes::normalize_cfg(&mut m, &cfg, &mut report);
-    m.methods.iter().map(|m| method_cost(m) * pass_weight::OPTIMIZE).collect()
+    let c = vgl::Compiler::new()
+        .without_fuse()
+        .with_jobs(1)
+        .compile(&src)
+        .expect("fan-out workload compiles");
+    c.program.funcs.iter().map(|f| 1 + f.code.len() as u64).collect()
 }
 
 fn ranges(costs: &[u64], jobs: usize) -> Vec<(usize, usize)> {
@@ -43,28 +35,28 @@ fn ranges(costs: &[u64], jobs: usize) -> Vec<(usize, usize)> {
 
 #[test]
 fn fanout_chunk_map_is_pinned() {
-    let costs = optimize_costs();
+    let costs = fuse_costs();
 
     // The workload itself is part of the golden: 64 distinct `work<Ci>`
-    // instances + 64 constructors + main. If mono's output count moves,
-    // everything below is expected to move with it.
-    assert_eq!(costs.len(), 129, "fan-out method count changed: {}", costs.len());
-    let total: u64 = costs.iter().map(|&c| c.max(1)).sum();
-    assert_eq!(total, 35104, "fan-out total optimize cost changed");
+    // instances + 64 constructors + main, one lowered function each. If
+    // that count moves, everything below is expected to move with it.
+    assert_eq!(costs.len(), 129, "fan-out function count changed: {}", costs.len());
+    let total: u64 = costs.iter().sum();
+    assert_eq!(total, 6088, "fan-out total fuse cost changed");
 
     let golden: [(usize, Vec<(usize, usize)>); 3] = [
         (1, vec![(0, 23), (23, 59), (59, 95), (95, 129)]),
         (
             2,
             vec![
-                (0, 7),
-                (7, 25),
-                (25, 43),
-                (43, 61),
-                (61, 79),
-                (79, 97),
-                (97, 115),
-                (115, 129),
+                (0, 5),
+                (5, 23),
+                (23, 41),
+                (41, 59),
+                (59, 77),
+                (77, 95),
+                (95, 113),
+                (113, 129),
             ],
         ),
         (
@@ -111,7 +103,7 @@ fn fanout_chunk_map_is_pinned() {
 /// independently so a re-pin can't accidentally bless a broken plan.
 #[test]
 fn fanout_chunk_map_covers_all_methods_in_order() {
-    let costs = optimize_costs();
+    let costs = fuse_costs();
     for jobs in [1, 2, 8] {
         let plan = plan_chunks(&costs, jobs);
         let mut next = 0;
@@ -133,8 +125,8 @@ fn fanout_chunk_map_covers_all_methods_in_order() {
 /// workload yields the identical map, run to run and call to call.
 #[test]
 fn fanout_chunk_map_is_reproducible() {
-    let a = optimize_costs();
-    let b = optimize_costs();
+    let a = fuse_costs();
+    let b = fuse_costs();
     assert_eq!(a, b, "cost vector is not reproducible");
     for jobs in [1, 2, 8, 16] {
         assert_eq!(ranges(&a, jobs), ranges(&b, jobs), "plan differs at jobs={jobs}");

@@ -76,8 +76,8 @@ fn serve_edit_one_worker() {
     check(
         "serve_edit(1, 12345)",
         &workloads::serve_edit(1, 12345),
-        0x2d22_cbb4_d260_ce7e,
-        [4845, 1507, 4539, 3013, 301, 1, 0, 900, 0, 14351, 4985],
+        0x2c72_1355_d40c_94f1,
+        [4839, 1507, 4539, 3013, 301, 1, 0, 900, 0, 14345, 4979],
     );
 }
 
@@ -86,8 +86,8 @@ fn serve_edit_three_workers() {
     check(
         "serve_edit(3, 777)",
         &workloads::serve_edit(3, 777),
-        0xcd7d_f64c_a967_8012,
-        [14457, 4507, 13551, 9015, 901, 1, 0, 2700, 0, 42583, 14603],
+        0x4a2c_36c9_1ada_3c14,
+        [14451, 4507, 13551, 9015, 901, 1, 0, 2700, 0, 42577, 14597],
     );
 }
 
@@ -96,8 +96,8 @@ fn big_program_200() {
     check(
         "big_program(200)",
         &workloads::big_program(200),
-        0x4308_2106_9572_20ea,
-        [1007, 201, 807, 202, 1, 1, 0, 0, 0, 6032, 4621],
+        0xa9a3_4e2f_09a7_e4a2,
+        [807, 201, 807, 202, 1, 1, 0, 0, 0, 5832, 4421],
     );
 }
 
@@ -129,7 +129,7 @@ fn examples() {
         ("delegates.v", 0x03f2_f759_78b3_85b2, [16, 5, 12, 1, 1, 1, 0, 1, 0, 85, 65]),
         ("dispatch_chain.v", 0x3208_0b2a_1bbb_5d8d, [26, 13, 26, 14, 6, 2, 0, 4, 0, 155, 94]),
         ("gc.v", 0xa83c_31cb_7f59_5fb1, [12, 10, 12, 5, 3, 1, 0, 2, 0, 68, 37]),
-        ("generics.v", 0xcd1a_fcf5_90c6_324d, [13, 2, 12, 0, 0, 0, 1, 0, 0, 59, 42]),
+        ("generics.v", 0x1a12_2437_a24d_cd01, [13, 2, 12, 0, 0, 0, 1, 0, 0, 57, 40]),
         ("hello.v", 0x559e_5537_b7e2_9075, [1, 0, 1, 0, 0, 0, 0, 0, 0, 7, 6]),
         ("tuples.v", 0x2b1d_8b3f_2d66_a2e7, [9, 7, 9, 6, 3, 0, 0, 2, 0, 72, 47]),
         ("wide_tuples.v", 0x7421_1049_2818_1cda, [55, 4, 37, 9, 1, 0, 0, 1, 0, 134, 83]),

@@ -631,13 +631,13 @@ fn main() -> ExitCode {
             );
             println!(
                 "opt:   {} consts, {} queries, {} casts, {} branches folded; \
-                 {} dead stmts; {} devirtualized",
+                 {} dead stmts; {} inlined",
                 s.opt.consts_folded,
                 s.opt.queries_folded,
                 s.opt.casts_folded,
                 s.opt.branches_folded,
                 s.opt.dead_stmts_removed,
-                s.opt.devirtualized
+                s.opt.inlined
             );
             let f = &compilation.fuse;
             if f.instrs_before > 0 {

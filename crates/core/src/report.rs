@@ -128,7 +128,6 @@ fn pipeline_json(c: &Compilation) -> Json {
     opt.set("casts_folded", Json::from(s.opt.casts_folded));
     opt.set("branches_folded", Json::from(s.opt.branches_folded));
     opt.set("dead_stmts_removed", Json::from(s.opt.dead_stmts_removed));
-    opt.set("devirtualized", Json::from(s.opt.devirtualized));
     opt.set("inlined", Json::from(s.opt.inlined));
     o.set("optimize", opt);
 

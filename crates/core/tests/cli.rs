@@ -51,6 +51,25 @@ fn stats_json_is_valid_and_complete_for_every_example() {
         for key in ["phases", "pipeline", "bytecode_instrs", "interp", "vm", "runtime"] {
             assert!(json.get(key).is_some(), "{p}: missing key {key:?}");
         }
+        // The optimizer reports every `OptStats` counter, and only those.
+        let keys: Vec<&str> = match json.get("pipeline").and_then(|o| o.get("optimize")) {
+            Some(vgl_obs::json::Json::Obj(entries)) => {
+                entries.iter().map(|(k, _)| k.as_str()).collect()
+            }
+            other => panic!("{p}: pipeline.optimize is not an object: {other:?}"),
+        };
+        assert_eq!(
+            keys,
+            [
+                "consts_folded",
+                "queries_folded",
+                "casts_folded",
+                "branches_folded",
+                "dead_stmts_removed",
+                "inlined"
+            ],
+            "{p}: pipeline.optimize keys"
+        );
         // The unified runtime object carries both engines' counters.
         let rt = json.get("runtime").unwrap();
         assert!(

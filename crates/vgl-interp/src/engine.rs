@@ -943,14 +943,6 @@ impl<'m> Interp<'m> {
                 }
             }
             ExprKind::Trap(x) => Err(*x),
-            ExprKind::CheckNull(v) => {
-                let val = self.eval(v, frame)?;
-                if val.is_null() {
-                    Err(Exception::NullCheck)
-                } else {
-                    Ok(val)
-                }
-            }
             ExprKind::Let { local, value, body } => {
                 let v = self.eval(value, frame)?;
                 frame.locals[local.index()] = v;

@@ -271,10 +271,6 @@ pub enum ExprKind {
     /// Unconditionally raises an exception (inserted by the optimizer and
     /// normalizer for statically-failing casts).
     Trap(crate::ops::Exception),
-    /// Evaluates to its operand, trapping with `NullCheckException` when it
-    /// is null (inserted by devirtualization to preserve the virtual call's
-    /// receiver check).
-    CheckNull(Box<Expr>),
     /// Short-circuit `&&`.
     And(Box<Expr>, Box<Expr>),
     /// Short-circuit `||`.

@@ -26,7 +26,7 @@ pub mod validate;
 pub mod visit;
 
 pub use body::{Body, Builtin, Expr, ExprKind, FieldRef, Oper, Stmt};
-pub use metrics::{measure, method_cost, ModuleSize};
+pub use metrics::{measure, ModuleSize};
 pub use module::{Class, Field, Global, GlobalId, Local, LocalId, Method, MethodId, MethodKind, Module};
 pub use ops::Exception;
 pub use validate::{assert_valid, check_monomorphic, check_normalized, check_tuple_free, Violation};

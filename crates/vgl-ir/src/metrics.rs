@@ -37,32 +37,6 @@ impl std::fmt::Display for ModuleSize {
     }
 }
 
-/// Relative per-pass cost weights for the cost-chunked back-end scheduler.
-///
-/// The absolute scale is meaningless: each chunk plan covers one pass, and
-/// the weight multiplies every item and the chunk target alike, so
-/// boundaries are unchanged — which keeps the golden chunk maps independent
-/// of retuning here.
-pub mod pass_weight {
-    /// Constant/query/branch folding; only the golden chunk maps use it.
-    pub const OPTIMIZE: u64 = 4;
-    /// Bytecode peephole + liveness, iterated to a fixpoint.
-    pub const FUSE: u64 = 2;
-}
-
-/// Estimated cost of compiling one method through a back-end pass, in
-/// abstract "op" units: expression nodes dominate every per-body pass, with
-/// locals as a small additive term (liveness and frame setup scale with
-/// them). Body-less methods cost 1 (the scheduler never divides by zero).
-///
-/// It is a pure, platform-independent function of the IR, so a chunk plan
-/// packed by it is reproducible across machines; the seed-pinned golden
-/// chunk map test packs by it.
-pub fn method_cost(m: &crate::module::Method) -> u64 {
-    let Some(body) = &m.body else { return 1 };
-    1 + count_exprs(body) as u64 + m.locals.len() as u64
-}
-
 /// Measures a module.
 pub fn measure(module: &Module) -> ModuleSize {
     let mut size = ModuleSize {

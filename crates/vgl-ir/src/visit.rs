@@ -59,7 +59,7 @@ pub fn children(e: &Expr) -> Vec<&Expr> {
         Int(_) | Byte(_) | Bool(_) | Unit | Null | String(_) | Local(_) | Global(_)
         | OpClosure(_) | FuncRef { .. } | CtorRef { .. } | ArrayNewRef { .. }
         | BuiltinRef(_) | Trap(_) => vec![],
-        LocalSet(_, v) | GlobalSet(_, v) | CheckNull(v) => vec![v],
+        LocalSet(_, v) | GlobalSet(_, v) => vec![v],
         Tuple(es) | ArrayLit(es) => es.iter().collect(),
         TupleIndex(b, _) | ArrayNew(b) | ArrayLen(b) => vec![b],
         ArrayGet(a, i) => vec![a, i],
@@ -142,7 +142,7 @@ pub fn for_each_child_mut(e: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
         Int(_) | Byte(_) | Bool(_) | Unit | Null | String(_) | Local(_) | Global(_)
         | OpClosure(_) | FuncRef { .. } | CtorRef { .. } | ArrayNewRef { .. }
         | BuiltinRef(_) | Trap(_) => {}
-        LocalSet(_, v) | GlobalSet(_, v) | CheckNull(v) => f(v),
+        LocalSet(_, v) | GlobalSet(_, v) => f(v),
         Tuple(es) | ArrayLit(es) => {
             for x in es {
                 f(x);

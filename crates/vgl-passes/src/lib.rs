@@ -10,7 +10,7 @@
 //!   implicit heap allocation** and no dynamic calling-convention checks
 //!   ([`vgl_ir::check_normalized`] verifies).
 //! * [`optimize`] — the §3.3 claim: statically decide type queries/casts,
-//!   fold the resulting branches, remove dead code, devirtualize.
+//!   fold the resulting branches, remove dead code, inline leaf methods.
 //!
 //! The composition `monomorphize → normalize → optimize` is the paper's
 //! static compilation pipeline; `vgl::Compiler` drives it, followed by

@@ -1279,11 +1279,6 @@ impl<'m> Norm<'m> {
                     .map(|(t, ty)| Expr::new(Local(t), ty))
                     .collect()
             }
-            CheckNull(v) => {
-                let p = self.flat_scalar(v, fx, out);
-                let c = Expr::new(CheckNull(Box::new(p)), nty);
-                vec![self.spill(c, fx, out)]
-            }
             Let { local, value, body } => {
                 let pieces = self.flat(value, fx, out);
                 let ids = fx.local_map[local.index()].clone();

@@ -1,5 +1,5 @@
 //! The optimizer: constant folding, type-query/cast folding, branch folding,
-//! dead-statement elimination, and devirtualization.
+//! dead-statement elimination, and leaf inlining.
 //!
 //! This realizes the §3.3 claim: "the compiler will specialize the
 //! parameterized method for each unique type argument, then optimize each
@@ -9,6 +9,9 @@
 //! monomorphization, `int.?(a: int)` folds to `true`, `bool.?(a: int)` to
 //! `false`, and the `if` chain collapses to a direct call.
 //!
+//! Virtual calls stay `CallVirtual`: the VM's inline caches and the tier's
+//! IC-feedback devirtualization are the one place that devirtualizes.
+//!
 //! The optimizer is designed to run on normalized modules, where argument
 //! pieces are effect-free, making identity-cast removal and branch folding
 //! sound without effect analysis.
@@ -17,9 +20,9 @@ use crate::cache::{self, DupMap};
 use crate::{BackendConfig, BackendReport};
 use vgl_ir::ops::{self, Exception};
 use vgl_ir::visit::rewrite_exprs;
-use vgl_ir::{Body, Expr, ExprKind, Method, MethodId, MethodKind, Module, Oper, Stmt};
+use vgl_ir::{Body, Expr, ExprKind, Method, MethodId, Module, Oper, Stmt};
 use vgl_obs::{since_epoch, WorkerSample};
-use vgl_types::{CastRelation, ClassId, Hierarchy, Type, TypeKind, TypeStore};
+use vgl_types::{CastRelation, Hierarchy, TypeKind, TypeStore};
 
 /// Optimizer statistics (experiment E3 narrates these).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -34,8 +37,6 @@ pub struct OptStats {
     pub branches_folded: usize,
     /// Statements removed as dead.
     pub dead_stmts_removed: usize,
-    /// Virtual calls rewritten to direct calls.
-    pub devirtualized: usize,
     /// Small leaf methods inlined at direct call sites.
     pub inlined: usize,
 }
@@ -52,11 +53,11 @@ pub fn optimize(module: &mut Module) -> OptStats {
 /// copies its representative whenever that changes. Round 1 rewrites every
 /// representative. A later round rewrites one only if its body changed in
 /// the previous round or it calls a method whose inline entry changed: a
-/// rewrite reads nothing else that changes (the devirtualization table
-/// reads classes, vtables and signatures, and is built once), so any other
-/// body would come back as it went in, with no counter moved. The rounds
-/// stop after one that adds nothing to [`OptStats`], or after 8, so the
-/// output is that of rewriting every body in every round.
+/// rewrite reads nothing else that changes (the hierarchy and the types it
+/// folds against are fixed), so any other body would come back as it went
+/// in, with no counter moved. The rounds stop after one that adds nothing
+/// to [`OptStats`], or after 8, so the output is that of rewriting every
+/// body in every round.
 ///
 /// Each round rewrites the scheduled bodies on the calling thread (a pool
 /// was slower on every program measured), in method-index order, against
@@ -97,7 +98,6 @@ pub fn optimize_cfg(
     };
     report.opt_cache.merge(&dup.stats);
     let n = module.methods.len();
-    let devirt = build_devirt_table(module);
     // Inline candidates: single-`Return(expr)` leaf bodies referencing only
     // their parameters ("only a call to the corresponding version remains,
     // which the compiler may then inline" — §3.3).
@@ -106,8 +106,7 @@ pub fn optimize_cfg(
         (0..n).filter(|&i| module.methods[i].body.is_some() && !dup.is_dup(i)).collect();
     let mut stats = OptStats::default();
     for _ in 0..8 {
-        let (round, changed) =
-            one_round(module, &dup, &devirt, &inline, &todo, &mut report.workers);
+        let (round, changed) = one_round(module, &dup, &inline, &todo, &mut report.workers);
         if round == OptStats::default() {
             break;
         }
@@ -137,27 +136,12 @@ pub fn optimize_cfg(
     stats
 }
 
-/// Everything `fold_expr` needs from the module, split so method bodies can
-/// fold against the hierarchy with a round-private clone of the type store
-/// (the only part folding mutates, via `cast_relation` interning).
-struct FoldCx<'a> {
-    store: &'a mut TypeStore,
-    hier: &'a Hierarchy,
-    /// Per declared method: its unique override and that override's
-    /// receiver type (see [`build_devirt_table`]).
-    devirt: &'a [Option<(MethodId, Type)>],
-    /// Set by the one rewrite no [`OptStats`] counter records: dropping the
-    /// null check on a fresh object, string or array.
-    uncounted: bool,
-}
-
 fn add_stats(dst: &mut OptStats, s: &OptStats) {
     dst.consts_folded += s.consts_folded;
     dst.queries_folded += s.queries_folded;
     dst.casts_folded += s.casts_folded;
     dst.branches_folded += s.branches_folded;
     dst.dead_stmts_removed += s.dead_stmts_removed;
-    dst.devirtualized += s.devirtualized;
     dst.inlined += s.inlined;
 }
 
@@ -168,7 +152,6 @@ fn add_stats(dst: &mut OptStats, s: &OptStats) {
 fn one_round(
     module: &mut Module,
     dup: &DupMap,
-    devirt: &[Option<(MethodId, Type)>],
     inline: &[Option<InlineBody>],
     todo: &[usize],
     worker_log: &mut Vec<WorkerSample>,
@@ -183,16 +166,15 @@ fn one_round(
             let Method { body, locals, .. } = &mut methods[i];
             let body = body.as_mut().expect("scheduled method has a body");
             let mut st = OptStats::default();
-            let mut cx = FoldCx { store: &mut store, hier, devirt, uncounted: false };
             let caller = MethodId(i as u32);
             rewrite_exprs(body, &mut |e| {
-                let e = fold_expr(&mut cx, e, &mut st);
+                let e = fold_expr(&mut store, hier, e, &mut st);
                 inline_expr(e, caller, inline, locals, &mut st)
             });
             fold_stmts(&mut body.stmts, &mut st);
             // Normalize's temporaries and inlining grew the locals one by one.
             locals.shrink_to_fit();
-            changed[i] = cx.uncounted || st != OptStats::default();
+            changed[i] = st != OptStats::default();
             add_stats(&mut stats, &st);
         }
     }
@@ -217,11 +199,10 @@ fn one_round(
     }
     // Globals' initializers too, against the module's own store.
     let Module { store, hier, globals, .. } = &mut *module;
-    let mut cx = FoldCx { store, hier, devirt, uncounted: false };
     for g in globals.iter_mut() {
         let Some(init) = g.init.take() else { continue };
         let mut body = Body { stmts: vec![Stmt::Expr(init)] };
-        rewrite_exprs(&mut body, &mut |e| fold_expr(&mut cx, e, &mut stats));
+        rewrite_exprs(&mut body, &mut |e| fold_expr(store, hier, e, &mut stats));
         let Some(Stmt::Expr(e)) = body.stmts.pop() else { unreachable!() };
         g.init = Some(e);
     }
@@ -361,48 +342,6 @@ fn remap_locals(e: &mut Expr, base: usize) {
     vgl_ir::visit::for_each_child_mut(e, &mut |c| remap_locals(c, base));
 }
 
-/// For each virtual slot, the unique implementing method across instantiable
-/// classes and its receiver type, or `None` when several exist.
-fn build_devirt_table(module: &Module) -> Vec<Option<(MethodId, Type)>> {
-    // Indexed by (declared method id): unique target considering every
-    // non-abstract class whose vtable covers the slot of that method and
-    // which is a subclass of the declaring owner.
-    let n = module.methods.len();
-    let mut unique: Vec<Option<Option<MethodId>>> = vec![None; n];
-    for (mi, m) in module.methods.iter().enumerate() {
-        let (Some(owner), Some(slot)) = (m.owner, m.vtable_index) else { continue };
-        if m.is_private {
-            continue;
-        }
-        let mut target: Option<Option<MethodId>> = None;
-        for (ci, c) in module.classes.iter().enumerate() {
-            if c.is_abstract || slot >= c.vtable.len() {
-                continue;
-            }
-            if !module.hier.is_subclass(ClassId(ci as u32), owner) {
-                continue;
-            }
-            let t = c.vtable[slot];
-            if module.method(t).kind == MethodKind::Abstract {
-                continue;
-            }
-            target = match target {
-                None => Some(Some(t)),
-                Some(Some(prev)) if prev == t => Some(Some(t)),
-                _ => Some(None),
-            };
-        }
-        unique[mi] = target;
-    }
-    unique
-        .into_iter()
-        .map(|t| {
-            let t = t.flatten()?;
-            Some((t, module.method(t).locals[0].ty))
-        })
-        .collect()
-}
-
 fn as_const_int(e: &Expr) -> Option<i32> {
     match e.kind {
         ExprKind::Int(v) => Some(v),
@@ -434,10 +373,12 @@ fn is_pure(e: &Expr) -> bool {
     }
 }
 
-fn fold_expr(cx: &mut FoldCx<'_>, e: Expr, stats: &mut OptStats) -> Expr {
+/// Folds one node whose children are already folded. `store` is the only
+/// state folding mutates (`cast_relation` interns types).
+fn fold_expr(store: &mut TypeStore, hier: &Hierarchy, e: Expr, stats: &mut OptStats) -> Expr {
     let ty = e.ty;
     match e.kind {
-        ExprKind::Apply(op, args) => fold_apply(cx, op, args, ty, stats),
+        ExprKind::Apply(op, args) => fold_apply(store, hier, op, args, ty, stats),
         ExprKind::And(a, b) => match as_const_bool(&a) {
             Some(true) => {
                 stats.branches_folded += 1;
@@ -484,22 +425,6 @@ fn fold_expr(cx: &mut FoldCx<'_>, e: Expr, stats: &mut OptStats) -> Expr {
             }
             None => Expr::new(ExprKind::Ternary { cond, then, els }, ty),
         },
-        ExprKind::CallVirtual { method, type_args, recv, args } => {
-            if let Some((target, recv_ty)) = cx.devirt[method.index()] {
-                stats.devirtualized += 1;
-                let mut all = Vec::with_capacity(args.len() + 1);
-                all.push(Expr::new(ExprKind::CheckNull(recv), recv_ty));
-                all.extend(args);
-                // Mono resolved the type arguments into the target, so a
-                // direct call carries none.
-                Expr::new(
-                    ExprKind::CallStatic { method: target, type_args: vec![], args: all },
-                    ty,
-                )
-            } else {
-                Expr::new(ExprKind::CallVirtual { method, type_args, recv, args }, ty)
-            }
-        }
         ExprKind::Let { local, value, body } => {
             // Constant propagation through compiler temps: Let locals are
             // single-assignment, so a constant binding substitutes directly.
@@ -516,22 +441,13 @@ fn fold_expr(cx: &mut FoldCx<'_>, e: Expr, stats: &mut OptStats) -> Expr {
                 Expr::new(ExprKind::Let { local, value, body }, ty)
             }
         }
-        ExprKind::CheckNull(v) => {
-            // A CheckNull over a definitely-non-null value folds away.
-            match v.kind {
-                ExprKind::New { .. } | ExprKind::String(_) | ExprKind::ArrayLit(_) => {
-                    cx.uncounted = true;
-                    *v
-                }
-                _ => Expr::new(ExprKind::CheckNull(v), ty),
-            }
-        }
         other => Expr::new(other, ty),
     }
 }
 
 fn fold_apply(
-    cx: &mut FoldCx<'_>,
+    store: &mut TypeStore,
+    hier: &Hierarchy,
     op: Oper,
     args: Vec<Expr>,
     ty: vgl_types::Type,
@@ -616,14 +532,14 @@ fn fold_apply(
             // The §3.3 folding: decide statically where possible. `null`
             // makes nullable sources undecidable-to-true, but `Unrelated`
             // is always false.
-            let rel = vgl_types::cast_relation(cx.store, cx.hier, from, to);
+            let rel = vgl_types::cast_relation(store, hier, from, to);
             match rel {
                 CastRelation::Unrelated => {
                     stats.queries_folded += 1;
                     return Expr::new(ExprKind::Bool(false), ty);
                 }
                 CastRelation::Subsumption => {
-                    if !cx.store.is_nullable(from) {
+                    if !store.is_nullable(from) {
                         stats.queries_folded += 1;
                         return Expr::new(ExprKind::Bool(true), ty);
                     }
@@ -642,7 +558,7 @@ fn fold_apply(
                 CastRelation::Checked => {
                     // Same-class-constructor queries with different args can
                     // still be decided when types are exactly equal.
-                    if from == to && !cx.store.is_nullable(from) {
+                    if from == to && !store.is_nullable(from) {
                         stats.queries_folded += 1;
                         return Expr::new(ExprKind::Bool(true), ty);
                     }
@@ -651,16 +567,16 @@ fn fold_apply(
                     let prim = |k: &TypeKind| {
                         matches!(k, TypeKind::Int | TypeKind::Byte | TypeKind::Bool | TypeKind::Void)
                     };
-                    let fk0 = cx.store.kind(from).clone();
-                    let tk0 = cx.store.kind(to).clone();
+                    let fk0 = store.kind(from).clone();
+                    let tk0 = store.kind(to).clone();
                     if prim(&fk0) && prim(&tk0) && from != to {
                         stats.queries_folded += 1;
                         return Expr::new(ExprKind::Bool(false), ty);
                     }
                     // Distinct instantiations of the same class never
                     // overlap (invariance): List<int> vs List<bool>.
-                    let fk = cx.store.kind(from).clone();
-                    let tk = cx.store.kind(to).clone();
+                    let fk = store.kind(from).clone();
+                    let tk = store.kind(to).clone();
                     if let (TypeKind::Class(c1, a1), TypeKind::Class(c2, a2)) = (fk, tk) {
                         if c1 == c2 && a1 != a2 {
                             stats.queries_folded += 1;
@@ -671,7 +587,7 @@ fn fold_apply(
             }
         }
         Cast { from, to } => {
-            let rel = vgl_types::cast_relation(cx.store, cx.hier, from, to);
+            let rel = vgl_types::cast_relation(store, hier, from, to);
             match rel {
                 CastRelation::Subsumption => {
                     stats.casts_folded += 1;
@@ -684,7 +600,7 @@ fn fold_apply(
                 }
                 CastRelation::Checked => {
                     // Constant byte/int conversions.
-                    match (&args[0].kind, cx.store.kind(to).clone()) {
+                    match (&args[0].kind, store.kind(to).clone()) {
                         (ExprKind::Int(i), TypeKind::Byte) => {
                             stats.casts_folded += 1;
                             return match ops::int_to_byte(*i) {

@@ -18,7 +18,9 @@
 //! exact: `Lru::new(n)` holds at most `n` entries, and inserting into a
 //! full store evicts its least-recently-used entry. A served compile takes
 //! the lock a few dozen times for microseconds each, against tens of
-//! milliseconds of compiling, so one lock does not contend.
+//! milliseconds of compiling, so one lock does not contend. Nothing is
+//! dropped under it: an evicted entry may be the last reference to a whole
+//! compilation, which takes milliseconds to free.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
@@ -79,16 +81,19 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
         }
     }
 
-    fn insert(&mut self, key: K, value: V, capacity: usize) -> Arc<V> {
+    /// Returns the stored `Arc`, then the losing `value` or the evicted
+    /// entry for the caller to drop after unlocking.
+    fn insert(&mut self, key: K, value: V, cap: usize) -> (Arc<V>, Option<V>, Option<Arc<V>>) {
         if self.map.contains_key(&key) {
             // First writer wins: the incumbent is content-equal (the store
             // is content-addressed), and keeping it maximizes Arc sharing.
             self.touch(&key);
-            return Arc::clone(&self.map[&key].0);
+            return (Arc::clone(&self.map[&key].0), Some(value), None);
         }
-        while self.map.len() >= capacity {
-            let Some((_, victim)) = self.order.pop_first() else { break };
-            self.map.remove(&victim);
+        let mut evicted = None;
+        if self.map.len() >= cap {
+            let (_, victim) = self.order.pop_first().expect("a full store has an LRU entry");
+            evicted = self.map.remove(&victim).map(|(v, _)| v);
             self.stats.evictions += 1;
         }
         self.tick += 1;
@@ -96,7 +101,7 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
         self.map.insert(key.clone(), (Arc::clone(&value), self.tick));
         self.order.insert(self.tick, key);
         self.stats.inserts += 1;
-        value
+        (value, None, evicted)
     }
 }
 
@@ -132,9 +137,14 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
     /// Publishes `value` under `key`. If the key is already present the
     /// incumbent value wins (its recency refreshed) and `value` is
     /// dropped; otherwise the least-recently-used entry is evicted first
-    /// when the store is full. Returns the stored `Arc`.
+    /// when the store is full. Either is dropped after the lock is
+    /// released. Returns the stored `Arc`.
     pub fn insert(&self, key: K, value: V) -> Arc<V> {
-        self.lock().insert(key, value, self.capacity)
+        let mut inner = self.lock();
+        let (stored, loser, evicted) = inner.insert(key, value, self.capacity);
+        drop(inner);
+        drop((loser, evicted));
+        stored
     }
 
     /// Live entries.
@@ -230,6 +240,26 @@ mod tests {
         let b = lru.insert(7, "seven".to_string());
         assert!(Arc::ptr_eq(&a, &b), "second publish returns the incumbent");
         assert_eq!(lru.stats().inserts, 1);
+    }
+
+    /// A value whose drop logs whether its store's lock was free.
+    struct Probe(&'static Lru<u32, Probe>, Arc<Mutex<Vec<bool>>>);
+
+    impl Drop for Probe {
+        fn drop(&mut self) {
+            self.1.lock().unwrap().push(self.0.inner.try_lock().is_ok());
+        }
+    }
+
+    #[test]
+    fn values_drop_after_the_lock_is_released() {
+        let store: &'static Lru<u32, Probe> = Box::leak(Box::new(Lru::new(1)));
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let probe = || Probe(store, Arc::clone(&log));
+        store.insert(1, probe());
+        store.insert(1, probe()); // loses to the incumbent
+        store.insert(2, probe()); // evicts key 1, dropping its last `Arc`
+        assert_eq!(*log.lock().unwrap(), [true, true], "lock free at [losing, evicted] drop");
     }
 
     /// Deterministic op mix: 8 threads × 10k ops of interleaved publishes

@@ -97,20 +97,6 @@ fn inliner_skips_recursive_and_large_bodies() {
 }
 
 #[test]
-fn devirtualization_requires_unique_target() {
-    // Two live overrides: no devirtualization of the polymorphic call.
-    let (_, stats) = compile(
-        "class A { def v() -> int { return 1; } }\n\
-         class B extends A { def v() -> int { return 2; } }\n\
-         def main() -> int {\n\
-           var xs: Array<A> = [A.new(), B.new()];\n\
-           return xs[0].v() + xs[1].v();\n\
-         }",
-    );
-    assert_eq!(stats.opt.devirtualized, 0);
-}
-
-#[test]
 fn normalization_stats_reflect_flattening() {
     let m = front(
         "class P { var pos: (int, int); new(pos) { } }\n\

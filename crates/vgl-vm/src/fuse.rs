@@ -106,11 +106,11 @@ pub fn fuse(p: &mut VmProgram) -> FuseStats {
     fuse_cfg(p, &vgl_passes::BackendConfig::default()).0
 }
 
-/// Estimated fusion cost of one function, in the scheduler's abstract op
-/// units: bytecode length dominates every sub-pass (liveness, peephole
-/// scans), weighted by [`vgl_ir::metrics::pass_weight::FUSE`].
+/// Estimated fusion cost of one function for the chunk planner: one per
+/// instruction, since bytecode length dominates every sub-pass (liveness,
+/// peephole scans), plus one so an empty function still counts.
 fn fuse_cost(f: &VmFunc) -> u64 {
-    (1 + f.code.len() as u64) * vgl_ir::metrics::pass_weight::FUSE
+    1 + f.code.len() as u64
 }
 
 /// [`fuse`] under a [`vgl_passes::BackendConfig`]: up to `cfg.jobs` worker

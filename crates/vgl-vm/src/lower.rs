@@ -879,11 +879,6 @@ impl<'m> Lower<'m> {
                 fx.code.push(Instr::Trap(*x));
                 fx.temp()
             }
-            ExprKind::CheckNull(v) => {
-                let r = self.expr(v, fx);
-                fx.code.push(Instr::CheckNull(r));
-                r
-            }
             ExprKind::Local(l) => fx.local_regs[l.index()].0,
             ExprKind::Global(g) => {
                 let d = fx.temp();

@@ -80,10 +80,10 @@ fn main() {
         compilation.stats.norm.multi_return_methods
     );
     println!(
-        "opt: {} queries folded, {} branches folded, {} devirtualized",
+        "opt: {} queries folded, {} branches folded, {} inlined",
         compilation.stats.opt.queries_folded,
         compilation.stats.opt.branches_folded,
-        compilation.stats.opt.devirtualized
+        compilation.stats.opt.inlined
     );
 
     assert_eq!(interp.result, vm.result, "engines must agree");
