@@ -452,7 +452,8 @@ fn e7(run: &mut Run, samples: usize) {
 
 /// E8 — the bytecode back-end optimizer (superinstruction fusion + inline
 /// caches): fused vs unfused VM time on the E2/E3 runtime workloads, with
-/// the fused run's IC hit rate and superinstruction attribution.
+/// the fused run's IC hit rate (`n/a` when it made no IC lookups) and
+/// superinstruction attribution.
 fn e8(run: &mut Run, samples: usize) {
     let mut t = Table::new(&[
         "workload",
@@ -477,7 +478,7 @@ fn e8(run: &mut Run, samples: usize) {
             us(m.unfused),
             us(m.fused),
             format!("{:.2}x", m.speedup()),
-            format!("{:.1}%", m.ic_hit_rate * 100.0),
+            m.ic_hit_rate_cell(),
             format!("{:.1}%", m.super_share * 100.0),
         ]);
         run.gates.push(gate::e8(name, m.speedup()));

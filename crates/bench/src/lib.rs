@@ -198,8 +198,10 @@ pub struct FusionMeasurement {
     pub instrs_before: usize,
     /// Static instruction count after.
     pub instrs_after: usize,
-    /// Inline-cache hit rate of the fused run.
+    /// Inline-cache hit rate of the fused run (1.0 when it made no lookups).
     pub ic_hit_rate: f64,
+    /// Inline-cache lookups (hits and misses) of the fused run.
+    pub ic_lookups: u64,
     /// Share of retired instructions that were superinstructions.
     pub super_share: f64,
 }
@@ -208,6 +210,16 @@ impl FusionMeasurement {
     /// unfused/fused — above 1.0 means fusion wins.
     pub fn speedup(&self) -> f64 {
         self.unfused.as_secs_f64() / self.fused.as_secs_f64().max(1e-9)
+    }
+
+    /// The IC hit rate as a table cell: `n/a` when the run made no
+    /// inline-cache lookups, since a rate over nothing measures nothing.
+    pub fn ic_hit_rate_cell(&self) -> String {
+        if self.ic_lookups == 0 {
+            "n/a".into()
+        } else {
+            format!("{:.1}%", self.ic_hit_rate * 100.0)
+        }
     }
 }
 
@@ -237,6 +249,7 @@ pub fn measure_fusion(name: &str, source: &str, samples: usize) -> FusionMeasure
         instrs_before: fused.fuse.instrs_before,
         instrs_after: fused.fuse.instrs_after,
         ic_hit_rate: stats.ic_hit_rate(),
+        ic_lookups: stats.ic_hits + stats.ic_misses,
         super_share: profile.super_share(),
     }
 }
@@ -724,6 +737,27 @@ mod tests {
             assert!(i.result.is_ok(), "{:?}", i.result);
             let _ = v;
         }
+    }
+
+    #[test]
+    fn e8_ic_cell_is_na_without_lookups() {
+        // E8's polymorphic row executes no virtual call, so there is no
+        // hit rate to report.
+        let m = measure_fusion("polymorphic(200)", &workloads::polymorphic(200), 1);
+        assert_eq!(m.ic_lookups, 0);
+        assert_eq!(m.ic_hit_rate_cell(), "n/a");
+        let virtual_calls = "
+            class A { def f() -> int { return 1; } }
+            class B extends A { def f() -> int { return 2; } }
+            def main() -> int {
+                var a: A = B.new();
+                var s = 0;
+                for (i = 0; i < 10; i = i + 1) s = s + a.f();
+                return s;
+            }";
+        let m = measure_fusion("virtual calls", virtual_calls, 1);
+        assert!(m.ic_lookups > 0);
+        assert!(m.ic_hit_rate_cell().ends_with('%'), "{}", m.ic_hit_rate_cell());
     }
 
     #[test]

@@ -1,0 +1,146 @@
+//! Heap allocations per phase, counted without a clock.
+//!
+//! A counting global allocator keeps a per-thread count of `alloc`,
+//! `alloc_zeroed` and `realloc` calls. At jobs 1 every phase runs on the
+//! calling thread, fuse's pool included, so reading the count around a
+//! call gives the same number whichever tests run beside it. Each
+//! measurement follows one warm-up run of the same work on the same thread,
+//! so one-time initialization elsewhere in the process never lands in it.
+//!
+//! The front-end counts are taken through the entry points a caller that
+//! times each layer uses: `lexer::lex`, `parse_tokens` and `analyze`. The
+//! whole-compile counts are pinned in release builds only, because mono,
+//! normalize and optimize check their postconditions in debug builds, and
+//! those checks allocate. A change that moves a count re-pins it here and
+//! says why.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use vgl_bench::workloads;
+use vgl_syntax::{ast, lexer, Diagnostics};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // During thread teardown the slot may be gone; those calls go uncounted.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call forwards to `System` unchanged; the counter is a
+// `const`-initialized thread-local `Cell`, which itself never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Runs `f` and returns its result with the allocations it made on this
+/// thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// Allocations made by lex, parse, sema and one `vgl_ir::measure` walk of
+/// the analyzed module, in that order.
+fn front_end(src: &str) -> [u64; 4] {
+    let run = || {
+        let mut diags = Diagnostics::new();
+        let (tokens, lex) = counted(|| lexer::lex(src, &mut diags));
+        let (program, parse) = counted(|| vgl_syntax::parse_tokens(src, tokens, &mut diags));
+        let (module, sema) = counted(|| vgl_sema::analyze(&program, &mut diags));
+        let module = module.expect("workload typechecks");
+        let (_, measure) = counted(|| vgl_ir::measure(&module));
+        [lex, parse, sema, measure]
+    };
+    run();
+    run()
+}
+
+#[test]
+fn serve_edit_front_end() {
+    assert_eq!(front_end(&workloads::serve_edit(2, 1)), [15, 32_801, 30_643, 0]);
+}
+
+#[test]
+fn big_program_front_end() {
+    assert_eq!(front_end(&workloads::big_program(200)), [14, 8_870, 28_273, 0]);
+}
+
+#[test]
+fn fanout_front_end() {
+    assert_eq!(front_end(&workloads::instance_fanout_distinct(96)), [11, 1_181, 4_416, 0]);
+}
+
+/// Whole compiles, cold and served, in release builds only.
+#[cfg(not(debug_assertions))]
+mod whole_compile {
+    use super::counted;
+    use vgl::{Compiler, IncrementalCompiler};
+    use vgl_bench::workloads;
+
+    /// Allocations made by one cold compile at jobs 1, dropping included.
+    fn cold_compile(src: &str) -> u64 {
+        let compiler = Compiler::new().with_jobs(1);
+        let run = || counted(|| drop(compiler.compile(src).expect("workload compiles"))).1;
+        run();
+        run()
+    }
+
+    #[test]
+    fn cold_compiles() {
+        let counts = [
+            cold_compile(&workloads::serve_edit(2, 1)),
+            cold_compile(&workloads::big_program(200)),
+            cold_compile(&workloads::instance_fanout_distinct(96)),
+        ];
+        assert_eq!(counts, [199_839, 85_293, 53_614]);
+    }
+
+    /// A served edit: `serve_edit(2, 2)` after `serve_edit(2, 1)` on a warm
+    /// store, compiled once on a first store as the warm-up.
+    #[test]
+    fn warm_served_edit() {
+        let (first, second) = (workloads::serve_edit(2, 1), workloads::serve_edit(2, 2));
+        let run = || {
+            let served = IncrementalCompiler::new(Compiler::new().with_jobs(1));
+            served.compile(&first).expect("first edit compiles");
+            let (out, n) = counted(|| served.compile_reporting(&second).map(drop));
+            out.expect("second edit compiles");
+            n
+        };
+        run();
+        assert_eq!(run(), 109_086);
+    }
+}
+
+// Node sizes of the front end on 64-bit hosts: an identifier is a symbol
+// and a span (32 bytes when it owned a `String`), and the rare large `for`
+// statement is boxed (a `Stmt` was 288 bytes with it inline, an `Expr` 80).
+const _: () = assert!(std::mem::size_of::<ast::Ident>() <= 12);
+const _: () = assert!(std::mem::size_of::<ast::Expr>() <= 64);
+const _: () = assert!(std::mem::size_of::<ast::Stmt>() <= 96);

@@ -25,6 +25,7 @@ pub fn stats_json(
 ) -> Json {
     let mut root = Json::object();
     root.set("phases", c.trace.to_json());
+    root.set("untraced_us", Json::Num(c.trace.untraced().as_secs_f64() * 1e6));
     root.set("pipeline", pipeline_json(c));
     root.set("bytecode_instrs", Json::from(c.code_size()));
     root.set("fuse", fuse_json(&c.fuse));
@@ -285,6 +286,17 @@ mod tests {
             names,
             ["lex", "parse", "sema", "mono", "normalize", "optimize", "lower", "fuse"]
         );
+        // `untraced_us` is the wall span of the recorded phases minus their
+        // summed durations: an identity on the samples, not a timing bound.
+        let num = |p: &Json, k: &str| p.get(k).and_then(Json::as_f64).expect("number");
+        let (first, last) = (&phases[0], &phases[phases.len() - 1]);
+        let span = num(last, "start_us") + num(last, "dur_us") - num(first, "start_us");
+        let traced: f64 = phases.iter().map(|p| num(p, "dur_us")).sum();
+        let untraced = back.get("untraced_us").and_then(Json::as_f64).expect("untraced_us");
+        assert!(untraced >= 0.0);
+        assert!((untraced - (span - traced)).abs() < 1e-3, "{untraced} vs {span} - {traced}");
+        let sum: std::time::Duration = c.trace.phases.iter().map(|p| p.duration).sum();
+        assert_eq!(c.trace.untraced() + sum, c.trace.total());
         // The interpreter boxes the tuple; the VM structurally cannot.
         let tuples = back
             .get("interp")

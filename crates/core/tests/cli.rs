@@ -48,7 +48,8 @@ fn stats_json_is_valid_and_complete_for_every_example() {
         let text = String::from_utf8(out.stdout).expect("utf8");
         let json = vgl_obs::json::parse(text.trim())
             .unwrap_or_else(|e| panic!("{p}: invalid JSON: {e:?}\n{text}"));
-        for key in ["phases", "pipeline", "bytecode_instrs", "interp", "vm", "runtime"] {
+        let keys = ["phases", "untraced_us", "pipeline", "bytecode_instrs", "interp", "vm", "runtime"];
+        for key in keys {
             assert!(json.get(key).is_some(), "{p}: missing key {key:?}");
         }
         // The optimizer reports every `OptStats` counter, and only those.
@@ -104,7 +105,7 @@ fn profile_prints_phase_and_opcode_tables() {
     assert!(text.contains("== compile phases =="), "missing phase table:\n{text}");
     assert!(text.contains("== vm profile =="), "missing vm table:\n{text}");
     assert!(text.contains("== hotness =="), "missing hotness table:\n{text}");
-    for phase in ["lex", "parse", "sema", "mono", "normalize", "optimize", "lower"] {
+    for phase in ["lex", "parse", "sema", "mono", "normalize", "optimize", "lower", "(untraced)"] {
         assert!(text.contains(phase), "missing phase {phase}:\n{text}");
     }
     assert!(text.contains("gc:"), "missing gc summary:\n{text}");

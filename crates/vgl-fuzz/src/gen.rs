@@ -1539,6 +1539,15 @@ mod tests {
     }
 
     #[test]
+    fn consecutive_seeds_give_distinct_programs() {
+        let cfg = GenConfig::default();
+        let mut programs: Vec<String> = (0..500).map(|s| emit(&gen_program(s, &cfg))).collect();
+        programs.sort_unstable();
+        programs.dedup();
+        assert_eq!(programs.len(), 500);
+    }
+
+    #[test]
     fn emitted_programs_only_carry_used_helpers() {
         let p = Prog { seed: 0, width: 8, stmts: vec![St::Set(Var::A, Ex::Lit(7))] };
         let src = emit(&p);

@@ -1,15 +1,23 @@
 //! The in-tree deterministic PRNG used by every randomized test in the
 //! workspace. xorshift64* — no dependencies, stable across platforms, and a
-//! failure always reproduces from its printed seed.
+//! failure always reproduces from its printed seed. The seed is mixed with
+//! the splitmix64 finalizer, a bijection, so every seed starts its own
+//! stream.
 
 /// xorshift64* — deterministic, dependency-free.
 #[derive(Clone, Debug)]
 pub struct Rng(u64);
 
 impl Rng {
-    /// A generator seeded with `seed` (zero is mapped to a nonzero state).
+    /// A generator seeded with `seed`. Distinct seeds give distinct
+    /// states, except the one seed whose mix is zero, which xorshift cannot
+    /// leave and which is mapped to a fixed nonzero state.
     pub fn new(seed: u64) -> Rng {
-        Rng(seed | 1)
+        let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        Rng(if z == 0 { 0x9e37_79b9_7f4a_7c15 } else { z })
     }
 
     /// The next raw 64-bit sample.
@@ -56,6 +64,15 @@ mod tests {
         let ys: Vec<u64> = (0..16).map(|_| b.next()).collect();
         assert_eq!(xs, ys);
         assert!(xs.windows(2).any(|w| w[0] != w[1]));
+    }
+
+    #[test]
+    fn every_seed_starts_its_own_stream() {
+        // `seed | 1` used to give seeds 2k and 2k + 1 one stream.
+        let mut firsts: Vec<u64> = (0..10_000).map(|s| Rng::new(s).next()).collect();
+        firsts.sort_unstable();
+        firsts.dedup();
+        assert_eq!(firsts.len(), 10_000);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! experiment (E4) and by `CompileStats` in the facade crate.
 
 use crate::module::Module;
-use crate::visit::count_exprs;
+use crate::visit::{count_exprs, for_each_expr_in};
 
 /// Size metrics for one module snapshot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -50,23 +50,10 @@ pub fn measure(module: &Module) -> ModuleSize {
             size.locals += m.locals.len();
         }
     }
-    for g in &module.globals {
-        if let Some(init) = &g.init {
-            let body = crate::body::Body {
-                stmts: vec![crate::body::Stmt::Expr(init.clone())],
-            };
-            size.expr_nodes += count_exprs(&body);
-        }
-    }
-    for c in &module.classes {
-        for fd in &c.fields {
-            if let Some(init) = &fd.init {
-                let body = crate::body::Body {
-                    stmts: vec![crate::body::Stmt::Expr(init.clone())],
-                };
-                size.expr_nodes += count_exprs(&body);
-            }
-        }
+    let inits = module.globals.iter().map(|g| &g.init);
+    let field_inits = module.classes.iter().flat_map(|c| c.fields.iter().map(|fd| &fd.init));
+    for init in inits.chain(field_inits).flatten() {
+        for_each_expr_in(init, &mut |_| size.expr_nodes += 1);
     }
     size
 }

@@ -249,9 +249,9 @@ pub fn check_normalized(module: &Module) -> Vec<Violation> {
                                 | ExprKind::CallBuiltin(..)
                         );
                         if is_call {
-                            for c in crate::visit::children(e) {
-                                walk_expr(c, store, loc, out);
-                            }
+                            crate::visit::for_each_child(e, &mut |c| {
+                                walk_expr(c, store, loc, out)
+                            });
                         } else {
                             walk_expr(e, store, loc, out);
                         }
@@ -301,9 +301,7 @@ pub fn check_normalized(module: &Module) -> Vec<Violation> {
                             message: "expression keeps a tuple type after normalization".into(),
                         });
                     }
-                    for c in crate::visit::children(e) {
-                        walk_expr(c, store, loc, out);
-                    }
+                    crate::visit::for_each_child(e, &mut |c| walk_expr(c, store, loc, out));
                 }
             }
         }

@@ -14,14 +14,14 @@ pub fn for_each_expr<'a>(body: &'a Body, f: &mut impl FnMut(&'a Expr)) {
 
 fn for_each_expr_stmt<'a>(s: &'a Stmt, f: &mut impl FnMut(&'a Expr)) {
     match s {
-        Stmt::Expr(e) => for_each_expr_expr(e, f),
+        Stmt::Expr(e) => for_each_expr_in(e, f),
         Stmt::Local(_, init) => {
             if let Some(e) = init {
-                for_each_expr_expr(e, f);
+                for_each_expr_in(e, f);
             }
         }
         Stmt::If(c, t, e) => {
-            for_each_expr_expr(c, f);
+            for_each_expr_in(c, f);
             for st in t {
                 for_each_expr_stmt(st, f);
             }
@@ -30,12 +30,12 @@ fn for_each_expr_stmt<'a>(s: &'a Stmt, f: &mut impl FnMut(&'a Expr)) {
             }
         }
         Stmt::While(c, b) => {
-            for_each_expr_expr(c, f);
+            for_each_expr_in(c, f);
             for st in b {
                 for_each_expr_stmt(st, f);
             }
         }
-        Stmt::Return(Some(e)) => for_each_expr_expr(e, f),
+        Stmt::Return(Some(e)) => for_each_expr_in(e, f),
         Stmt::Return(None) | Stmt::Break | Stmt::Continue => {}
         Stmt::Block(b) => {
             for st in b {
@@ -45,44 +45,61 @@ fn for_each_expr_stmt<'a>(s: &'a Stmt, f: &mut impl FnMut(&'a Expr)) {
     }
 }
 
-fn for_each_expr_expr<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
+/// Calls `f` on `e` and then on every expression below it, pre-order.
+pub fn for_each_expr_in<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
     f(e);
-    for child in children(e) {
-        for_each_expr_expr(child, f);
-    }
+    for_each_child(e, &mut |c| for_each_expr_in(c, f));
 }
 
-/// The direct sub-expressions of `e`.
-pub fn children(e: &Expr) -> Vec<&Expr> {
+/// Calls `f` on each direct child of `e`, in evaluation order.
+pub fn for_each_child<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
     use ExprKind::*;
     match &e.kind {
         Int(_) | Byte(_) | Bool(_) | Unit | Null | String(_) | Local(_) | Global(_)
         | OpClosure(_) | FuncRef { .. } | CtorRef { .. } | ArrayNewRef { .. }
-        | BuiltinRef(_) | Trap(_) => vec![],
-        LocalSet(_, v) | GlobalSet(_, v) => vec![v],
-        Tuple(es) | ArrayLit(es) => es.iter().collect(),
-        TupleIndex(b, _) | ArrayNew(b) | ArrayLen(b) => vec![b],
-        ArrayGet(a, i) => vec![a, i],
-        ArraySet(a, i, v) => vec![a, i, v],
-        FieldGet(o, _) => vec![o],
-        FieldSet(o, _, v) => vec![o, v],
+        | BuiltinRef(_) | Trap(_) => {}
+        LocalSet(_, v) | GlobalSet(_, v) => f(v),
+        Tuple(es) | ArrayLit(es) => es.iter().for_each(f),
+        TupleIndex(b, _) | ArrayNew(b) | ArrayLen(b) => f(b),
+        ArrayGet(a, i) => {
+            f(a);
+            f(i);
+        }
+        ArraySet(a, i, v) => {
+            f(a);
+            f(i);
+            f(v);
+        }
+        FieldGet(o, _) => f(o),
+        FieldSet(o, _, v) => {
+            f(o);
+            f(v);
+        }
         New { args, .. } | CallStatic { args, .. } | CallBuiltin(_, args) | Apply(_, args) => {
-            args.iter().collect()
+            args.iter().for_each(f)
         }
         CallVirtual { recv, args, .. } => {
-            let mut v = vec![recv.as_ref()];
-            v.extend(args.iter());
-            v
+            f(recv);
+            args.iter().for_each(f);
         }
         CallClosure { func, args } => {
-            let mut v = vec![func.as_ref()];
-            v.extend(args.iter());
-            v
+            f(func);
+            args.iter().for_each(f);
         }
-        BindMethod { recv, .. } => vec![recv],
-        And(a, b) | Or(a, b) => vec![a, b],
-        Ternary { cond, then, els } => vec![cond, then, els],
-        Let { value, body, .. } => vec![value, body],
+        BindMethod { recv, .. } => f(recv),
+        And(a, b) | Or(a, b) => {
+            f(a);
+            f(b);
+        }
+        Ternary { cond, then, els } => {
+            f(cond);
+            f(then);
+            f(els);
+        }
+        Let { value, body, .. } => {
+            f(value);
+            f(body);
+        }
     }
 }
 

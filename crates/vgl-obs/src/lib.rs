@@ -144,6 +144,13 @@ impl PhaseTrace {
         }
     }
 
+    /// The part of [`total`](Self::total) no phase recorded: the wall span
+    /// minus the summed phase durations.
+    pub fn untraced(&self) -> Duration {
+        let traced: Duration = self.phases.iter().map(|p| p.duration).sum();
+        self.total().saturating_sub(traced)
+    }
+
     /// Wall-clock time of the phases named `name` (zero when none ran).
     pub fn duration(&self, name: &str) -> Duration {
         self.phases.iter().filter(|p| p.name == name).map(|p| p.duration).sum()
@@ -165,11 +172,9 @@ impl PhaseTrace {
                 p.items_out
             ));
         }
-        out.push_str(&format!(
-            "{:<10} {:>12.1}\n",
-            "total",
-            self.total().as_secs_f64() * 1e6
-        ));
+        for (name, time) in [("(untraced)", self.untraced()), ("total", self.total())] {
+            out.push_str(&format!("{:<10} {:>12.1}\n", name, time.as_secs_f64() * 1e6));
+        }
         out
     }
 
@@ -272,6 +277,9 @@ mod tests {
         };
         assert_eq!(trace.total(), ms(6));
         assert_eq!(trace.duration("lex") + trace.duration("parse"), ms(2));
+        assert_eq!(trace.untraced(), ms(4));
+        assert!(trace.render_table().contains("(untraced)"));
         assert_eq!(PhaseTrace::new().total(), Duration::ZERO);
+        assert_eq!(PhaseTrace::new().untraced(), Duration::ZERO);
     }
 }

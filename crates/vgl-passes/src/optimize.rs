@@ -250,7 +250,7 @@ fn inline_entry(module: &Module, i: usize) -> Option<InlineBody> {
     }
     let mut nodes = 0;
     let mut ok = true;
-    count_expr(e, &mut |x: &Expr| {
+    vgl_ir::visit::for_each_expr_in(e, &mut |x: &Expr| {
         nodes += 1;
         match &x.kind {
             // No nested calls (keeps inlining one level and cheap),
@@ -271,13 +271,6 @@ fn inline_entry(module: &Module, i: usize) -> Option<InlineBody> {
         return None;
     }
     Some(InlineBody { param_count: m.param_count, expr: e.clone() })
-}
-
-fn count_expr(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    f(e);
-    for c in vgl_ir::visit::children(e) {
-        count_expr(c, f);
-    }
 }
 
 /// Rewrites a direct call to an inline candidate into a Let-chain.

@@ -265,9 +265,7 @@ fn count_tuples_expr(e: &vgl_ir::Expr, bad: &mut usize) {
     if matches!(e.kind, vgl_ir::ExprKind::Tuple(_)) {
         *bad += 1;
     }
-    for c in vgl_ir::visit::children(e) {
-        count_tuples_expr(c, bad);
-    }
+    vgl_ir::visit::for_each_child(e, &mut |c| count_tuples_expr(c, bad));
 }
 
 #[test]

@@ -7,6 +7,7 @@ use vgl_ir::{MethodId, Module};
 use vgl_syntax::ast;
 use vgl_syntax::diag::Diagnostics;
 use vgl_syntax::span::Span;
+use vgl_syntax::symbol::{sym, Interner, Symbol};
 use vgl_types::{ClassId, Hierarchy, Type, TypeStore, TypeVarId};
 
 /// Runs semantic analysis over a parsed program.
@@ -14,7 +15,7 @@ use vgl_types::{ClassId, Hierarchy, Type, TypeStore, TypeVarId};
 /// Returns the typed module on success; on failure, diagnostics explain why
 /// and `None` is returned.
 pub fn analyze(program: &ast::Program, diags: &mut Diagnostics) -> Option<Module> {
-    let mut a = Analyzer::new(diags);
+    let mut a = Analyzer::new(diags, &program.names);
     a.run(program);
     if a.diags.has_errors() {
         None
@@ -27,20 +28,22 @@ pub fn analyze(program: &ast::Program, diags: &mut Diagnostics) -> Option<Module
 pub struct Analyzer<'d> {
     /// Diagnostics sink.
     pub(crate) diags: &'d mut Diagnostics,
+    /// The program's identifier text.
+    pub(crate) names: &'d Interner,
     /// The module being built.
     pub(crate) module: Module,
     /// Class name → id.
-    pub(crate) class_names: HashMap<String, ClassId>,
+    pub(crate) class_names: HashMap<Symbol, ClassId>,
     /// Component method name → id.
-    pub(crate) component_methods: HashMap<String, MethodId>,
+    pub(crate) component_methods: HashMap<Symbol, MethodId>,
     /// Component variable name → id.
-    pub(crate) component_globals: HashMap<String, vgl_ir::GlobalId>,
-    /// Display names for type variables.
-    pub(crate) typevar_names: Vec<String>,
+    pub(crate) component_globals: HashMap<Symbol, vgl_ir::GlobalId>,
+    /// Number of type variables allocated so far.
+    pub(crate) typevar_count: u32,
     /// Per-class map from type-parameter name to id.
-    pub(crate) class_tparams: Vec<HashMap<String, TypeVarId>>,
+    pub(crate) class_tparams: Vec<HashMap<Symbol, TypeVarId>>,
     /// Per-method map from type-parameter name to id (parallel to methods).
-    pub(crate) method_tparams: Vec<HashMap<String, TypeVarId>>,
+    pub(crate) method_tparams: Vec<HashMap<Symbol, TypeVarId>>,
     /// AST indices: class id → index into `program.decls`.
     pub(crate) class_decl_index: Vec<usize>,
     /// Whether each global's type is known yet (during initializer checking).
@@ -56,9 +59,10 @@ pub struct Analyzer<'d> {
 }
 
 impl<'d> Analyzer<'d> {
-    pub(crate) fn new(diags: &'d mut Diagnostics) -> Analyzer<'d> {
+    pub(crate) fn new(diags: &'d mut Diagnostics, names: &'d Interner) -> Analyzer<'d> {
         Analyzer {
             diags,
+            names,
             module: Module {
                 store: TypeStore::new(),
                 hier: Hierarchy::new(),
@@ -70,7 +74,7 @@ impl<'d> Analyzer<'d> {
             class_names: HashMap::new(),
             component_methods: HashMap::new(),
             component_globals: HashMap::new(),
-            typevar_names: Vec::new(),
+            typevar_count: 0,
             class_tparams: Vec::new(),
             method_tparams: Vec::new(),
             class_decl_index: Vec::new(),
@@ -111,10 +115,15 @@ impl<'d> Analyzer<'d> {
     }
 
     /// Allocates a fresh, globally-unique type variable.
-    pub(crate) fn fresh_typevar(&mut self, name: &str) -> TypeVarId {
-        let id = TypeVarId(self.typevar_names.len() as u32);
-        self.typevar_names.push(name.to_string());
+    pub(crate) fn fresh_typevar(&mut self) -> TypeVarId {
+        let id = TypeVarId(self.typevar_count);
+        self.typevar_count += 1;
         id
+    }
+
+    /// The text of an identifier.
+    pub(crate) fn name(&self, s: Symbol) -> &'d str {
+        &self.names[s]
     }
 
     pub(crate) fn error(&mut self, span: Span, msg: impl Into<String>) {
@@ -127,7 +136,7 @@ impl<'d> Analyzer<'d> {
     }
 
     fn find_main(&mut self) {
-        if let Some(&m) = self.component_methods.get("main") {
+        if let Some(&m) = self.component_methods.get(&sym::MAIN) {
             let method = self.module.method(m);
             if !method.type_params.is_empty() {
                 self.diags.error(

@@ -114,7 +114,8 @@ impl Analyzer<'_> {
                 match self.resolve_head(cx, name, type_args, expect)? {
                     Head::Value(v) => Some(v),
                     Head::Type(_) | Head::ClassPartial(_) => {
-                        self.error(name.span, format!("type '{}' used as a value", name.name));
+                        let text = self.name(name.sym);
+                        self.error(name.span, format!("type '{text}' used as a value"));
                         None
                     }
                     Head::System => {
@@ -338,13 +339,14 @@ impl Analyzer<'_> {
     ) -> Option<IrExpr> {
         match &target.kind {
             ast::ExprKind::Name { name, type_args } if type_args.is_empty() => {
-                if let Some(l) = cx.lookup(&name.name) {
+                let text = self.name(name.sym);
+                if let Some(l) = cx.lookup(name.sym) {
                     let (ty, mutable) = {
                         let local = &cx.locals[l.index()];
                         (local.ty, local.mutable)
                     };
                     if !mutable {
-                        self.error(name.span, format!("cannot assign to immutable '{}'", name.name));
+                        self.error(name.span, format!("cannot assign to immutable '{text}'"));
                     }
                     let v = self.check_expr(cx, value, Some(ty))?;
                     if !self.require_subtype(v.ty, ty, value.span) {
@@ -354,17 +356,17 @@ impl Analyzer<'_> {
                 }
                 // Implicit this-field?
                 if let Some(c) = cx.class {
-                    if cx.has_this && self.find_field(c, &name.name).is_some() {
-                        return self.assign_field_named(cx, None, &name.name, name.span, value);
+                    if cx.has_this && self.find_field(c, text).is_some() {
+                        return self.assign_field_named(cx, None, text, name.span, value);
                     }
                 }
-                if let Some(&g) = self.component_globals.get(&name.name) {
+                if let Some(&g) = self.component_globals.get(&name.sym) {
                     let (ty, mutable) = {
                         let global = self.module.global(g);
                         (global.ty, global.mutable)
                     };
                     if !mutable {
-                        self.error(name.span, format!("cannot assign to immutable '{}'", name.name));
+                        self.error(name.span, format!("cannot assign to immutable '{text}'"));
                     }
                     let v = self.check_expr(cx, value, Some(ty))?;
                     if !self.require_subtype(v.ty, ty, value.span) {
@@ -372,7 +374,7 @@ impl Analyzer<'_> {
                     }
                     return Some(IrExpr::new(Ir::GlobalSet(g, Box::new(v)), ty));
                 }
-                self.error(name.span, format!("unknown variable '{}'", name.name));
+                self.error(name.span, format!("unknown variable '{text}'"));
                 None
             }
             ast::ExprKind::Member { recv, member, type_args } if type_args.is_empty() => {
@@ -380,7 +382,7 @@ impl Analyzer<'_> {
                     self.error(span, "invalid assignment target");
                     return None;
                 };
-                self.assign_field_named(cx, Some(recv), &id.name, id.span, value)
+                self.assign_field_named(cx, Some(recv), self.name(id.sym), id.span, value)
             }
             ast::ExprKind::Index { recv, index } => {
                 let r = self.check_expr(cx, recv, None)?;
@@ -516,18 +518,19 @@ impl Analyzer<'_> {
     ) -> Option<CallHead> {
         // Component/class methods keep their "method" nature so the call can
         // infer type arguments; everything else becomes a value.
-        if cx.lookup(&name.name).is_none() {
+        let text = self.name(name.sym);
+        if cx.lookup(name.sym).is_none() {
             // Implicit this-method?
             if let Some(c) = cx.class {
                 if cx.has_this
-                    && self.find_field(c, &name.name).is_none()
-                    && !cx.tscope.vars.contains_key(&name.name)
+                    && self.find_field(c, text).is_none()
+                    && !cx.tscope.vars.contains_key(&name.sym)
                 {
-                    if let Some(m) = self.module.class_method_by_name(c, &name.name) {
+                    if let Some(m) = self.module.class_method_by_name(c, text) {
                         let explicit = if type_args.is_empty() {
                             None
                         } else {
-                            Some(self.resolve_type_args_pub(type_args, &cx.tscope.clone())?)
+                            Some(self.resolve_type_args_pub(type_args, &cx.tscope)?)
                         };
                         let recv = {
                             let ty = cx.locals[0].ty;
@@ -550,14 +553,14 @@ impl Analyzer<'_> {
                     }
                 }
             }
-            if !self.component_globals.contains_key(&name.name)
-                && !cx.tscope.vars.contains_key(&name.name)
+            if !self.component_globals.contains_key(&name.sym)
+                && !cx.tscope.vars.contains_key(&name.sym)
             {
-                if let Some(&m) = self.component_methods.get(&name.name) {
+                if let Some(&m) = self.component_methods.get(&name.sym) {
                     let explicit = if type_args.is_empty() {
                         None
                     } else {
-                        Some(self.resolve_type_args_pub(type_args, &cx.tscope.clone())?)
+                        Some(self.resolve_type_args_pub(type_args, &cx.tscope)?)
                     };
                     return Some(CallHead::Member(MemberKind::StaticMethod {
                         method: m,
@@ -570,7 +573,7 @@ impl Analyzer<'_> {
         match self.resolve_head(cx, name, type_args, None)? {
             Head::Value(v) => Some(CallHead::Value(v)),
             Head::Type(_) | Head::ClassPartial(_) => {
-                self.error(name.span, format!("type '{}' cannot be called", name.name));
+                self.error(name.span, format!("type '{text}' cannot be called"));
                 None
             }
             Head::System => {

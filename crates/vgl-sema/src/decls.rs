@@ -5,6 +5,7 @@ use crate::resolve::TypeScope;
 use std::collections::{HashMap, HashSet};
 use vgl_ir::{Class, Field, Global, GlobalId, Local, Method, MethodId, MethodKind};
 use vgl_syntax::ast::{self, Decl, Member};
+use vgl_syntax::symbol::{sym, Symbol};
 use vgl_types::{ClassId, ClassInfo, Type, TypeVarId};
 
 /// Where the AST body of a pending method lives.
@@ -47,15 +48,22 @@ impl Analyzer<'_> {
     pub(crate) fn collect_classes(&mut self, program: &ast::Program) {
         for (i, d) in program.decls.iter().enumerate() {
             let Decl::Class(c) = d else { continue };
+            let name = self.name(c.name.sym);
             if matches!(
-                c.name.name.as_str(),
-                "void" | "bool" | "byte" | "int" | "string" | "Array" | "System"
+                c.name.sym,
+                sym::VOID
+                    | sym::BOOL
+                    | sym::BYTE
+                    | sym::INT
+                    | sym::STRING
+                    | sym::ARRAY
+                    | sym::SYSTEM
             ) {
-                self.error(c.name.span, format!("cannot redefine built-in name '{}'", c.name.name));
+                self.error(c.name.span, format!("cannot redefine built-in name '{name}'"));
                 continue;
             }
-            if let Some(&first) = self.class_names.get(&c.name.name) {
-                self.error(c.name.span, format!("duplicate class '{}'", c.name.name));
+            if let Some(&first) = self.class_names.get(&c.name.sym) {
+                self.error(c.name.span, format!("duplicate class '{name}'"));
                 if let Decl::Class(fc) = &program.decls[self.class_decl_index[first.index()]] {
                     self.diags.note_last(Some(fc.name.span), "first defined here");
                 }
@@ -64,20 +72,21 @@ impl Analyzer<'_> {
             let mut tparams = Vec::new();
             let mut tmap = HashMap::new();
             for tp in &c.type_params {
-                let v = self.fresh_typevar(&tp.name);
-                if tmap.insert(tp.name.clone(), v).is_some() {
-                    self.error(tp.span, format!("duplicate type parameter '{}'", tp.name));
+                let v = self.fresh_typevar();
+                if tmap.insert(tp.sym, v).is_some() {
+                    let tname = self.name(tp.sym);
+                    self.error(tp.span, format!("duplicate type parameter '{tname}'"));
                 }
                 tparams.push(v);
             }
             let id = self.module.hier.add_class(ClassInfo {
-                name: c.name.name.clone(),
+                name: name.to_string(),
                 type_params: tparams.clone(),
                 parent: None,
             });
             debug_assert_eq!(id.index(), self.module.classes.len());
             self.module.classes.push(Class {
-                name: c.name.name.clone(),
+                name: name.to_string(),
                 type_params: tparams,
                 parent: None,
                 parent_args: Vec::new(),
@@ -88,7 +97,7 @@ impl Analyzer<'_> {
                 vtable: Vec::new(),
                 is_abstract: false,
             });
-            self.class_names.insert(c.name.name.clone(), id);
+            self.class_names.insert(c.name.sym, id);
             self.class_tparams.push(tmap);
             self.class_decl_index.push(i);
             self.header_param_count.push(c.header_params.len());
@@ -106,8 +115,9 @@ impl Analyzer<'_> {
             let Decl::Class(c) = &program.decls[dix] else { continue };
             let cid = ClassId(cix as u32);
             let Some(parent) = &c.parent else { continue };
-            let Some(&pid) = self.class_names.get(&parent.name.name) else {
-                self.error(parent.name.span, format!("unknown parent class '{}'", parent.name.name));
+            let pname = self.name(parent.name.sym);
+            let Some(&pid) = self.class_names.get(&parent.name.sym) else {
+                self.error(parent.name.span, format!("unknown parent class '{pname}'"));
                 continue;
             };
             let scope = self.class_scope(cid);
@@ -116,8 +126,7 @@ impl Analyzer<'_> {
                 self.error(
                     parent.name.span,
                     format!(
-                        "parent class '{}' expects {want} type argument(s), found {}",
-                        parent.name.name,
+                        "parent class '{pname}' expects {want} type argument(s), found {}",
                         parent.type_args.len()
                     ),
                 );
@@ -171,16 +180,17 @@ impl Analyzer<'_> {
                 None => 0,
             };
             self.module.classes[cid.index()].first_field_slot = first_slot;
-            let mut own_names: HashSet<String> = HashSet::new();
+            let mut own_names = HashSet::new();
             let mut fields = Vec::new();
             // Header params become immutable fields (compact §3.1 form).
             for p in &c.header_params {
                 let ty = self.resolve_type(&p.ty, &scope).unwrap_or(self.module.store.void);
-                if !own_names.insert(p.name.name.clone()) {
-                    self.error(p.name.span, format!("duplicate field '{}'", p.name.name));
+                let name = self.name(p.name.sym);
+                if !own_names.insert(p.name.sym) {
+                    self.error(p.name.span, format!("duplicate field '{name}'"));
                 }
                 fields.push(Field {
-                    name: p.name.name.clone(),
+                    name: name.to_string(),
                     mutable: false,
                     ty,
                     slot: first_slot + fields.len(),
@@ -189,15 +199,13 @@ impl Analyzer<'_> {
             }
             for m in &c.members {
                 let Member::Field(f) = m else { continue };
-                if !own_names.insert(f.name.name.clone()) {
-                    self.error(f.name.span, format!("duplicate field '{}'", f.name.name));
+                let name = self.name(f.name.sym);
+                if !own_names.insert(f.name.sym) {
+                    self.error(f.name.span, format!("duplicate field '{name}'"));
                     continue;
                 }
-                if self.inherited_field(cid, &f.name.name).is_some() {
-                    self.error(
-                        f.name.span,
-                        format!("field '{}' shadows an inherited field", f.name.name),
-                    );
+                if self.inherited_field(cid, name).is_some() {
+                    self.error(f.name.span, format!("field '{name}' shadows an inherited field"));
                 }
                 let ty = match &f.ty {
                     Some(te) => self.resolve_type(te, &scope).unwrap_or(self.module.store.void),
@@ -210,13 +218,13 @@ impl Analyzer<'_> {
                     None => {
                         self.error(
                             f.name.span,
-                            format!("field '{}' needs a type or an initializer", f.name.name),
+                            format!("field '{name}' needs a type or an initializer"),
                         );
                         self.module.store.void
                     }
                 };
                 fields.push(Field {
-                    name: f.name.name.clone(),
+                    name: name.to_string(),
                     mutable: f.mutable,
                     ty,
                     slot: first_slot + fields.len(),
@@ -274,16 +282,18 @@ impl Analyzer<'_> {
     }
 
     fn collect_class_members(&mut self, cid: ClassId, dix: usize, c: &ast::ClassDecl) {
-        let mut member_names: HashSet<String> = HashSet::new();
-        for f in &self.module.class(cid).fields {
-            member_names.insert(f.name.clone());
-        }
+        // The class's own fields: its header parameters and field members.
+        let mut member_names: HashSet<Symbol> = c.header_params.iter().map(|p| p.name.sym).collect();
+        member_names.extend(c.members.iter().filter_map(|m| match m {
+            Member::Field(f) => Some(f.name.sym),
+            _ => None,
+        }));
         let mut saw_ctor = false;
         for (mix, m) in c.members.iter().enumerate() {
             match m {
                 Member::Field(_) => {}
                 Member::Method(md) => {
-                    if !member_names.insert(md.name.name.clone()) {
+                    if !member_names.insert(md.name.sym) {
                         // Virgil "chooses to disallow overloading altogether,
                         // requiring every method in the same class to have a
                         // unique name" (§3.3).
@@ -291,7 +301,7 @@ impl Analyzer<'_> {
                             md.name.span,
                             format!(
                                 "duplicate member '{}': Virgil does not allow overloading",
-                                md.name.name
+                                self.name(md.name.sym)
                             ),
                         );
                         continue;
@@ -322,7 +332,11 @@ impl Analyzer<'_> {
         }
     }
 
-    fn method_scope(&mut self, owner: Option<ClassId>, tparams: &[vgl_syntax::ast::Ident]) -> (TypeScope, Vec<TypeVarId>, HashMap<String, TypeVarId>) {
+    fn method_scope(
+        &mut self,
+        owner: Option<ClassId>,
+        tparams: &[ast::Ident],
+    ) -> (TypeScope, Vec<TypeVarId>, HashMap<Symbol, TypeVarId>) {
         let mut scope = match owner {
             Some(c) => self.class_scope(c),
             None => TypeScope::new(),
@@ -330,12 +344,13 @@ impl Analyzer<'_> {
         let mut ids = Vec::new();
         let mut map = HashMap::new();
         for tp in tparams {
-            let v = self.fresh_typevar(&tp.name);
-            if scope.vars.insert(tp.name.clone(), v).is_some() {
-                self.error(tp.span, format!("type parameter '{}' shadows another", tp.name));
+            let v = self.fresh_typevar();
+            let name = self.name(tp.sym);
+            if scope.vars.insert(tp.sym, v).is_some() {
+                self.error(tp.span, format!("type parameter '{name}' shadows another"));
             }
-            if map.insert(tp.name.clone(), v).is_some() {
-                self.error(tp.span, format!("duplicate type parameter '{}'", tp.name));
+            if map.insert(tp.sym, v).is_some() {
+                self.error(tp.span, format!("duplicate type parameter '{name}'"));
             }
             ids.push(v);
         }
@@ -371,11 +386,12 @@ impl Analyzer<'_> {
         }
         let mut seen = HashSet::new();
         for p in &md.params {
-            if !seen.insert(p.name.name.clone()) {
-                self.error(p.name.span, format!("duplicate parameter '{}'", p.name.name));
+            let name = self.name(p.name.sym);
+            if !seen.insert(p.name.sym) {
+                self.error(p.name.span, format!("duplicate parameter '{name}'"));
             }
             let ty = self.resolve_type(&p.ty, &scope).unwrap_or(self.module.store.void);
-            locals.push(Local { name: p.name.name.clone(), ty, mutable: false });
+            locals.push(Local { name: name.to_string(), ty, mutable: false });
         }
         let ret = match &md.ret {
             Some(te) => self.resolve_type(te, &scope).unwrap_or(self.module.store.void),
@@ -390,7 +406,7 @@ impl Analyzer<'_> {
         }
         let id = MethodId(self.module.methods.len() as u32);
         self.module.methods.push(Method {
-            name: md.name.name.clone(),
+            name: self.name(md.name.sym).to_string(),
             owner,
             is_private: md.is_private,
             kind,
@@ -406,10 +422,11 @@ impl Analyzer<'_> {
         match owner {
             Some(c) => self.module.classes[c.index()].methods.push(id),
             None => {
-                if self.component_methods.insert(md.name.name.clone(), id).is_some()
-                    || self.component_globals.contains_key(&md.name.name)
+                if self.component_methods.insert(md.name.sym, id).is_some()
+                    || self.component_globals.contains_key(&md.name.sym)
                 {
-                    self.error(md.name.span, format!("duplicate component declaration '{}'", md.name.name));
+                    let name = self.name(md.name.sym);
+                    self.error(md.name.span, format!("duplicate component declaration '{name}'"));
                 }
             }
         }
@@ -436,24 +453,25 @@ impl Analyzer<'_> {
             Some(ct) => {
                 let mut seen = HashSet::new();
                 for p in &ct.params {
-                    if !seen.insert(p.name.name.clone()) {
-                        self.error(p.name.span, format!("duplicate parameter '{}'", p.name.name));
+                    let pname = self.name(p.name.sym);
+                    if !seen.insert(p.name.sym) {
+                        self.error(p.name.span, format!("duplicate parameter '{pname}'"));
                     }
                     match &p.ty {
                         Some(te) => {
                             let ty = self.resolve_type(te, &scope).unwrap_or(self.module.store.void);
-                            locals.push(Local { name: p.name.name.clone(), ty, mutable: false });
+                            locals.push(Local { name: pname.to_string(), ty, mutable: false });
                             info.field_init_params.push(None);
                         }
                         None => {
                             // Field-init parameter: takes the type of the
                             // same-named own field (paper listing (a4)).
                             let class = self.module.class(cid);
-                            match class.fields.iter().position(|f| f.name == p.name.name) {
+                            match class.fields.iter().position(|f| f.name == pname) {
                                 Some(ix) => {
                                     let ty = class.fields[ix].ty;
                                     locals.push(Local {
-                                        name: p.name.name.clone(),
+                                        name: pname.to_string(),
                                         ty,
                                         mutable: false,
                                     });
@@ -463,13 +481,12 @@ impl Analyzer<'_> {
                                     self.error(
                                         p.name.span,
                                         format!(
-                                            "constructor parameter '{}' has no type and no \
-                                             matching field to initialize",
-                                            p.name.name
+                                            "constructor parameter '{pname}' has no type and \
+                                             no matching field to initialize"
                                         ),
                                     );
                                     locals.push(Local {
-                                        name: p.name.name.clone(),
+                                        name: pname.to_string(),
                                         ty: self.module.store.void,
                                         mutable: false,
                                     });
@@ -515,19 +532,21 @@ impl Analyzer<'_> {
     }
 
     fn collect_component_method(&mut self, dix: usize, md: &ast::MethodDecl) {
-        if self.class_names.contains_key(&md.name.name) {
-            self.error(md.name.span, format!("'{}' is already a class name", md.name.name));
+        if self.class_names.contains_key(&md.name.sym) {
+            let name = self.name(md.name.sym);
+            self.error(md.name.span, format!("'{name}' is already a class name"));
             return;
         }
         self.declare_method(None, dix, None, md);
     }
 
     fn collect_component_var(&mut self, dix: usize, v: &ast::FieldDecl) {
-        if self.component_globals.contains_key(&v.name.name)
-            || self.component_methods.contains_key(&v.name.name)
-            || self.class_names.contains_key(&v.name.name)
+        let name = self.name(v.name.sym);
+        if self.component_globals.contains_key(&v.name.sym)
+            || self.component_methods.contains_key(&v.name.sym)
+            || self.class_names.contains_key(&v.name.sym)
         {
-            self.error(v.name.span, format!("duplicate component declaration '{}'", v.name.name));
+            self.error(v.name.span, format!("duplicate component declaration '{name}'"));
             return;
         }
         let scope = TypeScope::new();
@@ -535,20 +554,20 @@ impl Analyzer<'_> {
             Some(te) => self.resolve_type(te, &scope).unwrap_or(self.module.store.void),
             None if v.init.is_some() => self.module.store.void, // inferred later
             None => {
-                self.error(v.name.span, format!("variable '{}' needs a type or an initializer", v.name.name));
+                self.error(v.name.span, format!("variable '{name}' needs a type or an initializer"));
                 self.module.store.void
             }
         };
         let id = GlobalId(self.module.globals.len() as u32);
         self.module.globals.push(Global {
-            name: v.name.name.clone(),
+            name: name.to_string(),
             mutable: v.mutable,
             ty,
             init: None,
             locals: Vec::new(),
         });
         self.global_ready.push(v.ty.is_some());
-        self.component_globals.insert(v.name.name.clone(), id);
+        self.component_globals.insert(v.name.sym, id);
         self.global_sources.push((id, dix));
     }
 

@@ -9,6 +9,7 @@ use vgl_ir::{
 };
 use vgl_syntax::ast::{self, MemberName, OpMember};
 use vgl_syntax::span::Span;
+use vgl_syntax::symbol::{sym, Symbol};
 use vgl_types::{CastRelation, ClassId, InferCtx, Type, TypeKind};
 
 /// Context for checking one body (a method, constructor, or initializer).
@@ -20,7 +21,7 @@ pub(crate) struct BodyCx {
     /// Local slots (written back to the method/global afterwards).
     pub locals: Vec<Local>,
     /// Name scopes, innermost last.
-    pub scopes: Vec<HashMap<String, LocalId>>,
+    pub scopes: Vec<HashMap<Symbol, LocalId>>,
     /// Nesting depth of loops (for break/continue).
     pub loop_depth: usize,
     /// Declared return type of the body.
@@ -30,22 +31,16 @@ pub(crate) struct BodyCx {
 }
 
 impl BodyCx {
-    pub(crate) fn lookup(&self, name: &str) -> Option<LocalId> {
-        for s in self.scopes.iter().rev() {
-            if let Some(&l) = s.get(name) {
-                return Some(l);
-            }
-        }
-        None
+    pub(crate) fn lookup(&self, name: Symbol) -> Option<LocalId> {
+        self.scopes.iter().rev().find_map(|s| s.get(&name).copied())
     }
 
-    pub(crate) fn declare(&mut self, name: &str, ty: Type, mutable: bool) -> LocalId {
+    /// Declares a local in the innermost scope; `text` is the name the IR
+    /// keeps for it.
+    pub(crate) fn declare(&mut self, name: Symbol, text: &str, ty: Type, mutable: bool) -> LocalId {
         let id = LocalId(self.locals.len() as u32);
-        self.locals.push(Local { name: name.to_string(), ty, mutable });
-        self.scopes
-            .last_mut()
-            .expect("scope stack is never empty")
-            .insert(name.to_string(), id);
+        self.locals.push(Local { name: text.to_string(), ty, mutable });
+        self.scopes.last_mut().expect("scope stack is never empty").insert(name, id);
         id
     }
 
@@ -238,8 +233,9 @@ impl Analyzer<'_> {
         type_args: &[ast::TypeExpr],
         expect: Option<Type>,
     ) -> Option<Head> {
+        let text = self.name(name.sym);
         // 1. Locals.
-        if let Some(l) = cx.lookup(&name.name) {
+        if let Some(l) = cx.lookup(name.sym) {
             if !type_args.is_empty() {
                 self.error(name.span, "type arguments are not valid on a local variable");
                 return None;
@@ -250,7 +246,7 @@ impl Analyzer<'_> {
         // 2. Class members via implicit `this`.
         if let Some(c) = cx.class {
             if cx.has_this {
-                if let Some((decl_class, ix)) = self.find_field(c, &name.name) {
+                if let Some((decl_class, ix)) = self.find_field(c, text) {
                     if !type_args.is_empty() {
                         self.error(name.span, "type arguments are not valid on a field");
                         return None;
@@ -258,7 +254,7 @@ impl Analyzer<'_> {
                     let this = self.this_expr(cx);
                     return Some(Head::Value(self.field_get(this, decl_class, ix)));
                 }
-                if let Some(m) = self.module.class_method_by_name(c, &name.name) {
+                if let Some(m) = self.module.class_method_by_name(c, text) {
                     let explicit = if type_args.is_empty() {
                         None
                     } else {
@@ -272,7 +268,7 @@ impl Analyzer<'_> {
             }
         }
         // 3. Type parameters.
-        if let Some(&v) = cx.tscope.vars.get(&name.name) {
+        if let Some(&v) = cx.tscope.vars.get(&name.sym) {
             if !type_args.is_empty() {
                 self.error(name.span, "type parameters take no type arguments");
                 return None;
@@ -281,7 +277,7 @@ impl Analyzer<'_> {
             return Some(Head::Type(t));
         }
         // 4. Classes.
-        if let Some(&cid) = self.class_names.get(&name.name) {
+        if let Some(&cid) = self.class_names.get(&name.sym) {
             let want = self.module.class(cid).type_params.len();
             if type_args.is_empty() && want > 0 {
                 return Some(Head::ClassPartial(cid));
@@ -289,7 +285,7 @@ impl Analyzer<'_> {
             if type_args.len() != want {
                 self.error(
                     name.span,
-                    format!("class '{}' expects {want} type argument(s)", name.name),
+                    format!("class '{text}' expects {want} type argument(s)"),
                 );
                 return None;
             }
@@ -298,22 +294,22 @@ impl Analyzer<'_> {
             return Some(Head::Type(t));
         }
         // 5. Primitives & Array.
-        match name.name.as_str() {
-            "void" | "bool" | "byte" | "int" | "string" => {
+        match name.sym {
+            sym::VOID | sym::BOOL | sym::BYTE | sym::INT | sym::STRING => {
                 if !type_args.is_empty() {
                     self.error(name.span, "primitive types take no type arguments");
                     return None;
                 }
-                let t = match name.name.as_str() {
-                    "void" => self.module.store.void,
-                    "bool" => self.module.store.bool_,
-                    "byte" => self.module.store.byte,
-                    "int" => self.module.store.int,
+                let t = match name.sym {
+                    sym::VOID => self.module.store.void,
+                    sym::BOOL => self.module.store.bool_,
+                    sym::BYTE => self.module.store.byte,
+                    sym::INT => self.module.store.int,
                     _ => self.module.store.string,
                 };
                 return Some(Head::Type(t));
             }
-            "Array" => {
+            sym::ARRAY => {
                 if type_args.len() != 1 {
                     self.error(name.span, "Array takes exactly one type argument");
                     return None;
@@ -322,11 +318,11 @@ impl Analyzer<'_> {
                 let t = self.module.store.array(elem);
                 return Some(Head::Type(t));
             }
-            "System" => return Some(Head::System),
+            sym::SYSTEM => return Some(Head::System),
             _ => {}
         }
         // 6. Component globals.
-        if let Some(&g) = self.component_globals.get(&name.name) {
+        if let Some(&g) = self.component_globals.get(&name.sym) {
             if !type_args.is_empty() {
                 self.error(name.span, "type arguments are not valid on a variable");
                 return None;
@@ -334,7 +330,7 @@ impl Analyzer<'_> {
             if !self.global_ready[g.index()] {
                 self.error(
                     name.span,
-                    format!("variable '{}' is used before its type is known", name.name),
+                    format!("variable '{text}' is used before its type is known"),
                 );
                 return None;
             }
@@ -342,7 +338,7 @@ impl Analyzer<'_> {
             return Some(Head::Value(IrExpr::new(Ir::Global(g), ty)));
         }
         // 7. Component methods.
-        if let Some(&m) = self.component_methods.get(&name.name) {
+        if let Some(&m) = self.component_methods.get(&name.sym) {
             let explicit = if type_args.is_empty() {
                 None
             } else {
@@ -351,7 +347,7 @@ impl Analyzer<'_> {
             let mk = MemberKind::StaticMethod { method: m, class_args: Some(vec![]), explicit };
             return Some(Head::Value(self.member_value(cx, mk, expect, name.span)?));
         }
-        self.error(name.span, format!("unknown identifier '{}'", name.name));
+        self.error(name.span, format!("unknown identifier '{text}'"));
         None
     }
 
@@ -429,7 +425,7 @@ impl Analyzer<'_> {
                     self.error(span, "System has no such member");
                     return None;
                 };
-                let b = match id.name.as_str() {
+                let b = match self.name(id.sym) {
                     "puts" => Builtin::Puts,
                     "puti" => Builtin::Puti,
                     "putb" => Builtin::Putb,
@@ -447,8 +443,10 @@ impl Analyzer<'_> {
             Head::ClassPartial(cid) => match member {
                 MemberName::New(_) => Some(MemberKind::Ctor { class: cid, class_args: None }),
                 MemberName::Ident(id) => {
-                    let Some(m) = self.module.class_method_by_name(cid, &id.name) else {
-                        self.error(id.span, format!("class '{}' has no method '{}'", self.module.class(cid).name, id.name));
+                    let text = self.name(id.sym);
+                    let Some(m) = self.module.class_method_by_name(cid, text) else {
+                        let class = &self.module.class(cid).name;
+                        self.error(id.span, format!("class '{class}' has no method '{text}'"));
                         return None;
                     };
                     Some(MemberKind::StaticMethod { method: m, class_args: None, explicit })
@@ -538,11 +536,10 @@ impl Analyzer<'_> {
                 Some(MemberKind::Ctor { class: cid, class_args: Some(args) })
             }
             (TypeKind::Class(cid, args), MemberName::Ident(id)) => {
-                let Some(m) = self.module.class_method_by_name(cid, &id.name) else {
-                    self.error(
-                        id.span,
-                        format!("class '{}' has no method '{}'", self.module.class(cid).name, id.name),
-                    );
+                let text = self.name(id.sym);
+                let Some(m) = self.module.class_method_by_name(cid, text) else {
+                    let class = &self.module.class(cid).name;
+                    self.error(id.span, format!("class '{class}' has no method '{text}'"));
                     return None;
                 };
                 // Map args onto the *declaring* class.
@@ -553,7 +550,7 @@ impl Analyzer<'_> {
             (TypeKind::Error, _) => None,
             (_, m) => {
                 let ts = self.show(t);
-                self.error(span, format!("type {ts} has no member '{m}'"));
+                self.error(span, format!("type {ts} has no member '{}'", m.text(self.names)));
                 None
             }
         }
@@ -588,17 +585,18 @@ impl Analyzer<'_> {
         }
         match self.module.store.kind(v.ty).clone() {
             TypeKind::Array(_) => match member {
-                MemberName::Ident(id) if id.name == "length" => {
+                MemberName::Ident(id) if id.sym == sym::LENGTH => {
                     Some(MemberKind::ArrayLen { arr: v })
                 }
                 m => {
-                    self.error(span, format!("arrays have no member '{m}'"));
+                    self.error(span, format!("arrays have no member '{}'", m.text(self.names)));
                     None
                 }
             },
             TypeKind::Class(cid, args) => match member {
                 MemberName::Ident(id) => {
-                    if let Some((decl_class, ix)) = self.find_field(cid, &id.name) {
+                    let text = self.name(id.sym);
+                    if let Some((decl_class, ix)) = self.find_field(cid, text) {
                         let field = &self.module.class(decl_class).fields[ix];
                         let (slot, fty, mutable) = (field.slot, field.ty, field.mutable);
                         let ty = self.field_type_at(v.ty, decl_class, fty);
@@ -609,11 +607,11 @@ impl Analyzer<'_> {
                             mutable,
                         });
                     }
-                    if let Some(m) = self.module.class_method_by_name(cid, &id.name) {
+                    if let Some(m) = self.module.class_method_by_name(cid, text) {
                         if self.module.method(m).is_private
                             && cx.class != self.module.method(m).owner
                         {
-                            self.error(id.span, format!("method '{}' is private", id.name));
+                            self.error(id.span, format!("method '{text}' is private"));
                             return None;
                         }
                         let decl = self.module.method(m).owner.expect("class method is owned");
@@ -625,19 +623,18 @@ impl Analyzer<'_> {
                             explicit,
                         });
                     }
-                    self.error(
-                        id.span,
-                        format!("class '{}' has no member '{}'", self.module.class(cid).name, id.name),
-                    );
+                    let class = &self.module.class(cid).name;
+                    self.error(id.span, format!("class '{class}' has no member '{text}'"));
                     None
                 }
                 m => {
-                    self.error(span, format!("objects have no member '{m}'"));
+                    self.error(span, format!("objects have no member '{}'", m.text(self.names)));
                     None
                 }
             },
             _ => {
                 let ts = self.show(v.ty);
+                let member = member.text(self.names);
                 self.error(span, format!("value of type {ts} has no member '{member}'"));
                 None
             }

@@ -3,6 +3,7 @@
 use crate::analyzer::Analyzer;
 use std::collections::HashMap;
 use vgl_syntax::ast::{TypeExpr, TypeExprKind};
+use vgl_syntax::symbol::{sym, Symbol};
 use vgl_types::{Type, TypeVarId};
 
 /// The set of type parameters in scope while resolving a type expression.
@@ -10,7 +11,7 @@ use vgl_types::{Type, TypeVarId};
 pub struct TypeScope {
     /// Name → variable id, innermost scope last (method params shadow class
     /// params, which is itself an error Virgil reports — we report too).
-    pub vars: HashMap<String, TypeVarId>,
+    pub vars: HashMap<Symbol, TypeVarId>,
 }
 
 impl TypeScope {
@@ -44,32 +45,33 @@ impl Analyzer<'_> {
                 Some(self.module.store.function(pt, rt))
             }
             TypeExprKind::Named { name, args } => {
+                let text = self.name(name.sym);
                 // Type parameters shadow nothing and accept no arguments.
-                if let Some(&v) = scope.vars.get(&name.name) {
+                if let Some(&v) = scope.vars.get(&name.sym) {
                     if !args.is_empty() {
-                        self.error(name.span, format!("type parameter '{}' takes no type arguments", name.name));
+                        self.error(name.span, format!("type parameter '{text}' takes no type arguments"));
                         return Some(self.module.store.error);
                     }
                     return Some(self.module.store.var(v));
                 }
-                match name.name.as_str() {
-                    "void" | "bool" | "byte" | "int" | "string" => {
+                match name.sym {
+                    sym::VOID | sym::BOOL | sym::BYTE | sym::INT | sym::STRING => {
                         if !args.is_empty() {
                             self.error(
                                 name.span,
-                                format!("primitive type '{}' takes no type arguments", name.name),
+                                format!("primitive type '{text}' takes no type arguments"),
                             );
                             return Some(self.module.store.error);
                         }
-                        Some(match name.name.as_str() {
-                            "void" => self.module.store.void,
-                            "bool" => self.module.store.bool_,
-                            "byte" => self.module.store.byte,
-                            "int" => self.module.store.int,
+                        Some(match name.sym {
+                            sym::VOID => self.module.store.void,
+                            sym::BOOL => self.module.store.bool_,
+                            sym::BYTE => self.module.store.byte,
+                            sym::INT => self.module.store.int,
                             _ => self.module.store.string,
                         })
                     }
-                    "Array" => {
+                    sym::ARRAY => {
                         if args.len() != 1 {
                             self.error(name.span, "Array takes exactly one type argument");
                             return Some(self.module.store.error);
@@ -78,8 +80,8 @@ impl Analyzer<'_> {
                         Some(self.module.store.array(elem))
                     }
                     other => {
-                        let Some(&cid) = self.class_names.get(other) else {
-                            self.error(name.span, format!("unknown type '{other}'"));
+                        let Some(&cid) = self.class_names.get(&other) else {
+                            self.error(name.span, format!("unknown type '{text}'"));
                             return Some(self.module.store.error);
                         };
                         let want = self.module.class(cid).type_params.len();
@@ -87,7 +89,7 @@ impl Analyzer<'_> {
                             self.error(
                                 name.span,
                                 format!(
-                                    "class '{other}' expects {want} type argument(s), found {}",
+                                    "class '{text}' expects {want} type argument(s), found {}",
                                     args.len()
                                 ),
                             );

@@ -161,12 +161,14 @@ impl Analyzer<'_> {
             Some(c) => self.class_scope(c),
             None => TypeScope::new(),
         };
-        for (name, v) in &self.method_tparams[method.index()] {
-            tscope.vars.insert(name.clone(), *v);
-        }
+        tscope.vars.extend(&self.method_tparams[method.index()]);
+        // Every parameter name, `this` included, is in the program's
+        // interner: the parser put it there.
         let mut scope = HashMap::new();
         for (i, l) in locals.iter().enumerate() {
-            scope.insert(l.name.clone(), LocalId(i as u32));
+            if let Some(name) = self.names.get(&l.name) {
+                scope.insert(name, LocalId(i as u32));
+            }
         }
         BodyCx {
             class,
@@ -188,7 +190,10 @@ impl Analyzer<'_> {
         if ret != self.module.store.void && !terminates(&stmts) {
             self.error(
                 md.name.span,
-                format!("method '{}' may fall off the end without returning a value", md.name),
+                format!(
+                    "method '{}' may fall off the end without returning a value",
+                    self.name(md.name.sym)
+                ),
             );
         }
         self.module.methods[method.index()].locals = cx.locals;
@@ -248,7 +253,8 @@ impl Analyzer<'_> {
                             class_ast.name.span,
                             format!(
                                 "class '{}' must call the super constructor with {} argument(s)",
-                                class_ast.name, want.len()
+                                self.name(class_ast.name.sym),
+                                want.len()
                             ),
                         );
                         return;
@@ -355,10 +361,7 @@ impl Analyzer<'_> {
                 let mut decls = Vec::new();
                 for b in binders {
                     let declared = match &b.ty {
-                        Some(te) => {
-                            let scope = cx.tscope.clone();
-                            Some(self.resolve_type(te, &scope)?)
-                        }
+                        Some(te) => Some(self.resolve_type(te, &cx.tscope)?),
                         None => None,
                     };
                     // A failed initializer already produced a diagnostic;
@@ -390,14 +393,20 @@ impl Analyzer<'_> {
                             }
                         }
                         (None, None) => {
-                            self.error(b.name.span, format!("variable '{}' needs a type or initializer", b.name));
+                            self.error(
+                                b.name.span,
+                                format!(
+                                    "variable '{}' needs a type or initializer",
+                                    self.name(b.name.sym)
+                                ),
+                            );
                             self.module.store.error
                         }
                     };
                     if !*mutable && init.is_none() {
                         self.error(b.name.span, "immutable variables need an initializer");
                     }
-                    let l = cx.declare(&b.name.name, ty, *mutable);
+                    let l = cx.declare(b.name.sym, self.name(b.name.sym), ty, *mutable);
                     decls.push(IrStmt::Local(l, init));
                 }
                 if decls.len() == 1 {
@@ -426,17 +435,15 @@ impl Analyzer<'_> {
                 cx.loop_depth -= 1;
                 Some(IrStmt::While(cond, body))
             }
-            StmtKind::For { decl, init, cond, update, body } => {
+            StmtKind::For(f) => {
+                let ast::ForLoop { decl, init, cond, update, body } = &**f;
                 // Lower to: { decls/init; while (cond) { body; update; } }
                 cx.scopes.push(HashMap::new());
                 let mut out: Vec<IrStmt> = Vec::new();
                 if let Some(binders) = decl {
                     for b in binders {
                         let declared = match &b.ty {
-                            Some(te) => {
-                                let scope = cx.tscope.clone();
-                                Some(self.resolve_type(te, &scope)?)
-                            }
+                            Some(te) => Some(self.resolve_type(te, &cx.tscope)?),
                             None => None,
                         };
                         let init = match &b.init {
@@ -454,7 +461,7 @@ impl Analyzer<'_> {
                                 self.module.store.error
                             }
                         };
-                        let l = cx.declare(&b.name.name, ty, true);
+                        let l = cx.declare(b.name.sym, self.name(b.name.sym), ty, true);
                         out.push(IrStmt::Local(l, init));
                     }
                 } else if let Some(e) = init {

@@ -3,35 +3,23 @@
 //! The AST is produced by the parser ([`crate::parser::parse_program`]) and is
 //! deliberately *unresolved*: names (of variables, classes, primitives, type
 //! parameters) are plain identifiers whose meaning is decided by semantic
-//! analysis. Every expression and statement carries a [`NodeId`] that later
-//! phases use to attach types without mutating the tree.
+//! analysis. An identifier is a [`Symbol`] interned in its [`Program`]'s
+//! [`Interner`]. Every expression and statement carries a [`NodeId`] that
+//! later phases use to attach types without mutating the tree.
 
 use crate::span::Span;
-use std::fmt;
+use crate::symbol::{Interner, Symbol};
 
 /// A unique (per-program) id for an expression, statement, or binder.
 pub type NodeId = u32;
 
 /// An identifier with its source span.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Ident {
-    /// The identifier text.
-    pub name: String,
+    /// The identifier, interned in its program's [`Interner`].
+    pub sym: Symbol,
     /// Where it appears.
     pub span: Span,
-}
-
-impl Ident {
-    /// Creates an identifier.
-    pub fn new(name: impl Into<String>, span: Span) -> Ident {
-        Ident { name: name.into(), span }
-    }
-}
-
-impl fmt::Display for Ident {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.name)
-    }
 }
 
 /// A whole compilation unit: the list of top-level declarations.
@@ -44,6 +32,8 @@ pub struct Program {
     pub decls: Vec<Decl>,
     /// One past the largest [`NodeId`] used in this program.
     pub node_count: NodeId,
+    /// The text of every [`Ident`] in `decls`.
+    pub names: Interner,
 }
 
 /// A top-level declaration.
@@ -244,20 +234,9 @@ pub enum StmtKind {
     If(Expr, Box<Stmt>, Option<Box<Stmt>>),
     /// `while (cond) body`.
     While(Expr, Box<Stmt>),
-    /// `for (init; cond; update) body`. The paper's idiom
-    /// `for (l = list; l != null; l = l.tail)` *declares* `l`.
-    For {
-        /// Loop-scoped declarations, if the init declares variables.
-        decl: Option<Vec<VarBinder>>,
-        /// A plain init expression (when no declaration).
-        init: Option<Expr>,
-        /// Loop condition; `None` means `true`.
-        cond: Option<Expr>,
-        /// Update expression run after each iteration.
-        update: Option<Expr>,
-        /// Loop body.
-        body: Box<Stmt>,
-    },
+    /// `for (init; cond; update) body`, boxed because it is by far the
+    /// largest statement.
+    For(Box<ForLoop>),
     /// `var`/`def` local declaration with one or more binders.
     Local {
         /// `true` for `var`, `false` for `def`.
@@ -275,6 +254,22 @@ pub enum StmtKind {
     Expr(Expr),
     /// An empty statement `;`.
     Empty,
+}
+
+/// The parts of a `for (init; cond; update) body` loop. The paper's idiom
+/// `for (l = list; l != null; l = l.tail)` *declares* `l`.
+#[derive(Clone, Debug)]
+pub struct ForLoop {
+    /// Loop-scoped declarations, if the init declares variables.
+    pub decl: Option<Vec<VarBinder>>,
+    /// A plain init expression (when no declaration).
+    pub init: Option<Expr>,
+    /// Loop condition; `None` means `true`.
+    pub cond: Option<Expr>,
+    /// Update expression run after each iteration.
+    pub update: Option<Expr>,
+    /// Loop body.
+    pub body: Stmt,
 }
 
 /// An expression.
@@ -311,12 +306,13 @@ impl MemberName {
     }
 }
 
-impl fmt::Display for MemberName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl MemberName {
+    /// The member name as written, its identifier looked up in `names`.
+    pub fn text<'a>(&self, names: &'a Interner) -> &'a str {
         match self {
-            MemberName::Ident(i) => f.write_str(&i.name),
-            MemberName::New(_) => f.write_str("new"),
-            MemberName::Op(op, _) => f.write_str(op.symbol()),
+            MemberName::Ident(i) => &names[i.sym],
+            MemberName::New(_) => "new",
+            MemberName::Op(op, _) => op.symbol(),
         }
     }
 }

@@ -21,6 +21,7 @@ pub mod lexer;
 pub mod parser;
 pub mod printer;
 pub mod span;
+pub mod symbol;
 pub mod token;
 
 pub use ast::Program;
@@ -28,3 +29,4 @@ pub use diag::{Diagnostic, Diagnostics, Severity};
 pub use parser::{parse_expr, parse_program, parse_tokens, parse_type};
 pub use printer::{print_expr, print_program, print_type};
 pub use span::{LineCol, LineMap, Span};
+pub use symbol::{Interner, Symbol};

@@ -18,6 +18,7 @@ use crate::lexer::{
     self, decode_byte_lit, decode_int_lit, decode_neg_int_lit, decode_string_lit,
 };
 use crate::span::Span;
+use crate::symbol::Interner;
 use crate::token::{Token, TokenKind};
 
 /// Maximum nesting depth of expressions, types, and statements. This is a
@@ -42,14 +43,19 @@ const STACK_SEGMENT_DEPTH: u32 = 24;
 /// untouched pages cost nothing.
 const STACK_SEGMENT_BYTES: usize = 16 << 20;
 
-fn new_parser<'a, 'd>(source: &'a str, diags: &'d mut Diagnostics) -> Parser<'a, 'd> {
+fn new_parser<'a, 'd>(
+    source: &'a str,
+    names: &'d mut Interner,
+    diags: &'d mut Diagnostics,
+) -> Parser<'a, 'd> {
     let tokens = lexer::lex(source, diags);
-    token_parser(source, tokens, diags)
+    token_parser(source, tokens, names, diags)
 }
 
 fn token_parser<'a, 'd>(
     source: &'a str,
     tokens: Vec<Token>,
+    names: &'d mut Interner,
     diags: &'d mut Diagnostics,
 ) -> Parser<'a, 'd> {
     Parser {
@@ -57,6 +63,7 @@ fn token_parser<'a, 'd>(
         tokens,
         pos: 0,
         diags,
+        names,
         next_id: 0,
         splits: Vec::new(),
         depth: 0,
@@ -67,19 +74,27 @@ fn token_parser<'a, 'd>(
 /// program contains the declarations that parsed successfully, with
 /// [`ExprKind::Error`] placeholders where expressions failed to parse.
 pub fn parse_program(source: &str, diags: &mut Diagnostics) -> Program {
-    new_parser(source, diags).program()
+    let tokens = lexer::lex(source, diags);
+    parse_tokens(source, tokens, diags)
 }
 
 /// [`parse_program`] over `tokens` already lexed from `source` by
 /// [`lexer::lex`] (whose diagnostics are already in `diags`), for callers
 /// that time or count the lexer separately.
 pub fn parse_tokens(source: &str, tokens: Vec<Token>, diags: &mut Diagnostics) -> Program {
-    token_parser(source, tokens, diags).program()
+    let mut names = Interner::new();
+    let (decls, node_count) = token_parser(source, tokens, &mut names, diags).program();
+    Program { decls, node_count, names }
 }
 
-/// Parses a single expression (used by tests and tools).
-pub fn parse_expr(source: &str, diags: &mut Diagnostics) -> Option<Expr> {
-    let mut p = new_parser(source, diags);
+/// Parses a single expression (used by tests and tools), interning its
+/// identifiers into `names`.
+pub fn parse_expr(
+    source: &str,
+    names: &mut Interner,
+    diags: &mut Diagnostics,
+) -> Option<Expr> {
+    let mut p = new_parser(source, names, diags);
     let e = p.expr()?;
     if p.peek() != TokenKind::Eof {
         p.error_here("expected end of input after expression");
@@ -88,9 +103,14 @@ pub fn parse_expr(source: &str, diags: &mut Diagnostics) -> Option<Expr> {
     Some(e)
 }
 
-/// Parses a single type expression (used by tests and tools).
-pub fn parse_type(source: &str, diags: &mut Diagnostics) -> Option<TypeExpr> {
-    let mut p = new_parser(source, diags);
+/// Parses a single type expression (used by tests and tools), interning its
+/// identifiers into `names`.
+pub fn parse_type(
+    source: &str,
+    names: &mut Interner,
+    diags: &mut Diagnostics,
+) -> Option<TypeExpr> {
+    let mut p = new_parser(source, names, diags);
     let t = p.type_expr()?;
     if p.peek() != TokenKind::Eof {
         p.error_here("expected end of input after type");
@@ -104,6 +124,9 @@ struct Parser<'a, 'd> {
     tokens: Vec<Token>,
     pos: usize,
     diags: &'d mut Diagnostics,
+    /// Where identifiers are interned. Speculative parses that backtrack
+    /// may leave names behind; a symbol is an identity, so that is harmless.
+    names: &'d mut Interner,
     next_id: NodeId,
     /// Journal of `>>`→`>` splits: (token index, original token).
     splits: Vec<(usize, Token)>,
@@ -317,12 +340,13 @@ impl<'a> Parser<'a, '_> {
 
     fn ident(&mut self) -> Option<Ident> {
         let t = self.expect(TokenKind::Ident)?;
-        Some(Ident::new(t.text(self.src), t.span))
+        Some(Ident { sym: self.names.intern(t.text(self.src)), span: t.span })
     }
 
     // ---- program & declarations -------------------------------------------
 
-    fn program(&mut self) -> Program {
+    /// The top-level declarations and the node count.
+    fn program(&mut self) -> (Vec<Decl>, NodeId) {
         let mut decls = Vec::new();
         while !self.at(TokenKind::Eof) {
             let before = self.pos;
@@ -346,7 +370,7 @@ impl<'a> Parser<'a, '_> {
                 }
             }
         }
-        Program { decls, node_count: self.next_id }
+        (decls, self.next_id)
     }
 
     fn decl(&mut self) -> Option<Decl> {
@@ -827,10 +851,10 @@ impl<'a> Parser<'a, '_> {
             Some(self.expr()?)
         };
         self.expect(TokenKind::RParen)?;
-        let body = Box::new(self.stmt()?);
+        let body = self.stmt()?;
         let span = start.to(body.span);
         Some(Stmt {
-            kind: StmtKind::For { decl, init, cond, update, body },
+            kind: StmtKind::For(Box::new(ForLoop { decl, init, cond, update, body })),
             span,
             id: self.fresh_id(),
         })
@@ -917,7 +941,7 @@ impl<'a> Parser<'a, '_> {
     }
 
     fn bitor_expr(&mut self) -> Option<Expr> {
-        self.binary_level(0)
+        self.binary_expr(0)
     }
 
     /// Binary operator levels, loosest first.
@@ -941,31 +965,33 @@ impl<'a> Parser<'a, '_> {
         ],
     ];
 
-    fn binary_level(&mut self, level: usize) -> Option<Expr> {
-        if level >= Self::LEVELS.len() {
-            return self.unary_expr();
-        }
-        let mut lhs = self.binary_level(level + 1)?;
-        'outer: loop {
-            for &(tk, op) in Self::LEVELS[level] {
-                if self.at(tk) {
-                    self.bump();
-                    let rhs = self.binary_level(level + 1)?;
-                    let span = lhs.span.to(rhs.span);
-                    lhs = Expr {
-                        kind: ExprKind::Binary {
-                            op,
-                            lhs: Box::new(lhs),
-                            rhs: Box::new(rhs),
-                        },
-                        span,
-                        id: self.fresh_id(),
-                    };
-                    continue 'outer;
-                }
+    /// The [`Self::LEVELS`] index and operator of a binary operator token.
+    fn binary_op(k: TokenKind) -> Option<(usize, BinOp)> {
+        Self::LEVELS.iter().enumerate().find_map(|(level, ops)| {
+            ops.iter().find(|&&(tk, _)| tk == k).map(|&(_, op)| (level, op))
+        })
+    }
+
+    /// Precedence climbing over [`Self::LEVELS`]: parses an operand, then
+    /// folds in every operator at `min_level` or tighter, left-associatively.
+    /// An operand costs one call, not one per level; the recursion only
+    /// deepens when a tighter operator follows a looser one.
+    fn binary_expr(&mut self, min_level: usize) -> Option<Expr> {
+        let mut lhs = self.unary_expr()?;
+        while let Some((level, op)) = Self::binary_op(self.peek()) {
+            if level < min_level {
+                break;
             }
-            return Some(lhs);
+            self.bump();
+            let rhs = self.binary_expr(level + 1)?;
+            let span = lhs.span.to(rhs.span);
+            lhs = Expr {
+                kind: ExprKind::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) },
+                span,
+                id: self.fresh_id(),
+            };
         }
+        Some(lhs)
     }
 
     fn unary_expr(&mut self) -> Option<Expr> {
@@ -1400,19 +1426,25 @@ impl<'a> Parser<'a, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::symbol::sym;
 
     fn expr_ok(src: &str) -> Expr {
         let mut d = Diagnostics::new();
-        let e = parse_expr(src, &mut d);
+        let e = parse_expr(src, &mut Interner::new(), &mut d);
         assert!(!d.has_errors(), "errors for {src:?}: {:?}", d.into_vec());
         e.expect("expression")
     }
 
     fn type_ok(src: &str) -> TypeExpr {
+        type_and_names(src).0
+    }
+
+    fn type_and_names(src: &str) -> (TypeExpr, Interner) {
         let mut d = Diagnostics::new();
-        let t = parse_type(src, &mut d);
+        let mut names = Interner::new();
+        let t = parse_type(src, &mut names, &mut d);
         assert!(!d.has_errors(), "errors for {src:?}: {:?}", d.into_vec());
-        t.expect("type")
+        (t.expect("type"), names)
     }
 
     fn program_ok(src: &str) -> Program {
@@ -1433,7 +1465,7 @@ mod tests {
     fn paren_type_collapses() {
         // (T) is exactly T.
         assert!(
-            matches!(type_ok("(int)").kind, TypeExprKind::Named { ref name, .. } if name.name == "int")
+            matches!(type_ok("(int)").kind, TypeExprKind::Named { name, .. } if name.sym == sym::INT)
         );
     }
 
@@ -1461,10 +1493,10 @@ mod tests {
 
     #[test]
     fn nested_generics_split_shr() {
-        let t = type_ok("List<List<int>>");
+        let (t, names) = type_and_names("List<List<int>>");
         match t.kind {
             TypeExprKind::Named { name, args } => {
-                assert_eq!(name.name, "List");
+                assert_eq!(&names[name.sym], "List");
                 assert_eq!(args.len(), 1);
             }
             _ => panic!("expected named type"),
@@ -1660,7 +1692,7 @@ mod tests {
         assert_eq!(p.decls.len(), 2);
         match &p.decls[0] {
             Decl::Class(c) => {
-                assert_eq!(c.name.name, "A");
+                assert_eq!(&p.names[c.name.sym], "A");
                 assert_eq!(c.members.len(), 4);
             }
             _ => panic!("expected class"),
@@ -1756,7 +1788,7 @@ mod tests {
         assert!(p
             .decls
             .iter()
-            .any(|x| matches!(x, Decl::Method(m) if m.name.name == "ok")));
+            .any(|x| matches!(x, Decl::Method(m) if &p.names[m.name.sym] == "ok")));
     }
 
     #[test]
@@ -1796,14 +1828,14 @@ mod tests {
         }
         // Subtraction is not negation: `2-…` keeps the binary operator.
         let mut d = Diagnostics::new();
-        let _ = parse_expr("2-9223372036854775808", &mut d);
+        let _ = parse_expr("2-9223372036854775808", &mut Interner::new(), &mut d);
         assert!(d.has_errors(), "positive half alone is out of range");
     }
 
     #[test]
     fn out_of_range_literal_reports_value() {
         let mut d = Diagnostics::new();
-        let e = parse_expr("9223372036854775808", &mut d);
+        let e = parse_expr("9223372036854775808", &mut Interner::new(), &mut d);
         assert!(e.is_some());
         assert!(d
             .iter()
@@ -1819,7 +1851,7 @@ mod tests {
             "[".repeat(10_000),
         ] {
             let mut d = Diagnostics::new();
-            let _ = parse_expr(&src, &mut d);
+            let _ = parse_expr(&src, &mut Interner::new(), &mut d);
             assert!(d.has_errors(), "expected a diagnostic for {} …", &src[..8]);
             assert!(
                 d.iter().any(|x| x.message.contains("too deeply nested")),
@@ -1834,7 +1866,7 @@ mod tests {
         assert!(d.has_errors());
         let types = "(".repeat(10_000) + "int";
         let mut d = Diagnostics::new();
-        let _ = parse_type(&types, &mut d);
+        let _ = parse_type(&types, &mut Interner::new(), &mut d);
         assert!(d.has_errors());
     }
 

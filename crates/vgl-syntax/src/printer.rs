@@ -5,11 +5,12 @@
 //! integration test suite.
 
 use crate::ast::*;
+use crate::symbol::Interner;
 use std::fmt::Write as _;
 
 /// Pretty-prints a whole program.
 pub fn print_program(p: &Program) -> String {
-    let mut pr = Printer::default();
+    let mut pr = Printer::new(&p.names);
     for d in &p.decls {
         pr.decl(d);
         pr.out.push('\n');
@@ -17,27 +18,35 @@ pub fn print_program(p: &Program) -> String {
     pr.out
 }
 
-/// Pretty-prints a type expression.
-pub fn print_type(t: &TypeExpr) -> String {
-    let mut pr = Printer::default();
+/// Pretty-prints a type expression whose identifiers are in `names`.
+pub fn print_type(t: &TypeExpr, names: &Interner) -> String {
+    let mut pr = Printer::new(names);
     pr.type_expr(t);
     pr.out
 }
 
-/// Pretty-prints an expression.
-pub fn print_expr(e: &Expr) -> String {
-    let mut pr = Printer::default();
+/// Pretty-prints an expression whose identifiers are in `names`.
+pub fn print_expr(e: &Expr, names: &Interner) -> String {
+    let mut pr = Printer::new(names);
     pr.expr(e);
     pr.out
 }
 
-#[derive(Default)]
-struct Printer {
+struct Printer<'n> {
     out: String,
     indent: usize,
+    names: &'n Interner,
 }
 
-impl Printer {
+impl<'n> Printer<'n> {
+    fn new(names: &'n Interner) -> Printer<'n> {
+        Printer { out: String::new(), indent: 0, names }
+    }
+
+    fn name(&mut self, id: &Ident) {
+        self.out.push_str(&self.names[id.sym]);
+    }
+
     fn nl(&mut self) {
         self.out.push('\n');
         for _ in 0..self.indent {
@@ -54,7 +63,8 @@ impl Printer {
     }
 
     fn class(&mut self, c: &ClassDecl) {
-        let _ = write!(self.out, "class {}", c.name);
+        self.out.push_str("class ");
+        self.name(&c.name);
         self.type_params(&c.type_params);
         if !c.header_params.is_empty() {
             self.out.push('(');
@@ -62,13 +72,15 @@ impl Printer {
                 if i > 0 {
                     self.out.push_str(", ");
                 }
-                let _ = write!(self.out, "{}: ", p.name);
+                self.name(&p.name);
+                self.out.push_str(": ");
                 self.type_expr(&p.ty);
             }
             self.out.push(')');
         }
         if let Some(parent) = &c.parent {
-            let _ = write!(self.out, " extends {}", parent.name);
+            self.out.push_str(" extends ");
+            self.name(&parent.name);
             if !parent.type_args.is_empty() {
                 self.type_args(&parent.type_args);
             }
@@ -90,7 +102,7 @@ impl Printer {
 
     fn field(&mut self, f: &FieldDecl) {
         self.out.push_str(if f.mutable { "var " } else { "def " });
-        let _ = write!(self.out, "{}", f.name);
+        self.name(&f.name);
         if let Some(t) = &f.ty {
             self.out.push_str(": ");
             self.type_expr(t);
@@ -106,14 +118,16 @@ impl Printer {
         if m.is_private {
             self.out.push_str("private ");
         }
-        let _ = write!(self.out, "def {}", m.name);
+        self.out.push_str("def ");
+        self.name(&m.name);
         self.type_params(&m.type_params);
         self.out.push('(');
         for (i, p) in m.params.iter().enumerate() {
             if i > 0 {
                 self.out.push_str(", ");
             }
-            let _ = write!(self.out, "{}: ", p.name);
+            self.name(&p.name);
+            self.out.push_str(": ");
             self.type_expr(&p.ty);
         }
         self.out.push(')');
@@ -136,7 +150,7 @@ impl Printer {
             if i > 0 {
                 self.out.push_str(", ");
             }
-            let _ = write!(self.out, "{}", p.name);
+            self.name(&p.name);
             if let Some(t) = &p.ty {
                 self.out.push_str(": ");
                 self.type_expr(t);
@@ -166,7 +180,7 @@ impl Printer {
             if i > 0 {
                 self.out.push_str(", ");
             }
-            let _ = write!(self.out, "{t}");
+            self.name(t);
         }
         self.out.push('>');
     }
@@ -188,7 +202,7 @@ impl Printer {
     fn type_expr(&mut self, t: &TypeExpr) {
         match &t.kind {
             TypeExprKind::Named { name, args } => {
-                let _ = write!(self.out, "{name}");
+                self.name(name);
                 self.type_args(args);
             }
             TypeExprKind::Tuple(elems) => {
@@ -247,7 +261,8 @@ impl Printer {
                 self.out.push_str(") ");
                 self.stmt(b);
             }
-            StmtKind::For { decl, init, cond, update, body } => {
+            StmtKind::For(f) => {
+                let ForLoop { decl, init, cond, update, body } = &**f;
                 self.out.push_str("for (");
                 if let Some(binders) = decl {
                     self.out.push_str("var ");
@@ -294,7 +309,7 @@ impl Printer {
             if i > 0 {
                 self.out.push_str(", ");
             }
-            let _ = write!(self.out, "{}", b.name);
+            self.name(&b.name);
             if let Some(t) = &b.ty {
                 self.out.push_str(": ");
                 self.type_expr(t);
@@ -383,12 +398,13 @@ impl Printer {
                 self.out.push(']');
             }
             ExprKind::Name { name, type_args } => {
-                let _ = write!(self.out, "{name}");
+                self.name(name);
                 self.type_args(type_args);
             }
             ExprKind::Member { recv, member, type_args } => {
                 self.expr_prec(recv, PREC_POSTFIX);
-                let _ = write!(self.out, ".{member}");
+                self.out.push('.');
+                self.out.push_str(member.text(self.names));
                 self.type_args(type_args);
             }
             ExprKind::TupleIndex { recv, index } => {
@@ -495,13 +511,15 @@ mod tests {
 
     fn roundtrip_expr(src: &str) {
         let mut d = Diagnostics::new();
-        let e1 = parse_expr(src, &mut d).expect("parse 1");
+        let mut names = Interner::new();
+        let e1 = parse_expr(src, &mut names, &mut d).expect("parse 1");
         assert!(!d.has_errors(), "{d:?}");
-        let printed = print_expr(&e1);
+        let printed = print_expr(&e1, &names);
         let mut d2 = Diagnostics::new();
-        let e2 = parse_expr(&printed, &mut d2).expect("parse 2");
+        let mut names2 = Interner::new();
+        let e2 = parse_expr(&printed, &mut names2, &mut d2).expect("parse 2");
         assert!(!d2.has_errors(), "reparse failed for {printed:?}: {d2:?}");
-        assert_eq!(print_expr(&e2), printed, "fixpoint for {src:?}");
+        assert_eq!(print_expr(&e2, &names2), printed, "fixpoint for {src:?}");
     }
 
     #[test]
@@ -551,9 +569,10 @@ mod tests {
     #[test]
     fn function_type_param_parenthesized() {
         let mut d = Diagnostics::new();
-        let t = crate::parser::parse_type("(A -> B) -> C", &mut d).expect("type");
-        assert_eq!(print_type(&t), "(A -> B) -> C");
-        let t = crate::parser::parse_type("A -> B -> C", &mut d).expect("type");
-        assert_eq!(print_type(&t), "A -> B -> C");
+        let mut names = Interner::new();
+        let t = crate::parser::parse_type("(A -> B) -> C", &mut names, &mut d).expect("type");
+        assert_eq!(print_type(&t, &names), "(A -> B) -> C");
+        let t = crate::parser::parse_type("A -> B -> C", &mut names, &mut d).expect("type");
+        assert_eq!(print_type(&t, &names), "A -> B -> C");
     }
 }
