@@ -38,7 +38,7 @@ const EXPERIMENTS: [(&str, usize, Experiment); 14] = [
     ("e4", 5, e4),
     ("e5", 5, e5),
     ("e6", 5, e6),
-    ("e7", 3, e7),
+    ("e7", 15, e7),
     ("e8", 10, e8),
     ("e9", 10, e9),
     // E10 sums its samples instead of taking their minimum; see `measure_obs`.

@@ -255,15 +255,15 @@ pub fn measure_fusion(name: &str, source: &str, samples: usize) -> FusionMeasure
 }
 
 /// One workload measured with static whole-program fusion vs the tiered
-/// back end (unfused start, hot functions re-fuse themselves with their own
-/// runtime profile and inline-cache feedback) — the E11 data point.
+/// back end (each function fused at its first call, hot functions
+/// speculating on their inline-cache feedback) — the E11 data point.
 #[derive(Clone, Debug)]
 pub struct TieredMeasurement {
     /// Best (min-of-N after warmup) VM time with static fusion.
     pub fused: Duration,
     /// Best (min-of-N after warmup) VM time with runtime tiering.
     pub tiered: Duration,
-    /// Functions tiered up (re-fusions, including re-tiers) in one run.
+    /// Functions tiered up (including re-tiers) in one run.
     pub tier_ups: u64,
     /// Guard-failure deoptimizations in one run.
     pub deopts: u64,
@@ -281,11 +281,12 @@ impl TieredMeasurement {
     }
 }
 
-/// Compiles `source` twice — static fusion vs tiering (which starts from
-/// the unfused baseline and re-fuses at runtime) — asserts both behave
-/// identically, and reports interleaved warmup + min-of-N timings plus the
-/// tiered run's speculation counters. Every tiered sample re-warms from the
-/// cold tier, so the warmup knee is honestly inside the measurement.
+/// Compiles `source` twice — static fusion vs tiering (which compiles
+/// unfused, fuses each function at its first call, and speculates once a
+/// function is hot) — asserts both behave identically, and reports
+/// interleaved warmup + min-of-N timings plus the tiered run's speculation
+/// counters. Every tiered sample starts a fresh VM, so first-call fusion and
+/// the warmup knee are honestly inside the measurement.
 pub fn measure_tiered(name: &str, source: &str, samples: usize) -> TieredMeasurement {
     let fused = compile(source);
     let tiered = compile_with(&Compiler::new().with_tiering(), source);

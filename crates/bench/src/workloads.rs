@@ -283,9 +283,10 @@ pub fn instance_fanout_distinct(k: usize) -> String {
 /// receiver classes (a short mixed chain, few enough misses to stay below
 /// the speculation cap), then settles on a single class for `n` hot
 /// iterations over a 64-node chain. Static fusion cannot speculate the
-/// site; the tiered VM re-fuses the walker with its own inline-cache
-/// feedback and inlines the one-instruction `Inc.apply` behind a receiver
-/// guard — the warmup-knee-then-win curve E11 plots.
+/// site; the tiered VM runs the same fused walker, and once the walker is
+/// hot its tier-up reads the inline cache and inlines the one-instruction
+/// `Inc.apply` behind a receiver guard — the warmup-knee-then-win curve
+/// E11 plots.
 pub fn polymorphic_then_monomorphic(n: usize) -> String {
     format!(
         r#"

@@ -46,7 +46,8 @@
 //! ```
 //!
 //! `--no-fuse` turns off the bytecode back-end optimizer (on by default) for
-//! any compile-based subcommand.
+//! any compile-based subcommand; a tiered run still fuses each function in
+//! the VM at its first call.
 //!
 //! `--jobs N` sets the worker-thread count for fuse, the one pooled back-end
 //! phase (default: the `VGL_JOBS` environment variable, else the machine's
@@ -63,14 +64,18 @@
 //! events (calls, IC misses, collections, tier-ups, deopts; default 64) and
 //! dumps it to stderr when the run ends in a trap or `System.error`.
 //!
-//! Tiered execution: `run` and `trace` tier by default — functions start
-//! unfused and re-fuse themselves with their own runtime profile once hot.
+//! Tiered execution: `run` and `trace` tier by default — the VM fuses each
+//! function at its first call, as the static pass would, and tier-up only
+//! speculates: once a function is hot, its monomorphic virtual call sites
+//! become receiver-class guards or inlined bodies, and a failing guard
+//! deoptimizes to the same pc of the fused baseline.
 //! `--no-tier` restores the static pipeline; `--tier` forces tiering for
 //! any compile-based subcommand; `--tier-threshold N` (or the
 //! `VGL_TIER_THRESHOLD` environment variable) sets the hotness weight at
 //! which a function tiers up. `disasm --tiered` runs the program and shows
-//! each tiered function's baseline and hot-tier bodies side by side with
-//! guard sites annotated.
+//! each tiered function's fused baseline and hot-tier bodies side by side
+//! with guard sites annotated. Calls nested past the VM's stack budget end
+//! a run with the runtime error `stack overflow`.
 
 use std::process::ExitCode;
 use vgl::{Compilation, Compiler, RunOutcome, RuntimeProfile, VmProfile};

@@ -126,12 +126,13 @@ pub struct Options {
     /// rates.
     pub pass_cache: bool,
     /// Tiered profile-guided execution (default off in the library; `vglc`
-    /// turns it on): functions start in the cheap unfused tier and re-fuse
-    /// themselves with their own runtime profile once hot — IC-feedback
-    /// devirtualization behind receiver-class guards, profile-selected
-    /// superinstructions, and deoptimization on guard failure. When set,
-    /// the static whole-program fuse pass is skipped: the baseline tier
-    /// *is* the unfused code.
+    /// turns it on). When set, the static whole-program fuse pass is
+    /// skipped and the program keeps its unfused code: the VM fuses each
+    /// function at its first call with the pass's per-function routine, so
+    /// the baseline is the statically fused body, and a function that gets
+    /// hot tiers up, which only speculates — IC-feedback devirtualization
+    /// behind receiver-class guards, with deoptimization to the same pc of
+    /// the baseline on guard failure.
     pub tier: bool,
     /// Hotness weight (calls + back-edge ticks) at which a function tiers
     /// up. `vglc --tier-threshold` / `VGL_TIER_THRESHOLD` override it.
@@ -325,9 +326,9 @@ impl Compiler {
             || vgl_vm::lower_reusing(&compiled, splices.as_ref().map(|s| &s.plan)),
             |(p, _)| p.code_size(),
         );
-        // Under tiering the baseline tier *is* the unfused code — hot
-        // functions re-fuse themselves at run time from their own profile,
-        // so the static whole-program pass would only blur the comparison.
+        // Under tiering the VM fuses each function at its first call, so
+        // functions that never run are never fused and the compile skips
+        // the whole-program pass and its worker pool.
         let fuse = if o.fuse && !o.tier {
             // Spliced code is final: the pool neither fuses it again nor
             // copies it into a duplicate.

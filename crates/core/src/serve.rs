@@ -825,6 +825,25 @@ mod tests {
     }
 
     #[test]
+    fn unbounded_recursion_is_answered_as_a_trap() {
+        with_daemon(ServeConfig::default(), |path| {
+            let mut client = Client::connect(path).expect("connects");
+            let mut run = |source: String| {
+                client.request(&Request::Run { session: "t".into(), source }).expect("responds")
+            };
+            let resp = run("def f(n: int) -> int { return f(n + 1); } \
+                            def main() -> int { return f(0); }".into());
+            assert_eq!(resp.get("trap").and_then(Json::as_str), Some("stack overflow"), "{resp}");
+            assert_eq!(resp.get("result"), None, "{resp}");
+            // The daemon keeps serving.
+            let hello = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/v/hello.v");
+            let resp = run(std::fs::read_to_string(hello).expect("reads hello.v"));
+            assert_eq!(resp.get("result").and_then(Json::as_str), Some("42"), "{resp}");
+            assert_eq!(resp.get("output").and_then(Json::as_str), Some("hello, virgil\n"));
+        });
+    }
+
+    #[test]
     fn shutdown_request_stops_the_daemon() {
         let path = std::env::temp_dir()
             .join(format!("vgld-shutdown-{}.sock", std::process::id()));

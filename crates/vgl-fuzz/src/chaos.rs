@@ -77,7 +77,7 @@ pub struct ChaosReport {
     pub rejected: u64,
     /// Mutations that left the program valid; all engines still agreed.
     pub accepted: u64,
-    /// Valid after mutation but some engine ran out of fuel.
+    /// Valid after mutation but some engine ran out of fuel or of VM stack.
     pub inconclusive: u64,
     /// The first failure encountered (the campaign stops there).
     pub failure: Option<ChaosFailure>,

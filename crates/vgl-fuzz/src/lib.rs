@@ -95,7 +95,7 @@ pub struct FuzzReport {
     pub passed: u64,
     /// Cases where all engines agreed on a trap.
     pub trapping: u64,
-    /// Cases skipped because some engine ran out of fuel.
+    /// Cases skipped because some engine ran out of fuel or of VM stack.
     pub inconclusive: u64,
     /// The first failure encountered (the campaign stops there).
     pub failure: Option<FuzzFailure>,

@@ -15,15 +15,15 @@
 //!    [`vgl_vm::check_fused`] validating the fused code first, and the
 //!    §4.2 zero-tuple-box invariant asserted on its heap statistics after;
 //! 7. `vm-tiered`: the *unfused* lowering of the optimized module under
-//!    **tiered profile-guided execution** — the program `vglc run` ships
-//!    (`Options::tier` skips the static fuse, so every function starts in
-//!    the unfused tier). Functions re-fuse themselves mid-run from their
-//!    own runtime profile, speculating on monomorphic call sites behind
-//!    receiver-class guards and deoptimizing on guard failure. The hotness
-//!    threshold comes from `VGL_TIER_THRESHOLD` (CI's forced-deopt lane
-//!    sets it to 1 so effectively every call tiers up); tier-up, guard
-//!    hits, and deopts must all be behaviourally invisible, and the §4.2
-//!    zero-tuple-box invariant is asserted on its heap;
+//!    **tiered profile-guided execution** — the program `vglc run` ships.
+//!    The VM fuses each function at its first call, and tier-up only
+//!    speculates: hot functions guard their monomorphic call sites by
+//!    receiver class, and a failing guard deoptimizes to the same pc of
+//!    the fused baseline. The hotness threshold comes from
+//!    `VGL_TIER_THRESHOLD` (CI's forced-deopt lane sets it to 1 so
+//!    effectively every call tiers up); tier-up, guard hits, and deopts
+//!    must all be behaviourally invisible, and the §4.2 zero-tuple-box
+//!    invariant is asserted on its heap;
 //! 8. `vm-fused-gen`: the fused program once more on a **generational
 //!    heap** — a bump-allocated nursery with write-barrier-fed minor
 //!    collections in front of the mature space — at the
@@ -45,7 +45,8 @@
 //! (`!DivideByZeroException`, `!NullCheckException`, `!TypeCheckException`,
 //! ...). Fuel exhaustion is **never** conflated with a language exception:
 //! engines count steps differently, so an `OutOfFuel` anywhere makes the
-//! case [`Verdict::Inconclusive`] rather than a mismatch.
+//! case [`Verdict::Inconclusive`] rather than a mismatch, and so does a VM
+//! `StackOverflow` (a call-depth budget the interpreter does not share).
 //!
 //! Every VM run carries a [flight recorder](vgl_vm::FlightRecorder): the
 //! last 64 events (calls, inline-cache misses, GC, the trap) leading into
@@ -103,6 +104,8 @@ pub enum Outcome {
     Trap(String),
     /// The step/instruction budget ran out — distinct from any trap.
     OutOfFuel,
+    /// The VM's call-depth budget ran out — like fuel, a resource limit.
+    StackOverflow,
 }
 
 /// One engine execution: which engine, how it ended, what it printed.
@@ -128,8 +131,8 @@ pub enum Verdict {
         /// Whether the agreed outcome was a runtime exception.
         trapped: bool,
     },
-    /// Some engine ran out of fuel; engines count steps differently, so the
-    /// case proves nothing either way.
+    /// Some engine ran out of fuel or of VM stack; engines count steps
+    /// differently, so the case proves nothing either way.
     Inconclusive {
         /// The first engine that ran dry.
         engine: &'static str,
@@ -168,7 +171,7 @@ pub fn describe(v: &Verdict) -> String {
     match v {
         Verdict::Pass { trapped: false } => "pass".into(),
         Verdict::Pass { trapped: true } => "pass (agreed trap)".into(),
-        Verdict::Inconclusive { engine } => format!("inconclusive (out of fuel on {engine})"),
+        Verdict::Inconclusive { engine } => format!("inconclusive (fuel or stack on {engine})"),
         Verdict::Frontend { errors } => format!("front end rejected generated program:\n{errors}"),
         Verdict::Invariant { stage, violations } => {
             let mut s = format!("IR invariant violated after {stage}:");
@@ -257,6 +260,7 @@ fn run_vm_program_full(
             None => Outcome::Value(format!("{words:?}")),
         },
         Err(vgl_vm::VmError::OutOfFuel) => Outcome::OutOfFuel,
+        Err(vgl_vm::VmError::StackOverflow) => Outcome::StackOverflow,
         Err(e) => Outcome::Trap(e.to_string()),
     };
     let tuple_boxes = vm.stats.heap.tuple_boxes;
@@ -344,10 +348,10 @@ pub fn check_source_tampered(
     let (fused_run, fused_tuple_boxes) = run_vm_program("vm-fused", &fused_prog, cfg);
 
     // The seventh configuration runs what `Options::tier` builds — the
-    // unfused lowering — under tiered execution: functions cross the
-    // hotness threshold mid-run and re-fuse themselves from their own
-    // profile, speculating on monomorphic sites and deoptimizing on guard
-    // failure — all of which must be behaviourally invisible.
+    // unfused lowering — under tiered execution: the VM fuses each function
+    // at its first call, and functions that cross the hotness threshold
+    // speculate on monomorphic sites and deoptimize on guard failure — all
+    // of which must be behaviourally invisible.
     // `VGL_TIER_THRESHOLD` feeds the CI forced-deopt lane (threshold 1 ⇒
     // tier-up on effectively every call).
     let tier_threshold = std::env::var("VGL_TIER_THRESHOLD")
@@ -405,8 +409,11 @@ pub fn check_source_tampered(
         gen_run,
     ];
 
-    // OutOfFuel anywhere ⇒ inconclusive, and never comparable to a trap.
-    if let Some(r) = runs.iter().find(|r| r.outcome == Outcome::OutOfFuel) {
+    // OutOfFuel or StackOverflow anywhere ⇒ inconclusive, and never
+    // comparable to a trap.
+    if let Some(r) =
+        runs.iter().find(|r| matches!(r.outcome, Outcome::OutOfFuel | Outcome::StackOverflow))
+    {
         return Verdict::Inconclusive { engine: r.engine };
     }
     let reference = &runs[0];

@@ -397,14 +397,15 @@ pub enum Instr {
         b: Reg,
     },
 
-    // ---- speculative superinstructions (emitted only by the tiered
-    // ---- re-fuse pass, never by lowering or the static fuse pass) -------
+    // ---- speculative superinstructions (emitted only by tier-up's
+    // ---- speculation, never by lowering or the static fuse pass) --------
     /// Guarded direct call: a `CallVirt` whose inline cache stayed
     /// monomorphic, devirtualized by the tier-up pass. When `args[0]`'s
     /// class equals `class` the call proceeds directly to `func`; otherwise
-    /// the frame **deoptimizes** — transfers to the unfused baseline body at
-    /// `deopt_pc` (the pc of the original `CallVirt`, which re-executes and
-    /// carries the vtable slot) and marks `site` megamorphic.
+    /// the frame **deoptimizes** — transfers to the fused baseline at
+    /// `deopt_pc` (this instruction's own pc, where the baseline holds the
+    /// original `CallVirt`, which re-executes and carries the vtable slot)
+    /// and marks `site` megamorphic.
     CallGuard {
         /// Expected receiver class (the IC snapshot at tier-up).
         class: u32,

@@ -199,8 +199,9 @@ pub fn side_by_side(before: &VmProgram, after: &VmProgram) -> String {
 
 /// Renders every currently-tiered function as a baseline | hot-tier
 /// two-column view with guard sites annotated — `vglc disasm --tiered`.
-/// `p` must be the program the [`crate::TierState`] was collected against
-/// (the baseline bodies the deopt pcs refer to).
+/// The baseline column is the fused body the [`crate::TierState`] holds,
+/// the one the guards' deopt pcs index; `p` must be the program the state
+/// was collected against (it supplies the function names).
 pub fn tiered_view(p: &VmProgram, tier: &crate::TierState) -> String {
     const COL: usize = 38;
     let mut out = String::new();
@@ -217,27 +218,19 @@ pub fn tiered_view(p: &VmProgram, tier: &crate::TierState) -> String {
         let sites: Vec<String> = mega.iter().map(|s| format!("ic#{s}")).collect();
         let _ = writeln!(out, "; megamorphic (never re-speculated): {}", sites.join(", "));
     }
-    for (func, body, tier_ups) in tiered {
-        let f = &p.funcs[func as usize];
+    for (func, baseline, body, tier_ups) in tiered {
+        let guards = body.iter().filter(|i| matches!(i, Instr::CallGuard { .. })).count();
+        let inlines = body.iter().filter(|i| matches!(i, Instr::CallInline { .. })).count();
         let _ = writeln!(
             out,
-            "\nf{func} {} (tier-ups={tier_ups}, guards={}, inlines={}, fused={}):",
-            f.name, body.guards, body.inlines, body.fused
+            "\nf{func} {} (tier-ups={tier_ups}, guards={guards}, inlines={inlines}):",
+            p.funcs[func as usize].name
         );
         let _ = writeln!(out, "  {:<COL$} | -- tiered --", "-- baseline --");
-        let rows = f.code.len().max(body.code.len());
-        for pc in 0..rows {
-            let left = f
-                .code
-                .get(pc)
-                .map(|x| format!("{pc:4}  {}", disasm_instr(x)))
-                .unwrap_or_default();
-            let right = body
-                .code
-                .get(pc)
-                .map(|x| format!("{pc:4}  {}", disasm_instr(x)))
-                .unwrap_or_default();
-            let _ = writeln!(out, "  {left:<COL$} | {right}");
+        // Speculation rewrites call sites one for one: the rows pair up.
+        for (pc, (b, t)) in baseline.iter().zip(body).enumerate() {
+            let left = format!("{pc:4}  {}", disasm_instr(b));
+            let _ = writeln!(out, "  {left:<COL$} | {pc:4}  {}", disasm_instr(t));
         }
     }
     out

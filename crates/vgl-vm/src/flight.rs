@@ -64,13 +64,13 @@ pub enum FlightKind {
         capacity_slots: usize,
     },
     /// A function crossed its hotness threshold and installed a hot-tier
-    /// body re-fused from its own runtime profile.
+    /// body: its fused baseline with the monomorphic call sites speculated.
     TierUp {
         /// The function that tiered up.
         func: FuncId,
     },
-    /// A speculation guard failed: the frame fell back to the baseline body
-    /// and the site was marked megamorphic.
+    /// A speculation guard failed: the frame fell back to the same pc of
+    /// the fused baseline and the site was marked megamorphic.
     Deopt {
         /// The guarded call site.
         site: u32,
@@ -79,7 +79,8 @@ pub enum FlightKind {
         /// The function whose tiered body deoptimized.
         func: FuncId,
     },
-    /// Execution ended abnormally (language trap, `System.error`, or fuel).
+    /// Execution ended abnormally (language trap, `System.error`, fuel, or
+    /// stack overflow).
     Trap {
         /// Why execution stopped.
         error: VmError,

@@ -170,23 +170,7 @@ pub fn fuse_cfg_masked(
     let run_item = |cx: &mut Scratch, _: usize, &i: &usize| {
         let mut f = funcs[i].clone();
         let mut st = FuseStats::default();
-        st.instrs_before += f.code.len();
-        let allocs_before = count_allocs(&f.code);
-        let ref_stores_before = count_ref_stores(&f.code);
         fuse_func(&mut f, &mut st, cx);
-        debug_assert_eq!(
-            allocs_before,
-            count_allocs(&f.code),
-            "fusion changed the allocating-instruction count in {}",
-            f.name
-        );
-        debug_assert_eq!(
-            ref_stores_before,
-            count_ref_stores(&f.code),
-            "fusion changed the barrier-carrying store count in {}",
-            f.name
-        );
-        st.instrs_after += f.code.len();
         (f, st)
     };
     let (results, workers) = if cfg.chunking {
@@ -240,7 +224,7 @@ fn count_ref_stores(code: &[Instr]) -> usize {
 /// grown to the largest function seen, an analysis or rewrite round
 /// allocates nothing but the rewritten code.
 #[derive(Default)]
-struct Scratch {
+pub(crate) struct Scratch {
     live: Liveness,
     copies: Copies,
     /// Per-pc rewrite plan for [`rebuild`].
@@ -253,7 +237,14 @@ struct Scratch {
     old_of_new: Vec<usize>,
 }
 
-fn fuse_func(f: &mut VmFunc, stats: &mut FuseStats, cx: &mut Scratch) {
+/// Fuses one function in place: the per-function routine of
+/// [`fuse_cfg_masked`], and the one a tiered VM runs to build a function's
+/// baseline at its first call. Debug-asserts that the multisets of
+/// allocating instructions and of barrier-carrying stores are unchanged.
+pub(crate) fn fuse_func(f: &mut VmFunc, stats: &mut FuseStats, cx: &mut Scratch) {
+    stats.instrs_before += f.code.len();
+    let allocs_before = count_allocs(&f.code);
+    let ref_stores_before = count_ref_stores(&f.code);
     copy_propagate(f, stats, cx);
     // Iterate cleanup + fusion to a fixpoint: coalescing exposes dead
     // writes, `BinI` fusion exposes `CmpBrI`/`IncLocal` fusion, and so on.
@@ -266,6 +257,19 @@ fn fuse_func(f: &mut VmFunc, stats: &mut FuseStats, cx: &mut Scratch) {
     }
     // The last rebuild sized the code for the body it started from.
     f.code.shrink_to_fit();
+    debug_assert_eq!(
+        allocs_before,
+        count_allocs(&f.code),
+        "fusion changed the allocating-instruction count in {}",
+        f.name
+    );
+    debug_assert_eq!(
+        ref_stores_before,
+        count_ref_stores(&f.code),
+        "fusion changed the barrier-carrying store count in {}",
+        f.name
+    );
+    stats.instrs_after += f.code.len();
 }
 
 // ---- use/def accounting ----------------------------------------------------
@@ -864,9 +868,8 @@ enum Action {
 /// recomputing every branch offset. Branches into a removed pure
 /// instruction fall through to the next kept one; branches into the second
 /// element of a fused pair are the planner's responsibility to avoid.
-/// Leaves the new→old pc map (each new pc's originating old pc) in
-/// `cx.old_of_new` — the tiered re-fuse pass composes these across rounds
-/// into the deopt-pc map its guards carry.
+/// The new→old pc map (each new pc's originating old pc) is built in
+/// `cx.old_of_new` to re-target the branches.
 fn rebuild(f: &mut VmFunc, cx: &mut Scratch) {
     let n = f.code.len();
     let (plan, new_of_old, old_of_new) = (&mut cx.plan, &mut cx.new_of_old, &mut cx.old_of_new);
@@ -972,20 +975,6 @@ fn commutes(k: BinKind) -> bool {
 /// One left-to-right scan fusing adjacent pairs. Returns whether anything
 /// changed.
 fn fuse_pairs(f: &mut VmFunc, stats: &mut FuseStats, cx: &mut Scratch) -> bool {
-    fuse_pairs_gated(f, stats, &|_, _| true, cx)
-}
-
-/// [`fuse_pairs`] with a pattern gate: a rewrite is attempted only when
-/// `gate` accepts the constituent instruction(s) — the tiered pass feeds the
-/// function's own dynamic opcode histogram here so only patterns whose
-/// opcodes are actually hot get fused. When anything changed, returns true
-/// and leaves the new→old pc map in `cx.old_of_new`.
-fn fuse_pairs_gated(
-    f: &mut VmFunc,
-    stats: &mut FuseStats,
-    gate: &dyn Fn(&Instr, &Instr) -> bool,
-    cx: &mut Scratch,
-) -> bool {
     let n = f.code.len();
     // Fusing deletes the first instruction's definition of the temp `r`;
     // that is sound exactly when `r` is dead after the pair — not live out
@@ -1018,7 +1007,7 @@ fn fuse_pairs_gated(
     while pc < n {
         // Single-instruction rewrite: BinI(Add, r, r, imm) → IncLocal.
         if let Instr::BinI { k: BinKind::Add, dst, a, imm } = code[pc] {
-            if dst == a && gate(&code[pc], &code[pc]) {
+            if dst == a {
                 plan[pc] = Action::Replace(Instr::IncLocal { r: dst, imm });
                 stats.inc_local_fused += 1;
                 changed = true;
@@ -1031,10 +1020,6 @@ fn fuse_pairs_gated(
             continue;
         }
         let (first, second) = (&code[pc], &code[pc + 1]);
-        if !gate(first, second) {
-            pc += 1;
-            continue;
-        }
         // Branch offsets are relative to the branch (the second element);
         // the fused instruction sits at the first element's pc.
         let refit = |off: i32| off + 1;
@@ -1189,99 +1174,38 @@ fn fuse_pairs_gated(
     changed
 }
 
-// ---- tiered re-fuse (profile-parameterized) --------------------------------
+// ---- tier-up speculation ---------------------------------------------------
 
-/// The runtime feedback that parameterizes one function's tiered re-fuse:
-/// the VM snapshots its inline caches and the function's own dynamic opcode
-/// histogram at tier-up and hands them here.
-pub struct TierFeedback<'a> {
-    /// Per-site speculation decision: `Some((expected class, callee))` when
-    /// the site's cache stayed monomorphic and stable enough to
-    /// devirtualize; `None` keeps the `CallVirt`.
-    pub spec: &'a dyn Fn(u32) -> Option<(u32, FuncId)>,
-    /// This function's dynamic per-opcode retired counts.
-    pub hist: &'a [u32; OPCODE_COUNT],
-    /// A fusion pattern is applied only when every constituent opcode
-    /// retired at least this many times in this function.
-    pub hot_min: u32,
-}
-
-/// One function's hot-tier body: profile-selected superinstructions plus
-/// IC-feedback devirtualization, with the deopt-pc map back to the baseline
-/// body the guards transfer to on failure.
-#[derive(Clone, Debug)]
-pub struct TieredBody {
-    /// The re-fused code, executed in place of the baseline body.
-    pub code: Vec<Instr>,
-    /// `orig_of[pc]`: the baseline-body pc each tiered instruction
-    /// originates from (the first of a fused pair).
-    pub orig_of: Vec<u32>,
-    /// Speculative [`Instr::CallGuard`] sites emitted.
-    pub guards: usize,
-    /// Speculative [`Instr::CallInline`] sites emitted.
-    pub inlines: usize,
-    /// Pair fusions performed (profile-gated).
-    pub fused: usize,
-}
-
-/// Re-fuses one function using its own runtime profile — the tier-up pass.
-///
-/// Deliberately *narrower* than the static `fuse_func` pipeline: it runs
-/// only the pair-fusion scan (profile-gated), never copy propagation or
-/// dead-code elimination. Pair fusion elides exactly one register write per
-/// rewrite, and only when that register is dead after the pair — so at
-/// every surviving instruction boundary the tiered frame holds values
-/// identical to the baseline frame for every register the baseline may
-/// still read. That is the invariant that makes deoptimization a plain pc
-/// transfer: a failing guard resumes the *unfused* body at
-/// [`TieredBody::orig_of`]`[pc]` with the frame as-is.
-pub fn tier_fuse_func(p: &VmProgram, func: FuncId, fb: &TierFeedback<'_>) -> TieredBody {
-    let mut f = p.funcs[func as usize].clone();
-    let allocs_before = count_allocs(&f.code);
-    let ref_stores_before = count_ref_stores(&f.code);
-    let mut orig_of: Vec<u32> = (0..f.code.len() as u32).collect();
-    let mut stats = FuseStats::default();
-    let mut cx = Scratch::default();
-    // Superinstructions only exist here because a previous gated round
-    // built them from hot constituents, so they stay eligible — otherwise
-    // chained patterns (e.g. Bin+Const → BinI, then BinI+Br → CmpBrI) would
-    // never form: fusion-produced opcodes have no baseline histogram entry.
-    let hot = |i: &Instr| i.is_super() || fb.hist[i.opcode()] >= fb.hot_min;
-    let gate = |a: &Instr, b: &Instr| hot(a) && hot(b);
-    while fuse_pairs_gated(&mut f, &mut stats, &gate, &mut cx) {
-        orig_of = cx.old_of_new.iter().map(|&o| orig_of[o]).collect();
+/// The tier-up pass: rewrites each `CallVirt` of a fused `baseline` whose
+/// site `spec` speculates — `Some((expected class, callee))` — into a
+/// [`Instr::CallGuard`], or into a [`Instr::CallInline`] when the callee is
+/// a one-instruction leaf. The rewrite is one for one and touches nothing
+/// else, so every instruction keeps its pc and each guard's deopt pc is its
+/// own: a failing guard resumes the baseline at the `CallVirt` it replaced,
+/// with the frame as it is. Returns `None` when no site is speculated.
+pub fn speculate(
+    p: &VmProgram,
+    baseline: &[Instr],
+    spec: &dyn Fn(u32) -> Option<(u32, FuncId)>,
+) -> Option<Vec<Instr>> {
+    if !baseline
+        .iter()
+        .any(|i| matches!(i, Instr::CallVirt { site, .. } if spec(*site).is_some()))
+    {
+        return None;
     }
-    let mut guards = 0;
-    let mut inlines = 0;
-    for (pc, i) in f.code.iter_mut().enumerate() {
+    let mut code = baseline.to_vec();
+    for (pc, i) in code.iter_mut().enumerate() {
         let Instr::CallVirt { site, args, rets, .. } = i else { continue };
-        let Some((class, callee)) = (fb.spec)(*site) else { continue };
-        let deopt_pc = orig_of[pc];
-        let (site, args, rets) = (*site, std::mem::take(args), std::mem::take(rets));
+        let Some((class, callee)) = spec(*site) else { continue };
+        let (site, deopt_pc) = (*site, pc as u32);
+        let (args, rets) = (std::mem::take(args), std::mem::take(rets));
         *i = match inline_op(p, callee, args.len()) {
-            Some(op) => {
-                inlines += 1;
-                Instr::CallInline { class, site, deopt_pc, op, args, rets }
-            }
-            None => {
-                guards += 1;
-                Instr::CallGuard { class, func: callee, site, deopt_pc, args, rets }
-            }
+            Some(op) => Instr::CallInline { class, site, deopt_pc, op, args, rets },
+            None => Instr::CallGuard { class, func: callee, site, deopt_pc, args, rets },
         };
     }
-    debug_assert_eq!(
-        allocs_before,
-        count_allocs(&f.code),
-        "tiered re-fusion changed the allocating-instruction count in {}",
-        f.name
-    );
-    debug_assert_eq!(
-        ref_stores_before,
-        count_ref_stores(&f.code),
-        "tiered re-fusion changed the barrier-carrying store count in {}",
-        f.name
-    );
-    TieredBody { code: f.code, orig_of, guards, inlines, fused: stats.fused_total() }
+    Some(code)
 }
 
 /// Whether `callee`'s body is a one-instruction leaf reducible to an
@@ -1332,8 +1256,8 @@ fn inline_op(p: &VmProgram, callee: FuncId, argc: usize) -> Option<InlOp> {
             Some(InlOp::Field(*slot as u16, *obj as u8))
         }
         // The unfused form of `param op constant`: a constant load feeding a
-        // binary op whose other operand is a parameter. The tiered caller
-        // runs this whether or not the callee itself ever got fused.
+        // binary op whose other operand is a parameter, as a tiered program
+        // holds it (its functions are fused only inside the VM).
         [Instr::ConstI(c, v), Instr::Bin(k, d, a, b), Instr::Ret(rs)]
             if rs.len() == 1
                 && rs[0] == *d
@@ -1477,8 +1401,8 @@ pub fn check_fused(p: &VmProgram) -> Vec<Violation> {
 /// pairs, but dropping (or inventing) an allocation breaks the §4.2
 /// structural claim, and dropping a write barrier silently loses objects at
 /// the next minor collection. This is the release-build counterpart of the
-/// `debug_assert`s inside [`fuse`] and [`tier_fuse_func`]; the fuzz oracle
-/// runs it on every case.
+/// `debug_assert`s inside [`fuse`] and the tiered VM's baseline build; the
+/// fuzz oracle runs it on every case.
 pub fn check_fused_against(baseline: &VmProgram, fused: &VmProgram) -> Vec<Violation> {
     let mut out = Vec::new();
     if baseline.funcs.len() != fused.funcs.len() {
@@ -1944,19 +1868,31 @@ mod tests {
     }
 
     #[test]
-    fn tier_fuse_keeps_the_deopt_map_on_a_multi_block_function() {
-        let p = VmProgram { funcs: vec![func(5, loop_body())], main: Some(0), ..VmProgram::default() };
-        let hist = [1; OPCODE_COUNT];
-        let fb = TierFeedback { spec: &|_| None, hist: &hist, hot_min: 1 };
-        let t = tier_fuse_func(&p, 0, &fb);
-        // The limit r2 is live around the back edge, so ConstI+Bin at pcs
-        // 2-3 stays unfused; the compare+branch (3-4) and the increment
-        // (6-7, then IncLocal) fuse.
-        assert_eq!(t.orig_of, vec![0, 1, 2, 3, 5, 6, 8, 9]);
-        assert_eq!(t.code[3], Instr::CmpBr { k: BinKind::Lt, a: 1, b: 2, off: 4, expect: false });
-        assert_eq!(t.code[5], Instr::IncLocal { r: 1, imm: 1 });
-        assert_eq!(t.code[6], Instr::Jump(-3));
-        assert_eq!(t.fused, 3);
+    fn speculation_rewrites_call_sites_in_place_and_keeps_every_pc() {
+        let (args, rets) = (vec![0], vec![1]);
+        let call = |site| Instr::CallVirt { slot: 0, site, args: args.clone(), rets: rets.clone() };
+        let base = vec![
+            call(0),                                 // speculated; f1 inlines
+            Instr::BrFalse(1, 3),                    // → 4
+            call(1),
+            Instr::Jump(-3),                         // → 0
+            call(2),                                 // speculated; f2 keeps its frame
+            Instr::Ret(vec![1]),
+        ];
+        let callee = |code| VmFunc { param_count: 1, ..func(1, code) };
+        let deep = vec![Instr::Call { func: 1, args: vec![0], rets: vec![0] }, Instr::Ret(vec![0])];
+        let p = VmProgram {
+            funcs: vec![func(2, base.clone()), callee(vec![Instr::Ret(vec![0])]), callee(deep)],
+            ..VmProgram::default()
+        };
+        assert!(speculate(&p, &base, &|_| None).is_none());
+        let spec = |site: u32| [Some((5, 1)), None, Some((6, 2))][site as usize];
+        let t = speculate(&p, &base, &spec).expect("sites 0 and 2 speculate");
+        let mut want = base.clone();
+        let (op, a, r) = (InlOp::Arg(0), args.clone(), rets.clone());
+        want[0] = Instr::CallInline { class: 5, site: 0, deopt_pc: 0, op, args: a, rets: r };
+        want[4] = Instr::CallGuard { class: 6, func: 2, site: 2, deopt_pc: 4, args, rets };
+        assert_eq!(t, want, "each guard deopts to its own pc; every other pc is kept");
     }
 
     /// End-to-end equivalence on a real loop: the full pass must produce the

@@ -39,8 +39,7 @@ pub use bytecode::{
 pub use disasm::{disasm, disasm_instr, side_by_side, tiered_view};
 pub use flight::{CallKind, FlightEvent, FlightKind, FlightRecorder};
 pub use fuse::{
-    check_fused, check_fused_against, fuse, fuse_cfg, fuse_cfg_masked, tier_fuse_func, FuseStats,
-    TierFeedback, TieredBody,
+    check_fused, check_fused_against, fuse, fuse_cfg, fuse_cfg_masked, speculate, FuseStats,
 };
 pub use lower::{lower, lower_reusing, Demand, ReusePlan, SpliceFunc, SpliceRecord};
 pub use profile::{FuncSpan, GcEvent, HotFunc, RuntimeProfile, TierInstant, TraceLog, VmProfile};

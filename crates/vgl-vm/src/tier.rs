@@ -1,25 +1,25 @@
-//! Tiered-execution state: which functions hold a hot-tier body, when each
-//! re-tiers next, and the per-site speculation bookkeeping that decides
-//! whether a `CallVirt` may be devirtualized behind a receiver-class guard.
+//! Tiered-execution state: each function's fused baseline and hot-tier
+//! body, when it re-tiers next, and the per-site speculation bookkeeping.
 //!
-//! Every function starts in the cheap unfused tier (the baseline body the
-//! lowerer produced). When a function's sampled hotness — call count plus
-//! loop back-edge ticks, the counters [`crate::RuntimeProfile`] already
-//! maintains at the fuel-check points — crosses the threshold, the VM
-//! re-runs fusion on that one function *using its own profile*
-//! ([`crate::fuse::tier_fuse_func`]) and future invocations execute the
-//! result. Frames carry their body by `Rc`, so a mid-run re-tier or
-//! deoptimization never moves code out from under a live frame.
+//! A function's baseline is its statically fused body, built at its first
+//! call by the static fuse pass's per-function routine. When its sampled
+//! hotness — call count plus loop back-edge ticks, the counters
+//! [`crate::RuntimeProfile`] maintains at the fuel-check points — crosses
+//! the threshold, the function tiers up, which only speculates
+//! ([`crate::fuse::speculate`]): monomorphic `CallVirt` sites are rewritten
+//! one for one, and with none the hot body is the baseline itself. Frames
+//! carry their body by `Rc`, so a re-tier or deopt never moves code out
+//! from under a live frame.
 //!
 //! Speculation follows the Hölzle inline-cache discipline: a site is
 //! devirtualized only while its cache is monomorphic and stable
 //! ([`site_speculation`]); the first guard failure deoptimizes the frame
-//! back to the baseline body and marks the site megamorphic — permanently,
-//! so it is **never re-speculated** — while the function itself re-tiers
-//! with that site left as a plain `CallVirt`.
+//! to the same pc of the baseline and marks the site megamorphic —
+//! permanently, so it is **never re-speculated** — while the function
+//! itself re-tiers with that site left as a plain `CallVirt`.
 
-use crate::bytecode::{FuncId, VmProgram, OPCODE_COUNT};
-use crate::fuse::TieredBody;
+use crate::bytecode::{FuncId, Instr, VmProgram};
+use crate::fuse::{fuse_func, FuseStats, Scratch};
 use std::rc::Rc;
 
 /// Default hotness threshold (calls + back-edge ticks) for tier-up.
@@ -68,10 +68,15 @@ pub fn site_speculation(
 
 /// One function's tier slot.
 pub(crate) struct TierSlot {
-    /// The hot-tier body current invocations should run, when tiered.
-    pub(crate) body: Option<Rc<TieredBody>>,
+    /// The fused baseline, built at the function's first call. Deopts land
+    /// here.
+    pub(crate) baseline: Option<Rc<[Instr]>>,
+    /// The hot-tier body new frames run once the function tiered up: the
+    /// baseline with its speculated sites rewritten, or the baseline
+    /// itself. `None` before the first tier-up and after a deopt.
+    pub(crate) body: Option<Rc<[Instr]>>,
     /// Hotness weight at which the function (re-)tiers. Starts at the
-    /// threshold, doubles after every tier-up (bounding re-fuse churn), and
+    /// threshold, doubles after every tier-up (bounding re-tier churn), and
     /// resets to zero on deopt so the replacement body — with the failed
     /// site de-speculated — is built at the next trigger point.
     pub(crate) next_at: u64,
@@ -82,19 +87,14 @@ pub(crate) struct TierSlot {
 /// All tiering state for one VM run.
 pub struct TierState {
     pub(crate) threshold: u64,
-    /// Pattern-hotness bar handed to the profile-gated fusion: an opcode
-    /// counts as hot in a function once it retired this many times there.
-    pub(crate) hot_min: u32,
     pub(crate) slots: Vec<TierSlot>,
     /// Sticky per-site megamorphic marks (set by deopt). Kept separate from
     /// the inline caches: an IC refill must not erase the mark.
     pub(crate) mega: Vec<bool>,
     /// Per-site IC miss counts, feeding the stability check.
     pub(crate) site_miss: Vec<u32>,
-    /// Per-function dynamic opcode histograms, accumulated while the
-    /// function runs its baseline body — the profile that selects which
-    /// fusion patterns the hot tier applies.
-    pub(crate) hist: Vec<[u32; OPCODE_COUNT]>,
+    /// Fusion buffers every baseline build reuses.
+    scratch: Scratch,
 }
 
 impl TierState {
@@ -105,14 +105,31 @@ impl TierState {
         let n = program.funcs.len();
         TierState {
             threshold,
-            hot_min: (threshold / 4).max(8).min(u32::MAX as u64) as u32,
             slots: (0..n)
-                .map(|_| TierSlot { body: None, next_at: threshold, tier_ups: 0 })
+                .map(|_| TierSlot { baseline: None, body: None, next_at: threshold, tier_ups: 0 })
                 .collect(),
             mega: vec![false; program.virt_sites],
             site_miss: vec![0; program.virt_sites],
-            hist: vec![[0; OPCODE_COUNT]; n],
+            scratch: Scratch::default(),
         }
+    }
+
+    /// `func`'s fused baseline, fused from `program` at first use.
+    pub(crate) fn baseline(&mut self, program: &VmProgram, func: FuncId) -> Rc<[Instr]> {
+        let scratch = &mut self.scratch;
+        Rc::clone(self.slots[func as usize].baseline.get_or_insert_with(|| {
+            let mut f = program.funcs[func as usize].clone();
+            fuse_func(&mut f, &mut FuseStats::default(), scratch);
+            f.code.into()
+        }))
+    }
+
+    /// The body a new frame of `func` runs: its hot-tier body once tiered
+    /// up, else its baseline.
+    #[inline]
+    pub(crate) fn entry(&mut self, program: &VmProgram, func: FuncId) -> Rc<[Instr]> {
+        let hot = self.slots[func as usize].body.clone();
+        hot.unwrap_or_else(|| self.baseline(program, func))
     }
 
     /// The tier-up threshold in effect.
@@ -120,12 +137,13 @@ impl TierState {
         self.threshold
     }
 
-    /// Every currently-tiered function: `(func, hot-tier body, tier-ups)`.
-    pub fn tiered(&self) -> impl Iterator<Item = (FuncId, &TieredBody, u32)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.body.as_deref().map(|b| (i as FuncId, b, s.tier_ups)))
+    /// Every currently-tiered function: `(func, fused baseline, hot-tier
+    /// body, tier-ups)`. The guards' deopt pcs index the baseline.
+    pub fn tiered(&self) -> impl Iterator<Item = (FuncId, &[Instr], &[Instr], u32)> {
+        self.slots.iter().enumerate().filter_map(|(i, s)| {
+            let base = s.baseline.as_deref()?;
+            s.body.as_deref().map(|b| (i as FuncId, base, b, s.tier_ups))
+        })
     }
 
     /// Whether a deopt marked this site megamorphic.

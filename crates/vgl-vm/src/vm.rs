@@ -19,7 +19,7 @@
 
 use crate::bytecode::*;
 use crate::flight::{CallKind, FlightKind, FlightRecorder};
-use crate::fuse::{tier_fuse_func, TierFeedback, TieredBody};
+use crate::fuse::speculate;
 use crate::profile::{GcEvent, RuntimeProfile, TraceLog, VmProfile};
 use crate::tier::{site_speculation, Speculation, TierState};
 use std::rc::Rc;
@@ -34,6 +34,12 @@ use vgl_runtime::heap::{
 /// short-lived request/response churn dies in place without promotion.
 pub const DEFAULT_NURSERY_SLOTS: usize = 1 << 14;
 
+/// The call-depth bound, in words: a frame push that would take the value
+/// stack's length plus the frame count past it raises
+/// [`VmError::StackOverflow`]. 2^22 words are 32 MB of registers, about a
+/// million frames of a small function.
+const STACK_BUDGET_WORDS: usize = 1 << 22;
+
 /// Why execution stopped abnormally.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum VmError {
@@ -41,6 +47,8 @@ pub enum VmError {
     Exception(Exception),
     /// The configured instruction budget ran out.
     OutOfFuel,
+    /// A call would have taken the VM's stacks past their fixed budget.
+    StackOverflow,
     /// The program has no main function.
     NoMain,
 }
@@ -50,6 +58,7 @@ impl std::fmt::Display for VmError {
         match self {
             VmError::Exception(e) => write!(f, "{e}"),
             VmError::OutOfFuel => write!(f, "out of fuel"),
+            VmError::StackOverflow => write!(f, "stack overflow"),
             VmError::NoMain => write!(f, "program has no main"),
         }
     }
@@ -162,13 +171,13 @@ struct FrameInfo {
     /// profiler subtracts it from the inclusive total at frame exit to
     /// get the exclusive share without any bookkeeping at call time.
     child_instrs: u64,
-    /// The hot-tier body this frame executes, pinned at frame push — `None`
-    /// runs the baseline body. The `Rc` keeps the code alive even if the
-    /// function re-tiers or deoptimizes while this frame is live; tier
-    /// transitions only affect *future* frame pushes (no on-stack
-    /// replacement), except that a failing guard clears this frame's own
-    /// handle as it transfers to the baseline body.
-    code: Option<Rc<TieredBody>>,
+    /// The tier body this frame executes, pinned at frame push: the fused
+    /// baseline or the hot-tier body under tiering, `None` (the program's
+    /// code) without. The `Rc` keeps the code alive even if the function
+    /// re-tiers or deoptimizes while this frame is live; tier transitions
+    /// only affect *future* frame pushes (no on-stack replacement), except
+    /// that a failing guard swaps this frame's own handle for the baseline.
+    code: Option<Rc<[Instr]>>,
 }
 
 /// The virtual machine.
@@ -333,14 +342,14 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Turns on tiered execution: every function starts in the cheap
-    /// unfused (baseline) tier, and when its sampled hotness — calls plus
-    /// back-edge ticks — crosses `threshold` (clamped to ≥ 1) the VM
-    /// re-fuses it using its own runtime profile: IC-feedback
-    /// devirtualization behind receiver-class guards, profile-selected
-    /// superinstructions, and deoptimization back to the baseline body on
-    /// guard failure. Implies [`Vm::enable_runtime_profiling`] (tiering
-    /// consumes the sampling rows).
+    /// Turns on tiered execution: each function runs its baseline, the
+    /// body the static fuse pass would give it, fused at its first call;
+    /// when its sampled hotness — calls plus back-edge ticks — crosses
+    /// `threshold` (clamped to ≥ 1) the VM tiers it up, which only
+    /// speculates: monomorphic call sites go behind receiver-class guards,
+    /// and a failing guard deoptimizes to the same pc of the baseline.
+    /// Implies [`Vm::enable_runtime_profiling`] (tiering consumes the
+    /// sampling rows).
     pub fn enable_tiering(&mut self, threshold: u64) {
         self.enable_runtime_profiling();
         if self.tier.is_none() {
@@ -408,9 +417,13 @@ impl<'p> Vm<'p> {
 
     /// Calls a function with arguments (testing hook).
     pub fn call_function(&mut self, func: FuncId, args: &[Word]) -> Result<Vec<Word>, VmError> {
-        let f = &self.program.funcs[func as usize];
+        let program = self.program;
+        let f = &program.funcs[func as usize];
         debug_assert_eq!(args.len(), f.param_count, "arity calling {}", f.name);
         let base = self.stack.len();
+        if base + f.reg_count + self.frames.len() >= STACK_BUDGET_WORDS {
+            return Err(VmError::StackOverflow);
+        }
         self.stack.resize(base + f.reg_count, 0);
         self.stack[base..base + args.len()].copy_from_slice(args);
         let ret_count = f.ret_count;
@@ -431,10 +444,7 @@ impl<'p> Vm<'p> {
             rets: RetSlots::Inline { len: 0, regs: [0; RET_INLINE] },
             entry_instr: self.stats.instrs,
             child_instrs: 0,
-            code: self
-                .tier
-                .as_deref()
-                .and_then(|t| t.slots[func as usize].body.clone()),
+            code: self.tier.as_deref_mut().map(|t| t.entry(program, func)),
         });
         let depth = self.frames.len();
         // Monomorphize the dispatch loop over the profilers once per run:
@@ -499,7 +509,7 @@ impl<'p> Vm<'p> {
         // so deopt can swap the frame's handle mid-arm; keying the cache on
         // `code_gen` (bumped at every frame push, pop, and deopt) makes the
         // per-instruction cost one compare instead of an `Rc` clone.
-        let mut tier_code: Option<Rc<TieredBody>> = None;
+        let mut tier_code: Option<Rc<[Instr]>> = None;
         let mut tier_gen: u64 = u64::MAX;
         loop {
             self.stats.instrs += 1;
@@ -515,20 +525,8 @@ impl<'p> Vm<'p> {
                 tier_code = self.frames[fi].code.clone();
             }
             let instr = match if TIER { tier_code.as_deref() } else { None } {
-                Some(t) => &t.code[pc],
-                None => {
-                    let i = &program.funcs[func as usize].code[pc];
-                    if TIER {
-                        // Histogram only while in the baseline tier: this
-                        // is the profile that picks the hot tier's fusion
-                        // patterns, and the hot tier itself stays free of
-                        // per-instruction bookkeeping.
-                        if let Some(t) = self.tier.as_deref_mut() {
-                            t.hist[func as usize][i.opcode()] += 1;
-                        }
-                    }
-                    i
-                }
+                Some(t) => &t[pc],
+                None => &program.funcs[func as usize].code[pc],
             };
             if PROFILE {
                 if let Some(p) = self.profile.as_deref_mut() {
@@ -626,7 +624,7 @@ impl<'p> Vm<'p> {
                     check_fuel!();
                     let rets = RetSlots::new(rets, &mut self.stats.ret_spills);
                     self.note_call::<HOT, TIER>(*callee);
-                    self.push_frame_args::<TIER>(*callee, CallKind::Static, base, None, args, rets);
+                    self.push_frame_args::<TIER>(*callee, CallKind::Static, base, None, args, rets)?;
                 }
                 Instr::CallVirt { slot, site, args, rets } => {
                     self.stats.calls += 1;
@@ -664,15 +662,15 @@ impl<'p> Vm<'p> {
                     };
                     let rets = RetSlots::new(rets, &mut self.stats.ret_spills);
                     self.note_call::<HOT, TIER>(callee);
-                    self.push_frame_args::<TIER>(callee, CallKind::Virtual, base, None, args, rets);
+                    self.push_frame_args::<TIER>(callee, CallKind::Virtual, base, None, args, rets)?;
                 }
                 Instr::CallGuard { class, func: callee, site, deopt_pc, args, rets } => {
                     // Speculative devirtualization (tier-only): one class
                     // compare replaces IC probe + vtable walk. A mismatching
                     // (or null) receiver deoptimizes this frame to the
-                    // baseline body, which re-executes the site as a plain
-                    // `CallVirt` — identical observable behaviour, including
-                    // the null-check trap.
+                    // baseline, which re-executes the site as a plain
+                    // `CallVirt` at the same pc — identical observable
+                    // behaviour, including the null-check trap.
                     debug_assert!(TIER, "CallGuard outside tiered body");
                     let recv = reg!(args[0]);
                     let seen = if recv == NULL { IC_EMPTY } else { self.heap.meta(recv) };
@@ -690,7 +688,7 @@ impl<'p> Vm<'p> {
                             None,
                             args,
                             rets,
-                        );
+                        )?;
                     } else {
                         self.deopt(fi, func, *site, *deopt_pc, seen);
                     }
@@ -748,7 +746,7 @@ impl<'p> Vm<'p> {
                     let rets = RetSlots::new(rets, &mut self.stats.ret_spills);
                     let prepend = (recv != NULL).then_some(recv);
                     self.note_call::<HOT, TIER>(fnid);
-                    self.push_frame_args::<TIER>(fnid, CallKind::Closure, base, prepend, args, rets);
+                    self.push_frame_args::<TIER>(fnid, CallKind::Closure, base, prepend, args, rets)?;
                 }
                 Instr::CallBuiltin { b, args, rets } => {
                     debug_assert!(args.len() <= 2, "builtin arity");
@@ -1077,39 +1075,32 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Re-runs fusion on one function using its own runtime profile and
-    /// installs the result as the function's hot-tier body. Frames already
-    /// running the old body keep their pinned `Rc` — there is no OSR; the
-    /// new body applies to future pushes only.
+    /// Speculates on one function's baseline from the inline caches and
+    /// installs the result as the function's hot-tier body — the baseline
+    /// itself when no site qualifies. Frames already running the old body
+    /// keep their pinned `Rc` — there is no OSR; the new body applies to
+    /// future pushes only.
     #[cold]
     fn tier_up(&mut self, func: FuncId, weight: u64) {
-        let body = {
-            let t = self.tier.as_deref().expect("tiering enabled");
-            let ic = &self.ic;
-            // Speculate only on sites the IC history says are monomorphic
-            // and stable, and that never deopted (sticky mega mark).
-            let spec = |site: u32| {
-                let e = ic[site as usize];
-                let cached = (e.class != IC_EMPTY).then_some((e.class, e.func));
-                match site_speculation(cached, t.site_miss[site as usize], t.mega[site as usize])
-                {
-                    Speculation::Speculate { class, func } => Some((class, func)),
-                    _ => None,
-                }
-            };
-            let fb = TierFeedback {
-                spec: &spec,
-                hist: &t.hist[func as usize],
-                hot_min: t.hot_min,
-            };
-            tier_fuse_func(self.program, func, &fb)
-        };
         let t = self.tier.as_deref_mut().expect("tiering enabled");
+        let baseline = t.baseline(self.program, func);
+        let ic = &self.ic;
+        // Speculate only on sites the IC history says are monomorphic and
+        // stable, and that never deopted (sticky mega mark).
+        let spec = |site: u32| {
+            let e = ic[site as usize];
+            let cached = (e.class != IC_EMPTY).then_some((e.class, e.func));
+            match site_speculation(cached, t.site_miss[site as usize], t.mega[site as usize]) {
+                Speculation::Speculate { class, func } => Some((class, func)),
+                _ => None,
+            }
+        };
+        let body = speculate(self.program, &baseline, &spec).map_or(baseline, Rc::from);
         let threshold = t.threshold;
         let slot = &mut t.slots[func as usize];
-        slot.body = Some(Rc::new(body));
+        slot.body = Some(body);
         slot.tier_ups += 1;
-        // Doubling schedule bounds re-fuse churn on functions that stay hot.
+        // Doubling schedule bounds re-tier churn on functions that stay hot.
         slot.next_at = weight.max(threshold).saturating_mul(2);
         self.stats.tier_ups += 1;
         if let Some(fr) = self.flight.as_deref_mut() {
@@ -1120,21 +1111,22 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Guard failure: transfer the current frame back to the baseline body
-    /// at the pc the failed site originated from, and mark the site
-    /// megamorphic so no future tier-up re-speculates it. The tier pipeline
-    /// only performs transformations that keep every baseline-live register
-    /// valid at guard points, so the transfer is a plain pc swap.
+    /// Guard failure: transfer the current frame to the baseline at the
+    /// pc of the `CallVirt` the failed site replaced, and mark the site
+    /// megamorphic so no future tier-up re-speculates it. Speculation only
+    /// rewrites call sites one for one, so the frame's registers are the
+    /// baseline's and the transfer is a body swap at the same pc.
     #[cold]
     fn deopt(&mut self, fi: usize, func: FuncId, site: u32, deopt_pc: u32, seen: u32) {
         self.stats.deopts += 1;
         let t = self.tier.as_deref_mut().expect("tiering enabled");
         t.mega[site as usize] = true;
-        t.slots[func as usize].body = None;
+        let slot = &mut t.slots[func as usize];
+        slot.body = None;
         // Re-tier at the next trigger point: the replacement body has the
         // failed site de-speculated but keeps everything else.
-        t.slots[func as usize].next_at = 0;
-        self.frames[fi].code = None;
+        slot.next_at = 0;
+        self.frames[fi].code = slot.baseline.clone();
         self.frames[fi].pc = deopt_pc as usize;
         self.code_gen = self.code_gen.wrapping_add(1);
         if let Some(fr) = self.flight.as_deref_mut() {
@@ -1179,21 +1171,25 @@ impl<'p> Vm<'p> {
         prepend: Option<Word>,
         args: &[Reg],
         rets: RetSlots,
-    ) {
-        let f = &self.program.funcs[callee as usize];
+    ) -> Result<(), VmError> {
+        let program = self.program;
+        let f = &program.funcs[callee as usize];
         debug_assert_eq!(
             args.len() + usize::from(prepend.is_some()),
             f.param_count,
             "arity calling {}",
             f.name
         );
+        let base = self.stack.len();
+        if base + f.reg_count + self.frames.len() >= STACK_BUDGET_WORDS {
+            return Err(VmError::StackOverflow);
+        }
         if let Some(t) = self.tracelog.as_deref_mut() {
             t.enter(callee);
         }
         if let Some(fr) = self.flight.as_deref_mut() {
             fr.record(self.stats.instrs, FlightKind::Call { kind, func: callee });
         }
-        let base = self.stack.len();
         self.stack.resize(base + f.reg_count, 0);
         let mut at = base;
         if let Some(w) = prepend {
@@ -1213,11 +1209,12 @@ impl<'p> Vm<'p> {
             entry_instr: self.stats.instrs,
             child_instrs: 0,
             code: if TIER {
-                self.tier.as_deref().and_then(|t| t.slots[callee as usize].body.clone())
+                self.tier.as_deref_mut().map(|t| t.entry(program, callee))
             } else {
                 None
             },
         });
+        Ok(())
     }
 
     fn alloc(&mut self, kind: CellKind, meta: u32, len: usize) -> Result<Word, VmError> {

@@ -481,6 +481,22 @@ fn vm_fuel_guard() {
     assert!(matches!(vm.run(), Err(VmError::OutOfFuel)));
 }
 
+/// Unbounded recursion ends in `StackOverflow` long before a fuel of 2^32
+/// runs out, on the plain lowering and under tiering alike.
+#[test]
+fn unbounded_recursion_overflows_the_stack_budget() {
+    let c = compile("def f(n: int) -> int { return f(n + 1); } def main() -> int { return f(0); }");
+    for tier in [false, true] {
+        let mut vm = Vm::new(&c.program);
+        vm.set_fuel(1 << 32);
+        if tier {
+            vm.enable_tiering(vgl_vm::DEFAULT_TIER_THRESHOLD);
+        }
+        assert!(matches!(vm.run(), Err(VmError::StackOverflow)), "tier {tier}");
+        assert!(vm.stats.calls > 100_000, "tier {tier}: {:?}", vm.stats);
+    }
+}
+
 #[test]
 fn exception_name_check() {
     // Keep the Display mapping stable across engines.
