@@ -255,7 +255,7 @@ pub fn measure_fusion(name: &str, source: &str, samples: usize) -> FusionMeasure
 }
 
 /// One workload measured with static whole-program fusion vs the tiered
-/// back end (each function fused at its first call, hot functions
+/// back end (the program fused once when the VM starts, hot functions
 /// speculating on their inline-cache feedback) — the E11 data point.
 #[derive(Clone, Debug)]
 pub struct TieredMeasurement {
@@ -282,11 +282,11 @@ impl TieredMeasurement {
 }
 
 /// Compiles `source` twice — static fusion vs tiering (which compiles
-/// unfused, fuses each function at its first call, and speculates once a
+/// unfused, fuses the program when the VM starts, and speculates once a
 /// function is hot) — asserts both behave identically, and reports
 /// interleaved warmup + min-of-N timings plus the tiered run's speculation
-/// counters. Every tiered sample starts a fresh VM, so first-call fusion and
-/// the warmup knee are honestly inside the measurement.
+/// counters. Every tiered sample starts a fresh VM, so the VM's fusion of
+/// the program and the warmup knee are honestly inside the measurement.
 pub fn measure_tiered(name: &str, source: &str, samples: usize) -> TieredMeasurement {
     let fused = compile(source);
     let tiered = compile_with(&Compiler::new().with_tiering(), source);

@@ -1,12 +1,12 @@
 //! Tiering work, counted without a clock.
 //!
-//! A tiered VM runs each function's statically fused body, built at the
-//! function's first call, and tier-up only rewrites the speculated
-//! `CallVirt` sites of that body one for one. So a tiered run executes at
-//! most the instructions of the statically fused run, plus one per deopt:
-//! a failed guard counts as an instruction, and the baseline then runs the
-//! `CallVirt` it replaced. Inlined callees make a tiered run shorter. The
-//! counts are deterministic, so the bound is exact at any host speed.
+//! A tiered VM runs the code the static fuse pass gives, and tier-up only
+//! records speculation at `CallVirt` sites: a matching receiver calls its
+//! callee directly or runs the callee's body in place, and any other
+//! receiver goes on as the plain call it is. So a tiered run executes at
+//! most the instructions of the statically fused run, and inlined callees
+//! make it shorter. The counts are deterministic, so the bound is exact at
+//! any host speed.
 
 use vgl::{Compilation, Compiler, Options, RunOutcome};
 use vgl_bench::workloads;
@@ -65,15 +65,19 @@ fn tiering_never_adds_executed_work() {
             })
             .compile(&src)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let vm = tiered.vm();
+            let code = vm.tier_state().expect("tiering enabled").funcs();
+            assert_eq!(code.len(), fused.program.funcs.len(), "{name}: function count");
+            for (f, (got, want)) in code.iter().zip(&fused.program.funcs).enumerate() {
+                assert_eq!(got.code, want.code, "{name}: f{f} {} is not the static code", want.name);
+            }
             let (got, stats) = run(&name, &tiered);
             assert_eq!(got.result, want.result, "{name} at threshold {threshold}: result");
             assert_eq!(got.output, want.output, "{name} at threshold {threshold}: output");
             assert!(
-                stats.instrs <= fused_stats.instrs + stats.deopts,
-                "{name} at threshold {threshold}: tiered executes {} instrs with {} deopts, \
-                 static fusion {}",
+                stats.instrs <= fused_stats.instrs,
+                "{name} at threshold {threshold}: tiered executes {} instrs, static fusion {}",
                 stats.instrs,
-                stats.deopts,
                 fused_stats.instrs
             );
         }

@@ -46,8 +46,10 @@
 //! ```
 //!
 //! `--no-fuse` turns off the bytecode back-end optimizer (on by default) for
-//! any compile-based subcommand; a tiered run still fuses each function in
-//! the VM at its first call.
+//! any compile-based subcommand. A tiered VM always runs the fused program,
+//! so `--no-fuse` also selects the static pipeline for `run` and `trace`,
+//! and combining it with `--tier`, `--tier-threshold N` or `disasm
+//! --tiered` is a usage error.
 //!
 //! `--jobs N` sets the worker-thread count for fuse, the one pooled back-end
 //! phase (default: the `VGL_JOBS` environment variable, else the machine's
@@ -64,17 +66,19 @@
 //! events (calls, IC misses, collections, tier-ups, deopts; default 64) and
 //! dumps it to stderr when the run ends in a trap or `System.error`.
 //!
-//! Tiered execution: `run` and `trace` tier by default — the VM fuses each
-//! function at its first call, as the static pass would, and tier-up only
-//! speculates: once a function is hot, its monomorphic virtual call sites
-//! become receiver-class guards or inlined bodies, and a failing guard
-//! deoptimizes to the same pc of the fused baseline.
+//! Tiered execution: `run` and `trace` tier by default — the VM runs the
+//! program the static fuse pass gives, and tier-up only speculates: once a
+//! function is hot, each of its monomorphic virtual call sites checks its
+//! receiver's class and calls the expected callee directly or runs its
+//! one-instruction body in place, in every frame of the function. A
+//! receiver of another class deoptimizes the site in place: it goes
+//! megamorphic and the call proceeds as a plain virtual call.
 //! `--no-tier` restores the static pipeline; `--tier` forces tiering for
 //! any compile-based subcommand; `--tier-threshold N` (or the
 //! `VGL_TIER_THRESHOLD` environment variable) sets the hotness weight at
 //! which a function tiers up. `disasm --tiered` runs the program and shows
-//! each tiered function's fused baseline and hot-tier bodies side by side
-//! with guard sites annotated. Calls nested past the VM's stack budget end
+//! each tiered function's fused code beside the same code with its
+//! speculated sites annotated. Calls nested past the VM's stack budget end
 //! a run with the runtime error `stack overflow`.
 
 use std::process::ExitCode;
@@ -443,6 +447,11 @@ fn main() -> ExitCode {
     if json && cmd != "stats" && cmd != "check" {
         return usage();
     }
+    // A tiered VM always runs the fused program, so `--no-fuse` selects the
+    // static pipeline and cannot be combined with a request for tiering.
+    if !options.fuse && (tier_flag == Some(true) || tier_threshold.is_some() || tiered_view) {
+        return usage();
+    }
     let source = match std::fs::read_to_string(&path) {
         Ok(s) => s,
         Err(e) => {
@@ -454,7 +463,8 @@ fn main() -> ExitCode {
         return check(&path, &source, json);
     }
     // Tier policy: `run` and `trace` tier by default (the production
-    // configuration); everything else opts in via `--tier` or an explicit
+    // configuration) unless `--no-fuse` selects the static pipeline;
+    // everything else opts in via `--tier` or an explicit
     // `--tier-threshold`. `VGL_TIER_THRESHOLD` overrides the threshold.
     let env_threshold = std::env::var("VGL_TIER_THRESHOLD")
         .ok()
@@ -462,10 +472,11 @@ fn main() -> ExitCode {
     if let Some(t) = tier_threshold.or(env_threshold) {
         options.tier_threshold = t;
     }
-    options.tier = match tier_flag {
-        Some(v) => v,
-        None => tier_threshold.is_some() || matches!(cmd.as_str(), "run" | "trace"),
-    };
+    options.tier = options.fuse
+        && match tier_flag {
+            Some(v) => v,
+            None => tier_threshold.is_some() || matches!(cmd.as_str(), "run" | "trace"),
+        };
     // `disasm` always compiles unfused so the side-by-side view can show the
     // fusion pass's before and after on the same baseline.
     let fuse_requested = options.fuse;
@@ -592,12 +603,15 @@ fn main() -> ExitCode {
             println!("== hotness ==");
             print!("{}", hotness.render_table(&compilation.program));
             if let Some(s) = &out.vm_stats {
+                // With no virtual call there is no rate to report.
+                let rate = if s.ic_hits + s.ic_misses == 0 {
+                    "n/a".to_string()
+                } else {
+                    format!("{:.1}%", s.ic_hit_rate() * 100.0)
+                };
                 println!(
-                    "ic: {} hits, {} misses ({:.1}% hit rate); ret spills: {}",
-                    s.ic_hits,
-                    s.ic_misses,
-                    s.ic_hit_rate() * 100.0,
-                    s.ret_spills
+                    "ic: {} hits, {} misses ({rate} hit rate); ret spills: {}",
+                    s.ic_hits, s.ic_misses, s.ret_spills
                 );
                 if s.tier_ups > 0 || s.deopts > 0 {
                     println!(

@@ -106,7 +106,10 @@ pub struct Options {
     /// Run the bytecode back-end optimizer after lowering: copy propagation,
     /// dead-register elimination, and superinstruction fusion
     /// ([`vgl_vm::fuse`](mod@vgl_vm::fuse)). Default on; turn it off for
-    /// ablation with [`Compiler::without_fuse`] or `vglc --no-fuse`.
+    /// ablation with [`Compiler::without_fuse`] or `vglc --no-fuse`. It
+    /// shapes the static pipeline only: a tiered VM ([`Options::tier`])
+    /// always runs the fused program, so `vglc` refuses `--no-fuse` with
+    /// tiering.
     pub fuse: bool,
     /// Worker threads for fuse, the one pooled back-end phase; instance
     /// fingerprinting, normalize and optimize run on the calling thread at
@@ -126,13 +129,14 @@ pub struct Options {
     /// rates.
     pub pass_cache: bool,
     /// Tiered profile-guided execution (default off in the library; `vglc`
-    /// turns it on). When set, the static whole-program fuse pass is
-    /// skipped and the program keeps its unfused code: the VM fuses each
-    /// function at its first call with the pass's per-function routine, so
-    /// the baseline is the statically fused body, and a function that gets
-    /// hot tiers up, which only speculates — IC-feedback devirtualization
-    /// behind receiver-class guards, with deoptimization to the same pc of
-    /// the baseline on guard failure.
+    /// turns it on). When set, the compile skips the static whole-program
+    /// fuse pass and the program keeps its unfused code; the VM
+    /// ([`Compilation::vm`]) fuses it once with the same pass and runs the
+    /// fused code. A function that gets hot tiers up, which only
+    /// speculates: each monomorphic call site checks its receiver's class
+    /// and calls the expected callee directly or runs its one-instruction
+    /// body in place, in every frame of the function, and a receiver of
+    /// another class deoptimizes the site in place to a plain virtual call.
     pub tier: bool,
     /// Hotness weight (calls + back-edge ticks) at which a function tiers
     /// up. `vglc --tier-threshold` / `VGL_TIER_THRESHOLD` override it.
@@ -326,9 +330,8 @@ impl Compiler {
             || vgl_vm::lower_reusing(&compiled, splices.as_ref().map(|s| &s.plan)),
             |(p, _)| p.code_size(),
         );
-        // Under tiering the VM fuses each function at its first call, so
-        // functions that never run are never fused and the compile skips
-        // the whole-program pass and its worker pool.
+        // Under tiering the VM fuses the program when it starts, serially,
+        // so the compile skips the whole-program pass and its worker pool.
         let fuse = if o.fuse && !o.tier {
             // Spliced code is final: the pool neither fuses it again nor
             // copies it into a duplicate.

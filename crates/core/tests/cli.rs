@@ -222,6 +222,41 @@ fn bad_usage_exits_2() {
     assert_eq!(out.status.code(), Some(2), "--json is stats-only");
 }
 
+fn example(name: &str) -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/v").join(name);
+    path.to_str().expect("utf8 path").to_string()
+}
+
+/// A tiered VM always runs the fused program, so `--no-fuse` selects the
+/// static pipeline: asking for tiering as well is a usage error, and a
+/// plain `run --no-fuse` prints what the default tiered run prints.
+#[test]
+fn no_fuse_selects_the_static_pipeline() {
+    let gc = example("gc.v");
+    for args in [
+        &["stats", "--json", "--tier", "--no-fuse", gc.as_str()][..],
+        &["run", "--no-fuse", "--tier-threshold", "8", gc.as_str()],
+        &["disasm", "--tiered", "--no-fuse", gc.as_str()],
+    ] {
+        let out = vglc(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+    }
+    let plain = vglc(&["run", "--no-fuse", &gc]);
+    let tiered = vglc(&["run", &gc]);
+    assert!(plain.status.success(), "{plain:?}");
+    assert!(tiered.status.success(), "{tiered:?}");
+    assert_eq!(plain.stdout, tiered.stdout);
+}
+
+/// `gc.v` makes no virtual call, so there is no IC hit rate to report.
+#[test]
+fn profile_prints_no_ic_hit_rate_without_virtual_calls() {
+    let out = vglc(&["profile", &example("gc.v")]);
+    assert!(out.status.success(), "profile failed: {out:?}");
+    let text = String::from_utf8(out.stdout).expect("utf8");
+    assert!(text.contains("ic: 0 hits, 0 misses (n/a hit rate)"), "{text}");
+}
+
 #[test]
 fn missing_file_fails_cleanly() {
     let out = vglc(&["run", "/nonexistent/nope.v"]);

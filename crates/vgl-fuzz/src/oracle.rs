@@ -16,10 +16,10 @@
 //!    §4.2 zero-tuple-box invariant asserted on its heap statistics after;
 //! 7. `vm-tiered`: the *unfused* lowering of the optimized module under
 //!    **tiered profile-guided execution** — the program `vglc run` ships.
-//!    The VM fuses each function at its first call, and tier-up only
-//!    speculates: hot functions guard their monomorphic call sites by
-//!    receiver class, and a failing guard deoptimizes to the same pc of
-//!    the fused baseline. The hotness threshold comes from
+//!    The VM fuses the program once and runs the fused code, and tier-up
+//!    only speculates: hot functions guard their monomorphic call sites by
+//!    receiver class, and a failing guard deoptimizes the site in place to
+//!    a plain virtual call. The hotness threshold comes from
 //!    `VGL_TIER_THRESHOLD` (CI's forced-deopt lane sets it to 1 so
 //!    effectively every call tiers up); tier-up, guard hits, and deopts
 //!    must all be behaviourally invisible, and the §4.2 zero-tuple-box
@@ -348,10 +348,10 @@ pub fn check_source_tampered(
     let (fused_run, fused_tuple_boxes) = run_vm_program("vm-fused", &fused_prog, cfg);
 
     // The seventh configuration runs what `Options::tier` builds — the
-    // unfused lowering — under tiered execution: the VM fuses each function
-    // at its first call, and functions that cross the hotness threshold
-    // speculate on monomorphic sites and deoptimize on guard failure — all
-    // of which must be behaviourally invisible.
+    // unfused lowering — under tiered execution: the VM fuses the program
+    // once, and functions that cross the hotness threshold speculate on
+    // monomorphic sites and deoptimize on guard failure — all of which must
+    // be behaviourally invisible.
     // `VGL_TIER_THRESHOLD` feeds the CI forced-deopt lane (threshold 1 ⇒
     // tier-up on effectively every call).
     let tier_threshold = std::env::var("VGL_TIER_THRESHOLD")

@@ -396,59 +396,17 @@ pub enum Instr {
         /// Right operand.
         b: Reg,
     },
-
-    // ---- speculative superinstructions (emitted only by tier-up's
-    // ---- speculation, never by lowering or the static fuse pass) --------
-    /// Guarded direct call: a `CallVirt` whose inline cache stayed
-    /// monomorphic, devirtualized by the tier-up pass. When `args[0]`'s
-    /// class equals `class` the call proceeds directly to `func`; otherwise
-    /// the frame **deoptimizes** — transfers to the fused baseline at
-    /// `deopt_pc` (this instruction's own pc, where the baseline holds the
-    /// original `CallVirt`, which re-executes and carries the vtable slot)
-    /// and marks `site` megamorphic.
-    CallGuard {
-        /// Expected receiver class (the IC snapshot at tier-up).
-        class: u32,
-        /// Devirtualized callee (what the vtable resolved to for `class`).
-        func: FuncId,
-        /// The baseline `CallVirt`'s inline-cache site index.
-        site: u32,
-        /// Baseline-body pc to resume at on guard failure.
-        deopt_pc: u32,
-        /// Argument registers; `args[0]` is the receiver (null-checked).
-        args: Vec<Reg>,
-        /// Destinations.
-        rets: Vec<Reg>,
-    },
-    /// Guarded speculative inlining of a one-instruction callee body: the
-    /// receiver-class guard of [`Instr::CallGuard`] plus the callee's entire
-    /// effect as an [`InlOp`] micro-op, eliding the frame push/pop. Same
-    /// deopt protocol as `CallGuard`.
-    CallInline {
-        /// Expected receiver class.
-        class: u32,
-        /// The baseline `CallVirt`'s inline-cache site index.
-        site: u32,
-        /// Baseline-body pc to resume at on guard failure.
-        deopt_pc: u32,
-        /// The inlined callee body.
-        op: InlOp,
-        /// Argument registers; `args[0]` is the receiver (null-checked).
-        args: Vec<Reg>,
-        /// Destinations (zero or one).
-        rets: Vec<Reg>,
-    },
 }
 
-/// The inlined body of a [`Instr::CallInline`]: a one-instruction callee
-/// reduced to a micro-op over the call's argument registers. Operand bytes
-/// index into `args` (parameter positions), not frame registers — the
-/// callee frame is never materialized. Only non-allocating, non-trapping
-/// shapes are eligible (`Div`/`Mod` by a register operand and `BinI` with a
-/// zero immediate are excluded so the inlined op cannot raise an arithmetic
-/// trap the guard did not anticipate; the field load keeps its null check).
+/// A one-instruction callee reduced to a micro-op over a call site's
+/// argument registers: what a tiered VM runs in place of a speculated
+/// `CallVirt` whose callee inlines. Operand bytes index into `args`
+/// (parameter positions), not frame registers — the callee frame is never
+/// materialized. Only non-allocating shapes are eligible, and trapping
+/// arithmetic (`Div`/`Mod`) never inlines; the field load keeps its null
+/// check.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum InlOp {
+pub(crate) enum InlOp {
     /// Return the `i`-th argument unchanged (identity/getter-of-self).
     Arg(u8),
     /// Return a scalar constant.
@@ -463,7 +421,7 @@ pub enum InlOp {
 
 /// Number of distinct opcodes — the length of [`OPCODE_NAMES`] and of the
 /// profiler's retired-instruction histogram.
-pub const OPCODE_COUNT: usize = 50;
+pub const OPCODE_COUNT: usize = 48;
 
 /// Index of the first superinstruction opcode: opcodes in
 /// `FIRST_SUPER_OPCODE..OPCODE_COUNT` are only ever emitted by the fusion
@@ -520,8 +478,6 @@ pub const OPCODE_NAMES: [&str; OPCODE_COUNT] = [
     "field_get_ret",
     "global_bin",
     "global_accum",
-    "call_guard",
-    "call_inline",
 ];
 
 impl Instr {
@@ -577,8 +533,6 @@ impl Instr {
             Instr::FieldGetRet { .. } => 45,
             Instr::GlobalBin { .. } => 46,
             Instr::GlobalAccum { .. } => 47,
-            Instr::CallGuard { .. } => 48,
-            Instr::CallInline { .. } => 49,
         }
     }
 

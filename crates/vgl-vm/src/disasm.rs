@@ -24,13 +24,14 @@ fn bin_op(k: BinKind) -> &'static str {
     }
 }
 
+fn regs(rs: &[u16]) -> String {
+    let v: Vec<String> = rs.iter().map(|r| format!("r{r}")).collect();
+    format!("[{}]", v.join(", "))
+}
+
 /// Renders one instruction.
 pub fn disasm_instr(i: &Instr) -> String {
     use Instr::*;
-    fn regs(rs: &[u16]) -> String {
-        let v: Vec<String> = rs.iter().map(|r| format!("r{r}")).collect();
-        format!("[{}]", v.join(", "))
-    }
     match i {
         ConstI(d, v) => format!("r{d} <- const {v}"),
         ConstNull(d) => format!("r{d} <- null"),
@@ -97,17 +98,6 @@ pub fn disasm_instr(i: &Instr) -> String {
         FieldGetRet { obj, slot } => format!("ret r{obj}.{slot}"),
         GlobalBin { k, dst, g, b } => format!("r{dst} <- g{g} {} r{b}", bin_op(*k)),
         GlobalAccum { k, g, b } => format!("g{g} <- g{g} {} r{b}", bin_op(*k)),
-        CallGuard { class, func, site, deopt_pc, args, rets } => format!(
-            "call_guard class#{class} f{func} ic#{site} {} -> {} !deopt@{deopt_pc}",
-            regs(args),
-            regs(rets)
-        ),
-        CallInline { class, site, deopt_pc, op, args, rets } => format!(
-            "call_inline class#{class} ic#{site} {} {} -> {} !deopt@{deopt_pc}",
-            inl_op(op),
-            regs(args),
-            regs(rets)
-        ),
     }
 }
 
@@ -197,11 +187,15 @@ pub fn side_by_side(before: &VmProgram, after: &VmProgram) -> String {
     out
 }
 
-/// Renders every currently-tiered function as a baseline | hot-tier
-/// two-column view with guard sites annotated — `vglc disasm --tiered`.
-/// The baseline column is the fused body the [`crate::TierState`] holds,
-/// the one the guards' deopt pcs index; `p` must be the program the state
-/// was collected against (it supplies the function names).
+/// Renders every function that tiered up as a baseline | tiered
+/// two-column view — `vglc disasm --tiered`. The left column is the fused
+/// code the [`crate::TierState`] runs. The right column is the same code
+/// with each speculated `CallVirt` shown as what it now performs: a
+/// `call_guard` (a direct call behind a receiver-class guard) or a
+/// `call_inline` (the callee's body in place of the call), marked with the
+/// site's own pc, where a failing guard goes on as the plain call. `p` must
+/// be the program the state was collected against (it supplies the
+/// function names).
 pub fn tiered_view(p: &VmProgram, tier: &crate::TierState) -> String {
     const COL: usize = 38;
     let mut out = String::new();
@@ -218,19 +212,44 @@ pub fn tiered_view(p: &VmProgram, tier: &crate::TierState) -> String {
         let sites: Vec<String> = mega.iter().map(|s| format!("ic#{s}")).collect();
         let _ = writeln!(out, "; megamorphic (never re-speculated): {}", sites.join(", "));
     }
-    for (func, baseline, body, tier_ups) in tiered {
-        let guards = body.iter().filter(|i| matches!(i, Instr::CallGuard { .. })).count();
-        let inlines = body.iter().filter(|i| matches!(i, Instr::CallInline { .. })).count();
+    let spec_of = |i: &Instr| match i {
+        Instr::CallVirt { site, .. } => tier.spec[*site as usize],
+        _ => None,
+    };
+    for (func, tier_ups) in tiered {
+        let code = &tier.funcs()[func as usize].code;
+        let (inlines, guards): (Vec<_>, Vec<_>) =
+            code.iter().filter_map(spec_of).partition(|s| s.op.is_some());
         let _ = writeln!(
             out,
-            "\nf{func} {} (tier-ups={tier_ups}, guards={guards}, inlines={inlines}):",
-            p.funcs[func as usize].name
+            "\nf{func} {} (tier-ups={tier_ups}, guards={}, inlines={}):",
+            p.funcs[func as usize].name,
+            guards.len(),
+            inlines.len()
         );
         let _ = writeln!(out, "  {:<COL$} | -- tiered --", "-- baseline --");
-        // Speculation rewrites call sites one for one: the rows pair up.
-        for (pc, (b, t)) in baseline.iter().zip(body).enumerate() {
-            let left = format!("{pc:4}  {}", disasm_instr(b));
-            let _ = writeln!(out, "  {left:<COL$} | {pc:4}  {}", disasm_instr(t));
+        for (pc, i) in code.iter().enumerate() {
+            let left = format!("{pc:4}  {}", disasm_instr(i));
+            let right = match (i, spec_of(i)) {
+                (Instr::CallVirt { site, args, rets, .. }, Some(s)) => match s.op {
+                    Some(op) => format!(
+                        "call_inline class#{} ic#{site} {} {} -> {} !deopt@{pc}",
+                        s.class,
+                        inl_op(&op),
+                        regs(args),
+                        regs(rets)
+                    ),
+                    None => format!(
+                        "call_guard class#{} f{} ic#{site} {} -> {} !deopt@{pc}",
+                        s.class,
+                        s.func,
+                        regs(args),
+                        regs(rets)
+                    ),
+                },
+                _ => disasm_instr(i),
+            };
+            let _ = writeln!(out, "  {left:<COL$} | {pc:4}  {right}");
         }
     }
     out
@@ -292,22 +311,6 @@ mod tests {
             FieldGetRet { obj: 0, slot: 1 },
             GlobalBin { k: BinKind::Add, dst: 0, g: 1, b: 2 },
             GlobalAccum { k: BinKind::Add, g: 0, b: 1 },
-            CallGuard {
-                class: 2,
-                func: 1,
-                site: 0,
-                deopt_pc: 4,
-                args: vec![1],
-                rets: vec![2],
-            },
-            CallInline {
-                class: 2,
-                site: 0,
-                deopt_pc: 4,
-                op: crate::bytecode::InlOp::Field(1, 0),
-                args: vec![1],
-                rets: vec![2],
-            },
         ];
         for i in &instrs {
             assert!(!disasm_instr(i).is_empty());

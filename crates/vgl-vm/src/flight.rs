@@ -63,20 +63,21 @@ pub enum FlightKind {
         /// Heap capacity at collection time.
         capacity_slots: usize,
     },
-    /// A function crossed its hotness threshold and installed a hot-tier
-    /// body: its fused baseline with the monomorphic call sites speculated.
+    /// A function crossed its hotness threshold and tiered up: each of its
+    /// monomorphic, stable `CallVirt` sites now speculates on its receiver
+    /// class, in every frame of the function, running ones included.
     TierUp {
         /// The function that tiered up.
         func: FuncId,
     },
-    /// A speculation guard failed: the frame fell back to the same pc of
-    /// the fused baseline and the site was marked megamorphic.
+    /// A speculated site saw a receiver of another class: the site was
+    /// marked megamorphic and the call went on as a plain virtual call.
     Deopt {
         /// The guarded call site.
         site: u32,
         /// The receiver class that broke the guard (`u32::MAX` for null).
         class: u32,
-        /// The function whose tiered body deoptimized.
+        /// The function the site belongs to.
         func: FuncId,
     },
     /// Execution ended abnormally (language trap, `System.error`, fuel, or

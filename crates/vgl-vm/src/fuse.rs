@@ -224,7 +224,7 @@ fn count_ref_stores(code: &[Instr]) -> usize {
 /// grown to the largest function seen, an analysis or rewrite round
 /// allocates nothing but the rewritten code.
 #[derive(Default)]
-pub(crate) struct Scratch {
+struct Scratch {
     live: Liveness,
     copies: Copies,
     /// Per-pc rewrite plan for [`rebuild`].
@@ -238,10 +238,9 @@ pub(crate) struct Scratch {
 }
 
 /// Fuses one function in place: the per-function routine of
-/// [`fuse_cfg_masked`], and the one a tiered VM runs to build a function's
-/// baseline at its first call. Debug-asserts that the multisets of
-/// allocating instructions and of barrier-carrying stores are unchanged.
-pub(crate) fn fuse_func(f: &mut VmFunc, stats: &mut FuseStats, cx: &mut Scratch) {
+/// [`fuse_cfg_masked`]. Debug-asserts that the multisets of allocating
+/// instructions and of barrier-carrying stores are unchanged.
+fn fuse_func(f: &mut VmFunc, stats: &mut FuseStats, cx: &mut Scratch) {
     stats.instrs_before += f.code.len();
     let allocs_before = count_allocs(&f.code);
     let ref_stores_before = count_ref_stores(&f.code);
@@ -323,7 +322,6 @@ fn for_each_use(i: &Instr, g: &mut impl FnMut(Reg)) {
         ClosCast { clos, .. } => g(*clos),
         CheckNull(r) => g(*r),
         Ret(rs) => rs.iter().for_each(|&r| g(r)),
-        CallGuard { args, .. } | CallInline { args, .. } => args.iter().for_each(|&r| g(r)),
         BinI { a, .. } => g(*a),
         IncLocal { r, .. } => g(*r),
         CmpBr { a, b, .. } => {
@@ -390,9 +388,6 @@ fn map_uses(i: &mut Instr, g: &mut impl FnMut(Reg) -> Reg) {
         ClosQuery { clos, .. } | ClosCast { clos, .. } => *clos = g(*clos),
         CheckNull(r) => *r = g(*r),
         Ret(rs) => rs.iter_mut().for_each(|r| *r = g(*r)),
-        CallGuard { args, .. } | CallInline { args, .. } => {
-            args.iter_mut().for_each(|r| *r = g(*r))
-        }
         BinI { a, .. } => *a = g(*a),
         IncLocal { r, .. } => *r = g(*r),
         CmpBr { a, b, .. } | EqBr { a, b, .. } => {
@@ -414,9 +409,7 @@ fn for_each_def(i: &Instr, g: &mut impl FnMut(Reg)) {
         | EqRR(d, ..) | EqClos(d, ..) | IsNull(d, _) => g(*d),
         Bin(_, d, ..) => g(*d),
         Call { rets, .. } | CallVirt { rets, .. } | CallClos { rets, .. }
-        | CallBuiltin { rets, .. } | CallGuard { rets, .. } | CallInline { rets, .. } => {
-            rets.iter().for_each(|&r| g(r))
-        }
+        | CallBuiltin { rets, .. } => rets.iter().for_each(|&r| g(r)),
         MakeClos { dst, .. } | MakeClosVirt { dst, .. } | NewObject { dst, .. }
         | NewArray { dst, .. } | ArrayLit { dst, .. } | ArrayLen { dst, .. }
         | ArrayGet { dst, .. } | FieldGet { dst, .. } | GlobalGet { dst, .. }
@@ -1176,45 +1169,15 @@ fn fuse_pairs(f: &mut VmFunc, stats: &mut FuseStats, cx: &mut Scratch) -> bool {
 
 // ---- tier-up speculation ---------------------------------------------------
 
-/// The tier-up pass: rewrites each `CallVirt` of a fused `baseline` whose
-/// site `spec` speculates — `Some((expected class, callee))` — into a
-/// [`Instr::CallGuard`], or into a [`Instr::CallInline`] when the callee is
-/// a one-instruction leaf. The rewrite is one for one and touches nothing
-/// else, so every instruction keeps its pc and each guard's deopt pc is its
-/// own: a failing guard resumes the baseline at the `CallVirt` it replaced,
-/// with the frame as it is. Returns `None` when no site is speculated.
-pub fn speculate(
-    p: &VmProgram,
-    baseline: &[Instr],
-    spec: &dyn Fn(u32) -> Option<(u32, FuncId)>,
-) -> Option<Vec<Instr>> {
-    if !baseline
-        .iter()
-        .any(|i| matches!(i, Instr::CallVirt { site, .. } if spec(*site).is_some()))
-    {
-        return None;
-    }
-    let mut code = baseline.to_vec();
-    for (pc, i) in code.iter_mut().enumerate() {
-        let Instr::CallVirt { site, args, rets, .. } = i else { continue };
-        let Some((class, callee)) = spec(*site) else { continue };
-        let (site, deopt_pc) = (*site, pc as u32);
-        let (args, rets) = (std::mem::take(args), std::mem::take(rets));
-        *i = match inline_op(p, callee, args.len()) {
-            Some(op) => Instr::CallInline { class, site, deopt_pc, op, args, rets },
-            None => Instr::CallGuard { class, func: callee, site, deopt_pc, args, rets },
-        };
-    }
-    Some(code)
-}
-
-/// Whether `callee`'s body is a one-instruction leaf reducible to an
-/// [`InlOp`] at a call site with `argc` arguments. Parameters occupy
-/// registers `0..param_count`, so operand registers below `param_count`
-/// name argument positions directly. Trapping arithmetic (`Div`/`Mod`) is
-/// never inlined; the field accessor keeps its null check at execution.
-fn inline_op(p: &VmProgram, callee: FuncId, argc: usize) -> Option<InlOp> {
-    let f = p.funcs.get(callee as usize)?;
+/// Whether `callee`'s fused body is a one-instruction leaf reducible to an
+/// [`InlOp`] at a call site with `argc` arguments. Tier-up asks this of each
+/// `CallVirt` site it speculates on: a matching receiver then runs the op in
+/// place of the call, with no frame. Parameters occupy registers
+/// `0..param_count`, so operand registers below `param_count` name argument
+/// positions directly. Trapping arithmetic (`Div`/`Mod`) is never inlined;
+/// the field accessor keeps its null check at execution.
+pub(crate) fn inline_op(funcs: &[VmFunc], callee: FuncId, argc: usize) -> Option<InlOp> {
+    let f = funcs.get(callee as usize)?;
     if f.ret_count != 1 || f.param_count != argc || f.param_count > u8::MAX as usize {
         return None;
     }
@@ -1254,19 +1217,6 @@ fn inline_op(p: &VmProgram, callee: FuncId, argc: usize) -> Option<InlOp> {
         }
         [Instr::FieldGetRet { obj, slot }] if param(*obj) && *slot <= u16::MAX as u32 => {
             Some(InlOp::Field(*slot as u16, *obj as u8))
-        }
-        // The unfused form of `param op constant`: a constant load feeding a
-        // binary op whose other operand is a parameter, as a tiered program
-        // holds it (its functions are fused only inside the VM).
-        [Instr::ConstI(c, v), Instr::Bin(k, d, a, b), Instr::Ret(rs)]
-            if rs.len() == 1
-                && rs[0] == *d
-                && param(*a)
-                && b == c
-                && !param(*c)
-                && !matches!(k, BinKind::Div | BinKind::Mod) =>
-        {
-            i32::try_from(*v).ok().map(|imm| InlOp::BinI(*k, *a as u8, imm))
         }
         _ => None,
     }
@@ -1367,10 +1317,7 @@ pub fn check_fused(p: &VmProgram) -> Vec<Violation> {
                         .into(),
                 });
             }
-            if let Instr::CallVirt { site, .. }
-            | Instr::CallGuard { site, .. }
-            | Instr::CallInline { site, .. } = i
-            {
+            if let Instr::CallVirt { site, .. } = i {
                 match sites_seen.get_mut(*site as usize) {
                     Some(seen) => *seen = true,
                     None => out.push(Violation {
@@ -1401,8 +1348,7 @@ pub fn check_fused(p: &VmProgram) -> Vec<Violation> {
 /// pairs, but dropping (or inventing) an allocation breaks the §4.2
 /// structural claim, and dropping a write barrier silently loses objects at
 /// the next minor collection. This is the release-build counterpart of the
-/// `debug_assert`s inside [`fuse`] and the tiered VM's baseline build; the
-/// fuzz oracle runs it on every case.
+/// `debug_assert`s inside [`fuse`]; the fuzz oracle runs it on every case.
 pub fn check_fused_against(baseline: &VmProgram, fused: &VmProgram) -> Vec<Violation> {
     let mut out = Vec::new();
     if baseline.funcs.len() != fused.funcs.len() {
@@ -1865,34 +1811,6 @@ mod tests {
         assert_eq!(f.code[1], Instr::Bin(BinKind::Add, 2, 0, 0));
         assert_eq!(f.code[2], Instr::Bin(BinKind::Add, 3, 1, 1));
         assert_eq!(stats.copies_propagated, 2);
-    }
-
-    #[test]
-    fn speculation_rewrites_call_sites_in_place_and_keeps_every_pc() {
-        let (args, rets) = (vec![0], vec![1]);
-        let call = |site| Instr::CallVirt { slot: 0, site, args: args.clone(), rets: rets.clone() };
-        let base = vec![
-            call(0),                                 // speculated; f1 inlines
-            Instr::BrFalse(1, 3),                    // → 4
-            call(1),
-            Instr::Jump(-3),                         // → 0
-            call(2),                                 // speculated; f2 keeps its frame
-            Instr::Ret(vec![1]),
-        ];
-        let callee = |code| VmFunc { param_count: 1, ..func(1, code) };
-        let deep = vec![Instr::Call { func: 1, args: vec![0], rets: vec![0] }, Instr::Ret(vec![0])];
-        let p = VmProgram {
-            funcs: vec![func(2, base.clone()), callee(vec![Instr::Ret(vec![0])]), callee(deep)],
-            ..VmProgram::default()
-        };
-        assert!(speculate(&p, &base, &|_| None).is_none());
-        let spec = |site: u32| [Some((5, 1)), None, Some((6, 2))][site as usize];
-        let t = speculate(&p, &base, &spec).expect("sites 0 and 2 speculate");
-        let mut want = base.clone();
-        let (op, a, r) = (InlOp::Arg(0), args.clone(), rets.clone());
-        want[0] = Instr::CallInline { class: 5, site: 0, deopt_pc: 0, op, args: a, rets: r };
-        want[4] = Instr::CallGuard { class: 6, func: 2, site: 2, deopt_pc: 4, args, rets };
-        assert_eq!(t, want, "each guard deopts to its own pc; every other pc is kept");
     }
 
     /// End-to-end equivalence on a real loop: the full pass must produce the

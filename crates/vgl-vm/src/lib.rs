@@ -33,14 +33,12 @@ mod tier;
 mod vm;
 
 pub use bytecode::{
-    BinKind, ClosTest, FuncId, InlOp, Instr, Reg, VmClass, VmFunc, VmProgram,
-    FIRST_SUPER_OPCODE, OPCODE_COUNT, OPCODE_NAMES,
+    BinKind, ClosTest, FuncId, Instr, Reg, VmClass, VmFunc, VmProgram, FIRST_SUPER_OPCODE,
+    OPCODE_COUNT, OPCODE_NAMES,
 };
 pub use disasm::{disasm, disasm_instr, side_by_side, tiered_view};
 pub use flight::{CallKind, FlightEvent, FlightKind, FlightRecorder};
-pub use fuse::{
-    check_fused, check_fused_against, fuse, fuse_cfg, fuse_cfg_masked, speculate, FuseStats,
-};
+pub use fuse::{check_fused, check_fused_against, fuse, fuse_cfg, fuse_cfg_masked, FuseStats};
 pub use lower::{lower, lower_reusing, Demand, ReusePlan, SpliceFunc, SpliceRecord};
 pub use profile::{FuncSpan, GcEvent, HotFunc, RuntimeProfile, TierInstant, TraceLog, VmProfile};
 pub use tier::{

@@ -88,8 +88,7 @@ pub struct ReusePlan {
 }
 
 /// Rewrites positional operands in relocatable cached code: dense
-/// `CallVirt`/`CallGuard`/`CallInline` site ids and `ConstPool` ids shift
-/// by their base deltas; memoized `ClosQuery`/`ClosCast` test ids map
+/// `CallVirt` site ids and `ConstPool` ids shift by their base deltas; memoized `ClosQuery`/`ClosCast` test ids map
 /// through the demand replay's old → new table. Every other operand kind
 /// (functions, classes, globals, field and vtable slots, registers) is
 /// context-stable and passes through untouched.
@@ -105,9 +104,7 @@ fn relocate_code(
     for ins in code {
         match ins {
             Instr::ConstPool(_, ix) => shift(ix, pool_delta),
-            Instr::CallVirt { site, .. }
-            | Instr::CallGuard { site, .. }
-            | Instr::CallInline { site, .. } => shift(site, site_delta),
+            Instr::CallVirt { site, .. } => shift(site, site_delta),
             Instr::ClosQuery { test, .. } | Instr::ClosCast { test, .. } => {
                 *test = *tests.get(test).expect("clos test recorded in demands");
             }

@@ -1,25 +1,24 @@
-//! Tiered-execution state: each function's fused baseline and hot-tier
-//! body, when it re-tiers next, and the per-site speculation bookkeeping.
+//! Tiered-execution state: the fused program a tiered run executes, when
+//! each function tiers up next, and the per-site speculation bookkeeping.
 //!
-//! A function's baseline is its statically fused body, built at its first
-//! call by the static fuse pass's per-function routine. When its sampled
-//! hotness — call count plus loop back-edge ticks, the counters
-//! [`crate::RuntimeProfile`] maintains at the fuel-check points — crosses
-//! the threshold, the function tiers up, which only speculates
-//! ([`crate::fuse::speculate`]): monomorphic `CallVirt` sites are rewritten
-//! one for one, and with none the hot body is the baseline itself. Frames
-//! carry their body by `Rc`, so a re-tier or deopt never moves code out
-//! from under a live frame.
+//! A tiered VM runs the program the static fuse pass gives, fused once when
+//! tiering is enabled. When a function's sampled hotness — call count plus
+//! loop back-edge ticks, the counters [`crate::RuntimeProfile`] maintains at
+//! the fuel-check points — crosses the threshold, the function tiers up,
+//! which only speculates: each of its monomorphic `CallVirt` sites records
+//! the receiver class it expects and the callee that class resolves to
+//! (with the callee's one-instruction body when it inlines). The code never
+//! changes, so speculation reaches every frame of the function at once,
+//! the one that made it hot included.
 //!
 //! Speculation follows the Hölzle inline-cache discipline: a site is
 //! devirtualized only while its cache is monomorphic and stable
-//! ([`site_speculation`]); the first guard failure deoptimizes the frame
-//! to the same pc of the baseline and marks the site megamorphic —
-//! permanently, so it is **never re-speculated** — while the function
-//! itself re-tiers with that site left as a plain `CallVirt`.
+//! ([`site_speculation`]); the first receiver of another class deoptimizes
+//! the site in place — it is marked megamorphic, permanently, so it is
+//! **never re-speculated**, and the call goes on as the plain `CallVirt`
+//! it is — while the function itself re-tiers at its next trigger point.
 
-use crate::bytecode::{FuncId, Instr, VmProgram};
-use crate::fuse::{fuse_func, FuseStats, Scratch};
+use crate::bytecode::{FuncId, InlOp, VmFunc, VmProgram};
 use std::rc::Rc;
 
 /// Default hotness threshold (calls + back-edge ticks) for tier-up.
@@ -66,70 +65,60 @@ pub fn site_speculation(
     }
 }
 
-/// One function's tier slot.
+/// One function's tier-up schedule.
 pub(crate) struct TierSlot {
-    /// The fused baseline, built at the function's first call. Deopts land
-    /// here.
-    pub(crate) baseline: Option<Rc<[Instr]>>,
-    /// The hot-tier body new frames run once the function tiered up: the
-    /// baseline with its speculated sites rewritten, or the baseline
-    /// itself. `None` before the first tier-up and after a deopt.
-    pub(crate) body: Option<Rc<[Instr]>>,
     /// Hotness weight at which the function (re-)tiers. Starts at the
     /// threshold, doubles after every tier-up (bounding re-tier churn), and
-    /// resets to zero on deopt so the replacement body — with the failed
-    /// site de-speculated — is built at the next trigger point.
+    /// resets to zero on deopt so the function re-speculates at its next
+    /// trigger point.
     pub(crate) next_at: u64,
     /// Times this function tiered up.
     pub(crate) tier_ups: u32,
 }
 
+/// What tier-up speculated at one `CallVirt` site: a receiver of `class`
+/// calls `func` directly, or runs `op` in place of the call when the
+/// callee's body inlines.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct SiteSpec {
+    pub(crate) class: u32,
+    pub(crate) func: FuncId,
+    pub(crate) op: Option<InlOp>,
+}
+
 /// All tiering state for one VM run.
 pub struct TierState {
     pub(crate) threshold: u64,
+    /// The program's functions after the static fuse pass: the code every
+    /// frame of a tiered run executes.
+    pub(crate) funcs: Rc<[VmFunc]>,
     pub(crate) slots: Vec<TierSlot>,
+    /// Per-site speculation, set at tier-up and cleared by a deopt.
+    pub(crate) spec: Vec<Option<SiteSpec>>,
     /// Sticky per-site megamorphic marks (set by deopt). Kept separate from
     /// the inline caches: an IC refill must not erase the mark.
     pub(crate) mega: Vec<bool>,
     /// Per-site IC miss counts, feeding the stability check.
     pub(crate) site_miss: Vec<u32>,
-    /// Fusion buffers every baseline build reuses.
-    scratch: Scratch,
 }
 
 impl TierState {
-    /// Fresh state sized for `program`, with the given tier-up threshold
-    /// (clamped to ≥ 1).
+    /// Fresh state for `program`, whose functions it fuses with the static
+    /// pass, with the given tier-up threshold (clamped to ≥ 1).
     pub(crate) fn new(program: &VmProgram, threshold: u64) -> TierState {
         let threshold = threshold.max(1);
-        let n = program.funcs.len();
+        let mut fused = VmProgram { funcs: program.funcs.clone(), ..VmProgram::default() };
+        crate::fuse::fuse(&mut fused);
         TierState {
             threshold,
-            slots: (0..n)
-                .map(|_| TierSlot { baseline: None, body: None, next_at: threshold, tier_ups: 0 })
+            funcs: fused.funcs.into(),
+            slots: (0..program.funcs.len())
+                .map(|_| TierSlot { next_at: threshold, tier_ups: 0 })
                 .collect(),
+            spec: vec![None; program.virt_sites],
             mega: vec![false; program.virt_sites],
             site_miss: vec![0; program.virt_sites],
-            scratch: Scratch::default(),
         }
-    }
-
-    /// `func`'s fused baseline, fused from `program` at first use.
-    pub(crate) fn baseline(&mut self, program: &VmProgram, func: FuncId) -> Rc<[Instr]> {
-        let scratch = &mut self.scratch;
-        Rc::clone(self.slots[func as usize].baseline.get_or_insert_with(|| {
-            let mut f = program.funcs[func as usize].clone();
-            fuse_func(&mut f, &mut FuseStats::default(), scratch);
-            f.code.into()
-        }))
-    }
-
-    /// The body a new frame of `func` runs: its hot-tier body once tiered
-    /// up, else its baseline.
-    #[inline]
-    pub(crate) fn entry(&mut self, program: &VmProgram, func: FuncId) -> Rc<[Instr]> {
-        let hot = self.slots[func as usize].body.clone();
-        hot.unwrap_or_else(|| self.baseline(program, func))
     }
 
     /// The tier-up threshold in effect.
@@ -137,13 +126,19 @@ impl TierState {
         self.threshold
     }
 
-    /// Every currently-tiered function: `(func, fused baseline, hot-tier
-    /// body, tier-ups)`. The guards' deopt pcs index the baseline.
-    pub fn tiered(&self) -> impl Iterator<Item = (FuncId, &[Instr], &[Instr], u32)> {
-        self.slots.iter().enumerate().filter_map(|(i, s)| {
-            let base = s.baseline.as_deref()?;
-            s.body.as_deref().map(|b| (i as FuncId, base, b, s.tier_ups))
-        })
+    /// The fused functions a tiered run executes, indexed like the
+    /// program's.
+    pub fn funcs(&self) -> &[VmFunc] {
+        &self.funcs
+    }
+
+    /// Every function that tiered up: `(func, tier-ups)`, ascending.
+    pub fn tiered(&self) -> impl Iterator<Item = (FuncId, u32)> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.tier_ups > 0)
+            .map(|(i, s)| (i as FuncId, s.tier_ups))
     }
 
     /// Whether a deopt marked this site megamorphic.

@@ -19,9 +19,9 @@
 
 use crate::bytecode::*;
 use crate::flight::{CallKind, FlightKind, FlightRecorder};
-use crate::fuse::speculate;
+use crate::fuse::inline_op;
 use crate::profile::{GcEvent, RuntimeProfile, TraceLog, VmProfile};
-use crate::tier::{site_speculation, Speculation, TierState};
+use crate::tier::{site_speculation, SiteSpec, Speculation, TierState};
 use std::rc::Rc;
 use vgl_ir::ops::{self, Exception};
 use vgl_ir::Builtin;
@@ -89,15 +89,16 @@ pub struct VmStats {
     /// returns more than [`RET_INLINE`] values. Zero for all-scalar code —
     /// the steady-state dispatch loop performs **no Rust-side allocation**.
     pub ret_spills: u64,
-    /// Functions promoted to the hot tier (counting re-tiers).
+    /// Tier-ups, counting re-tiers.
     pub tier_ups: u64,
-    /// Guard failures that deoptimized a frame back to its baseline body.
+    /// Speculated call sites that saw a receiver of another class: each
+    /// deoptimized in place and went megamorphic.
     pub deopts: u64,
-    /// Devirtualized virtual calls dispatched through a passing
-    /// `CallGuard` receiver-class guard.
+    /// Virtual calls at speculated sites whose receiver passed the class
+    /// guard and called the callee directly, skipping the inline cache.
     pub guarded_calls: u64,
-    /// Virtual calls whose one-instruction callee ran inline via
-    /// `CallInline` — no frame was pushed.
+    /// Virtual calls at speculated sites whose one-instruction callee ran in
+    /// place of the call — no frame was pushed.
     pub inlined_calls: u64,
     /// Heap statistics (tuple_boxes is always 0 — E1's compiled side).
     pub heap: HeapStats,
@@ -171,13 +172,6 @@ struct FrameInfo {
     /// profiler subtracts it from the inclusive total at frame exit to
     /// get the exclusive share without any bookkeeping at call time.
     child_instrs: u64,
-    /// The tier body this frame executes, pinned at frame push: the fused
-    /// baseline or the hot-tier body under tiering, `None` (the program's
-    /// code) without. The `Rc` keeps the code alive even if the function
-    /// re-tiers or deoptimizes while this frame is live; tier transitions
-    /// only affect *future* frame pushes (no on-stack replacement), except
-    /// that a failing guard swaps this frame's own handle for the baseline.
-    code: Option<Rc<[Instr]>>,
 }
 
 /// The virtual machine.
@@ -208,23 +202,15 @@ pub struct Vm<'p> {
     /// inclusive/exclusive retired-instruction counts at every frame exit
     /// (precise mode — costs more than the default tick sampling).
     hot_precise: bool,
-    /// `stats.instrs` at the last call/return boundary. The profiler
-    /// attributes the instructions retired since the previous boundary to
-    /// the function that was running — exclusive counts without touching
-    /// the caller's frame on every return.
     /// Wall-clock function spans + GC instants for `vglc trace`.
     tracelog: Option<Box<TraceLog>>,
     /// Crash flight recorder (`--flight-record`).
     flight: Option<Box<FlightRecorder>>,
-    /// Tiered-execution state ([`Vm::enable_tiering`]): per-function
-    /// hot-tier bodies, re-tier schedule, and speculation bookkeeping.
-    /// Boxed like the profilers; the dispatch loop is monomorphized over a
-    /// `TIER` const so the disabled case costs nothing.
+    /// Tiered-execution state ([`Vm::enable_tiering`]): the fused code,
+    /// the re-tier schedule, and per-site speculation. Boxed like the
+    /// profilers; the dispatch loop is monomorphized over a `TIER` const so
+    /// the disabled case costs nothing.
     tier: Option<Box<TierState>>,
-    /// Bumped on every frame push, pop, and deopt. The dispatch loop keys
-    /// its cached tier-body handle on this, so the per-instruction cost of
-    /// tiering is one compare instead of an `Rc` clone.
-    code_gen: u64,
 }
 
 impl<'p> Vm<'p> {
@@ -273,7 +259,6 @@ impl<'p> Vm<'p> {
             tracelog: None,
             flight: None,
             tier: None,
-            code_gen: 0,
         }
     }
 
@@ -342,14 +327,16 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Turns on tiered execution: each function runs its baseline, the
-    /// body the static fuse pass would give it, fused at its first call;
-    /// when its sampled hotness — calls plus back-edge ticks — crosses
-    /// `threshold` (clamped to ≥ 1) the VM tiers it up, which only
-    /// speculates: monomorphic call sites go behind receiver-class guards,
-    /// and a failing guard deoptimizes to the same pc of the baseline.
-    /// Implies [`Vm::enable_runtime_profiling`] (tiering consumes the
-    /// sampling rows).
+    /// Turns on tiered execution: the VM fuses the program once, with the
+    /// static pass, and runs the fused code. When a function's sampled
+    /// hotness — calls plus back-edge ticks — crosses `threshold` (clamped
+    /// to ≥ 1) the VM tiers it up, which only speculates: each monomorphic
+    /// call site of the function checks its receiver's class and calls the
+    /// expected callee directly, or runs its one-instruction body in place.
+    /// A receiver of another class deoptimizes the site in place: it goes
+    /// megamorphic and the call proceeds as a plain virtual call. Implies
+    /// [`Vm::enable_runtime_profiling`] (tiering consumes the sampling
+    /// rows).
     pub fn enable_tiering(&mut self, threshold: u64) {
         self.enable_runtime_profiling();
         if self.tier.is_none() {
@@ -358,7 +345,8 @@ impl<'p> Vm<'p> {
     }
 
     /// The tiering state, when enabled — `vglc disasm --tiered` and the
-    /// tier tests read hot-tier bodies and megamorphic marks through this.
+    /// tier tests read the fused code, the speculated sites and the
+    /// megamorphic marks through this.
     pub fn tier_state(&self) -> Option<&TierState> {
         self.tier.as_deref()
     }
@@ -418,6 +406,10 @@ impl<'p> Vm<'p> {
     /// Calls a function with arguments (testing hook).
     pub fn call_function(&mut self, func: FuncId, args: &[Word]) -> Result<Vec<Word>, VmError> {
         let program = self.program;
+        // A tiered run executes the fused code its tier state holds. Fusion
+        // rewrites only code, so frame shapes come from the program.
+        let fused = self.tier.as_deref().map(|t| Rc::clone(&t.funcs));
+        let funcs: &[VmFunc] = fused.as_deref().unwrap_or(&program.funcs);
         let f = &program.funcs[func as usize];
         debug_assert_eq!(args.len(), f.param_count, "arity calling {}", f.name);
         let base = self.stack.len();
@@ -436,7 +428,6 @@ impl<'p> Vm<'p> {
         if let Some(fr) = self.flight.as_deref_mut() {
             fr.record(self.stats.instrs, FlightKind::Call { kind: CallKind::Static, func });
         }
-        self.code_gen = self.code_gen.wrapping_add(1);
         self.frames.push(FrameInfo {
             func,
             pc: 0,
@@ -444,7 +435,6 @@ impl<'p> Vm<'p> {
             rets: RetSlots::Inline { len: 0, regs: [0; RET_INLINE] },
             entry_instr: self.stats.instrs,
             child_instrs: 0,
-            code: self.tier.as_deref_mut().map(|t| t.entry(program, func)),
         });
         let depth = self.frames.len();
         // Monomorphize the dispatch loop over the profilers once per run:
@@ -460,16 +450,16 @@ impl<'p> Vm<'p> {
         };
         let tier = self.tier.is_some();
         let r = match (self.profile.is_some(), hot, tier) {
-            (false, 0, _) => self.interp_until::<false, 0, false>(depth - 1),
-            (false, 1, false) => self.interp_until::<false, 1, false>(depth - 1),
-            (false, 1, true) => self.interp_until::<false, 1, true>(depth - 1),
-            (false, _, false) => self.interp_until::<false, 2, false>(depth - 1),
-            (false, _, true) => self.interp_until::<false, 2, true>(depth - 1),
-            (true, 0, _) => self.interp_until::<true, 0, false>(depth - 1),
-            (true, 1, false) => self.interp_until::<true, 1, false>(depth - 1),
-            (true, 1, true) => self.interp_until::<true, 1, true>(depth - 1),
-            (true, _, false) => self.interp_until::<true, 2, false>(depth - 1),
-            (true, _, true) => self.interp_until::<true, 2, true>(depth - 1),
+            (false, 0, _) => self.interp_until::<false, 0, false>(funcs, depth - 1),
+            (false, 1, false) => self.interp_until::<false, 1, false>(funcs, depth - 1),
+            (false, 1, true) => self.interp_until::<false, 1, true>(funcs, depth - 1),
+            (false, _, false) => self.interp_until::<false, 2, false>(funcs, depth - 1),
+            (false, _, true) => self.interp_until::<false, 2, true>(funcs, depth - 1),
+            (true, 0, _) => self.interp_until::<true, 0, false>(funcs, depth - 1),
+            (true, 1, false) => self.interp_until::<true, 1, false>(funcs, depth - 1),
+            (true, 1, true) => self.interp_until::<true, 1, true>(funcs, depth - 1),
+            (true, _, false) => self.interp_until::<true, 2, false>(funcs, depth - 1),
+            (true, _, true) => self.interp_until::<true, 2, true>(funcs, depth - 1),
         };
         match r {
             Ok(values) => {
@@ -501,16 +491,9 @@ impl<'p> Vm<'p> {
     /// the popped frame's return values.
     fn interp_until<const PROFILE: bool, const HOT: u8, const TIER: bool>(
         &mut self,
+        funcs: &[VmFunc],
         floor: usize,
     ) -> Result<Vec<Word>, VmError> {
-        let program: &'p VmProgram = self.program;
-        // The top frame's pinned tier body. Holding a clone of the frame's
-        // `Rc` handle keeps the instruction borrow independent of `self`,
-        // so deopt can swap the frame's handle mid-arm; keying the cache on
-        // `code_gen` (bumped at every frame push, pop, and deopt) makes the
-        // per-instruction cost one compare instead of an `Rc` clone.
-        let mut tier_code: Option<Rc<[Instr]>> = None;
-        let mut tier_gen: u64 = u64::MAX;
         loop {
             self.stats.instrs += 1;
             let fi = self.frames.len() - 1;
@@ -520,14 +503,7 @@ impl<'p> Vm<'p> {
             };
             // Default: advance to the next instruction.
             self.frames[fi].pc = pc + 1;
-            if TIER && tier_gen != self.code_gen {
-                tier_gen = self.code_gen;
-                tier_code = self.frames[fi].code.clone();
-            }
-            let instr = match if TIER { tier_code.as_deref() } else { None } {
-                Some(t) => &t[pc],
-                None => &program.funcs[func as usize].code[pc],
-            };
+            let instr = &funcs[func as usize].code[pc];
             if PROFILE {
                 if let Some(p) = self.profile.as_deref_mut() {
                     p.opcodes[instr.opcode()] += 1;
@@ -624,13 +600,67 @@ impl<'p> Vm<'p> {
                     check_fuel!();
                     let rets = RetSlots::new(rets, &mut self.stats.ret_spills);
                     self.note_call::<HOT, TIER>(*callee);
-                    self.push_frame_args::<TIER>(*callee, CallKind::Static, base, None, args, rets)?;
+                    self.push_frame_args(*callee, CallKind::Static, base, None, args, rets)?;
                 }
                 Instr::CallVirt { slot, site, args, rets } => {
                     self.stats.calls += 1;
                     self.stats.virtual_calls += 1;
-                    check_fuel!();
                     let recv = reg!(args[0]);
+                    if TIER {
+                        // A speculated site: one class compare replaces the
+                        // IC probe, and the expected callee runs directly or
+                        // in place of the call. Any other receiver, null
+                        // included, deoptimizes the site and carries on as
+                        // the plain call below.
+                        let spec = self.tier.as_deref().and_then(|t| t.spec[*site as usize]);
+                        if let Some(spec) = spec {
+                            let seen = if recv == NULL { IC_EMPTY } else { self.heap.meta(recv) };
+                            if seen != spec.class {
+                                self.deopt(func, *site, seen);
+                            } else if let Some(op) = spec.op {
+                                self.stats.inlined_calls += 1;
+                                let v = match op {
+                                    InlOp::Arg(p) => reg!(args[p as usize]),
+                                    InlOp::Const(c) => heap::scalar(c as i64),
+                                    InlOp::Bin(k, a, b) => {
+                                        let x = as_i32(reg!(args[a as usize]));
+                                        let y = as_i32(reg!(args[b as usize]));
+                                        bin_value(k, x, y)?
+                                    }
+                                    InlOp::BinI(k, a, imm) => {
+                                        let x = as_i32(reg!(args[a as usize]));
+                                        bin_value(k, x, imm)?
+                                    }
+                                    InlOp::Field(slot, obj) => {
+                                        let o = reg!(args[obj as usize]);
+                                        if o == NULL {
+                                            return Err(VmError::Exception(Exception::NullCheck));
+                                        }
+                                        self.heap.get(o, slot as usize)
+                                    }
+                                };
+                                if let Some(&dst) = rets.first() {
+                                    reg!(dst) = v;
+                                }
+                                continue;
+                            } else {
+                                self.stats.guarded_calls += 1;
+                                check_fuel!();
+                                let rets = RetSlots::new(rets, &mut self.stats.ret_spills);
+                                self.note_call::<HOT, TIER>(spec.func);
+                                self.push_frame_args(
+                                    spec.func,
+                                    CallKind::Virtual,
+                                    base,
+                                    None,
+                                    args,
+                                    rets,
+                                )?;
+                                continue;
+                            }
+                        }
+                    }
+                    check_fuel!();
                     if recv == NULL {
                         return Err(VmError::Exception(Exception::NullCheck));
                     }
@@ -662,74 +692,7 @@ impl<'p> Vm<'p> {
                     };
                     let rets = RetSlots::new(rets, &mut self.stats.ret_spills);
                     self.note_call::<HOT, TIER>(callee);
-                    self.push_frame_args::<TIER>(callee, CallKind::Virtual, base, None, args, rets)?;
-                }
-                Instr::CallGuard { class, func: callee, site, deopt_pc, args, rets } => {
-                    // Speculative devirtualization (tier-only): one class
-                    // compare replaces IC probe + vtable walk. A mismatching
-                    // (or null) receiver deoptimizes this frame to the
-                    // baseline, which re-executes the site as a plain
-                    // `CallVirt` at the same pc — identical observable
-                    // behaviour, including the null-check trap.
-                    debug_assert!(TIER, "CallGuard outside tiered body");
-                    let recv = reg!(args[0]);
-                    let seen = if recv == NULL { IC_EMPTY } else { self.heap.meta(recv) };
-                    if seen == *class {
-                        self.stats.calls += 1;
-                        self.stats.virtual_calls += 1;
-                        self.stats.guarded_calls += 1;
-                        check_fuel!();
-                        let rets = RetSlots::new(rets, &mut self.stats.ret_spills);
-                        self.note_call::<HOT, TIER>(*callee);
-                        self.push_frame_args::<TIER>(
-                            *callee,
-                            CallKind::Virtual,
-                            base,
-                            None,
-                            args,
-                            rets,
-                        )?;
-                    } else {
-                        self.deopt(fi, func, *site, *deopt_pc, seen);
-                    }
-                }
-                Instr::CallInline { class, site, deopt_pc, op, args, rets } => {
-                    // Speculatively inlined one-instruction leaf callee: the
-                    // whole call collapses to the callee's single operation,
-                    // with no frame push at all.
-                    debug_assert!(TIER, "CallInline outside tiered body");
-                    let recv = reg!(args[0]);
-                    let seen = if recv == NULL { IC_EMPTY } else { self.heap.meta(recv) };
-                    if seen == *class {
-                        self.stats.calls += 1;
-                        self.stats.virtual_calls += 1;
-                        self.stats.inlined_calls += 1;
-                        let v = match *op {
-                            InlOp::Arg(p) => reg!(args[p as usize]),
-                            InlOp::Const(c) => heap::scalar(c as i64),
-                            InlOp::Bin(k, a, b) => {
-                                let x = as_i32(reg!(args[a as usize]));
-                                let y = as_i32(reg!(args[b as usize]));
-                                bin_value(k, x, y)?
-                            }
-                            InlOp::BinI(k, a, imm) => {
-                                let x = as_i32(reg!(args[a as usize]));
-                                bin_value(k, x, imm)?
-                            }
-                            InlOp::Field(slot, obj) => {
-                                let o = reg!(args[obj as usize]);
-                                if o == NULL {
-                                    return Err(VmError::Exception(Exception::NullCheck));
-                                }
-                                self.heap.get(o, slot as usize)
-                            }
-                        };
-                        if let Some(&dst) = rets.first() {
-                            reg!(dst) = v;
-                        }
-                    } else {
-                        self.deopt(fi, func, *site, *deopt_pc, seen);
-                    }
+                    self.push_frame_args(callee, CallKind::Virtual, base, None, args, rets)?;
                 }
                 Instr::CallClos { clos, args, rets } => {
                     self.stats.calls += 1;
@@ -746,7 +709,7 @@ impl<'p> Vm<'p> {
                     let rets = RetSlots::new(rets, &mut self.stats.ret_spills);
                     let prepend = (recv != NULL).then_some(recv);
                     self.note_call::<HOT, TIER>(fnid);
-                    self.push_frame_args::<TIER>(fnid, CallKind::Closure, base, prepend, args, rets)?;
+                    self.push_frame_args(fnid, CallKind::Closure, base, prepend, args, rets)?;
                 }
                 Instr::CallBuiltin { b, args, rets } => {
                     debug_assert!(args.len() <= 2, "builtin arity");
@@ -959,7 +922,6 @@ impl<'p> Vm<'p> {
                     reg!(*d) = heap::scalar(i64::from(n));
                 }
                 Instr::Ret(regs) => {
-                    self.code_gen = self.code_gen.wrapping_add(1);
                     let frame = self.frames.pop().expect("frame present");
                     self.note_return::<HOT>(&frame);
                     if self.frames.len() == floor {
@@ -1029,7 +991,6 @@ impl<'p> Vm<'p> {
                         return Err(VmError::Exception(Exception::NullCheck));
                     }
                     let v = self.heap.get(o, *slot as usize);
-                    self.code_gen = self.code_gen.wrapping_add(1);
                     let frame = self.frames.pop().expect("frame present");
                     self.note_return::<HOT>(&frame);
                     self.stack.truncate(frame.base);
@@ -1055,8 +1016,8 @@ impl<'p> Vm<'p> {
         if HOT != 0 {
             self.hotness.rows[callee as usize].calls += 1;
             if TIER {
-                // Checked before the frame push reads the tier slot, so the
-                // threshold-crossing call itself already runs the hot tier.
+                // Checked before the callee's frame runs, so the
+                // threshold-crossing call already sees its speculation.
                 self.check_tier_up(callee);
             }
         }
@@ -1075,30 +1036,30 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Speculates on one function's baseline from the inline caches and
-    /// installs the result as the function's hot-tier body — the baseline
-    /// itself when no site qualifies. Frames already running the old body
-    /// keep their pinned `Rc` — there is no OSR; the new body applies to
-    /// future pushes only.
+    /// Tier-up: records for each `CallVirt` site of `func` what its inline
+    /// cache licenses ([`site_speculation`]) — the expected class, its
+    /// callee, and the callee's body as an [`InlOp`] when it inlines — or
+    /// clears the site. The code is untouched, so the speculation applies
+    /// at once to every frame of `func`, running ones included.
     #[cold]
     fn tier_up(&mut self, func: FuncId, weight: u64) {
         let t = self.tier.as_deref_mut().expect("tiering enabled");
-        let baseline = t.baseline(self.program, func);
-        let ic = &self.ic;
-        // Speculate only on sites the IC history says are monomorphic and
-        // stable, and that never deopted (sticky mega mark).
-        let spec = |site: u32| {
-            let e = ic[site as usize];
+        for instr in &t.funcs[func as usize].code {
+            let Instr::CallVirt { site, args, .. } = instr else { continue };
+            let s = *site as usize;
+            let e = self.ic[s];
             let cached = (e.class != IC_EMPTY).then_some((e.class, e.func));
-            match site_speculation(cached, t.site_miss[site as usize], t.mega[site as usize]) {
-                Speculation::Speculate { class, func } => Some((class, func)),
+            t.spec[s] = match site_speculation(cached, t.site_miss[s], t.mega[s]) {
+                Speculation::Speculate { class, func: callee } => Some(SiteSpec {
+                    class,
+                    func: callee,
+                    op: inline_op(&t.funcs, callee, args.len()),
+                }),
                 _ => None,
-            }
-        };
-        let body = speculate(self.program, &baseline, &spec).map_or(baseline, Rc::from);
+            };
+        }
         let threshold = t.threshold;
         let slot = &mut t.slots[func as usize];
-        slot.body = Some(body);
         slot.tier_ups += 1;
         // Doubling schedule bounds re-tier churn on functions that stay hot.
         slot.next_at = weight.max(threshold).saturating_mul(2);
@@ -1111,24 +1072,18 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Guard failure: transfer the current frame to the baseline at the
-    /// pc of the `CallVirt` the failed site replaced, and mark the site
-    /// megamorphic so no future tier-up re-speculates it. Speculation only
-    /// rewrites call sites one for one, so the frame's registers are the
-    /// baseline's and the transfer is a body swap at the same pc.
+    /// Deopt: a speculated site of `func` saw a receiver of class `seen`.
+    /// The site loses its speculation and is marked megamorphic so no
+    /// future tier-up re-speculates it, and `func` re-tiers at its next
+    /// trigger point. The frame stays where it is: the caller goes on to
+    /// run the site as the plain `CallVirt` it is.
     #[cold]
-    fn deopt(&mut self, fi: usize, func: FuncId, site: u32, deopt_pc: u32, seen: u32) {
+    fn deopt(&mut self, func: FuncId, site: u32, seen: u32) {
         self.stats.deopts += 1;
         let t = self.tier.as_deref_mut().expect("tiering enabled");
+        t.spec[site as usize] = None;
         t.mega[site as usize] = true;
-        let slot = &mut t.slots[func as usize];
-        slot.body = None;
-        // Re-tier at the next trigger point: the replacement body has the
-        // failed site de-speculated but keeps everything else.
-        slot.next_at = 0;
-        self.frames[fi].code = slot.baseline.clone();
-        self.frames[fi].pc = deopt_pc as usize;
-        self.code_gen = self.code_gen.wrapping_add(1);
+        t.slots[func as usize].next_at = 0;
         if let Some(fr) = self.flight.as_deref_mut() {
             fr.record(self.stats.instrs, FlightKind::Deopt { site, class: seen, func });
         }
@@ -1163,7 +1118,7 @@ impl<'p> Vm<'p> {
     /// the caller registers `args` directly into the new frame — no
     /// temporary argument vector.
     #[inline]
-    fn push_frame_args<const TIER: bool>(
+    fn push_frame_args(
         &mut self,
         callee: FuncId,
         kind: CallKind,
@@ -1172,8 +1127,7 @@ impl<'p> Vm<'p> {
         args: &[Reg],
         rets: RetSlots,
     ) -> Result<(), VmError> {
-        let program = self.program;
-        let f = &program.funcs[callee as usize];
+        let f = &self.program.funcs[callee as usize];
         debug_assert_eq!(
             args.len() + usize::from(prepend.is_some()),
             f.param_count,
@@ -1200,7 +1154,6 @@ impl<'p> Vm<'p> {
             self.stack[at] = self.stack[caller_base + r as usize];
             at += 1;
         }
-        self.code_gen = self.code_gen.wrapping_add(1);
         self.frames.push(FrameInfo {
             func: callee,
             pc: 0,
@@ -1208,11 +1161,6 @@ impl<'p> Vm<'p> {
             rets,
             entry_instr: self.stats.instrs,
             child_instrs: 0,
-            code: if TIER {
-                self.tier.as_deref_mut().map(|t| t.entry(program, callee))
-            } else {
-                None
-            },
         });
         Ok(())
     }

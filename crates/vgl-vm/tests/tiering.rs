@@ -1,8 +1,8 @@
 //! Tiered-execution integration tests: behavioral identity under tiering
 //! (including a forced threshold-1 tier storm), speculation of monomorphic
-//! sites into guarded and inlined calls, guard-failure deoptimization with
-//! sticky megamorphic marking, and the flight recorder's view of tier
-//! transitions.
+//! sites into guarded and inlined calls, also in frames already running,
+//! guard-failure deoptimization with sticky megamorphic marking, and the
+//! flight recorder's view of tier transitions.
 
 use vgl_vm::{ret_as_int, Vm, VmProgram, VmStats};
 
@@ -119,10 +119,40 @@ fn guard_failure_deopts_once_and_site_goes_megamorphic() {
     let mega = tier.mega_sites();
     assert_eq!(mega.len(), 1, "exactly one site goes megamorphic");
     assert!(tier.is_mega(mega[0]));
-    // The long monomorphic tail re-tiers `walk`, but the megamorphic site
-    // stays a plain virtual call — no new guards, no second deopt.
+    // `walk` tiers up inside its first call, whose remaining `Inc` calls
+    // inline. The `Tri` receiver deopts the site; the long monomorphic tail
+    // re-tiers `walk`, but the megamorphic site stays a plain virtual call —
+    // no new guards, no new inlining, no second deopt.
     assert_eq!(stats.guarded_calls, 0, "mega site must never be re-speculated: {stats:?}");
-    assert_eq!(stats.inlined_calls, 0, "mega site must never be re-inlined: {stats:?}");
+    assert!(
+        (1..=200).contains(&stats.inlined_calls),
+        "only the first walk inlines, and it does: {stats:?}"
+    );
+}
+
+/// A loop in `main` makes `main` hot while it runs: tier-up speculates the
+/// loop's call site, and the frame that is already running sees it, so
+/// most of the 100,000 calls run their one-instruction callee inline.
+#[test]
+fn speculation_reaches_the_running_frame() {
+    let p = compile(
+        "class Op { def apply(x: int) -> int { return x; } }\n\
+         class Inc extends Op { def apply(x: int) -> int { return x + 1; } }\n\
+         def main() -> int {\n\
+             var op: Op = Inc.new();\n\
+             var x = 0;\n\
+             for (i = 0; i < 100000; i = i + 1) x = op.apply(x) % 8191;\n\
+             return x;\n\
+         }",
+    );
+    let (r, out) = run_plain(&p);
+    assert_eq!(r, Some(1708));
+    let (rt, ot, stats) = run_tiered(&p, 256);
+    assert_eq!((rt, ot), (r, out));
+    assert!(stats.inlined_calls > 0, "the running main never inlined: {stats:?}");
+    // The static fused run executes 800,010 instructions; an inlined call
+    // leaves out the callee's frame.
+    assert!(stats.instrs < 800_010, "{stats:?}");
 }
 
 #[test]

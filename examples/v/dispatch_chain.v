@@ -26,9 +26,10 @@ def run(chain: Node, x0: int) -> int {
     return x;
 }
 // A second walker kept separate from `run` on purpose: its apply site only
-// ever sees `Inc`, so once it tiers up the site is speculated into a
-// class-guarded inlined `x + 1` — `vglc disasm --tiered` shows the
-// `call_inline` where `run`'s mixed-chain site stays a plain virtual call.
+// ever sees `Inc`, so once it tiers up the site checks for `Inc` and runs
+// `x + 1` in place of the call, in the running frame too — `vglc disasm
+// --tiered` shows it as `call_inline` where `run`'s mixed-chain site stays
+// a plain virtual call.
 def runinc(chain: Node, x0: int) -> int {
     var x = x0;
     for (n = chain; n != null; n = n.next) x = n.op.apply(x);
