@@ -144,3 +144,26 @@ mod whole_compile {
 const _: () = assert!(std::mem::size_of::<ast::Ident>() <= 12);
 const _: () = assert!(std::mem::size_of::<ast::Expr>() <= 64);
 const _: () = assert!(std::mem::size_of::<ast::Stmt>() <= 96);
+
+/// `examples/v/gc.v` at `rounds` rounds of 200 list cells each.
+fn gc_churn(rounds: u32) -> String {
+    include_str!("../../../examples/v/gc.v")
+        .replace("round < 2000", &format!("round < {rounds}"))
+}
+
+/// Allocations `Compilation::execute` makes on a `gc.v`-style program, with
+/// the static VM and with tiering. The program allocates 200 objects per
+/// round; the count must not grow with them, so the dispatch loop
+/// allocates nothing per `new`.
+#[test]
+fn execute_allocations_do_not_grow_with_objects() {
+    for compiler in [vgl::Compiler::new(), vgl::Compiler::new().with_tiering()] {
+        let counts = [20, 40].map(|rounds| {
+            let c = compiler.compile(&gc_churn(rounds)).expect("gc.v compiles");
+            let run = || counted(|| assert!(c.execute().result.is_ok())).1;
+            run();
+            run()
+        });
+        assert_eq!(counts[0], counts[1], "{counts:?}");
+    }
+}

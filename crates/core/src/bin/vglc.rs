@@ -56,7 +56,8 @@
 //! available parallelism). The jobs count never changes compiled output —
 //! `--jobs 1` and `--jobs 8` produce bit-identical bytecode.
 //!
-//! `--heap-slots N` sets the VM heap size in 8-byte slots (default 2^20);
+//! `--heap-slots N` sets the VM heap capacity in 8-byte slots (default
+//! 2^20), memory the heap commits as it fills;
 //! `--nursery-slots N` sets the generational collector's nursery size
 //! (default 2^14, clamped to half the heap). `--nursery-slots 0` disables
 //! the nursery and falls back to the pure semispace collector — every

@@ -93,7 +93,10 @@ pub struct Options {
     /// Run the optimizer after normalization (default true). Turning it off
     /// isolates the effect of §3.3 query folding in ablation benchmarks.
     pub optimize: bool,
-    /// Heap size (slots) for VMs created by [`Compilation::execute`].
+    /// Heap capacity (slots) for VMs created by [`Compilation::execute`];
+    /// default [`vgl_vm::DEFAULT_HEAP_SLOTS`]. A capacity, not a footprint:
+    /// the heap commits its memory as it fills, and grows past this when a
+    /// collection cannot free enough.
     pub heap_slots: usize,
     /// Nursery size (slots) carved out of the heap for the generational
     /// collector's young generation. `0` disables the nursery and falls
@@ -147,7 +150,7 @@ impl Default for Options {
     fn default() -> Options {
         Options {
             optimize: true,
-            heap_slots: 1 << 20,
+            heap_slots: vgl_vm::DEFAULT_HEAP_SLOTS,
             nursery_slots: vgl_vm::DEFAULT_NURSERY_SLOTS,
             fuel: Some(1 << 32),
             fuse: true,

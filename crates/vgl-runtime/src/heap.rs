@@ -52,12 +52,27 @@
 //!
 //! [`Heap::grow`] extends the mature space upward, so nursery indices — and
 //! every live reference — stay valid across growth.
+//!
+//! Each semispace reserves its whole capacity up front but initializes
+//! only a prefix of it, the *committed* slots, the same length in both.
+//! Allocation grows the prefix, 32 KiB at a time: as the bump pointers
+//! reach its end, and, when an allocation fails, to the worst case the
+//! next collection can copy into (the mature bump pointer plus the
+//! nursery's occupancy). A collection therefore commits nothing unless the
+//! heap grows. A fresh heap costs one reservation per semispace whatever
+//! its capacity, and a program that never fills its heap never touches
+//! most of it. Every decision of the collector keys on the configured
+//! capacity, never on the committed length.
 
 /// Tagged VM value.
 pub type Word = u64;
 
 /// Bytes per heap slot (tagged 64-bit words).
 pub const SLOT_BYTES: usize = 8;
+
+/// Slots committed at once when a write passes the committed prefix
+/// (32 KiB per semispace).
+const COMMIT_SLOTS: usize = 1 << 12;
 
 /// The tagged `null` reference.
 pub const NULL: Word = 1;
@@ -256,8 +271,14 @@ pub struct GcInfo {
 /// A generational copying heap (see the module docs for the layout).
 #[derive(Debug)]
 pub struct Heap {
+    /// The current semispace; its length is the committed prefix.
     space: Vec<u64>,
+    /// The other semispace, the to-space of the next major collection,
+    /// committed to the same length.
     alt: Vec<u64>,
+    /// Capacity in slots, reserved but not necessarily committed in both
+    /// semispaces.
+    cap: usize,
     /// First slot past the nursery; 1 means no nursery (pure semispace).
     nursery_end: usize,
     /// Nursery bump pointer in `[1, nursery_end]`.
@@ -292,8 +313,9 @@ impl Heap {
         let cap = capacity_slots.max(16);
         let nursery = nursery_slots.min(cap / 2);
         Heap {
-            space: vec![0; cap],
-            alt: vec![0; cap],
+            space: Vec::with_capacity(cap),
+            alt: Vec::with_capacity(cap),
+            cap,
             // Slot 0 is reserved so that index 0 can mean null.
             nursery_end: 1 + nursery,
             nursery_top: 1,
@@ -310,7 +332,7 @@ impl Heap {
 
     /// Heap capacity in slots.
     pub fn capacity(&self) -> usize {
-        self.space.len()
+        self.cap
     }
 
     /// Nursery capacity in slots (0 for a semispace heap).
@@ -350,19 +372,22 @@ impl Heap {
         let need = len + 1;
         let at = if need < self.nursery_end {
             if self.nursery_top + need > self.nursery_end {
-                return Err(NeedsGc);
+                return Err(self.prepare_collection());
             }
             let at = self.nursery_top;
             self.nursery_top += need;
             at
         } else {
-            if self.top + need > self.space.len() {
-                return Err(NeedsGc);
+            if self.top + need > self.cap {
+                return Err(self.prepare_collection());
             }
             let at = self.top;
             self.top += need;
             at
         };
+        if at + need > self.space.len() {
+            self.commit(at + need);
+        }
         self.space[at] = header(kind, meta, len);
         for i in 0..len {
             self.space[at + 1 + i] = 0; // zero scalar
@@ -376,12 +401,36 @@ impl Heap {
         Ok(make_ref(at))
     }
 
+    /// Commits what the next collection can copy into: survivors land above
+    /// the mature bump pointer, at most the mature occupancy plus the
+    /// nursery's. Done on the failed allocation, so the collection itself
+    /// commits nothing.
+    #[cold]
+    fn prepare_collection(&mut self) -> NeedsGc {
+        let end = (self.top + self.nursery_used()).min(self.cap);
+        if end > self.space.len() {
+            self.commit(end);
+        }
+        NeedsGc
+    }
+
+    /// Commits both semispaces, in step, up to at least slot `end`, a chunk
+    /// at a time and never past the capacity.
+    #[cold]
+    #[inline(never)]
+    fn commit(&mut self, end: usize) {
+        let to = end.max(self.space.len() + COMMIT_SLOTS).min(self.cap);
+        self.space.resize(to, 0);
+        self.alt.resize(to, 0);
+    }
+
     /// Grows the mature space (used when a collection cannot free enough).
     /// The nursery keeps its size and position, so all indices stay valid.
+    /// Only the reservation grows; the committed prefixes keep their length.
     pub fn grow(&mut self, min_free: usize) {
-        let want = (self.space.len() * 2).max(self.top + min_free + 1);
-        self.space.resize(want, 0);
-        self.alt.resize(want, 0);
+        self.cap = (self.cap * 2).max(self.top + min_free + 1);
+        self.space.reserve_exact(self.cap - self.space.len());
+        self.alt.reserve_exact(self.cap - self.alt.len());
     }
 
     /// The kind of the cell behind `r`.
@@ -451,7 +500,7 @@ impl Heap {
     /// promotion, otherwise a **major** one. Copies survivors, rewrites the
     /// roots in place, and returns what it did for observability.
     pub fn collect(&mut self, roots: &mut [&mut [Word]]) -> GcInfo {
-        if self.is_generational() && self.space.len() - self.top >= self.nursery_used() {
+        if self.is_generational() && self.cap - self.top >= self.nursery_used() {
             self.collect_minor(roots)
         } else {
             self.collect_major(roots)
@@ -465,6 +514,10 @@ impl Heap {
     fn collect_minor(&mut self, roots: &mut [&mut [Word]]) -> GcInfo {
         self.stats.collections += 1;
         self.stats.minor_collections += 1;
+        // A no-op after a failed allocation (see `prepare_collection`).
+        if self.top + self.nursery_used() > self.space.len() {
+            self.commit(self.top + self.nursery_used());
+        }
         let promote_start = self.top;
         for root_slice in roots.iter_mut() {
             for slot in root_slice.iter_mut() {
@@ -474,11 +527,14 @@ impl Heap {
         // Remembered slots are the mature→nursery edges; forwarding is
         // idempotent, so duplicates and stale (re-overwritten) entries are
         // both fine.
-        let remset = std::mem::take(&mut self.remset);
+        let mut remset = std::mem::take(&mut self.remset);
         for &at in &remset {
             let v = self.space[at];
             self.space[at] = self.forward_minor(v);
         }
+        // Keep the set's buffer for the next cycle.
+        remset.clear();
+        self.remset = remset;
         // Cheney scan of the newly promoted region only.
         let mut scan = promote_start;
         while scan < self.top {
@@ -508,7 +564,7 @@ impl Heap {
             kind: GcKind::Minor,
             live_slots: self.mature_used(),
             copied_slots: promoted,
-            capacity_slots: self.space.len(),
+            capacity_slots: self.cap,
         }
     }
 
@@ -547,8 +603,13 @@ impl Heap {
         // Worst case everything survives into the mature region of the
         // to-space; grow first if it cannot hold that.
         let live_bound = self.mature_used() + self.nursery_used();
-        if self.nursery_end + live_bound > self.space.len() {
+        if self.nursery_end + live_bound > self.cap {
             self.grow(live_bound);
+        }
+        // A no-op after a failed allocation (see `prepare_collection`)
+        // unless the heap grew.
+        if self.nursery_end + live_bound > self.alt.len() {
+            self.commit(self.nursery_end + live_bound);
         }
         std::mem::swap(&mut self.space, &mut self.alt);
         // `alt` is now the from-space; `space` is the to-space. The nursery
@@ -588,7 +649,7 @@ impl Heap {
             kind: GcKind::Major,
             live_slots: copied,
             copied_slots: copied,
-            capacity_slots: self.space.len(),
+            capacity_slots: self.cap,
         }
     }
 
@@ -1032,6 +1093,165 @@ mod tests {
         assert_eq!(as_i32(h.get(nursery_root, 0)), 3, "nursery survivor rides the major");
         assert!(ref_index(nursery_root) >= h.nursery_end);
         assert_eq!(h.nursery_used(), 0);
+    }
+
+    /// A fresh heap of the VM's default size (2^20 slots, 2^14 of them
+    /// nursery) reserves its capacity and initializes almost none of it.
+    #[test]
+    fn a_fresh_heap_commits_a_small_part_of_its_capacity() {
+        let mut h = Heap::with_nursery(1 << 20, 1 << 14);
+        assert_eq!((h.space.len(), h.alt.len()), (0, 0));
+        assert!(h.space.capacity() >= 1 << 20 && h.alt.capacity() >= 1 << 20);
+        h.try_alloc(CellKind::Object, 0, 2).expect("fits");
+        assert_eq!((h.space.len(), h.alt.len()), (COMMIT_SLOTS, COMMIT_SLOTS));
+        assert_eq!(h.capacity(), 1 << 20, "capacity is the configured size");
+    }
+
+    /// Allocates through the VM's retry ladder: collect, retry, force a
+    /// major, retry, grow, retry. Logs each collection as
+    /// `{m|M}{live}/{copied}@{capacity}`.
+    fn alloc_or_collect(
+        h: &mut Heap,
+        roots: &mut [Word],
+        kind: CellKind,
+        len: usize,
+        log: &mut Vec<String>,
+    ) -> Word {
+        let mut note = |info: GcInfo| {
+            let k = if info.kind == GcKind::Minor { 'm' } else { 'M' };
+            log.push(format!("{k}{}/{}@{}", info.live_slots, info.copied_slots, info.capacity_slots));
+        };
+        if let Ok(r) = h.try_alloc(kind, 0, len) {
+            return r;
+        }
+        note(h.collect(&mut [roots]));
+        if let Ok(r) = h.try_alloc(kind, 0, len) {
+            return r;
+        }
+        note(h.collect_major(&mut [roots]));
+        if let Ok(r) = h.try_alloc(kind, 0, len) {
+            return r;
+        }
+        h.grow(len + 64);
+        h.try_alloc(kind, 0, len).expect("allocation after grow")
+    }
+
+    /// A fixed allocate/collect script: `steps` allocations of small
+    /// objects and occasional large arrays, each linked to an older root
+    /// through the write barrier, with every third kept in one of eight
+    /// roots and a forced major every 100 steps. Returns the final stats,
+    /// the collection log and a checksum of everything still reachable.
+    fn run_script(cap: usize, nursery: usize, steps: u32) -> (HeapStats, String, i64) {
+        let mut h = Heap::with_nursery(cap, nursery);
+        let mut roots = [NULL; 8];
+        let mut log = Vec::new();
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        for step in 0..steps {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            let pick = (x >> 33) as usize;
+            let (kind, len) = match pick % 16 {
+                0 => (CellKind::Array, 24 + (pick >> 4) % 40),
+                1 | 2 => (CellKind::Object, 0),
+                _ => (CellKind::Object, 1 + (pick >> 4) % 4),
+            };
+            let r = alloc_or_collect(&mut h, &mut roots, kind, len, &mut log);
+            if len > 0 {
+                h.set_ref(r, 0, roots[(pick >> 8) % 8]);
+                for i in 1..len {
+                    h.set(r, i, from_i32(step as i32));
+                }
+            }
+            if pick.is_multiple_of(3) {
+                roots[(pick >> 12) % 8] = r;
+            }
+            if step % 100 == 99 {
+                let info = h.collect_major(&mut [&mut roots]);
+                log.push(format!("M{}/{}@{}", info.live_slots, info.copied_slots, info.capacity_slots));
+            }
+        }
+        let mut sum = 0i64;
+        for &root in &roots {
+            let mut cur = root;
+            while cur != NULL {
+                let len = h.len(cur);
+                if len == 0 {
+                    break;
+                }
+                if len > 1 {
+                    sum += i64::from(as_i32(h.get(cur, len - 1)));
+                }
+                cur = h.get(cur, 0);
+            }
+        }
+        (h.stats, log.join(" "), sum)
+    }
+
+    /// The script's outcome on four configurations: a tiny generational
+    /// heap that grows, a mid-size one, a pure semispace heap and one whose
+    /// nursery is clamped to half the capacity. Every configuration reaches
+    /// the same live data. The stats are `[objects, arrays, closures,
+    /// tuple_boxes, collections, minor, major, copied, promoted,
+    /// allocated]`.
+    #[test]
+    fn allocate_collect_script_pins_stats_and_collections() {
+        let cases: [(usize, usize, [usize; 10], &str); 4] = [
+            (
+                64,
+                24,
+                [223, 17, 0, 0, 32, 26, 6, 590, 187, 1487],
+                "M2/2@128 m62/2@128 M66/66@256 m72/6@256 m76/4@256 m148/8@256 m151/3@256 \
+                 m203/10@256 M86/86@256 m133/8@256 m140/7@256 m154/14@256 m161/7@256 \
+                 m174/13@256 M52/52@256 m126/13@256 m139/13@256 m145/6@256 m149/4@256 \
+                 m154/5@256 m210/11@256 M101/101@512 m278/3@512 m285/7@512 m290/5@512 \
+                 m305/15@512 M96/96@512 m141/1@512 m181/5@512 m304/7@512 m310/6@512 \
+                 m314/4@512",
+            ),
+            (
+                512,
+                64,
+                [223, 17, 0, 0, 29, 27, 2, 475, 327, 1487],
+                "m2/2@512 m60/58@512 m66/6@512 m68/2@512 m75/7@512 m75/0@512 m88/13@512 \
+                 m93/5@512 m101/8@512 m120/19@512 m133/13@512 M52/52@512 m57/5@512 \
+                 m75/18@512 m82/7@512 m93/11@512 m147/54@512 m154/7@512 m158/4@512 \
+                 m158/0@512 m159/1@512 m176/17@512 M96/96@512 m141/45@512 m146/5@512 \
+                 m153/7@512 m153/0@512 m153/0@512 m166/13@512",
+            ),
+            (
+                256,
+                0,
+                [223, 17, 0, 0, 11, 0, 11, 1027, 0, 1487],
+                "M73/73@256 M86/86@256 M52/52@256 M52/52@256 M54/54@256 M96/96@256 \
+                 M95/95@256 M96/96@256 M138/138@256 M138/138@256 M147/147@256",
+            ),
+            (
+                128,
+                1000,
+                [223, 17, 0, 0, 29, 25, 4, 569, 265, 1487],
+                "m2/2@128 M60/60@256 m66/6@256 m68/2@256 m75/7@256 m75/0@256 m88/13@256 \
+                 m93/5@256 m101/8@256 m120/19@256 m133/13@256 M52/52@256 m57/5@256 \
+                 m75/18@256 m82/7@256 m93/11@256 m147/54@256 m154/7@256 M96/96@512 \
+                 m96/0@512 m97/1@512 m114/17@512 M96/96@512 m141/45@512 m146/5@512 \
+                 m153/7@512 m153/0@512 m153/0@512 m166/13@512",
+            ),
+        ];
+        for (cap, nursery, want_stats, want_log) in cases {
+            let (s, log, sum) = run_script(cap, nursery, 240);
+            let stats = [
+                s.objects,
+                s.arrays,
+                s.closures,
+                s.tuple_boxes,
+                s.collections,
+                s.minor_collections,
+                s.major_collections,
+                s.copied_slots,
+                s.promoted_slots,
+                s.allocated_slots,
+            ];
+            assert_eq!(stats, want_stats, "({cap}, {nursery})");
+            assert_eq!(log, want_log, "({cap}, {nursery})");
+            assert_eq!(sum, 3358, "({cap}, {nursery}): live data differs");
+        }
     }
 
     #[test]

@@ -44,5 +44,8 @@ pub use profile::{FuncSpan, GcEvent, HotFunc, RuntimeProfile, TierInstant, Trace
 pub use tier::{
     site_speculation, Speculation, TierState, DEFAULT_TIER_THRESHOLD, SPEC_MISS_CAP,
 };
-pub use vm::{ret_as_int, ret_is_ref, Vm, VmError, VmStats, DEFAULT_NURSERY_SLOTS, RET_INLINE};
+pub use vm::{
+    ret_as_int, ret_is_ref, Vm, VmError, VmStats, DEFAULT_HEAP_SLOTS, DEFAULT_NURSERY_SLOTS,
+    RET_INLINE,
+};
 pub use vgl_runtime::heap::GcKind;

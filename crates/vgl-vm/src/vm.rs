@@ -3,12 +3,22 @@
 //! run *prove* the §4.2 claim that compiled programs only allocate at
 //! explicit `new`/literals (plus closure cells, reported separately).
 //!
-//! The dispatch loop is **allocation-free in steady state** (the Rust side,
-//! not just the VM heap): call frames keep their return registers in inline
-//! storage ([`RetSlots`], spilling only for >2 returns — counted by
-//! [`VmStats::ret_spills`]), arguments are copied directly between stack
-//! frames with no temporary `Vec`, the value stack is pre-sized from the
-//! static max-frame analysis done at lowering/fusion time
+//! One dispatch loop, `interp_until`, runs every frame. Per instruction it
+//! bumps a local instruction count, fetches `code[pc]` from the running
+//! function's code held in a local, advances the local `pc` and executes
+//! the instruction. The running frame's function, pc and register base
+//! live in locals too; they reach the frame stack only at calls, returns
+//! and error exits, and the count reaches [`VmStats::instrs`] only before
+//! something reads it. The loop is monomorphized over the profilers and
+//! tiering, so a disabled instrument costs nothing per instruction.
+//!
+//! The loop **allocates nothing on the Rust heap per instruction**: call
+//! frames keep their return registers in inline storage ([`RetSlots`],
+//! spilling only for >2 returns — counted by [`VmStats::ret_spills`]),
+//! arguments are copied directly between stack frames with no temporary
+//! `Vec`, allocating instructions borrow their class, pool and element
+//! lists from the program, the value stack is pre-sized from the static
+//! max-frame analysis done at lowering/fusion time
 //! ([`crate::VmProgram::max_frame_regs`]), and the fuel check runs only at
 //! loop back-edges and calls — the two places a program can cycle — instead
 //! of once per instruction.
@@ -22,12 +32,15 @@ use crate::flight::{CallKind, FlightKind, FlightRecorder};
 use crate::fuse::inline_op;
 use crate::profile::{GcEvent, RuntimeProfile, TraceLog, VmProfile};
 use crate::tier::{site_speculation, SiteSpec, Speculation, TierState};
+use std::io::Write;
 use std::rc::Rc;
 use vgl_ir::ops::{self, Exception};
 use vgl_ir::Builtin;
-use vgl_runtime::heap::{
-    self, as_i32, from_i32, is_ref, CellKind, Heap, HeapStats, NeedsGc, Word, NULL,
-};
+use vgl_runtime::heap::{self, as_i32, from_i32, is_ref, CellKind, Heap, HeapStats, Word, NULL};
+
+/// Default heap capacity in slots (8 MiB of tagged words). A capacity, not
+/// a footprint: the heap commits its memory as it fills.
+pub const DEFAULT_HEAP_SLOTS: usize = 1 << 20;
 
 /// Default nursery size in slots (128 KiB of tagged words): small enough
 /// that minor pauses stay far below a full-heap copy, large enough that
@@ -192,11 +205,11 @@ pub struct Vm<'p> {
     /// is monomorphized over a `PROFILE` const and picked once per run.
     profile: Option<Box<VmProfile>>,
     /// Per-function hotness counters (calls, back-edge ticks, incl/excl
-    /// retired instructions). Held inline with empty rows when disabled:
-    /// every hook gates on `rows.get_mut(func)`, so the disabled case is
-    /// one always-failing bounds check and the enabled case touches one
-    /// packed row — checked only at calls, returns, and back-edges, never
-    /// per instruction, which keeps it inside the E10 5% gate.
+    /// retired instructions). Held inline with empty rows when disabled.
+    /// The dispatch loop's `HOT` const compiles its hooks out when off;
+    /// when on, each hook touches one packed row, only at calls, returns
+    /// and back-edges, never per instruction, which keeps it inside the
+    /// E10 5% gate.
     hotness: RuntimeProfile,
     /// When true, the runtime profiler also maintains exact
     /// inclusive/exclusive retired-instruction counts at every frame exit
@@ -214,10 +227,10 @@ pub struct Vm<'p> {
 }
 
 impl<'p> Vm<'p> {
-    /// Creates a VM over a compiled program with the given heap size (slots)
-    /// and the default nursery ([`DEFAULT_NURSERY_SLOTS`]).
+    /// Creates a VM over a compiled program with the default heap capacity
+    /// ([`DEFAULT_HEAP_SLOTS`]) and nursery ([`DEFAULT_NURSERY_SLOTS`]).
     pub fn new(program: &'p VmProgram) -> Vm<'p> {
-        Vm::with_heap_config(program, 1 << 20, DEFAULT_NURSERY_SLOTS)
+        Vm::with_heap_config(program, DEFAULT_HEAP_SLOTS, DEFAULT_NURSERY_SLOTS)
     }
 
     /// Creates a VM with a specific heap capacity in slots and **no
@@ -396,7 +409,8 @@ impl<'p> Vm<'p> {
         let Some(main) = self.program.main else {
             return Err(VmError::NoMain);
         };
-        for (g, fid) in self.program.global_inits.clone() {
+        let program = self.program;
+        for &(g, fid) in &program.global_inits {
             let vals = self.call_function(fid, &[])?;
             self.globals[g as usize] = vals.first().copied().unwrap_or(0);
         }
@@ -489,21 +503,29 @@ impl<'p> Vm<'p> {
 
     /// Runs frames until the frame stack drops back to `floor`, returning
     /// the popped frame's return values.
+    ///
+    /// The running frame's function, pc, register base and code, and the
+    /// retired-instruction count, live in locals. They reach the frame
+    /// stack and `stats.instrs` only where something reads them: the
+    /// caller's resume pc before a push, the count before any call that
+    /// reads it (frame pushes, returns, allocation, tier-up and deopt,
+    /// `System.ticks()`), and both at every exit.
     fn interp_until<const PROFILE: bool, const HOT: u8, const TIER: bool>(
         &mut self,
         funcs: &[VmFunc],
         floor: usize,
     ) -> Result<Vec<Word>, VmError> {
-        loop {
-            self.stats.instrs += 1;
-            let fi = self.frames.len() - 1;
-            let (func, pc, base) = {
-                let f = &self.frames[fi];
-                (f.func, f.pc, f.base)
-            };
+        let program = self.program;
+        let fuel_limit = self.fuel_limit;
+        let mut instrs = self.stats.instrs;
+        let top = self.frames.last().expect("frame present");
+        let (mut func, mut pc, mut base) = (top.func, top.pc, top.base);
+        let mut code: &[Instr] = &funcs[func as usize].code;
+        let result = 'run: loop {
+            instrs += 1;
+            let instr = &code[pc];
             // Default: advance to the next instruction.
-            self.frames[fi].pc = pc + 1;
-            let instr = &funcs[func as usize].code[pc];
+            pc += 1;
             if PROFILE {
                 if let Some(p) = self.profile.as_deref_mut() {
                     p.opcodes[instr.opcode()] += 1;
@@ -514,51 +536,97 @@ impl<'p> Vm<'p> {
                     self.stack[base + $r as usize]
                 };
             }
+            macro_rules! throw {
+                ($e:expr) => {
+                    break 'run Err($e)
+                };
+            }
+            macro_rules! tri {
+                ($e:expr) => {
+                    match $e {
+                        Ok(v) => v,
+                        Err(e) => throw!(e),
+                    }
+                };
+            }
+            macro_rules! check_fuel {
+                () => {
+                    if instrs >= fuel_limit {
+                        throw!(VmError::OutOfFuel);
+                    }
+                };
+            }
             // Every loop in the bytecode crosses a backward branch, so the
             // fuel check lives here (and at calls) instead of per-instruction.
+            // Offsets are relative to the branch itself, one behind `pc`.
             macro_rules! jump {
                 ($off:expr) => {{
                     let off = $off;
                     if off < 0 {
-                        if self.stats.instrs >= self.fuel_limit {
-                            return Err(VmError::OutOfFuel);
-                        }
+                        check_fuel!();
                         // Back-edge tick: the loop-hotness signal. Rides the
                         // existing fuel-check point so straight-line code
                         // never sees the profiler.
                         if HOT != 0 {
                             self.hotness.rows[func as usize].ticks += 1;
                             if TIER {
+                                self.stats.instrs = instrs;
                                 self.check_tier_up(func);
                             }
                         }
                     }
-                    self.frames[fi].pc = (pc as i64 + off as i64) as usize;
+                    pc = pc.wrapping_add_signed(off as isize - 1);
                 }};
             }
-            macro_rules! check_fuel {
-                () => {
-                    if self.stats.instrs >= self.fuel_limit {
-                        return Err(VmError::OutOfFuel);
-                    }
-                };
+            // Pushes the callee's frame behind the caller's resume pc and
+            // makes it the running frame.
+            macro_rules! enter {
+                ($callee:expr, $kind:expr, $prepend:expr, $args:expr, $rets:expr) => {{
+                    let callee: FuncId = $callee;
+                    let rets = RetSlots::new($rets, &mut self.stats.ret_spills);
+                    self.stats.instrs = instrs;
+                    self.note_call::<HOT, TIER>(callee);
+                    self.frames.last_mut().expect("caller present").pc = pc;
+                    base = tri!(self.push_frame_args(callee, $kind, base, $prepend, $args, rets));
+                    func = callee;
+                    pc = 0;
+                    code = &funcs[func as usize].code;
+                }};
+            }
+            // Pops the running frame and closes its telemetry.
+            macro_rules! pop_frame {
+                () => {{
+                    self.stats.instrs = instrs;
+                    let frame = self.frames.pop().expect("frame present");
+                    self.note_return::<HOT>(&frame);
+                    frame
+                }};
+            }
+            // Makes the frame on top of the stack the running one again.
+            macro_rules! resume {
+                () => {{
+                    let caller = self.frames.last().expect("caller present");
+                    (func, pc, base) = (caller.func, caller.pc, caller.base);
+                    code = &funcs[func as usize].code;
+                }};
             }
             match instr {
                 Instr::ConstI(d, v) => reg!(*d) = heap::scalar(*v),
                 Instr::ConstNull(d) => reg!(*d) = NULL,
                 Instr::ConstPool(d, ix) => {
-                    let bytes = self.program.pool[*ix as usize].clone();
-                    let r = self.alloc(CellKind::Array, 0, bytes.len())?;
+                    let bytes = &program.pool[*ix as usize];
+                    self.stats.instrs = instrs;
+                    let r = self.alloc(CellKind::Array, 0, bytes.len());
                     for (i, b) in bytes.iter().enumerate() {
                         self.heap.set(r, i, heap::scalar(*b as i64));
                     }
-                    self.stack[base + *d as usize] = r;
+                    reg!(*d) = r;
                 }
                 Instr::Mov(d, s) => reg!(*d) = reg!(*s),
                 Instr::Bin(k, d, a, b) => {
                     let x = as_i32(reg!(*a));
                     let y = as_i32(reg!(*b));
-                    reg!(*d) = bin_value(*k, x, y)?;
+                    reg!(*d) = tri!(bin_value(*k, x, y));
                 }
                 Instr::Neg(d, a) => {
                     let x = as_i32(reg!(*a));
@@ -582,7 +650,7 @@ impl<'p> Vm<'p> {
                         self.heap.get(x, 0) == self.heap.get(y, 0)
                             && self.heap.get(x, 1) == self.heap.get(y, 1)
                     };
-                    self.stack[base + *d as usize] = heap::scalar(i64::from(eq));
+                    reg!(*d) = heap::scalar(i64::from(eq));
                 }
                 Instr::Jump(off) => jump!(*off),
                 Instr::BrFalse(c, off) => {
@@ -598,9 +666,7 @@ impl<'p> Vm<'p> {
                 Instr::Call { func: callee, args, rets } => {
                     self.stats.calls += 1;
                     check_fuel!();
-                    let rets = RetSlots::new(rets, &mut self.stats.ret_spills);
-                    self.note_call::<HOT, TIER>(*callee);
-                    self.push_frame_args(*callee, CallKind::Static, base, None, args, rets)?;
+                    enter!(*callee, CallKind::Static, None, args, rets);
                 }
                 Instr::CallVirt { slot, site, args, rets } => {
                     self.stats.calls += 1;
@@ -616,6 +682,7 @@ impl<'p> Vm<'p> {
                         if let Some(spec) = spec {
                             let seen = if recv == NULL { IC_EMPTY } else { self.heap.meta(recv) };
                             if seen != spec.class {
+                                self.stats.instrs = instrs;
                                 self.deopt(func, *site, seen);
                             } else if let Some(op) = spec.op {
                                 self.stats.inlined_calls += 1;
@@ -625,16 +692,16 @@ impl<'p> Vm<'p> {
                                     InlOp::Bin(k, a, b) => {
                                         let x = as_i32(reg!(args[a as usize]));
                                         let y = as_i32(reg!(args[b as usize]));
-                                        bin_value(k, x, y)?
+                                        tri!(bin_value(k, x, y))
                                     }
                                     InlOp::BinI(k, a, imm) => {
                                         let x = as_i32(reg!(args[a as usize]));
-                                        bin_value(k, x, imm)?
+                                        tri!(bin_value(k, x, imm))
                                     }
                                     InlOp::Field(slot, obj) => {
                                         let o = reg!(args[obj as usize]);
                                         if o == NULL {
-                                            return Err(VmError::Exception(Exception::NullCheck));
+                                            throw!(VmError::Exception(Exception::NullCheck));
                                         }
                                         self.heap.get(o, slot as usize)
                                     }
@@ -646,23 +713,14 @@ impl<'p> Vm<'p> {
                             } else {
                                 self.stats.guarded_calls += 1;
                                 check_fuel!();
-                                let rets = RetSlots::new(rets, &mut self.stats.ret_spills);
-                                self.note_call::<HOT, TIER>(spec.func);
-                                self.push_frame_args(
-                                    spec.func,
-                                    CallKind::Virtual,
-                                    base,
-                                    None,
-                                    args,
-                                    rets,
-                                )?;
+                                enter!(spec.func, CallKind::Virtual, None, args, rets);
                                 continue;
                             }
                         }
                     }
                     check_fuel!();
                     if recv == NULL {
-                        return Err(VmError::Exception(Exception::NullCheck));
+                        throw!(VmError::Exception(Exception::NullCheck));
                     }
                     let class = self.heap.meta(recv);
                     // Monomorphic inline cache: one compare against the last
@@ -673,7 +731,7 @@ impl<'p> Vm<'p> {
                         cached.func
                     } else {
                         self.stats.ic_misses += 1;
-                        let f = self.program.classes[class as usize].vtable[*slot as usize];
+                        let f = program.classes[class as usize].vtable[*slot as usize];
                         self.ic[*site as usize] = IcEntry { class, func: f };
                         if TIER {
                             // Stability signal for speculation: a site that
@@ -683,16 +741,11 @@ impl<'p> Vm<'p> {
                             }
                         }
                         if let Some(fr) = self.flight.as_deref_mut() {
-                            fr.record(
-                                self.stats.instrs,
-                                FlightKind::IcMiss { site: *site, class, func: f },
-                            );
+                            fr.record(instrs, FlightKind::IcMiss { site: *site, class, func: f });
                         }
                         f
                     };
-                    let rets = RetSlots::new(rets, &mut self.stats.ret_spills);
-                    self.note_call::<HOT, TIER>(callee);
-                    self.push_frame_args(callee, CallKind::Virtual, base, None, args, rets)?;
+                    enter!(callee, CallKind::Virtual, None, args, rets);
                 }
                 Instr::CallClos { clos, args, rets } => {
                     self.stats.calls += 1;
@@ -700,16 +753,14 @@ impl<'p> Vm<'p> {
                     check_fuel!();
                     let c = reg!(*clos);
                     if c == NULL {
-                        return Err(VmError::Exception(Exception::NullCheck));
+                        throw!(VmError::Exception(Exception::NullCheck));
                     }
                     let fnid = as_i32(self.heap.get(c, 0)) as FuncId;
                     let recv = self.heap.get(c, 1);
                     // NOTE: no calling-convention check here — arity is
                     // statically exact after normalization (§4.1/§4.2).
-                    let rets = RetSlots::new(rets, &mut self.stats.ret_spills);
                     let prepend = (recv != NULL).then_some(recv);
-                    self.note_call::<HOT, TIER>(fnid);
-                    self.push_frame_args(fnid, CallKind::Closure, base, prepend, args, rets)?;
+                    enter!(fnid, CallKind::Closure, prepend, args, rets);
                 }
                 Instr::CallBuiltin { b, args, rets } => {
                     debug_assert!(args.len() <= 2, "builtin arity");
@@ -717,7 +768,8 @@ impl<'p> Vm<'p> {
                     for (i, &a) in args.iter().enumerate() {
                         argv[i] = reg!(a);
                     }
-                    let r = self.builtin(*b, &argv[..args.len()])?;
+                    self.stats.instrs = instrs;
+                    let r = tri!(self.builtin(*b, &argv[..args.len()]));
                     if let (Some(&dst), Some(v)) = (rets.first(), r) {
                         reg!(dst) = v;
                     }
@@ -726,79 +778,71 @@ impl<'p> Vm<'p> {
                     // Allocate FIRST: the receiver must be re-read from its
                     // register after a potential collection (registers are
                     // roots and get forwarded; a cached copy would dangle).
-                    let (f2, dst, recv) = (*f2, *dst, *recv);
-                    let c = self.alloc(CellKind::Closure, 0, 2)?;
-                    let rv = recv
-                        .map(|r| self.stack[base + r as usize])
-                        .unwrap_or(NULL);
-                    self.heap.set(c, 0, heap::scalar(f2 as i64));
+                    self.stats.instrs = instrs;
+                    let c = self.alloc(CellKind::Closure, 0, 2);
+                    let rv = recv.map(|r| reg!(r)).unwrap_or(NULL);
+                    self.heap.set(c, 0, heap::scalar(*f2 as i64));
                     // The fresh cell may be pre-tenured: barrier the receiver.
                     self.heap.set_ref(c, 1, rv);
-                    self.stack[base + dst as usize] = c;
+                    reg!(*dst) = c;
                 }
                 Instr::MakeClosVirt { dst, slot, recv } => {
                     let rv = reg!(*recv);
                     if rv == NULL {
-                        return Err(VmError::Exception(Exception::NullCheck));
+                        throw!(VmError::Exception(Exception::NullCheck));
                     }
                     let class = self.heap.meta(rv) as usize;
-                    let callee = self.program.classes[class].vtable[*slot as usize];
-                    let (dst, recv) = (*dst, *recv);
-                    let c = self.alloc(CellKind::Closure, 0, 2)?;
+                    let callee = program.classes[class].vtable[*slot as usize];
+                    self.stats.instrs = instrs;
+                    let c = self.alloc(CellKind::Closure, 0, 2);
                     // Re-read the receiver: it may have moved.
-                    let rv = self.stack[base + recv as usize];
+                    let rv = reg!(*recv);
                     self.heap.set(c, 0, heap::scalar(callee as i64));
                     // The fresh cell may be pre-tenured: barrier the receiver.
                     self.heap.set_ref(c, 1, rv);
-                    self.stack[base + dst as usize] = c;
+                    reg!(*dst) = c;
                 }
                 Instr::NewObject { dst, class } => {
-                    let n = self.program.classes[*class as usize].field_count;
-                    let (dst, class) = (*dst, *class);
-                    let r = self.alloc(CellKind::Object, class, n)?;
+                    let cls = &program.classes[*class as usize];
+                    self.stats.instrs = instrs;
+                    let r = self.alloc(CellKind::Object, *class, cls.field_count);
                     // Reference-typed fields default to null.
-                    for (i, &nullable) in self.program.classes[class as usize]
-                        .field_nullable
-                        .clone()
-                        .iter()
-                        .enumerate()
-                    {
+                    for (i, &nullable) in cls.field_nullable.iter().enumerate() {
                         if nullable {
                             self.heap.set(r, i, NULL);
                         }
                     }
-                    self.stack[base + dst as usize] = r;
+                    reg!(*dst) = r;
                 }
                 Instr::NewArray { dst, len, nullable } => {
                     let n = as_i32(reg!(*len));
                     if n < 0 {
-                        return Err(VmError::Exception(Exception::BoundsCheck));
+                        throw!(VmError::Exception(Exception::BoundsCheck));
                     }
-                    let (dst, nullable) = (*dst, *nullable);
-                    let r = self.alloc(CellKind::Array, 0, n as usize)?;
-                    if nullable {
+                    self.stats.instrs = instrs;
+                    let r = self.alloc(CellKind::Array, 0, n as usize);
+                    if *nullable {
                         for i in 0..n as usize {
                             self.heap.set(r, i, NULL);
                         }
                     }
-                    self.stack[base + dst as usize] = r;
+                    reg!(*dst) = r;
                 }
                 Instr::ArrayLit { dst, elems } => {
-                    let elems = elems.clone();
-                    let dst = *dst;
-                    let r = self.alloc(CellKind::Array, 0, elems.len())?;
+                    self.stats.instrs = instrs;
+                    let r = self.alloc(CellKind::Array, 0, elems.len());
                     for (i, e) in elems.iter().enumerate() {
-                        let v = self.stack[base + *e as usize];
                         // Elements may be references and the fresh array may
                         // be pre-tenured: store through the barrier.
+                        let v = reg!(*e);
                         self.heap.set_ref(r, i, v);
                     }
-                    self.stack[base + dst as usize] = r;
+                    reg!(*dst) = r;
                 }
                 Instr::ArrayLen { dst, arr } => {
                     let a = reg!(*arr);
                     if a == NULL {
-                        return Err(VmError::Exception(Exception::NullCheck));
+                        throw!(VmError::Exception(Exception::NullCheck));
                     }
                     let n = self.heap.len(a);
                     reg!(*dst) = heap::scalar(n as i64);
@@ -806,22 +850,22 @@ impl<'p> Vm<'p> {
                 Instr::ArrayGet { dst, arr, idx } => {
                     let a = reg!(*arr);
                     if a == NULL {
-                        return Err(VmError::Exception(Exception::NullCheck));
+                        throw!(VmError::Exception(Exception::NullCheck));
                     }
                     let i = as_i32(reg!(*idx));
                     if i < 0 || i as usize >= self.heap.len(a) {
-                        return Err(VmError::Exception(Exception::BoundsCheck));
+                        throw!(VmError::Exception(Exception::BoundsCheck));
                     }
                     reg!(*dst) = self.heap.get(a, i as usize);
                 }
                 Instr::ArraySet { arr, idx, val } => {
                     let a = reg!(*arr);
                     if a == NULL {
-                        return Err(VmError::Exception(Exception::NullCheck));
+                        throw!(VmError::Exception(Exception::NullCheck));
                     }
                     let i = as_i32(reg!(*idx));
                     if i < 0 || i as usize >= self.heap.len(a) {
-                        return Err(VmError::Exception(Exception::BoundsCheck));
+                        throw!(VmError::Exception(Exception::BoundsCheck));
                     }
                     let v = reg!(*val);
                     self.heap.set(a, i as usize, v);
@@ -829,11 +873,11 @@ impl<'p> Vm<'p> {
                 Instr::ArraySetRef { arr, idx, val } => {
                     let a = reg!(*arr);
                     if a == NULL {
-                        return Err(VmError::Exception(Exception::NullCheck));
+                        throw!(VmError::Exception(Exception::NullCheck));
                     }
                     let i = as_i32(reg!(*idx));
                     if i < 0 || i as usize >= self.heap.len(a) {
-                        return Err(VmError::Exception(Exception::BoundsCheck));
+                        throw!(VmError::Exception(Exception::BoundsCheck));
                     }
                     let v = reg!(*val);
                     self.heap.set_ref(a, i as usize, v);
@@ -841,14 +885,14 @@ impl<'p> Vm<'p> {
                 Instr::FieldGet { dst, obj, slot } => {
                     let o = reg!(*obj);
                     if o == NULL {
-                        return Err(VmError::Exception(Exception::NullCheck));
+                        throw!(VmError::Exception(Exception::NullCheck));
                     }
                     reg!(*dst) = self.heap.get(o, *slot as usize);
                 }
                 Instr::FieldSet { obj, slot, val } => {
                     let o = reg!(*obj);
                     if o == NULL {
-                        return Err(VmError::Exception(Exception::NullCheck));
+                        throw!(VmError::Exception(Exception::NullCheck));
                     }
                     let v = reg!(*val);
                     self.heap.set(o, *slot as usize, v);
@@ -856,7 +900,7 @@ impl<'p> Vm<'p> {
                 Instr::FieldSetRef { obj, slot, val } => {
                     let o = reg!(*obj);
                     if o == NULL {
-                        return Err(VmError::Exception(Exception::NullCheck));
+                        throw!(VmError::Exception(Exception::NullCheck));
                     }
                     let v = reg!(*val);
                     self.heap.set_ref(o, *slot as usize, v);
@@ -868,7 +912,7 @@ impl<'p> Vm<'p> {
                     let ok = if o == NULL || !is_ref(o) {
                         false
                     } else {
-                        let pre = self.program.classes[self.heap.meta(o) as usize].pre;
+                        let pre = program.classes[self.heap.meta(o) as usize].pre;
                         *lo <= pre && pre <= *hi
                     };
                     reg!(*dst) = heap::scalar(i64::from(ok));
@@ -876,9 +920,9 @@ impl<'p> Vm<'p> {
                 Instr::ClassCast { obj, lo, hi } => {
                     let o = reg!(*obj);
                     if o != NULL {
-                        let pre = self.program.classes[self.heap.meta(o) as usize].pre;
+                        let pre = program.classes[self.heap.meta(o) as usize].pre;
                         if !(*lo <= pre && pre <= *hi) {
-                            return Err(VmError::Exception(Exception::TypeCheck));
+                            throw!(VmError::Exception(Exception::TypeCheck));
                         }
                     }
                 }
@@ -889,7 +933,7 @@ impl<'p> Vm<'p> {
                     } else {
                         let fnid = as_i32(self.heap.get(c, 0)) as usize;
                         let bound = self.heap.get(c, 1) != NULL;
-                        let t = &self.program.clos_tests[*test as usize];
+                        let t = &program.clos_tests[*test as usize];
                         if bound { t.allowed_bound[fnid] } else { t.allowed_unbound[fnid] }
                     };
                     reg!(*dst) = heap::scalar(i64::from(ok));
@@ -899,22 +943,22 @@ impl<'p> Vm<'p> {
                     if c != NULL {
                         let fnid = as_i32(self.heap.get(c, 0)) as usize;
                         let bound = self.heap.get(c, 1) != NULL;
-                        let t = &self.program.clos_tests[*test as usize];
+                        let t = &program.clos_tests[*test as usize];
                         let ok =
                             if bound { t.allowed_bound[fnid] } else { t.allowed_unbound[fnid] };
                         if !ok {
-                            return Err(VmError::Exception(Exception::TypeCheck));
+                            throw!(VmError::Exception(Exception::TypeCheck));
                         }
                     }
                 }
                 Instr::IntToByte { dst, src } => {
                     let v = as_i32(reg!(*src));
-                    let b = ops::int_to_byte(v).map_err(VmError::Exception)?;
+                    let b = tri!(ops::int_to_byte(v).map_err(VmError::Exception));
                     reg!(*dst) = heap::scalar(b as i64);
                 }
                 Instr::CheckNull(r) => {
                     if reg!(*r) == NULL {
-                        return Err(VmError::Exception(Exception::NullCheck));
+                        throw!(VmError::Exception(Exception::NullCheck));
                     }
                 }
                 Instr::IsNull(d, v) => {
@@ -922,30 +966,29 @@ impl<'p> Vm<'p> {
                     reg!(*d) = heap::scalar(i64::from(n));
                 }
                 Instr::Ret(regs) => {
-                    let frame = self.frames.pop().expect("frame present");
-                    self.note_return::<HOT>(&frame);
+                    let frame = pop_frame!();
                     if self.frames.len() == floor {
                         // Boundary of this `call_function`: the only
                         // allocation on the return path, once per entry.
-                        let values: Vec<Word> =
-                            regs.iter().map(|&r| self.stack[base + r as usize]).collect();
+                        let values = regs.iter().map(|&r| reg!(r)).collect();
                         self.stack.truncate(frame.base);
-                        return Ok(values);
+                        break 'run Ok(values);
                     }
                     let cbase = self.frames.last().expect("caller present").base;
                     // Copy returned words straight into the caller's
                     // registers: the regions are disjoint (cbase < base).
                     for (&dst, &src) in frame.rets.as_slice().iter().zip(regs.iter()) {
-                        self.stack[cbase + dst as usize] = self.stack[base + src as usize];
+                        self.stack[cbase + dst as usize] = reg!(src);
                     }
                     self.stack.truncate(frame.base);
+                    resume!();
                 }
-                Instr::Trap(x) => return Err(VmError::Exception(*x)),
+                Instr::Trap(x) => throw!(VmError::Exception(*x)),
 
                 // ---- superinstructions (fusion-emitted) -------------------
                 Instr::BinI { k, dst, a, imm } => {
                     let x = as_i32(reg!(*a));
-                    reg!(*dst) = bin_value(*k, x, *imm)?;
+                    reg!(*dst) = tri!(bin_value(*k, x, *imm));
                 }
                 Instr::IncLocal { r, imm } => {
                     let slot = base + *r as usize;
@@ -978,35 +1021,40 @@ impl<'p> Vm<'p> {
                 Instr::GlobalBin { k, dst, g, b } => {
                     let x = as_i32(self.globals[*g as usize]);
                     let y = as_i32(reg!(*b));
-                    reg!(*dst) = bin_value(*k, x, y)?;
+                    reg!(*dst) = tri!(bin_value(*k, x, y));
                 }
                 Instr::GlobalAccum { k, g, b } => {
                     let x = as_i32(self.globals[*g as usize]);
                     let y = as_i32(reg!(*b));
-                    self.globals[*g as usize] = bin_value(*k, x, y)?;
+                    self.globals[*g as usize] = tri!(bin_value(*k, x, y));
                 }
                 Instr::FieldGetRet { obj, slot } => {
                     let o = reg!(*obj);
                     if o == NULL {
-                        return Err(VmError::Exception(Exception::NullCheck));
+                        throw!(VmError::Exception(Exception::NullCheck));
                     }
                     let v = self.heap.get(o, *slot as usize);
-                    let frame = self.frames.pop().expect("frame present");
-                    self.note_return::<HOT>(&frame);
+                    let frame = pop_frame!();
                     self.stack.truncate(frame.base);
                     if self.frames.len() == floor {
-                        return Ok(vec![v]);
+                        break 'run Ok(vec![v]);
                     }
-                    let cbase = self.frames.last().expect("caller present").base;
+                    resume!();
                     if let Some(&dst) = frame.rets.as_slice().first() {
-                        self.stack[cbase + dst as usize] = v;
+                        reg!(dst) = v;
                     }
                 }
             }
+        };
+        self.stats.instrs = instrs;
+        self.stats.heap = self.heap.stats;
+        if result.is_err() {
+            // The trap's pc, which `call_function` records, is the one
+            // after the faulting instruction.
+            self.frames.last_mut().expect("faulting frame").pc = pc;
         }
+        result
     }
-
-
 
     /// Records a call in the runtime profile — a single counter bump; all
     /// cost attribution happens at frame exit. Kept out of
@@ -1116,7 +1164,7 @@ impl<'p> Vm<'p> {
 
     /// Pushes a callee frame, copying `prepend` (a bound receiver) and then
     /// the caller registers `args` directly into the new frame — no
-    /// temporary argument vector.
+    /// temporary argument vector. Returns the new frame's register base.
     #[inline]
     fn push_frame_args(
         &mut self,
@@ -1126,7 +1174,7 @@ impl<'p> Vm<'p> {
         prepend: Option<Word>,
         args: &[Reg],
         rets: RetSlots,
-    ) -> Result<(), VmError> {
+    ) -> Result<usize, VmError> {
         let f = &self.program.funcs[callee as usize];
         debug_assert_eq!(
             args.len() + usize::from(prepend.is_some()),
@@ -1162,42 +1210,29 @@ impl<'p> Vm<'p> {
             entry_instr: self.stats.instrs,
             child_instrs: 0,
         });
-        Ok(())
+        Ok(base)
     }
 
-    fn alloc(&mut self, kind: CellKind, meta: u32, len: usize) -> Result<Word, VmError> {
-        match self.heap.try_alloc(kind, meta, len) {
-            Ok(r) => {
-                self.stats.heap = self.heap.stats;
-                Ok(r)
-            }
-            Err(NeedsGc) => {
-                // The retry ladder: collect (minor when the heap is
-                // generational and the mature space has headroom, else
-                // major) → retry → force a major → retry → grow → retry.
-                self.collect_now(false);
-                let r = match self.heap.try_alloc(kind, meta, len) {
-                    Ok(r) => r,
-                    Err(NeedsGc) => {
-                        // A minor may not have freed enough (survivors
-                        // promote rather than vanish, and pre-tenured cells
-                        // need mature space): escalate to a full copy.
-                        self.collect_now(true);
-                        match self.heap.try_alloc(kind, meta, len) {
-                            Ok(r) => r,
-                            Err(NeedsGc) => {
-                                self.heap.grow(len + 64);
-                                self.heap
-                                    .try_alloc(kind, meta, len)
-                                    .expect("allocation after grow")
-                            }
-                        }
-                    }
-                };
-                self.stats.heap = self.heap.stats;
-                Ok(r)
-            }
+    /// Allocates a cell, collecting and growing as needed: collect (minor
+    /// when the heap is generational and the mature space has headroom,
+    /// else major) → retry → force a major → retry → grow → retry.
+    fn alloc(&mut self, kind: CellKind, meta: u32, len: usize) -> Word {
+        if let Ok(r) = self.heap.try_alloc(kind, meta, len) {
+            return r;
         }
+        self.collect_now(false);
+        if let Ok(r) = self.heap.try_alloc(kind, meta, len) {
+            return r;
+        }
+        // A minor may not have freed enough (survivors promote rather than
+        // vanish, and pre-tenured cells need mature space): escalate to a
+        // full copy.
+        self.collect_now(true);
+        if let Ok(r) = self.heap.try_alloc(kind, meta, len) {
+            return r;
+        }
+        self.heap.grow(len + 64);
+        self.heap.try_alloc(kind, meta, len).expect("allocation after grow")
     }
 
     /// Runs one collection with the stack and globals as roots and records
@@ -1259,8 +1294,8 @@ impl<'p> Vm<'p> {
                 Ok(None)
             }
             Builtin::Puti => {
-                let s = as_i32(args[0]).to_string();
-                self.out.extend_from_slice(s.as_bytes());
+                // Formats straight into the output buffer: no `String`.
+                write!(self.out, "{}", as_i32(args[0])).expect("writing to a Vec cannot fail");
                 Ok(None)
             }
             Builtin::Putb => {

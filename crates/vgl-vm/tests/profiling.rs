@@ -260,6 +260,37 @@ fn flight_recorder_dumps_on_trap_with_ordering() {
     assert!(dump.contains("get"), "faulting function named");
 }
 
+/// The trap event names the faulting function and the pc after the faulting
+/// instruction, and every event carries the exact instruction count at
+/// which it happened: on the plain lowering, and on a tiered VM (threshold
+/// 2, so `poke` tiers up mid-run) over its fused code.
+#[test]
+fn flight_events_pin_the_trap_pc_and_instruction_counts() {
+    let program = compile(TRAPPING);
+    let cases: [(bool, usize, u64, &[u64]); 2] = [
+        (false, 1, 190, &[0, 8, 26, 32, 53, 59, 65, 89, 95, 101, 107, 134, 140, 146, 152, 158, 189, 190]),
+        (true, 1, 96, &[0, 4, 10, 12, 12, 15, 25, 25, 28, 31, 41, 43, 46, 46, 49, 52, 66, 69, 72, 75, 78, 95, 96]),
+    ];
+    for (tier, want_pc, want_at, want_clock) in cases {
+        let mut vm = Vm::new(&program);
+        if tier {
+            vm.enable_tiering(2);
+        }
+        vm.enable_flight_recorder(64);
+        vm.run().expect_err("null deref traps");
+        let events: Vec<_> = vm.flight().expect("enabled").events().copied().collect();
+        let last = events.last().expect("trap recorded");
+        let vgl_vm::FlightKind::Trap { func, pc, .. } = last.kind else {
+            panic!("tier {tier}: last event is {:?}", last.kind)
+        };
+        assert_eq!(program.funcs[func as usize].name, "get", "tier {tier}");
+        assert_eq!((pc, last.at_instr), (want_pc, want_at), "tier {tier}");
+        assert_eq!(last.at_instr, vm.stats.instrs, "tier {tier}");
+        let clock: Vec<u64> = events.iter().map(|e| e.at_instr).collect();
+        assert_eq!(clock, want_clock, "tier {tier}");
+    }
+}
+
 #[test]
 fn flight_recorder_wraps_but_keeps_the_trap() {
     let program = compile(TRAPPING);

@@ -5,6 +5,7 @@
 
 use vgl_interp::{Interp, InterpError};
 use vgl_ir::ops::Exception;
+use vgl_runtime::HeapStats;
 use vgl_vm::{ret_as_int, Vm, VmError};
 
 /// Compiles `src` through the shipped pipeline, unfused: the claims under
@@ -479,6 +480,111 @@ fn vm_fuel_guard() {
     let mut vm = Vm::new(&c.program);
     vm.set_fuel(100_000);
     assert!(matches!(vm.run(), Err(VmError::OutOfFuel)));
+}
+
+/// Fuel runs out at an exact instruction count: at a loop back-edge (the
+/// empty loop above) and at a call (a loop around a call), on the plain
+/// lowering and on a tiered VM over its fused code.
+#[test]
+fn fuel_runs_out_at_an_exact_instruction_count() {
+    let cases: [(&str, [u64; 2]); 2] = [
+        ("def main() { while (true) { } }", [100_002, 100_002]),
+        ("def f(n: int) -> int { return n + 1; } def main() { var x = 0; while (true) x = f(x); }", [100_001, 100_001]),
+    ];
+    for (src, want) in cases {
+        let c = compile(src);
+        for (tier, want) in [(false, want[0]), (true, want[1])] {
+            let mut vm = Vm::new(&c.program);
+            if tier {
+                vm.enable_tiering(vgl_vm::DEFAULT_TIER_THRESHOLD);
+            }
+            vm.set_fuel(100_000);
+            assert!(matches!(vm.run(), Err(VmError::OutOfFuel)), "tier {tier}: {src}");
+            assert_eq!(vm.stats.instrs, want, "tier {tier}: {src}");
+        }
+    }
+}
+
+/// `System.ticks()` reads the retired-instruction count mid-run: the
+/// deltas around a call and around a loop are exact, plain and tiered.
+#[test]
+fn ticks_read_the_instruction_count_mid_run() {
+    let src = "def f(n: int) -> int {\n\
+           var s = 0;\n\
+           for (i = 0; i < n; i = i + 1) s = s + i;\n\
+           return s;\n\
+         }\n\
+         def main() -> int {\n\
+           var t0 = System.ticks();\n\
+           var a = f(10);\n\
+           var t1 = System.ticks();\n\
+           for (i = 0; i < 7; i = i + 1) a = a + i;\n\
+           var t2 = System.ticks();\n\
+           System.puti(t1 - t0);\n\
+           System.putc(' ');\n\
+           System.puti(t2 - t1);\n\
+           return a;\n\
+         }";
+    let c = compile(src);
+    for (tier, want) in [(false, "114 85"), (true, "49 32")] {
+        let mut vm = Vm::new(&c.program);
+        if tier {
+            vm.enable_tiering(2);
+        }
+        assert_eq!(ret_as_int(&vm.run().expect("runs")), Some(66), "tier {tier}");
+        assert_eq!(vm.output(), want, "tier {tier}");
+    }
+}
+
+/// Every `VmStats` field after a trap raised inside a callee, plain and
+/// tiered: the counts the loop keeps for the frames it unwinds are exact.
+#[test]
+fn stats_after_a_trap_in_a_callee_are_exact() {
+    let src = "class Shape { def area() -> int { return 0; } }\n\
+         class Sq extends Shape { var s: int; new(s) { } def area() -> int { return s * s; } }\n\
+         class Rect extends Shape { var w: int; var h: int; new(w, h) { }\n\
+           def area() -> int { return w * h; } }\n\
+         def three(x: int) -> (int, int, int) { return (x, x + 1, x + 2); }\n\
+         def divide(a: int, b: int) -> int { return a / b; }\n\
+         def main() -> int {\n\
+           var t = 0;\n\
+           var g = divide;\n\
+           for (i = 0; i < 40; i = i + 1) {\n\
+             var s: Shape = Sq.new(i);\n\
+             if (i >= 30) s = Rect.new(i, 2);\n\
+             var r = three(i);\n\
+             t = t + s.area() + r.0 + r.2 + g(i, 40 - i - 1);\n\
+           }\n\
+           return t;\n\
+         }";
+    let c = compile(src);
+    for (tier, want) in [(false, [2142, 220, 40, 40, 38, 2, 40, 0, 0, 0, 0]), (true, [1366, 220, 40, 40, 11, 2, 40, 27, 1, 27, 0])] {
+        let mut vm = Vm::new(&c.program);
+        if tier {
+            vm.enable_tiering(4);
+        }
+        assert!(
+            matches!(vm.run(), Err(VmError::Exception(Exception::DivideByZero))),
+            "tier {tier}"
+        );
+        let s = vm.stats;
+        let got = [
+            s.instrs,
+            s.calls,
+            s.virtual_calls,
+            s.closure_calls,
+            s.ic_hits,
+            s.ic_misses,
+            s.ret_spills,
+            s.tier_ups,
+            s.deopts,
+            s.guarded_calls,
+            s.inlined_calls,
+        ];
+        assert_eq!(got, want, "tier {tier}");
+        let heap = HeapStats { objects: 50, closures: 1, allocated_slots: 113, ..Default::default() };
+        assert_eq!(s.heap, heap, "tier {tier}");
+    }
 }
 
 /// Unbounded recursion ends in `StackOverflow` long before a fuel of 2^32
