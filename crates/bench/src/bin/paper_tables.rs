@@ -20,7 +20,8 @@ use vgl_bench::gate::{self, Gate};
 use vgl_bench::harness::measure_min_of_n;
 use vgl_bench::{
     compile, compile_with, measure_backend, measure_both, measure_compile, measure_fusion,
-    measure_gc, measure_obs, measure_serve, measure_tiered, measure_vm, us, workloads, Table,
+    measure_gc, measure_obs, measure_serve, measure_tiered, measure_vm, pool_gc_trials, us,
+    workloads, Table,
 };
 use vgl_obs::json::Json;
 
@@ -659,8 +660,8 @@ fn e12(run: &mut Run, samples: usize) {
         "semi p99 (us)",
         "gen p99 (us)",
         "pause ratio",
-        &format!("semi (us, min of {samples})"),
-        &format!("gen (us, min of {samples})"),
+        &format!("semi (us, min of {})", TRIALS * samples),
+        &format!("gen (us, min of {})", TRIALS * samples),
         "throughput",
         "collections",
     ]);
@@ -683,10 +684,9 @@ fn e12(run: &mut Run, samples: usize) {
     ] {
         // 2^16 heap slots either way; the generational run carves a 2^12-slot
         // nursery out of them.
-        let m = (0..TRIALS)
-            .map(|_| measure_gc(name, &src, 1 << 16, 1 << 12, samples))
-            .min_by(|a, b| a.pause_ratio().total_cmp(&b.pause_ratio()))
-            .expect("at least one trial");
+        let m = pool_gc_trials(
+            (0..TRIALS).map(|_| measure_gc(name, &src, 1 << 16, 1 << 12, samples)),
+        );
         t.row(&[
             name.into(),
             us(m.semi_p99),
@@ -711,7 +711,8 @@ fn e12(run: &mut Run, samples: usize) {
         "e12",
         "== E12: generational GC — semispace vs nursery pauses ==",
         &t,
-        "best of 3 trials by pause ratio; pauses pooled over every timed sample. Gates: \
+        "pauses from the best of 3 trials by pause ratio, pooled over that trial's timed \
+         samples; each collector's time is its fastest sample over all 3 trials. Gates: \
          generational p99 at most 0.5x semispace on the steady row, throughput at least \
          0.85x on every row.",
     );

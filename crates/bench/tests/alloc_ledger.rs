@@ -151,19 +151,36 @@ fn gc_churn(rounds: u32) -> String {
         .replace("round < 2000", &format!("round < {rounds}"))
 }
 
-/// Allocations `Compilation::execute` makes on a `gc.v`-style program, with
-/// the static VM and with tiering. The program allocates 200 objects per
-/// round; the count must not grow with them, so the dispatch loop
-/// allocates nothing per `new`.
+/// A loop of `calls` calls that each return three scalars.
+fn wide_returns(calls: u32) -> String {
+    format!(
+        "def three(x: int) -> (int, int, int) {{ return (x, x + 1, x + 2); }}\n\
+         def main() -> int {{\n\
+           var s = 0;\n\
+           for (i = 0; i < {calls}; i = i + 1) {{ var t = three(i); s = s + t.0 + t.2; }}\n\
+           return s;\n\
+         }}"
+    )
+}
+
+/// Allocations `Compilation::execute` makes with the static VM and with
+/// tiering, on a `gc.v`-style program that allocates 200 objects per round
+/// and on a loop of calls that return three scalars. The count must not
+/// grow with the objects or the calls, so the dispatch loop allocates
+/// nothing per `new` and nothing per call.
 #[test]
 fn execute_allocations_do_not_grow_with_objects() {
+    type Source = fn(u32) -> String;
+    let inputs: [(Source, [u32; 2]); 2] = [(gc_churn, [20, 40]), (wide_returns, [1_000, 2_000])];
     for compiler in [vgl::Compiler::new(), vgl::Compiler::new().with_tiering()] {
-        let counts = [20, 40].map(|rounds| {
-            let c = compiler.compile(&gc_churn(rounds)).expect("gc.v compiles");
-            let run = || counted(|| assert!(c.execute().result.is_ok())).1;
-            run();
-            run()
-        });
-        assert_eq!(counts[0], counts[1], "{counts:?}");
+        for (source, sizes) in inputs {
+            let counts = sizes.map(|size| {
+                let c = compiler.compile(&source(size)).expect("compiles");
+                let run = || counted(|| assert!(c.execute().result.is_ok())).1;
+                run();
+                run()
+            });
+            assert_eq!(counts[0], counts[1], "{counts:?}");
+        }
     }
 }

@@ -610,10 +610,7 @@ fn main() -> ExitCode {
                 } else {
                     format!("{:.1}%", s.ic_hit_rate() * 100.0)
                 };
-                println!(
-                    "ic: {} hits, {} misses ({rate} hit rate); ret spills: {}",
-                    s.ic_hits, s.ic_misses, s.ret_spills
-                );
+                println!("ic: {} hits, {} misses ({rate} hit rate)", s.ic_hits, s.ic_misses);
                 if s.tier_ups > 0 || s.deopts > 0 {
                     println!(
                         "tier: {} tier-ups, {} deopts; {} guarded calls, {} inlined calls",

@@ -235,7 +235,6 @@ fn vm_stats_json(s: &VmStats) -> Json {
     o.set("deopts", Json::from(s.deopts));
     o.set("guarded_calls", Json::from(s.guarded_calls));
     o.set("inlined_calls", Json::from(s.inlined_calls));
-    o.set("ret_spills", Json::from(s.ret_spills));
     let mut h = Json::object();
     h.set("objects", Json::from(s.heap.objects));
     h.set("arrays", Json::from(s.heap.arrays));

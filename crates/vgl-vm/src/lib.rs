@@ -46,6 +46,5 @@ pub use tier::{
 };
 pub use vm::{
     ret_as_int, ret_is_ref, Vm, VmError, VmStats, DEFAULT_HEAP_SLOTS, DEFAULT_NURSERY_SLOTS,
-    RET_INLINE,
 };
 pub use vgl_runtime::heap::GcKind;

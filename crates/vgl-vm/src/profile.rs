@@ -172,10 +172,11 @@ impl VmProfile {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RuntimeProfile {
     /// One counter row per function, indexed by function id. Empty when
-    /// profiling is off: the VM holds this inline (no `Option`, no box) and
-    /// gates every hook on `rows.get_mut(func)`, so the disabled case is a
-    /// single always-failing bounds check and the enabled case touches one
-    /// cache line per event.
+    /// profiling is off: the VM holds this inline (no `Option`, no box).
+    /// The dispatch loop's `HOT` const compiles its hooks in or out, so the
+    /// disabled case costs the loop nothing and the enabled case touches
+    /// one row per call, return or back-edge; only `Vm::call_function`'s
+    /// entry bumps a row through `rows.get_mut(func)`.
     pub rows: Vec<FuncHotness>,
 }
 

@@ -1,5 +1,7 @@
-//! Tiered-execution state: the fused program a tiered run executes, when
-//! each function tiers up next, and the per-site speculation bookkeeping.
+//! Tiered-execution state: the fused program a tiered run executes, how
+//! often each function tiered up, and the per-site speculation bookkeeping.
+//! When each function tiers up next is the VM's own, since every call and
+//! back-edge reads it.
 //!
 //! A tiered VM runs the program the static fuse pass gives, fused once when
 //! tiering is enabled. When a function's sampled hotness — call count plus
@@ -65,17 +67,6 @@ pub fn site_speculation(
     }
 }
 
-/// One function's tier-up schedule.
-pub(crate) struct TierSlot {
-    /// Hotness weight at which the function (re-)tiers. Starts at the
-    /// threshold, doubles after every tier-up (bounding re-tier churn), and
-    /// resets to zero on deopt so the function re-speculates at its next
-    /// trigger point.
-    pub(crate) next_at: u64,
-    /// Times this function tiered up.
-    pub(crate) tier_ups: u32,
-}
-
 /// What tier-up speculated at one `CallVirt` site: a receiver of `class`
 /// calls `func` directly, or runs `op` in place of the call when the
 /// callee's body inlines.
@@ -92,7 +83,8 @@ pub struct TierState {
     /// The program's functions after the static fuse pass: the code every
     /// frame of a tiered run executes.
     pub(crate) funcs: Rc<[VmFunc]>,
-    pub(crate) slots: Vec<TierSlot>,
+    /// Times each function tiered up.
+    pub(crate) tier_ups: Vec<u32>,
     /// Per-site speculation, set at tier-up and cleared by a deopt.
     pub(crate) spec: Vec<Option<SiteSpec>>,
     /// Sticky per-site megamorphic marks (set by deopt). Kept separate from
@@ -112,9 +104,7 @@ impl TierState {
         TierState {
             threshold,
             funcs: fused.funcs.into(),
-            slots: (0..program.funcs.len())
-                .map(|_| TierSlot { next_at: threshold, tier_ups: 0 })
-                .collect(),
+            tier_ups: vec![0; program.funcs.len()],
             spec: vec![None; program.virt_sites],
             mega: vec![false; program.virt_sites],
             site_miss: vec![0; program.virt_sites],
@@ -134,11 +124,11 @@ impl TierState {
 
     /// Every function that tiered up: `(func, tier-ups)`, ascending.
     pub fn tiered(&self) -> impl Iterator<Item = (FuncId, u32)> + '_ {
-        self.slots
+        self.tier_ups
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.tier_ups > 0)
-            .map(|(i, s)| (i as FuncId, s.tier_ups))
+            .filter(|&(_, &n)| n > 0)
+            .map(|(i, &n)| (i as FuncId, n))
     }
 
     /// Whether a deopt marked this site megamorphic.

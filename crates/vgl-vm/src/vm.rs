@@ -6,22 +6,24 @@
 //! One dispatch loop, `interp_until`, runs every frame. Per instruction it
 //! bumps a local instruction count, fetches `code[pc]` from the running
 //! function's code held in a local, advances the local `pc` and executes
-//! the instruction. The running frame's function, pc and register base
-//! live in locals too; they reach the frame stack only at calls, returns
-//! and error exits, and the count reaches [`VmStats::instrs`] only before
+//! the instruction. The running frame's pc and register base live in
+//! locals too; they reach the frame stack only at calls, returns and error
+//! exits, and the count reaches [`VmStats::instrs`] only before
 //! something reads it. The loop is monomorphized over the profilers and
 //! tiering, so a disabled instrument costs nothing per instruction.
 //!
-//! The loop **allocates nothing on the Rust heap per instruction**: call
-//! frames keep their return registers in inline storage ([`RetSlots`],
-//! spilling only for >2 returns — counted by [`VmStats::ret_spills`]),
-//! arguments are copied directly between stack frames with no temporary
-//! `Vec`, allocating instructions borrow their class, pool and element
-//! lists from the program, the value stack is pre-sized from the static
-//! max-frame analysis done at lowering/fusion time
-//! ([`crate::VmProgram::max_frame_regs`]), and the fuel check runs only at
-//! loop back-edges and calls — the two places a program can cycle — instead
-//! of once per instruction.
+//! The loop **allocates nothing on the Rust heap per instruction or per
+//! call**. A call frame is three 32-bit words: function, resume pc and
+//! register base. A return copies its values straight into the registers the
+//! caller's call instruction names — the instruction just before the
+//! caller's resume pc — so no frame keeps a copy of them, however many
+//! scalars a function returns. Arguments are copied directly between stack
+//! frames with no temporary `Vec`, allocating instructions borrow their
+//! class, pool and element lists from the program, the value stack is
+//! pre-sized from the static max-frame analysis done at lowering/fusion
+//! time ([`crate::VmProgram::max_frame_regs`]), and the fuel check runs only
+//! at loop back-edges and calls — the two places a program can cycle —
+//! instead of once per instruction.
 //!
 //! Virtual calls go through **monomorphic inline caches** (Hölzle): each
 //! `CallVirt` site caches its last (class-id → callee) pair and skips the
@@ -98,10 +100,6 @@ pub struct VmStats {
     /// Inline-cache misses (first execution of a site, or a megamorphic
     /// receiver change); each miss refills the cache.
     pub ic_misses: u64,
-    /// Return-register lists that spilled to the Rust heap because a callee
-    /// returns more than [`RET_INLINE`] values. Zero for all-scalar code —
-    /// the steady-state dispatch loop performs **no Rust-side allocation**.
-    pub ret_spills: u64,
     /// Tier-ups, counting re-tiers.
     pub tier_ups: u64,
     /// Speculated call sites that saw a receiver of another class: each
@@ -129,39 +127,6 @@ impl VmStats {
     }
 }
 
-/// Return registers kept inline in the frame; larger lists spill.
-pub const RET_INLINE: usize = 2;
-
-/// A call frame's return-destination registers: inline array for the common
-/// ≤[`RET_INLINE`] case, boxed slice fallback for wide multi-returns
-/// (normalized tuples can return up to 16 scalars).
-enum RetSlots {
-    Inline { len: u8, regs: [Reg; RET_INLINE] },
-    Spill(Box<[Reg]>),
-}
-
-impl RetSlots {
-    #[inline]
-    fn new(rets: &[Reg], spills: &mut u64) -> RetSlots {
-        if rets.len() <= RET_INLINE {
-            let mut regs = [0; RET_INLINE];
-            regs[..rets.len()].copy_from_slice(rets);
-            RetSlots::Inline { len: rets.len() as u8, regs }
-        } else {
-            *spills += 1;
-            RetSlots::Spill(rets.into())
-        }
-    }
-
-    #[inline]
-    fn as_slice(&self) -> &[Reg] {
-        match self {
-            RetSlots::Inline { len, regs } => &regs[..*len as usize],
-            RetSlots::Spill(b) => b,
-        }
-    }
-}
-
 /// One monomorphic inline-cache entry: the last receiver class seen at a
 /// `CallVirt` site and the callee its vtable resolved to.
 #[derive(Clone, Copy)]
@@ -173,13 +138,24 @@ struct IcEntry {
 /// No class has this id; an entry holding it always misses.
 const IC_EMPTY: u32 = u32::MAX;
 
+/// A call frame. The dispatch loop keeps the running frame's pc and base in
+/// locals, so its entry here is read once it is a caller again, when a
+/// trap names it, and for its function at a back-edge of an untiered
+/// profiling run. A caller's `pc` is its resume point, one past
+/// the call instruction whose `rets` receive the callee's return values.
+/// `u32` holds any pc, and any base below [`STACK_BUDGET_WORDS`].
 struct FrameInfo {
     func: FuncId,
-    pc: usize,
-    base: usize,
-    rets: RetSlots,
-    /// `stats.instrs` at frame entry — the runtime profiler derives
-    /// inclusive instruction counts from this at frame exit.
+    pc: u32,
+    base: u32,
+}
+
+/// The precise profiler's bookkeeping for one open frame. It lives on a
+/// side stack that only the `HOT == 2` instance of the dispatch loop, and
+/// [`Vm::call_function`] under it, push and pop in step with the frames.
+struct ProfFrame {
+    /// `stats.instrs` at frame entry — the profiler derives inclusive
+    /// instruction counts from this at frame exit.
     entry_instr: u64,
     /// Instructions retired by completed callees of this frame; the
     /// profiler subtracts it from the inclusive total at frame exit to
@@ -194,6 +170,9 @@ pub struct Vm<'p> {
     globals: Vec<Word>,
     stack: Vec<Word>,
     frames: Vec<FrameInfo>,
+    /// One entry per open frame while the precise profiler runs; empty
+    /// otherwise.
+    prof_frames: Vec<ProfFrame>,
     /// One entry per `CallVirt` site (dense `site` indices from lowering).
     ic: Vec<IcEntry>,
     out: Vec<u8>,
@@ -219,11 +198,17 @@ pub struct Vm<'p> {
     tracelog: Option<Box<TraceLog>>,
     /// Crash flight recorder (`--flight-record`).
     flight: Option<Box<FlightRecorder>>,
-    /// Tiered-execution state ([`Vm::enable_tiering`]): the fused code,
-    /// the re-tier schedule, and per-site speculation. Boxed like the
-    /// profilers; the dispatch loop is monomorphized over a `TIER` const so
-    /// the disabled case costs nothing.
+    /// Tiered-execution state ([`Vm::enable_tiering`]): the fused code and
+    /// per-site speculation. Boxed like the profilers; the dispatch loop is
+    /// monomorphized over a `TIER` const so the disabled case costs nothing.
     tier: Option<Box<TierState>>,
+    /// The tier-up schedule, one entry per function while tiering is on:
+    /// the hotness weight (calls plus back-edge ticks) at which the
+    /// function tiers up next. It starts at the threshold, doubles after
+    /// every tier-up (bounding re-tier churn), and resets to zero on a
+    /// deopt so the function re-speculates at its next trigger point. Kept
+    /// outside the box, since every call and back-edge reads it.
+    tier_at: Vec<u64>,
 }
 
 impl<'p> Vm<'p> {
@@ -262,6 +247,7 @@ impl<'p> Vm<'p> {
             // healthy call depth of the largest frame before any realloc.
             stack: Vec::with_capacity((program.max_frame_regs * 64).max(4096)),
             frames: Vec::with_capacity(64),
+            prof_frames: Vec::new(),
             ic: vec![IcEntry { class: IC_EMPTY, func: 0 }; program.virt_sites],
             out: Vec::new(),
             stats: VmStats::default(),
@@ -272,6 +258,7 @@ impl<'p> Vm<'p> {
             tracelog: None,
             flight: None,
             tier: None,
+            tier_at: Vec::new(),
         }
     }
 
@@ -353,7 +340,9 @@ impl<'p> Vm<'p> {
     pub fn enable_tiering(&mut self, threshold: u64) {
         self.enable_runtime_profiling();
         if self.tier.is_none() {
-            self.tier = Some(Box::new(TierState::new(self.program, threshold)));
+            let t = TierState::new(self.program, threshold);
+            self.tier_at = vec![t.threshold; self.program.funcs.len()];
+            self.tier = Some(Box::new(t));
         }
     }
 
@@ -442,15 +431,6 @@ impl<'p> Vm<'p> {
         if let Some(fr) = self.flight.as_deref_mut() {
             fr.record(self.stats.instrs, FlightKind::Call { kind: CallKind::Static, func });
         }
-        self.frames.push(FrameInfo {
-            func,
-            pc: 0,
-            base,
-            rets: RetSlots::Inline { len: 0, regs: [0; RET_INLINE] },
-            entry_instr: self.stats.instrs,
-            child_instrs: 0,
-        });
-        let depth = self.frames.len();
         // Monomorphize the dispatch loop over the profilers once per run:
         // the disabled cases pay nothing per instruction or per call, and
         // the enabled hooks compile to straight-line counter updates.
@@ -462,6 +442,11 @@ impl<'p> Vm<'p> {
             (false, false) => 1,
             (false, true) => 2,
         };
+        self.frames.push(FrameInfo { func, pc: 0, base: base as u32 });
+        if hot == 2 {
+            self.prof_frames.push(ProfFrame { entry_instr: self.stats.instrs, child_instrs: 0 });
+        }
+        let depth = self.frames.len();
         let tier = self.tier.is_some();
         let r = match (self.profile.is_some(), hot, tier) {
             (false, 0, _) => self.interp_until::<false, 0, false>(funcs, depth - 1),
@@ -485,7 +470,7 @@ impl<'p> Vm<'p> {
                 // still on the stack and names the faulting function.
                 if let Some(fr) = self.flight.as_deref_mut() {
                     let (tf, tpc) =
-                        self.frames.last().map(|f| (f.func, f.pc)).unwrap_or((func, 0));
+                        self.frames.last().map(|f| (f.func, f.pc as usize)).unwrap_or((func, 0));
                     fr.record(
                         self.stats.instrs,
                         FlightKind::Trap { error: e, func: tf, pc: tpc },
@@ -494,7 +479,9 @@ impl<'p> Vm<'p> {
                 if let Some(t) = self.tracelog.as_deref_mut() {
                     t.close_all();
                 }
+                // The precise side stack is empty or in step with the frames.
                 self.frames.truncate(depth - 1);
+                self.prof_frames.truncate(depth - 1);
                 self.stack.truncate(base);
                 Err(e)
             }
@@ -504,12 +491,15 @@ impl<'p> Vm<'p> {
     /// Runs frames until the frame stack drops back to `floor`, returning
     /// the popped frame's return values.
     ///
-    /// The running frame's function, pc, register base and code, and the
-    /// retired-instruction count, live in locals. They reach the frame
+    /// The running frame's pc, register base and code, and the
+    /// retired-instruction count, live in locals, as does its function in
+    /// a tiered run (`running!` says why only there). They reach the frame
     /// stack and `stats.instrs` only where something reads them: the
     /// caller's resume pc before a push, the count before any call that
     /// reads it (frame pushes, returns, allocation, tier-up and deopt,
-    /// `System.ticks()`), and both at every exit.
+    /// `System.ticks()`), and both at every exit. A return reads its
+    /// destination registers from the call instruction before the caller's
+    /// resume pc.
     fn interp_until<const PROFILE: bool, const HOT: u8, const TIER: bool>(
         &mut self,
         funcs: &[VmFunc],
@@ -519,7 +509,7 @@ impl<'p> Vm<'p> {
         let fuel_limit = self.fuel_limit;
         let mut instrs = self.stats.instrs;
         let top = self.frames.last().expect("frame present");
-        let (mut func, mut pc, mut base) = (top.func, top.pc, top.base);
+        let (mut func, mut pc, mut base) = (top.func, top.pc as usize, top.base as usize);
         let mut code: &[Instr] = &funcs[func as usize].code;
         let result = 'run: loop {
             instrs += 1;
@@ -556,6 +546,19 @@ impl<'p> Vm<'p> {
                     }
                 };
             }
+            // The running function. A tiered run reads it at every
+            // back-edge and keeps it in `func`; the other instances read
+            // it from its frame at a back-edge, which keeps a register
+            // free for the rest of the loop.
+            macro_rules! running {
+                () => {
+                    if TIER {
+                        func
+                    } else {
+                        self.frames.last().expect("frame present").func
+                    }
+                };
+            }
             // Every loop in the bytecode crosses a backward branch, so the
             // fuel check lives here (and at calls) instead of per-instruction.
             // Offsets are relative to the branch itself, one behind `pc`.
@@ -568,7 +571,10 @@ impl<'p> Vm<'p> {
                         // existing fuel-check point so straight-line code
                         // never sees the profiler.
                         if HOT != 0 {
-                            self.hotness.rows[func as usize].ticks += 1;
+                            let func = running!();
+                            if let Some(h) = self.hotness.rows.get_mut(func as usize) {
+                                h.ticks += 1;
+                            }
                             if TIER {
                                 self.stats.instrs = instrs;
                                 self.check_tier_up(func);
@@ -581,15 +587,13 @@ impl<'p> Vm<'p> {
             // Pushes the callee's frame behind the caller's resume pc and
             // makes it the running frame.
             macro_rules! enter {
-                ($callee:expr, $kind:expr, $prepend:expr, $args:expr, $rets:expr) => {{
+                ($callee:expr, $kind:expr, $prepend:expr, $args:expr) => {{
                     let callee: FuncId = $callee;
-                    let rets = RetSlots::new($rets, &mut self.stats.ret_spills);
                     self.stats.instrs = instrs;
                     self.note_call::<HOT, TIER>(callee);
-                    self.frames.last_mut().expect("caller present").pc = pc;
-                    base = tri!(self.push_frame_args(callee, $kind, base, $prepend, $args, rets));
-                    func = callee;
-                    pc = 0;
+                    self.frames.last_mut().expect("caller present").pc = pc as u32;
+                    base = tri!(self.push_frame_args::<HOT>(callee, $kind, base, $prepend, $args));
+                    (func, pc) = (callee, 0);
                     code = &funcs[func as usize].code;
                 }};
             }
@@ -598,15 +602,14 @@ impl<'p> Vm<'p> {
                 () => {{
                     self.stats.instrs = instrs;
                     let frame = self.frames.pop().expect("frame present");
-                    self.note_return::<HOT>(&frame);
-                    frame
+                    self.note_return::<HOT>(frame.func);
                 }};
             }
             // Makes the frame on top of the stack the running one again.
             macro_rules! resume {
                 () => {{
                     let caller = self.frames.last().expect("caller present");
-                    (func, pc, base) = (caller.func, caller.pc, caller.base);
+                    (func, pc, base) = (caller.func, caller.pc as usize, caller.base as usize);
                     code = &funcs[func as usize].code;
                 }};
             }
@@ -663,10 +666,10 @@ impl<'p> Vm<'p> {
                         jump!(*off);
                     }
                 }
-                Instr::Call { func: callee, args, rets } => {
+                Instr::Call { func: callee, args, .. } => {
                     self.stats.calls += 1;
                     check_fuel!();
-                    enter!(*callee, CallKind::Static, None, args, rets);
+                    enter!(*callee, CallKind::Static, None, args);
                 }
                 Instr::CallVirt { slot, site, args, rets } => {
                     self.stats.calls += 1;
@@ -678,7 +681,10 @@ impl<'p> Vm<'p> {
                         // in place of the call. Any other receiver, null
                         // included, deoptimizes the site and carries on as
                         // the plain call below.
-                        let spec = self.tier.as_deref().and_then(|t| t.spec[*site as usize]);
+                        let spec = self
+                            .tier
+                            .as_deref()
+                            .and_then(|t| t.spec.get(*site as usize).copied().flatten());
                         if let Some(spec) = spec {
                             let seen = if recv == NULL { IC_EMPTY } else { self.heap.meta(recv) };
                             if seen != spec.class {
@@ -713,7 +719,7 @@ impl<'p> Vm<'p> {
                             } else {
                                 self.stats.guarded_calls += 1;
                                 check_fuel!();
-                                enter!(spec.func, CallKind::Virtual, None, args, rets);
+                                enter!(spec.func, CallKind::Virtual, None, args);
                                 continue;
                             }
                         }
@@ -745,9 +751,9 @@ impl<'p> Vm<'p> {
                         }
                         f
                     };
-                    enter!(callee, CallKind::Virtual, None, args, rets);
+                    enter!(callee, CallKind::Virtual, None, args);
                 }
-                Instr::CallClos { clos, args, rets } => {
+                Instr::CallClos { clos, args, .. } => {
                     self.stats.calls += 1;
                     self.stats.closure_calls += 1;
                     check_fuel!();
@@ -760,7 +766,7 @@ impl<'p> Vm<'p> {
                     // NOTE: no calling-convention check here — arity is
                     // statically exact after normalization (§4.1/§4.2).
                     let prepend = (recv != NULL).then_some(recv);
-                    enter!(fnid, CallKind::Closure, prepend, args, rets);
+                    enter!(fnid, CallKind::Closure, prepend, args);
                 }
                 Instr::CallBuiltin { b, args, rets } => {
                     debug_assert!(args.len() <= 2, "builtin arity");
@@ -966,22 +972,23 @@ impl<'p> Vm<'p> {
                     reg!(*d) = heap::scalar(i64::from(n));
                 }
                 Instr::Ret(regs) => {
-                    let frame = pop_frame!();
+                    pop_frame!();
                     if self.frames.len() == floor {
                         // Boundary of this `call_function`: the only
                         // allocation on the return path, once per entry.
                         let values = regs.iter().map(|&r| reg!(r)).collect();
-                        self.stack.truncate(frame.base);
+                        self.stack.truncate(base);
                         break 'run Ok(values);
                     }
-                    let cbase = self.frames.last().expect("caller present").base;
-                    // Copy returned words straight into the caller's
-                    // registers: the regions are disjoint (cbase < base).
-                    for (&dst, &src) in frame.rets.as_slice().iter().zip(regs.iter()) {
-                        self.stack[cbase + dst as usize] = reg!(src);
-                    }
-                    self.stack.truncate(frame.base);
+                    let callee_base = base;
                     resume!();
+                    // Copy returned words straight into the registers the
+                    // caller's call names: the regions are disjoint
+                    // (base < callee_base).
+                    for (&dst, &src) in call_rets(&code[pc - 1]).iter().zip(regs.iter()) {
+                        self.stack[base + dst as usize] = self.stack[callee_base + src as usize];
+                    }
+                    self.stack.truncate(callee_base);
                 }
                 Instr::Trap(x) => throw!(VmError::Exception(*x)),
 
@@ -1034,13 +1041,13 @@ impl<'p> Vm<'p> {
                         throw!(VmError::Exception(Exception::NullCheck));
                     }
                     let v = self.heap.get(o, *slot as usize);
-                    let frame = pop_frame!();
-                    self.stack.truncate(frame.base);
+                    pop_frame!();
+                    self.stack.truncate(base);
                     if self.frames.len() == floor {
                         break 'run Ok(vec![v]);
                     }
                     resume!();
-                    if let Some(&dst) = frame.rets.as_slice().first() {
+                    if let Some(&dst) = call_rets(&code[pc - 1]).first() {
                         reg!(dst) = v;
                     }
                 }
@@ -1051,18 +1058,23 @@ impl<'p> Vm<'p> {
         if result.is_err() {
             // The trap's pc, which `call_function` records, is the one
             // after the faulting instruction.
-            self.frames.last_mut().expect("faulting frame").pc = pc;
+            self.frames.last_mut().expect("faulting frame").pc = pc as u32;
         }
         result
     }
 
     /// Records a call in the runtime profile — a single counter bump; all
-    /// cost attribution happens at frame exit. Kept out of
-    /// [`Vm::push_frame_args`] so the frame-push fast path stays small.
-    #[inline]
+    /// cost attribution happens at frame exit. The hotness rows, `tier_at`
+    /// and the site speculation cover every function and site while their
+    /// instrument is on; the loop's hooks read them through `get` and
+    /// `get_mut` because a panicking index there measured slower on the
+    /// call-dense E10 and E11 workloads.
+    #[inline(always)]
     fn note_call<const HOT: u8, const TIER: bool>(&mut self, callee: FuncId) {
         if HOT != 0 {
-            self.hotness.rows[callee as usize].calls += 1;
+            if let Some(h) = self.hotness.rows.get_mut(callee as usize) {
+                h.calls += 1;
+            }
             if TIER {
                 // Checked before the callee's frame runs, so the
                 // threshold-crossing call already sees its speculation.
@@ -1072,14 +1084,13 @@ impl<'p> Vm<'p> {
     }
 
     /// Tier-up trigger, checked at the fuel-check points (calls and loop
-    /// back-edges). A function (re-)tiers once its hotness weight — calls
-    /// plus back-edge ticks — reaches its slot's `next_at`.
-    #[inline]
+    /// back-edges) of a tiered run. A function (re-)tiers once its hotness
+    /// weight — calls plus back-edge ticks — reaches its `tier_at` entry.
+    #[inline(always)]
     fn check_tier_up(&mut self, func: FuncId) {
-        let Some(t) = self.tier.as_deref() else { return };
-        let row = &self.hotness.rows[func as usize];
+        let Some(row) = self.hotness.rows.get(func as usize) else { return };
         let w = row.calls + row.ticks;
-        if w >= t.slots[func as usize].next_at {
+        if self.tier_at.get(func as usize).is_some_and(|&at| w >= at) {
             self.tier_up(func, w);
         }
     }
@@ -1106,11 +1117,9 @@ impl<'p> Vm<'p> {
                 _ => None,
             };
         }
-        let threshold = t.threshold;
-        let slot = &mut t.slots[func as usize];
-        slot.tier_ups += 1;
+        t.tier_ups[func as usize] += 1;
         // Doubling schedule bounds re-tier churn on functions that stay hot.
-        slot.next_at = weight.max(threshold).saturating_mul(2);
+        self.tier_at[func as usize] = weight.max(t.threshold).saturating_mul(2);
         self.stats.tier_ups += 1;
         if let Some(fr) = self.flight.as_deref_mut() {
             fr.record(self.stats.instrs, FlightKind::TierUp { func });
@@ -1131,7 +1140,7 @@ impl<'p> Vm<'p> {
         let t = self.tier.as_deref_mut().expect("tiering enabled");
         t.spec[site as usize] = None;
         t.mega[site as usize] = true;
-        t.slots[func as usize].next_at = 0;
+        self.tier_at[func as usize] = 0;
         if let Some(fr) = self.flight.as_deref_mut() {
             fr.record(self.stats.instrs, FlightKind::Deopt { site, class: seen, func });
         }
@@ -1140,20 +1149,22 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Closes a popped frame's telemetry: the inclusive total is the
-    /// instructions retired since entry, the exclusive share is that minus
-    /// the completed callees accumulated in `child_instrs`, and the caller
-    /// inherits the inclusive total as its own child cost. One profile row
-    /// and the (cache-hot) caller frame per return — nothing is tracked
-    /// between boundaries. Also ends the frame's trace-log span.
-    #[inline]
-    fn note_return<const HOT: u8>(&mut self, frame: &FrameInfo) {
+    /// Closes the telemetry of `func`'s frame, just popped. In precise mode
+    /// the inclusive total is the instructions retired since entry, the
+    /// exclusive share is that minus the completed callees accumulated in
+    /// `child_instrs`, and the caller inherits the inclusive total as its
+    /// own child cost. One profile row and the (cache-hot) caller entry per
+    /// return — nothing is tracked between boundaries. Also ends the
+    /// frame's trace-log span.
+    #[inline(always)]
+    fn note_return<const HOT: u8>(&mut self, func: FuncId) {
         if HOT == 2 {
+            let frame = self.prof_frames.pop().expect("precise frame present");
             let inc = self.stats.instrs - frame.entry_instr;
-            let h = &mut self.hotness.rows[frame.func as usize];
+            let h = &mut self.hotness.rows[func as usize];
             h.incl_instrs += inc;
             h.excl_instrs += inc - frame.child_instrs;
-            if let Some(parent) = self.frames.last_mut() {
+            if let Some(parent) = self.prof_frames.last_mut() {
                 parent.child_instrs += inc;
             }
         }
@@ -1163,17 +1174,18 @@ impl<'p> Vm<'p> {
     }
 
     /// Pushes a callee frame, copying `prepend` (a bound receiver) and then
-    /// the caller registers `args` directly into the new frame — no
-    /// temporary argument vector. Returns the new frame's register base.
-    #[inline]
-    fn push_frame_args(
+    /// the caller registers `args` straight into its fresh, zeroed
+    /// registers — no temporary argument vector — and opens its precise
+    /// profile entry when `HOT == 2`. Returns the new frame's register
+    /// base. Always inlined: the dispatch loop's call path is this body.
+    #[inline(always)]
+    fn push_frame_args<const HOT: u8>(
         &mut self,
         callee: FuncId,
         kind: CallKind,
         caller_base: usize,
         prepend: Option<Word>,
         args: &[Reg],
-        rets: RetSlots,
     ) -> Result<usize, VmError> {
         let f = &self.program.funcs[callee as usize];
         debug_assert_eq!(
@@ -1202,14 +1214,10 @@ impl<'p> Vm<'p> {
             self.stack[at] = self.stack[caller_base + r as usize];
             at += 1;
         }
-        self.frames.push(FrameInfo {
-            func: callee,
-            pc: 0,
-            base,
-            rets,
-            entry_instr: self.stats.instrs,
-            child_instrs: 0,
-        });
+        self.frames.push(FrameInfo { func: callee, pc: 0, base: base as u32 });
+        if HOT == 2 {
+            self.prof_frames.push(ProfFrame { entry_instr: self.stats.instrs, child_instrs: 0 });
+        }
         Ok(base)
     }
 
@@ -1314,6 +1322,18 @@ impl<'p> Vm<'p> {
             Builtin::Ticks => Ok(Some(heap::scalar(self.stats.instrs as i64))),
             Builtin::Error => Err(VmError::Exception(Exception::UserError)),
         }
+    }
+}
+
+/// The return registers of the call a frame resumes after: a caller's
+/// resume pc is always one past a `Call`, `CallVirt` or `CallClos`.
+#[inline(always)]
+fn call_rets(call: &Instr) -> &[Reg] {
+    match call {
+        Instr::Call { rets, .. } | Instr::CallVirt { rets, .. } | Instr::CallClos { rets, .. } => {
+            rets
+        }
+        _ => unreachable!("a frame resumes after its call"),
     }
 }
 

@@ -1,8 +1,8 @@
-//! Back-end optimizer integration tests: monomorphic inline caches, the
-//! allocation-free dispatch loop's spill accounting, and fused-vs-unfused
-//! behavioral equivalence on real compiled programs.
+//! Back-end optimizer integration tests: monomorphic inline caches,
+//! multi-value returns, and fused-vs-unfused behavioral equivalence on real
+//! compiled programs.
 
-use vgl_vm::{check_fused, fuse, ret_as_int, Vm, VmProgram, RET_INLINE};
+use vgl_vm::{check_fused, fuse, ret_as_int, Vm, VmProgram};
 
 /// Compiles `src` through the shipped pipeline, unfused: these tests lower
 /// and fuse the plain bytecode themselves.
@@ -70,11 +70,9 @@ fn inline_cache_thrashes_on_polymorphic_site() {
     assert_eq!(stats.ic_hits, 0);
 }
 
-/// Calls returning at most [`RET_INLINE`] values use the frame-inline return
-/// slots: a call-heavy steady state performs zero Rust-side allocations.
+/// Two scalar returns land in the caller's registers, with no tuple box.
 #[test]
 fn narrow_returns_never_spill() {
-    assert_eq!(RET_INLINE, 2);
     let p = compile(
         "def swap(p: (int, int)) -> (int, int) { return (p.1, p.0); }\n\
          def main() -> int {\n\
@@ -86,14 +84,13 @@ fn narrow_returns_never_spill() {
     let (r, _, stats) = run(&p);
     assert_eq!(r, Some(3));
     assert!(stats.calls >= 1000, "loop body calls: {}", stats.calls);
-    assert_eq!(stats.ret_spills, 0, "two scalar returns fit the inline slots");
     assert_eq!(stats.heap.tuple_boxes, 0);
 }
 
-/// Returns wider than [`RET_INLINE`] take the boxed spill path — counted,
-/// correct, and still tuple-box-free on the VM heap.
+/// Three scalar returns are as correct as two, and still tuple-box-free on
+/// the VM heap.
 #[test]
-fn wide_returns_spill_and_stay_correct() {
+fn wide_returns_stay_correct() {
     let p = compile(
         "def three(x: int) -> (int, int, int) { return (x, x + 1, x + 2); }\n\
          def main() -> int {\n\
@@ -107,8 +104,7 @@ fn wide_returns_spill_and_stay_correct() {
     );
     let (r, _, stats) = run(&p);
     assert_eq!(r, Some(165));
-    assert!(stats.ret_spills >= 10, "wide returns must spill: {}", stats.ret_spills);
-    assert_eq!(stats.heap.tuple_boxes, 0, "spills are frames, not heap tuples");
+    assert_eq!(stats.heap.tuple_boxes, 0, "returns are registers, not heap tuples");
 }
 
 /// The full fusion pass is observationally invisible across a spread of

@@ -353,3 +353,147 @@ fn opcode_names_are_dense_and_unique() {
     names.dedup();
     assert_eq!(names.len(), OPCODE_COUNT, "duplicate opcode name");
 }
+
+/// Frames that return through every path the VM has: recursion (`fib`,
+/// `dive`), three scalars through an unbound closure (`three`), a
+/// monomorphic virtual site that tiers into a guarded call (`Sq.area`), a
+/// polymorphic one (`shapes[i % 2].area()`), bound and unbound closure
+/// calls of `Cell.add`, and two accessors that fuse to `FieldGetRet`: `getv`
+/// through `Call` and `Cell.get` through `CallVirt`. `dive` divides by zero
+/// at `i == 30`, four frames below `main`, when the loop runs that far.
+const FRAMES: &str = "class Shape { def area() -> int { return 0; } }\n\
+    class Sq extends Shape { var s: int; new(s) { } def area() -> int { var a = s * s; return a + 1; } }\n\
+    class Rect extends Shape { var w: int; var h: int; new(w, h) { } def area() -> int { return w * h; } }\n\
+    class Cell {\n\
+      var v: int;\n\
+      new(v) { }\n\
+      def get() -> int { return v; }\n\
+      def add(x: int) -> int { var y = x + v; return y * 2; }\n\
+    }\n\
+    def getv(c: Cell) -> int { var v = c.v; return v; }\n\
+    def three(x: int) -> (int, int, int) { return (x, x + 1, x + 2); }\n\
+    def fib(n: int) -> int { if (n < 2) return n; return fib(n - 1) + fib(n - 2); }\n\
+    def dive(n: int, d: int) -> int { if (n == 0) return 1000 / d; return dive(n - 1, d) + 1; }\n\
+    def main() -> int {\n\
+      var t = 0;\n\
+      var c = Cell.new(5);\n\
+      var bound = c.add;\n\
+      var unbound = three;\n\
+      var method = Cell.add;\n\
+      var shapes: Array<Shape> = [Sq.new(2), Rect.new(2, 3)];\n\
+      for (i = 0; i < 24; i = i + 1) {\n\
+        var sq: Shape = Sq.new(i);\n\
+        var r = unbound(i);\n\
+        t = t + sq.area() + shapes[i % 2].area() + r.0 + r.2;\n\
+        t = t + bound(i) + method(c, i) + getv(c) + c.get() + fib(i % 7) + dive(3, 30 - i);\n\
+      }\n\
+      return t;\n\
+    }";
+
+/// The precise profile's rows of every function that ran, in function
+/// order: name, then calls, ticks, inclusive and exclusive retired
+/// instructions.
+fn precise_rows(program: &VmProgram, vm: &Vm<'_>) -> Vec<(String, [u64; 4])> {
+    let profile = vm.runtime_profile().expect("precise profiling on");
+    profile
+        .rows
+        .iter()
+        .zip(&program.funcs)
+        .filter(|(r, _)| r.calls > 0)
+        .map(|(r, f)| (f.name.clone(), [r.calls, r.ticks, r.incl_instrs, r.excl_instrs]))
+        .collect()
+}
+
+/// The precise profiler's rows are exact on the fused program, plain and
+/// tiered at threshold 4, for a run that returns and for one that traps
+/// four frames deep, where the frames still open stay unclosed. After the
+/// trap, one more call on the same VM adds exactly its own work to its own
+/// row.
+#[test]
+fn precise_rows_are_exact_on_every_return_path() {
+    // Rows every configuration shares, then the ones that differ.
+    let shared = |traps: bool| -> Vec<(&str, [u64; 4])> {
+        if traps {
+            vec![
+                ("new", [1, 0, 2, 2]),
+                ("new", [33, 0, 33, 33]),
+                ("add", [62, 0, 248, 248]),
+                ("three", [31, 0, 93, 93]),
+                ("new", [32, 0, 128, 96]),
+                ("new", [1, 0, 5, 4]),
+                ("getv", [31, 0, 31, 31]),
+                ("fib", [241, 0, 3212, 1112]),
+                ("dive", [124, 0, 1860, 780]),
+                ("area", [47, 0, 235, 235]),
+                ("area", [15, 0, 60, 60]),
+            ]
+        } else {
+            vec![
+                ("new", [1, 0, 2, 2]),
+                ("new", [26, 0, 26, 26]),
+                ("add", [48, 0, 192, 192]),
+                ("three", [24, 0, 72, 72]),
+                ("new", [25, 0, 100, 75]),
+                ("new", [1, 0, 5, 4]),
+                ("getv", [24, 0, 24, 24]),
+                ("fib", [182, 0, 2414, 838]),
+                ("dive", [96, 0, 1488, 624]),
+                ("area", [36, 0, 180, 180]),
+                ("area", [12, 0, 48, 48]),
+            ]
+        }
+    };
+    // (tier, traps): main's row, then `Cell.get`'s, which tiering inlines
+    // at its speculated site.
+    let cases: [(bool, bool, [u64; 4], [u64; 4]); 4] = [
+        (false, false, [1, 24, 3045, 936], [24, 0, 24, 24]),
+        (false, true, [1, 30, 0, 0], [31, 0, 31, 31]),
+        (true, false, [1, 24, 3024, 936], [3, 0, 3, 3]),
+        (true, true, [1, 30, 0, 0], [3, 0, 3, 3]),
+    ];
+    let trapping = FRAMES.replace("i < 24", "i < 40");
+    for (tier, traps, main, get) in cases {
+        let compiler = if tier { vgl::Compiler::new().with_tiering() } else { vgl::Compiler::new() };
+        let program = compiler
+            .compile(if traps { &trapping } else { FRAMES })
+            .expect("compiles")
+            .program;
+        let mut vm = Vm::new(&program);
+        if tier {
+            vm.enable_tiering(4);
+        }
+        vm.enable_runtime_profiling_precise();
+        let r = vm.run();
+        let fused = vm.tier_state().map_or(&program.funcs[..], |t| t.funcs());
+        assert!(
+            fused.iter().flat_map(|f| &f.code).any(|i| matches!(i, vgl_vm::Instr::FieldGetRet { .. })),
+            "the run covers a FieldGetRet return"
+        );
+        if traps {
+            assert!(matches!(r, Err(vgl_vm::VmError::Exception(_))), "tier {tier}: {r:?}");
+        } else {
+            assert_eq!(ret_as_int(&r.expect("runs")), Some(8572), "tier {tier}");
+        }
+        let mut want = shared(traps);
+        want.insert(0, ("main", main));
+        want.insert(8, ("get", get));
+        let want: Vec<(String, [u64; 4])> =
+            want.into_iter().map(|(name, row)| (name.to_string(), row)).collect();
+        let before = precise_rows(&program, &vm);
+        assert_eq!(before, want, "tier {tier}, traps {traps}");
+        if !traps {
+            continue;
+        }
+        // One more call on the same VM: fib(10) enters 177 frames, and its
+        // exclusive counts partition the instructions it retires.
+        let fib = program.funcs.iter().position(|f| f.name == "fib").expect("fib") as u32;
+        let instrs = vm.stats.instrs;
+        let r = vm.call_function(fib, &[vgl_runtime::heap::scalar(10)]).expect("fib runs");
+        assert_eq!(ret_as_int(&r), Some(55), "tier {tier}");
+        let mut want = before;
+        let row = &mut want.iter_mut().find(|(name, _)| name == "fib").expect("fib ran").1;
+        assert_eq!(vm.stats.instrs - instrs, 882, "tier {tier}");
+        *row = [241 + 177, 0, 8686, 1112 + 882];
+        assert_eq!(precise_rows(&program, &vm), want, "tier {tier}: after the trap");
+    }
+}
